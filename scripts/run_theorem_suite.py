@@ -9,6 +9,7 @@ selection bias), Gaussian dose -> density-weighted derivative / ACRT /
 ACR, non-negative dose -> dose/extensive-margin mixture, heterogeneous
 dummy -> four-mean contrast and ATT, and the interference pair (naive
 coefficient vs ATTE - ASTE, exposure-adjusted coefficient vs ATTE).
+Each check runs its default scenario from ``causal_pvar.verify.CHECKS``.
 """
 
 import argparse
@@ -19,9 +20,12 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from causal_pvar.io import write_records  # noqa: E402
-from causal_pvar.scenarios import SPILLOVER_DUMMY, ScenarioConfig, linear_impact  # noqa: E402
-from causal_pvar.spillover import verify_interference  # noqa: E402
-from causal_pvar.verify import THEOREMS, default_config, verify_theorem  # noqa: E402
+from causal_pvar.verify import (  # noqa: E402
+    THEOREMS,
+    default_config,
+    verify_interference,
+    verify_theorem,
+)
 
 
 def main() -> int:
@@ -31,43 +35,22 @@ def main() -> int:
     ap.add_argument("--out", default=None, help="optional directory for verify records")
     args = ap.parse_args()
 
-    records = []
-    all_ok = True
-    for name in THEOREMS:
+    reports = []
+    for name in (*THEOREMS, "interference"):
         t0 = time.time()
-        rep = verify_theorem(name, default_config(name).with_seed(args.seed), reps=args.reps)
+        cfg = default_config(name).with_seed(args.seed)
+        if name == "interference":
+            rep = verify_interference(cfg, reps=args.reps)
+        else:
+            rep = verify_theorem(name, cfg, reps=args.reps)
         print(f"{rep.summary_line()}  [{time.time() - t0:.1f}s]")
-        all_ok &= rep.passed
-        records.append(
-            {
-                "theorem": rep.theorem, "n_reps": rep.n_reps,
-                "estimate_mean": rep.estimate_mean, "oracle_mean": rep.oracle_mean,
-                "discrepancy": rep.discrepancy, "mc_se": rep.mc_se, "passed": rep.passed,
-            }
-        )
-
-    t0 = time.time()
-    cfg = ScenarioConfig(
-        regime=SPILLOVER_DUMMY, n_units=100, n_times=120, seed=args.seed,
-        impact=linear_impact(1.0), treat_prob=0.15, spillover_rho=0.5,
-    )
-    irep = verify_interference(cfg, reps=args.reps)
-    print(f"{irep.summary_line()}  [{time.time() - t0:.1f}s]")
-    all_ok &= irep.passed
-    records.append(
-        {
-            "theorem": "interference", "n_reps": irep.n_reps,
-            "estimate_mean": irep.adjusted_mean, "oracle_mean": irep.atte_mean,
-            "discrepancy": irep.adjusted_discrepancy, "mc_se": irep.adjusted_se,
-            "passed": irep.passed,
-        }
-    )
+        reports.append(rep)
 
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        write_records(records, os.path.join(args.out, "theorem_suite.csv"))
+        write_records([r.record() for r in reports], os.path.join(args.out, "theorem_suite.csv"))
         print(f"records -> {os.path.join(args.out, 'theorem_suite.csv')}")
-    return 0 if all_ok else 1
+    return 0 if all(r.passed for r in reports) else 1
 
 
 if __name__ == "__main__":

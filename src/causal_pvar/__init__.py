@@ -60,14 +60,18 @@ from .scenarios import (
 )
 from .spillover import (
     ExposureMap,
-    InterferenceReport,
     SpilloverFit,
     build_exposure,
     oracle_atte_aste,
     spillover_regression,
-    verify_interference,
 )
-from .verify import VerificationReport, default_config, verify_theorem
+from .verify import (
+    InterferenceReport,
+    VerificationReport,
+    default_config,
+    verify_interference,
+    verify_theorem,
+)
 from .weights import (
     WeightProfile,
     ZeroInflatedUniform,

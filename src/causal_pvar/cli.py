@@ -14,9 +14,9 @@ Exit codes: 0 success, 1 expected errors (bad data, estimation failures),
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,22 +26,18 @@ from .errors import CausalPvarError
 from .identify import bootstrap_irf, cholesky_lower, impact_gamma
 from .panel import PVARSpec, fit_pvar
 from .scenarios import (
+    BINARY_ANY_NEIGHBOR,
     REGIMES,
+    TREATED_NEIGHBOR_SHARE,
     ScenarioConfig,
     linear_impact,
     quadratic_impact,
     simulate_scenario,
     step_impact,
 )
-from .spillover import (
-    BINARY_ANY_NEIGHBOR,
-    TREATED_NEIGHBOR_SHARE,
-    build_exposure,
-    spillover_regression,
-    verify_interference,
-)
+from .spillover import estimate_adjusted_impact, oracle_atte_aste
 from .estimands import oracle_estimands
-from .verify import THEOREMS, default_config, verify_theorem
+from .verify import THEOREMS, default_config, verify_interference, verify_theorem
 
 SEED_ENV = "CAUSAL_PVAR_SEED"
 
@@ -54,6 +50,7 @@ def _resolve_seed(args) -> int:
         try:
             return int(env)
         except ValueError:
+            print(f"error: {SEED_ENV}={env!r} is not an integer seed", file=sys.stderr)
             raise SystemExit(2)
     print(f"error: this command is stochastic; pass --seed or set {SEED_ENV}", file=sys.stderr)
     raise SystemExit(2)
@@ -86,20 +83,6 @@ def _parse_impact(spec: str):
         pass
     print(f"error: bad --impact {spec!r}; use linear:b, quadratic:a,b or step:h,thr", file=sys.stderr)
     raise SystemExit(2)
-
-
-def _write_json(obj, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2, default=_jsonable)
-        fh.write("\n")
-
-
-def _jsonable(v):
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, (np.floating, np.integer, np.bool_)):
-        return v.item()
-    return str(v)
 
 
 def _residual_records(fit, variable_names):
@@ -159,12 +142,10 @@ def cmd_simulate(args) -> int:
             "treated_times": np.nonzero(pop.groups.treated_times)[0] + 1,
         }
     if pop.exposure is not None:
-        from .spillover import oracle_atte_aste
-
         atte, aste = oracle_atte_aste(pop)
         truth["estimands"]["atte"] = atte
         truth["estimands"]["aste"] = aste
-    _write_json(truth, os.path.join(args.output, "truth.json"))
+    cpio.write_json(truth, os.path.join(args.output, "truth.json"))
     return 0
 
 
@@ -176,7 +157,7 @@ def cmd_fit(args) -> int:
     panel = _load_panel(args)
     fit = fit_pvar(panel, PVARSpec(args.lags))
     cpio.ensure_dir(args.output)
-    _write_json(
+    cpio.write_json(
         {
             "lag_order": args.lags,
             "phi": [m for m in fit.phi],
@@ -229,7 +210,7 @@ def cmd_diagnose(args) -> int:
             "normality_stat": probe.normality_stat,
         }
     cpio.ensure_dir(args.output)
-    _write_json(
+    cpio.write_json(
         {
             "autocorr": auto.tensor,
             "autocorr_bound": auto.bound,
@@ -237,7 +218,6 @@ def cmd_diagnose(args) -> int:
             "effective_obs": auto.effective_obs,
             "spectral_radius": stat.spectral_radius,
             "stationary": stat.stationary,
-            "power_iteration_converged": stat.converged,
             "policy_probe": probes,
         },
         os.path.join(args.output, "diagnostics.json"),
@@ -248,6 +228,9 @@ def cmd_diagnose(args) -> int:
 def cmd_irf(args) -> int:
     seed = _resolve_seed(args)
     panel = _load_panel(args)
+    if not 0 <= args.shock < panel.n_vars:
+        print(f"error: --shock {args.shock} outside 0..{panel.n_vars - 1}", file=sys.stderr)
+        return 2
     point, bands = bootstrap_irf(
         panel,
         PVARSpec(args.lags),
@@ -278,22 +261,17 @@ def cmd_irf(args) -> int:
 def cmd_spillover(args) -> int:
     seed = _resolve_seed(args)
     panel = _load_panel(args)
+    if not 1 <= args.outcome < panel.n_vars:
+        print(f"error: --outcome {args.outcome} outside 1..{panel.n_vars - 1}", file=sys.stderr)
+        return 2
     treatment = panel.values[:, :, 0]
     if not np.isin(treatment, (0.0, 1.0)).all():
         print("error: spillover command expects a 0/1 policy column", file=sys.stderr)
         return 1
     adjacency = cpio.load_edge_list(args.adjacency, panel.n_units)
-    fit = fit_pvar(panel, PVARSpec(args.lags))
-    exposure = build_exposure(adjacency, treatment, args.mode)
-    s_reg = exposure.s_values * (1.0 - treatment)
-    s_reg = s_reg[:, fit.sample_offset :]
-    s_reg = s_reg - s_reg.mean(axis=1, keepdims=True)
-    reg = spillover_regression(
-        fit.residuals[:, :, 0],
-        fit.residuals[:, :, args.outcome],
-        s_reg,
-        n_reps=args.reps,
-        seed=seed,
+    reg = estimate_adjusted_impact(
+        fit_pvar(panel, PVARSpec(args.lags)), adjacency, treatment,
+        mode=args.mode, outcome=args.outcome, n_reps=args.reps, seed=seed,
     )
     cpio.ensure_dir(args.output)
     cpio.write_records(
@@ -310,48 +288,20 @@ def cmd_spillover(args) -> int:
 def cmd_verify(args) -> int:
     seed = _resolve_seed(args)
     cpio.ensure_dir(args.output)
-    records = []
-    names = list(THEOREMS) + ["interference"] if args.theorem == "all" else [args.theorem]
+    reports = []
+    names = [*THEOREMS, "interference"] if args.theorem == "all" else [args.theorem]
     for name in names:
+        cfg = default_config(name).with_seed(seed)
         if name == "interference":
-            from .scenarios import SPILLOVER_DUMMY
-
-            cfg = ScenarioConfig(
-                regime=SPILLOVER_DUMMY, n_units=100, n_times=120, seed=seed,
-                impact=linear_impact(1.0), treat_prob=0.35, time_frac=0.4,
-                spillover_rho=args.rho,
-            )
-            rep = verify_interference(cfg, reps=args.reps)
-            print(rep.summary_line())
-            records.append(
-                {
-                    "theorem": "T11_T12_interference",
-                    "n_reps": rep.n_reps,
-                    "estimate_mean": rep.adjusted_mean,
-                    "oracle_mean": rep.atte_mean,
-                    "discrepancy": rep.adjusted_discrepancy,
-                    "mc_se": rep.adjusted_se,
-                    "passed": rep.passed,
-                }
-            )
+            rep = verify_interference(replace(cfg, spillover_rho=args.rho), reps=args.reps)
         else:
-            cfg = default_config(name).with_seed(seed)
             rep = verify_theorem(name, cfg, reps=args.reps)
-            print(rep.summary_line())
-            records.append(
-                {
-                    "theorem": rep.theorem,
-                    "n_reps": rep.n_reps,
-                    "estimate_mean": rep.estimate_mean,
-                    "oracle_mean": rep.oracle_mean,
-                    "discrepancy": rep.discrepancy,
-                    "mc_se": rep.mc_se,
-                    "passed": rep.passed,
-                }
-            )
+        print(rep.summary_line())
+        reports.append(rep)
     fname = "verify.csv" if args.format == "csv" else "verify.jsonl"
-    cpio.write_records(records, os.path.join(args.output, fname), fmt=args.format)
-    return 0 if all(r["passed"] for r in records) else 1
+    cpio.write_records([r.record() for r in reports], os.path.join(args.output, fname),
+                       fmt=args.format)
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

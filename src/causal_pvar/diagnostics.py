@@ -71,7 +71,6 @@ class AutocorrDiagnostic:
 class StationarityDiagnostic:
     spectral_radius: float
     stationary: bool
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,7 @@ def lag_criteria(panel: PanelDataset, pmax: int, spec: PVARSpec | None = None) -
     for p in range(1, pmax + 1):
         fit = fit_pvar(
             panel,
-            PVARSpec(p, base.include_unit_effects, base.dummy_columns),
+            PVARSpec(p, base.dummy_columns),
             drop_initial=pmax,
         )
         sign, logdet = np.linalg.slogdet(fit.sigma)
@@ -165,35 +164,14 @@ def residual_autocorr(fit: PVARFit, smax: int) -> AutocorrDiagnostic:
     return AutocorrDiagnostic(tensor, float(bound), violated, fit.effective_obs)
 
 
-def stationarity(fit: PVARFit, tol: float = 1e-10, max_iter: int = 10_000) -> StationarityDiagnostic:
-    """Spectral radius of the companion matrix via power iteration.
+def stationarity(fit: PVARFit) -> StationarityDiagnostic:
+    """Spectral radius of the companion matrix: its largest eigenvalue modulus.
 
-    Falls back to the smallest of three matrix-norm upper bounds when the
-    norm-ratio sequence does not settle (e.g. a dominant complex pair of
-    roots on a non-normal matrix), flagged via ``converged=False``.
+    The companion matrix is only mp x mp, so the eigenvalues are computed
+    directly; the fit is stationary when the radius is below one.
     """
-    a = companion(fit).matrix
-    dim = a.shape[0]
-    x = 1.0 / (1.0 + np.arange(dim))
-    x = x / np.linalg.norm(x)
-    r_prev = None
-    for _ in range(max_iter):
-        y = a @ x
-        r = float(np.linalg.norm(y))
-        if r == 0.0:
-            return StationarityDiagnostic(0.0, True, True)
-        x = y / r
-        if r_prev is not None and abs(r - r_prev) < tol:
-            return StationarityDiagnostic(r, r < 1.0, True)
-        r_prev = r
-    bound = float(
-        min(
-            np.abs(a).sum(axis=0).max(),
-            np.abs(a).sum(axis=1).max(),
-            np.linalg.norm(a, "fro"),
-        )
-    )
-    return StationarityDiagnostic(bound, bound < 1.0, False)
+    radius = float(np.abs(np.linalg.eigvals(companion(fit).matrix)).max())
+    return StationarityDiagnostic(radius, radius < 1.0)
 
 
 def policy_regime_probe(series: np.ndarray) -> PolicyProbe:

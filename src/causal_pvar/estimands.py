@@ -1,9 +1,10 @@
 """Brute-force estimand oracles over fully observed potential outcomes.
 
-Everything here is computed by direct averaging/enumeration on the
-simulated potential-outcome arrays, never through the estimation stack, so
-these values can serve as independent references for what the recursive
-impact coefficient should recover under each policy regime.
+Everything here is computed by direct averaging/enumeration of the
+simulated potential outcomes, evaluated from their structural form, never
+through the estimation stack, so these values can serve as independent
+references for what the recursive impact coefficient should recover under
+each policy regime.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def _check_grid(pop: PotentialOutcomePanel, grid) -> np.ndarray:
         return pop.lambda_grid
     grid = np.asarray(grid, dtype=float)
     if grid[0] < pop.lambda_grid[0] - 1e-9 or grid[-1] > pop.lambda_grid[-1] + 1e-9:
-        raise GridMismatch("requested grid extends beyond the stored potential-outcome grid")
+        raise GridMismatch("requested grid extends beyond the panel's dose grid")
     return grid
 
 
@@ -66,8 +67,9 @@ def oracle_estimands(pop: PotentialOutcomePanel, grid=None) -> EstimandReport:
     ATE averages po(1) - po(0) over every cell; ATT restricts the same
     average to realized-treated cells (assignment != 0).  ACR takes
     central finite differences of the mean potential outcome across the
-    grid (one-sided at the boundary); ACRT bins cells by realized dose
-    and differentiates the bin's own potential-outcome path.
+    grid (one-sided at the boundary), where the mean is
+    ``mean(scale) * g(lam) + mean(base)``; ACRT bins cells by realized
+    dose and differentiates the bin's own potential-outcome path.
     """
     grid = _check_grid(pop, grid)
     w = pop.assignments
@@ -96,8 +98,8 @@ def oracle_estimands(pop: PotentialOutcomePanel, grid=None) -> EstimandReport:
     else:
         att, se_att = float("nan"), float("nan")
 
-    po = _po_on_grid(pop, grid)
-    mean_po = po.mean(axis=(0, 1))
+    mean_scale = np.broadcast_to(pop.impact_scale, pop.base.shape).mean()
+    mean_po = mean_scale * pop.impact(grid) + pop.base.mean()
     acr = np.gradient(mean_po, grid)
 
     # ACRT differentiates the realized conditional mean m(lam) =
@@ -136,12 +138,6 @@ def oracle_estimands(pop: PotentialOutcomePanel, grid=None) -> EstimandReport:
         selection_bias=delta,
         mc_se={"ate": se_ate, "att": se_att},
     )
-
-
-def _po_on_grid(pop: PotentialOutcomePanel, grid: np.ndarray) -> np.ndarray:
-    if grid.shape == pop.lambda_grid.shape and np.allclose(grid, pop.lambda_grid):
-        return pop.po_grid
-    return np.stack([pop.po_at(lam) for lam in grid], axis=2)
 
 
 def selection_bias(pop: PotentialOutcomePanel) -> float:

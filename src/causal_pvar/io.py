@@ -1,10 +1,11 @@
-"""File formats: panel CSV, edge lists, and flat result records.
+"""File formats: panel CSV, edge lists, flat result records, and JSON reports.
 
 Panel CSV contract: an optional ``# policies=K`` comment line, a header
 ``unit,time,<var1>,...,<varm>``, rows sorted by (unit, time), integer unit
 and time labels, decimal floats for values.  Result records are flat
 dicts written as CSV or JSON lines with floats at 17 significant digits
-so artifacts are byte-stable and round-trip exactly.
+so artifacts are byte-stable and round-trip exactly.  Nested reports
+(truth, fit, diagnostics) are written as key-sorted, indented JSON.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "fmt_float",
     "write_records",
     "read_records",
+    "write_json",
     "load_panel_csv",
     "write_panel_csv",
     "load_edge_list",
@@ -32,24 +34,15 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _fmt_value(v) -> str:
+def _fmt_value(v, quote=str) -> str:
+    """Record field text; ``quote`` renders non-numeric values (json.dumps for JSON)."""
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return fmt_float(v)
-    return str(v)
-
-
-def _json_value(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return fmt_float(v)
-    return json.dumps(str(v))
+    return quote(str(v))
 
 
 def write_records(records, path, fmt: str = "csv", fieldnames=None) -> None:
@@ -68,13 +61,35 @@ def write_records(records, path, fmt: str = "csv", fieldnames=None) -> None:
             elif fmt == "json-lines":
                 for rec in records:
                     body = ", ".join(
-                        f"{json.dumps(k)}: {_json_value(rec[k])}" for k in fieldnames
+                        f"{json.dumps(k)}: {_fmt_value(rec[k], json.dumps)}" for k in fieldnames
                     )
                     fh.write("{" + body + "}\n")
             else:
                 raise BadConfig(f"unknown format {fmt!r}")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def write_json(obj, path) -> None:
+    """Write a nested report as key-sorted, indented JSON (UTF-8, LF endings).
+
+    numpy arrays become lists and numpy scalars plain numbers; any other
+    non-JSON value is written as its string form.
+    """
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(obj, fh, sort_keys=True, indent=2, default=_jsonable)
+            fh.write("\n")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def _jsonable(v):
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, (np.floating, np.integer, np.bool_)):
+        return v.item()
+    return str(v)
 
 
 def read_records(path, fmt: str = "csv") -> list[dict]:

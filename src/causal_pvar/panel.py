@@ -87,10 +87,9 @@ class PanelDataset:
 
 @dataclass(frozen=True)
 class PVARSpec:
-    """Estimation specification: lag order, unit effects, dummy controls."""
+    """Estimation specification: lag order and exogenous dummy controls."""
 
     lag_order: int = 1
-    include_unit_effects: bool = True
     dummy_columns: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -277,19 +276,15 @@ def fit_pvar(panel: PanelDataset, spec: PVARSpec, *, drop_initial: int | None = 
     )                                                         # (n, tr, m*p)
     tr = t - drop
 
-    if spec.include_unit_effects:
-        dep_c = dep - dep.mean(axis=1, keepdims=True)
-        lags_c = lags - lags.mean(axis=1, keepdims=True)
-    else:
-        dep_c, lags_c = dep, lags
+    dep_c = dep - dep.mean(axis=1, keepdims=True)
+    lags_c = lags - lags.mean(axis=1, keepdims=True)
 
     dummy_coef = None
     if spec.dummy_columns:
         if panel.exogenous_dummies is None:
             raise BadConfig("spec names dummy_columns but panel has no dummies")
         dmat = panel.exogenous_dummies[:, drop:, list(spec.dummy_columns)]
-        if spec.include_unit_effects:
-            dmat = dmat - dmat.mean(axis=1, keepdims=True)
+        dmat = dmat - dmat.mean(axis=1, keepdims=True)
         dflat = dmat.reshape(n * tr, -1)
         dep_flat, dummy_coef = _partial_out_dummies(dep_c.reshape(n * tr, m), dflat)
         lag_flat, _ = _partial_out_dummies(lags_c.reshape(n * tr, m * p), dflat)
@@ -322,10 +317,6 @@ def fit_pvar(panel: PanelDataset, spec: PVARSpec, *, drop_initial: int | None = 
         mu = np.linalg.solve(phi_sum, intercepts.T).T
     except np.linalg.LinAlgError:
         mu = np.linalg.lstsq(phi_sum, intercepts.T, rcond=None)[0].T
-
-    if not spec.include_unit_effects:
-        intercepts = np.zeros_like(intercepts)
-        mu = np.zeros_like(mu)
 
     return PVARFit(
         phi=phi,

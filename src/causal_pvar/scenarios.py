@@ -4,10 +4,12 @@ Each regime draws policy innovations from a different law (common dummy,
 Gaussian, zero-inflated non-negative, unit-by-time dummy, dummy with
 network spillovers), builds the outcome innovation as a structural impact
 of the realized policy innovation plus idiosyncratic noise, and runs the
-panel through the autoregressive dynamics.  Potential outcomes are stored
-by re-evaluating the outcome innovation on a fixed grid of counterfactual
-policy values while holding every other shock fixed, which is what makes
-brute-force estimand oracles possible downstream.
+panel through the autoregressive dynamics.  Potential outcomes are kept in
+structural form, ``po(lam) = scale * g(lam) + base`` with every other
+shock held in ``base``, so any counterfactual dose is evaluated exactly
+and brute-force estimand oracles need no stored grid of outcomes.  The
+network exposure of the spillover regime (``build_exposure``) lives here
+too, so the simulator and the estimators share one definition.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BadConfig
+from .errors import AsymmetricAdjacency, BadConfig, SelfLoop
 from .panel import PanelDataset
 
 __all__ = [
@@ -25,9 +27,11 @@ __all__ = [
     "quadratic_impact",
     "step_impact",
     "GroupLabels",
+    "ExposureMap",
     "ExposureTruth",
     "PotentialOutcomePanel",
     "ScenarioConfig",
+    "build_exposure",
     "ring_adjacency",
     "simulate_var_panel",
     "simulate_scenario",
@@ -38,6 +42,8 @@ __all__ = [
     "NONNEGATIVE_CONTINUOUS",
     "HETEROGENEOUS_DUMMY",
     "SPILLOVER_DUMMY",
+    "TREATED_NEIGHBOR_SHARE",
+    "BINARY_ANY_NEIGHBOR",
 ]
 
 HOMOGENEOUS_DUMMY = "homogeneous_dummy"
@@ -53,6 +59,9 @@ REGIMES = (
     SPILLOVER_DUMMY,
 )
 DUMMY_REGIMES = (HOMOGENEOUS_DUMMY, HETEROGENEOUS_DUMMY, SPILLOVER_DUMMY)
+
+TREATED_NEIGHBOR_SHARE = "treated_neighbor_share"
+BINARY_ANY_NEIGHBOR = "binary_any_neighbor"
 
 
 @dataclass(frozen=True)
@@ -111,18 +120,25 @@ class GroupLabels:
 
 
 @dataclass(frozen=True)
+class ExposureMap:
+    """Per-cell exposure to other units' treatments on a fixed network."""
+
+    adjacency: np.ndarray
+    s_values: np.ndarray
+    mode: str
+
+
+@dataclass(frozen=True)
 class ExposureTruth:
     """Ground-truth exposure and exposure-indexed potential outcomes.
 
-    ``po_cube[i, t, w, g]`` is the potential outcome innovation of cell
-    (i, t) at own-assignment w in {0, 1} and exposure ``s_grid[g]``; the
-    ``*_realized`` arrays evaluate at the cell's realized exposure.
+    The ``po_*`` arrays are per-cell potential outcome innovations: own
+    treatment at the realized exposure, no own treatment at the realized
+    exposure, and no own treatment with zero exposure.
     """
 
     adjacency: np.ndarray
     s_values: np.ndarray
-    s_grid: np.ndarray
-    po_cube: np.ndarray
     po_treated_realized: np.ndarray
     po_control_realized: np.ndarray
     po_baseline: np.ndarray
@@ -130,43 +146,29 @@ class ExposureTruth:
 
 @dataclass(frozen=True)
 class PotentialOutcomePanel:
-    """Simulator ground truth: assignments, potential-outcome grid, groups.
+    """Simulator ground truth: assignments, structural potential outcomes, groups.
 
-    The grid is the persistable interface; the structural pieces
-    (impact function, per-unit scale, per-cell base) additionally allow
-    exact evaluation at arbitrary off-grid doses.
+    The potential outcome of cell (i, t) at dose lam is
+    ``impact_scale * impact(lam) + base``.  ``impact_scale`` broadcasts
+    against ``base``: the simulator stores one scale per unit, shape
+    (n, 1); a hand-built panel may give one per cell.  ``lambda_grid`` is
+    the dose grid the oracles evaluate on.
     """
 
     regime: str
     assignments: np.ndarray
     lambda_grid: np.ndarray
-    po_grid: np.ndarray
     realized_outcomes: np.ndarray
     groups: GroupLabels | None
     exposure: ExposureTruth | None
     truth: dict
-    impact: ImpactFunction | None = None
-    impact_scale: np.ndarray | None = None
-    base: np.ndarray | None = None
+    impact: ImpactFunction
+    impact_scale: np.ndarray
+    base: np.ndarray
 
     def po_at(self, lam: float) -> np.ndarray:
-        """Potential outcomes at a single counterfactual policy value.
-
-        Structural evaluation when available (exact at any dose); grid
-        lookup with linear interpolation otherwise.
-        """
-        if self.impact is not None:
-            return self.impact_scale[:, None] * float(self.impact(lam)) + self.base
-        grid = self.lambda_grid
-        if lam < grid[0] - 1e-12 or lam > grid[-1] + 1e-12:
-            raise BadConfig(f"lambda={lam} outside stored grid [{grid[0]}, {grid[-1]}]")
-        exact = np.nonzero(np.isclose(grid, lam, rtol=0.0, atol=1e-12))[0]
-        if exact.size:
-            return self.po_grid[:, :, exact[0]]
-        hi = int(np.searchsorted(grid, lam))
-        lo = hi - 1
-        w = (lam - grid[lo]) / (grid[hi] - grid[lo])
-        return (1.0 - w) * self.po_grid[:, :, lo] + w * self.po_grid[:, :, hi]
+        """Potential outcomes of every cell at one counterfactual dose (exact)."""
+        return self.impact_scale * float(self.impact(lam)) + self.base
 
 
 @dataclass(frozen=True)
@@ -221,6 +223,41 @@ def ring_adjacency(n_units: int, neighbors_each_side: int) -> np.ndarray:
         adj[idx, (idx + off) % n_units] = 1.0
         adj[idx, (idx - off) % n_units] = 1.0
     return adj
+
+
+def build_exposure(adjacency: np.ndarray, treatment: np.ndarray, mode: str = TREATED_NEIGHBOR_SHARE) -> ExposureMap:
+    """Map other units' treatment paths into a per-cell scalar exposure.
+
+    treated_neighbor_share: number of treated neighbours over number of
+    neighbours; binary_any_neighbor: 1 if any neighbour is treated.
+    Isolated units always get zero.
+    """
+    adjacency = np.asarray(adjacency, dtype=float)
+    if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
+        raise BadConfig("adjacency must be square")
+    if not np.array_equal(adjacency, adjacency.T):
+        raise AsymmetricAdjacency("adjacency matrix must be symmetric")
+    if np.abs(np.diag(adjacency)).max(initial=0.0) > 0:
+        raise SelfLoop("adjacency diagonal must be zero")
+    if not np.isin(adjacency, (0.0, 1.0)).all():
+        raise BadConfig("adjacency entries must be 0/1")
+    treatment = np.asarray(treatment, dtype=float)
+    if treatment.ndim != 2 or treatment.shape[0] != adjacency.shape[0]:
+        raise BadConfig("treatment must be (n_units, n_times) aligned with adjacency")
+    if not np.isin(treatment, (0.0, 1.0)).all():
+        raise BadConfig("treatment indicator must be 0/1")
+
+    counts = adjacency @ treatment
+    if mode == TREATED_NEIGHBOR_SHARE:
+        degree = adjacency.sum(axis=1)
+        s = np.divide(
+            counts, degree[:, None], out=np.zeros_like(counts), where=degree[:, None] > 0
+        )
+    elif mode == BINARY_ANY_NEIGHBOR:
+        s = (counts > 0).astype(float)
+    else:
+        raise BadConfig(f"unknown exposure mode {mode!r}")
+    return ExposureMap(adjacency=adjacency, s_values=s, mode=mode)
 
 
 def simulate_var_panel(phi, mu, innovations, n_policies=1, variable_names=None) -> PanelDataset:
@@ -340,9 +377,9 @@ def simulate_scenario(config: ScenarioConfig) -> tuple[PanelDataset, PotentialOu
     The outcome innovation of cell (i, t) is
     ``scale_i * g(W_it) + base_it`` where ``base_it`` collects noise,
     anticipation shifts, selection terms, and (in the spillover regime)
-    ``rho * S_it``; potential outcomes re-evaluate ``g`` on the stored
-    grid with ``base_it`` held fixed, so realized outcomes equal the
-    potential outcome at the realized assignment exactly.
+    ``rho * S_it``; potential outcomes re-evaluate ``g`` at any dose with
+    ``base_it`` held fixed, so realized outcomes equal the potential
+    outcome at the realized assignment exactly.
     """
     phi = _validate_config(config)
     rng = np.random.default_rng(config.seed)
@@ -421,36 +458,27 @@ def simulate_scenario(config: ScenarioConfig) -> tuple[PanelDataset, PotentialOu
 
     if config.regime == SPILLOVER_DUMMY:
         adjacency = (
-            np.asarray(config.adjacency, dtype=float)
+            config.adjacency
             if config.adjacency is not None
             else ring_adjacency(n, config.ring_neighbors)
         )
-        if adjacency.shape != (n, n):
+        if np.shape(adjacency) != (n, n):
             raise BadConfig("adjacency must be n x n")
-        degree = adjacency.sum(axis=1)
-        counts = adjacency @ w
-        s_values = np.divide(counts, degree[:, None], out=np.zeros_like(counts), where=degree[:, None] > 0)
+        network = build_exposure(adjacency, w)
+        s_values = network.s_values
         base = base + config.spillover_rho * s_values
         truth["spillover_rho"] = config.spillover_rho
-        s_grid = np.linspace(0.0, 1.0, 21)
         own = scale[:, None] * (g(1.0) - g(0.0))
         po_baseline = base - config.spillover_rho * s_values + scale[:, None] * g(0.0)
-        po_cube = np.empty((n, t, 2, s_grid.size))
-        for gi, s in enumerate(s_grid):
-            po_cube[:, :, 0, gi] = po_baseline + config.spillover_rho * s
-            po_cube[:, :, 1, gi] = po_baseline + config.spillover_rho * s + own
         exposure = ExposureTruth(
-            adjacency=adjacency,
+            adjacency=network.adjacency,
             s_values=s_values,
-            s_grid=s_grid,
-            po_cube=po_cube,
             po_treated_realized=po_baseline + config.spillover_rho * s_values + own,
             po_control_realized=po_baseline + config.spillover_rho * s_values,
             po_baseline=po_baseline,
         )
 
     grid = _default_grid(config)
-    po_grid = scale[:, None, None] * g(grid)[None, None, :] + base[:, :, None]
     realized = scale[:, None] * g(w) + base
 
     innovations = np.stack([w, realized], axis=2)
@@ -467,13 +495,12 @@ def simulate_scenario(config: ScenarioConfig) -> tuple[PanelDataset, PotentialOu
         regime=config.regime,
         assignments=w,
         lambda_grid=grid,
-        po_grid=po_grid,
         realized_outcomes=realized,
         groups=groups,
         exposure=exposure,
         truth=truth,
         impact=g,
-        impact_scale=scale,
+        impact_scale=scale[:, None],
         base=base,
     )
     return panel, pop

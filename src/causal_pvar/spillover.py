@@ -16,42 +16,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AsymmetricAdjacency,
-    BadConfig,
-    CollinearRegressors,
-    NoTreatedCells,
-    RegimeMismatch,
-    SelfLoop,
+from .errors import BadConfig, CollinearRegressors, NoTreatedCells, RegimeMismatch
+from .scenarios import (
+    BINARY_ANY_NEIGHBOR,
+    TREATED_NEIGHBOR_SHARE,
+    ExposureMap,
+    PotentialOutcomePanel,
+    build_exposure,
 )
-from .identify import cholesky_lower, impact_gamma
-from .panel import PVARSpec, fit_pvar
-from .scenarios import SPILLOVER_DUMMY, PotentialOutcomePanel, ScenarioConfig, simulate_scenario
-from .verify import _rep_seeds
 
 __all__ = [
     "ExposureMap",
     "SpilloverFit",
-    "InterferenceReport",
     "build_exposure",
     "spillover_regression",
+    "estimate_adjusted_impact",
     "oracle_atte_aste",
-    "verify_interference",
     "TREATED_NEIGHBOR_SHARE",
     "BINARY_ANY_NEIGHBOR",
 ]
-
-TREATED_NEIGHBOR_SHARE = "treated_neighbor_share"
-BINARY_ANY_NEIGHBOR = "binary_any_neighbor"
-
-
-@dataclass(frozen=True)
-class ExposureMap:
-    """Per-cell exposure to other units' treatments on a fixed network."""
-
-    adjacency: np.ndarray
-    s_values: np.ndarray
-    mode: str
 
 
 @dataclass(frozen=True)
@@ -66,71 +49,6 @@ class SpilloverFit:
     seed: int | None
     degenerate_exposure: bool = False
     drift_adjusted: bool = False
-
-
-@dataclass(frozen=True)
-class InterferenceReport:
-    """Joint check: naive coefficient vs ATTE - ASTE, adjusted vs ATTE."""
-
-    n_reps: int
-    naive_mean: float
-    adjusted_mean: float
-    atte_mean: float
-    aste_mean: float
-    naive_discrepancy: float
-    naive_se: float
-    naive_passed: bool
-    adjusted_discrepancy: float
-    adjusted_se: float
-    adjusted_passed: bool
-    details: dict
-
-    @property
-    def passed(self) -> bool:
-        return self.naive_passed and self.adjusted_passed
-
-    def summary_line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"interference: {status}  naive vs ATTE-ASTE: {self.naive_discrepancy:.6g} "
-            f"(3*SE {3 * self.naive_se:.6g}); adjusted vs ATTE: "
-            f"{self.adjusted_discrepancy:.6g} (3*SE {3 * self.adjusted_se:.6g})"
-        )
-
-
-def build_exposure(adjacency: np.ndarray, treatment: np.ndarray, mode: str = TREATED_NEIGHBOR_SHARE) -> ExposureMap:
-    """Map other units' treatment paths into a per-cell scalar exposure.
-
-    treated_neighbor_share: number of treated neighbours over number of
-    neighbours; binary_any_neighbor: 1 if any neighbour is treated.
-    Isolated units always get zero.
-    """
-    adjacency = np.asarray(adjacency, dtype=float)
-    if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
-        raise BadConfig("adjacency must be square")
-    if not np.array_equal(adjacency, adjacency.T):
-        raise AsymmetricAdjacency("adjacency matrix must be symmetric")
-    if np.abs(np.diag(adjacency)).max(initial=0.0) > 0:
-        raise SelfLoop("adjacency diagonal must be zero")
-    if not np.isin(adjacency, (0.0, 1.0)).all():
-        raise BadConfig("adjacency entries must be 0/1")
-    treatment = np.asarray(treatment, dtype=float)
-    if treatment.ndim != 2 or treatment.shape[0] != adjacency.shape[0]:
-        raise BadConfig("treatment must be (n_units, n_times) aligned with adjacency")
-    if not np.isin(treatment, (0.0, 1.0)).all():
-        raise BadConfig("treatment indicator must be 0/1")
-
-    counts = adjacency @ treatment
-    if mode == TREATED_NEIGHBOR_SHARE:
-        degree = adjacency.sum(axis=1)
-        s = np.divide(
-            counts, degree[:, None], out=np.zeros_like(counts), where=degree[:, None] > 0
-        )
-    elif mode == BINARY_ANY_NEIGHBOR:
-        s = (counts > 0).astype(float)
-    else:
-        raise BadConfig(f"unknown exposure mode {mode!r}")
-    return ExposureMap(adjacency=adjacency, s_values=s, mode=mode)
 
 
 def spillover_regression(
@@ -229,72 +147,40 @@ def oracle_atte_aste(pop: PotentialOutcomePanel) -> tuple[float, float]:
     return atte, aste
 
 
-def estimate_adjusted_impact(panel, pop: PotentialOutcomePanel, lag_order: int = 1,
-                             mode: str = TREATED_NEIGHBOR_SHARE):
-    """Fit, build the untreated-cell exposure regressor, run the regression.
+def estimate_adjusted_impact(
+    fit,
+    adjacency,
+    treatment,
+    mode: str = TREATED_NEIGHBOR_SHARE,
+    outcome: int = 1,
+    n_reps: int = 0,
+    seed: int | None = None,
+) -> SpilloverFit:
+    """Regress a fitted panel's outcome residual on its policy residual and exposure.
 
-    The regressor is the network exposure zeroed out on treated cells and
-    within-demeaned per unit like the residuals it sits next to; the
-    treated cells' own exposure is deliberately left inside the policy
-    coefficient, which therefore targets the total effect on the treated.
-    Returns (SpilloverFit, naive gamma, PVARFit).
+    The exposure regressor is the network exposure zeroed out on treated
+    cells, trimmed to the fit's sample and within-demeaned per unit like
+    the residuals it sits next to; the treated cells' own exposure is
+    deliberately left inside the policy coefficient, which therefore
+    targets the total effect on the treated.  ``treatment`` is the 0/1
+    policy path on the full (n_units, n_times) grid and ``outcome`` the
+    residual column used as the dependent series.
     """
-    fit = fit_pvar(panel, PVARSpec(lag_order))
-    gamma = impact_gamma(cholesky_lower(fit.sigma), 0, 1)
-    exposure = build_exposure(pop.exposure.adjacency, pop.assignments, mode)
-    s_reg = exposure.s_values * (1.0 - pop.assignments)
+    s_reg = build_exposure(adjacency, treatment, mode).s_values * (1.0 - treatment)
     s_reg = s_reg[:, fit.sample_offset :]
     s_reg = s_reg - s_reg.mean(axis=1, keepdims=True)
-    reg = spillover_regression(
-        fit.residuals[:, :, 0], fit.residuals[:, :, 1], s_reg, n_reps=0
+    return spillover_regression(
+        fit.residuals[:, :, 0], fit.residuals[:, :, outcome], s_reg, n_reps=n_reps, seed=seed
     )
-    return reg, gamma, fit
 
 
-def verify_interference(config: ScenarioConfig, reps: int = 200,
-                        mode: str = TREATED_NEIGHBOR_SHARE) -> InterferenceReport:
-    """Monte-Carlo check of the naive and exposure-adjusted estimators.
+def __getattr__(name):
+    # verify_interference lives in causal_pvar.verify, which imports this
+    # module.  perfbench/spans.py traces it as spillover.verify_interference,
+    # so the name resolves here too, looked up on first use so that this
+    # module does not import verify at load time.
+    if name == "verify_interference":
+        from .verify import verify_interference
 
-    Per replication: the naive recursive coefficient should center on
-    ATTE - ASTE, the adjusted policy coefficient on ATTE, both at three
-    Monte-Carlo standard errors; the naive bias is reported and should
-    approximate -ASTE.
-    """
-    if config.regime != SPILLOVER_DUMMY:
-        raise RegimeMismatch(f"interference check needs regime {SPILLOVER_DUMMY!r}")
-    if reps < 2:
-        raise BadConfig("need at least 2 replications")
-    seeds = _rep_seeds(config.seed, reps)
-    naive = np.empty(reps)
-    adjusted = np.empty(reps)
-    atte = np.empty(reps)
-    aste = np.empty(reps)
-    for r, s in enumerate(seeds):
-        panel, pop = simulate_scenario(config.with_seed(s))
-        reg, gamma, _ = estimate_adjusted_impact(panel, pop, mode=mode)
-        naive[r] = gamma
-        adjusted[r] = reg.delta
-        atte[r], aste[r] = oracle_atte_aste(pop)
-
-    naive_diff = naive - (atte - aste)
-    adj_diff = adjusted - atte
-    naive_se = float(naive_diff.std(ddof=1) / np.sqrt(reps))
-    adj_se = float(adj_diff.std(ddof=1) / np.sqrt(reps))
-    return InterferenceReport(
-        n_reps=reps,
-        naive_mean=float(naive.mean()),
-        adjusted_mean=float(adjusted.mean()),
-        atte_mean=float(atte.mean()),
-        aste_mean=float(aste.mean()),
-        naive_discrepancy=float(abs(naive_diff.mean())),
-        naive_se=naive_se,
-        naive_passed=bool(abs(naive_diff.mean()) < 3.0 * naive_se),
-        adjusted_discrepancy=float(abs(adj_diff.mean())),
-        adjusted_se=adj_se,
-        adjusted_passed=bool(abs(adj_diff.mean()) < 3.0 * adj_se),
-        details={
-            "mode": mode,
-            "naive_bias_vs_atte": float((naive - atte).mean()),
-            "mean_aste": float(aste.mean()),
-        },
-    )
+        return verify_interference
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

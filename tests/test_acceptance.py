@@ -24,8 +24,7 @@ from causal_pvar.scenarios import (
     simulate_scenario,
     simulate_var_panel,
 )
-from causal_pvar.spillover import verify_interference
-from causal_pvar.verify import default_config, verify_theorem
+from causal_pvar.verify import default_config, verify_interference, verify_theorem
 from causal_pvar.weights import ZeroInflatedUniform, gaussian_weights, nonneg_weights
 
 

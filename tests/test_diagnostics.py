@@ -118,7 +118,7 @@ class TestStationarity:
     def test_diagonal(self):
         out = stationarity(_fit_with_phi([np.diag([0.5, 0.5])]))
         assert out.spectral_radius == pytest.approx(0.5, abs=1e-9)
-        assert out.stationary and out.converged
+        assert out.stationary
 
     def test_zero_phi(self):
         out = stationarity(_fit_with_phi([np.zeros((2, 2))]))
@@ -135,14 +135,21 @@ class TestStationarity:
         out = stationarity(_fit_with_phi([np.diag([0.5, -0.3])]))
         assert out.spectral_radius == pytest.approx(0.5, abs=1e-9)
 
-    def test_nonconvergent_falls_back_to_bound(self):
-        # Non-normal matrix with a dominant complex pair: the norm ratio
-        # oscillates, so the fallback upper bound is returned and flagged.
+    def test_complex_pair_radius_is_exact(self):
+        # Dominant complex pairs on non-normal matrices: the modulus of a
+        # complex root pair is sqrt of the product of the pair.
+        # VAR(1): trace^2 / 4 = 0.09 < det = 0.44, so |lambda| = sqrt(0.44).
         phi = np.array([[0.4, -1.2], [0.3, 0.2]])
-        out = stationarity(_fit_with_phi([phi]), max_iter=200)
-        true_radius = max(abs(np.linalg.eigvals(phi)))
-        if not out.converged:
-            assert out.spectral_radius >= true_radius - 1e-9
+        out = stationarity(_fit_with_phi([phi]))
+        assert abs(out.spectral_radius - np.sqrt(0.44)) < 1e-12
+        assert out.stationary
+        # VAR(2): det(z^2 I - phi1 z - phi2) = (z^2 - 0.5 z)(z^2 - 1.2 z + 0.6),
+        # whose largest roots are a complex pair of modulus sqrt(0.6).
+        phi1 = np.array([[0.5, 0.0], [0.3, 1.2]])
+        phi2 = np.array([[0.0, 0.0], [0.0, -0.6]])
+        out = stationarity(_fit_with_phi([phi1, phi2]))
+        assert abs(out.spectral_radius - np.sqrt(0.6)) < 1e-12
+        assert out.stationary
 
 
 class TestPolicyProbe:

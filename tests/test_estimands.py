@@ -31,11 +31,13 @@ def make_dummy_pop(w, po0, po1, regime=HETEROGENEOUS_DUMMY):
         regime=regime,
         assignments=w,
         lambda_grid=np.array([0.0, 1.0]),
-        po_grid=np.stack([po0, po1], axis=2),
         realized_outcomes=np.where(w == 1.0, po1, po0),
         groups=None,
         exposure=None,
         truth={},
+        impact=linear_impact(1.0),
+        impact_scale=po1 - po0,
+        base=po0,
     )
 
 
@@ -58,6 +60,18 @@ class TestOracleEstimands:
         analytic = 1.0 + 0.8 * grid
         # central differences are exact for quadratics up to rounding
         np.testing.assert_allclose(report.acr_grid[interior], analytic[interior], atol=1e-4)
+
+    def test_structural_acr_matches_brute_force_grid(self):
+        # Per-unit scale != 1: the structural mean mean(scale) g + mean(base)
+        # must match averaging every cell's potential-outcome path.
+        cfg = ScenarioConfig(regime=GAUSSIAN_CONTINUOUS, n_units=12, n_times=30, seed=8,
+                             impact=quadratic_impact(1.0, 0.4), effect_sd=0.5)
+        _, pop = simulate_scenario(cfg)
+        grid = pop.lambda_grid
+        assert np.ptp(pop.impact_scale) > 0.5
+        cube = pop.impact_scale[:, :, None] * pop.impact(grid) + pop.base[:, :, None]
+        brute = np.gradient(cube.mean(axis=(0, 1)), grid)
+        np.testing.assert_allclose(oracle_estimands(pop).acr_grid, brute, rtol=0, atol=1e-12)
 
     def test_selection_on_gains_att_exceeds_ate(self):
         # Treated cells get an extra +1 effect by construction.

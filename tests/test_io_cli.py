@@ -219,6 +219,33 @@ class TestCli:
         assert {r["term"] for r in recs} == {"policy1", "spillover_exposure"}
         assert all(r["se"] >= 0 for r in recs)
 
+    @staticmethod
+    def _one_line_exit_2(res):
+        lines = res.stderr.strip().splitlines()
+        assert res.returncode == 2, res.stderr
+        assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+
+    @pytest.mark.parametrize("shock", ["2", "-1"])
+    def test_irf_shock_out_of_range_exits_2(self, sim_dir, tmp_path, shock):
+        res = run_cli("irf", "--input", str(sim_dir / "panel.csv"), "--shock", shock,
+                      "--reps", "100", "--seed", "1", "--output", str(tmp_path / "irf"))
+        self._one_line_exit_2(res)
+
+    @pytest.mark.parametrize("outcome", ["2", "0"])
+    def test_spillover_outcome_out_of_range_exits_2(self, sim_dir, tmp_path, outcome):
+        edges = tmp_path / "edges.csv"
+        edges.write_text("".join(f"{i + 1},{i + 2}\n" for i in range(29)))
+        res = run_cli("spillover", "--input", str(sim_dir / "panel.csv"),
+                      "--adjacency", str(edges), "--outcome", outcome, "--reps", "10",
+                      "--seed", "1", "--output", str(tmp_path / "spill"))
+        self._one_line_exit_2(res)
+
+    def test_non_integer_seed_env_exits_2(self, tmp_path):
+        res = run_cli("simulate", "--regime", "homogeneous_dummy", "--units", "10",
+                      "--times", "30", "--output", str(tmp_path / "env"),
+                      env_extra={"CAUSAL_PVAR_SEED": "abc"})
+        self._one_line_exit_2(res)
+
     def test_verify_single_theorem(self, tmp_path):
         out = tmp_path / "ver"
         res = run_cli("verify", "--theorem", "T1", "--reps", "10", "--seed", "2",

@@ -64,13 +64,13 @@ def test_consistency_realized_equals_po_at_assignment(seed, regime):
 def test_sutva_regimes_po_independent_of_others():
     # Identical base draws, one cell's assignment flipped: other units'
     # potential-outcome grids are unchanged by construction in SUTVA
-    # regimes (po_grid depends only on own base noise and the grid).
+    # regimes (potential outcomes depend only on own base noise and the dose).
     cfg = ScenarioConfig(regime=HETEROGENEOUS_DUMMY, n_units=6, n_times=12, seed=9)
     _, pop = simulate_scenario(cfg)
     assert pop.exposure is None
     # po depends on lambda only through own impact: grid columns differ by
     # the deterministic impact difference for every cell
-    diff = pop.po_grid[:, :, 1] - pop.po_grid[:, :, 0]
+    diff = pop.po_at(1.0) - pop.po_at(0.0)
     assert np.allclose(diff, diff[:, :1])
 
 

@@ -19,8 +19,8 @@ from causal_pvar.spillover import (
     build_exposure,
     oracle_atte_aste,
     spillover_regression,
-    verify_interference,
 )
+from causal_pvar.verify import verify_interference
 
 
 def line_graph(n):
@@ -138,8 +138,6 @@ class TestOracleAtteAste:
         exposure = ExposureTruth(
             adjacency=np.zeros((n, n)),
             s_values=s,
-            s_grid=np.linspace(0, 1, 5),
-            po_cube=np.zeros((n, t, 2, 5)),
             po_treated_realized=base + beta + rho * s,
             po_control_realized=base + rho * s,
             po_baseline=base,
@@ -147,9 +145,9 @@ class TestOracleAtteAste:
         return PotentialOutcomePanel(
             regime=SPILLOVER_DUMMY, assignments=w,
             lambda_grid=np.array([0.0, 1.0]),
-            po_grid=np.stack([base, base + beta], axis=2),
             realized_outcomes=np.where(w == 1, base + beta + rho * s, base + rho * s),
             groups=None, exposure=exposure, truth={},
+            impact=linear_impact(1.0), impact_scale=(base + beta) - base, base=base,
         ), s, w
 
     def test_additive_construction(self):
@@ -173,16 +171,15 @@ class TestOracleAtteAste:
         rho_i = rng.uniform(0.0, 1.0, size=(n, 1))
         base = rng.standard_normal((n, t))
         exposure = ExposureTruth(
-            adjacency=np.zeros((n, n)), s_values=s, s_grid=np.linspace(0, 1, 3),
-            po_cube=np.zeros((n, t, 2, 3)),
+            adjacency=np.zeros((n, n)), s_values=s,
             po_treated_realized=base + 1.0 + rho_i * s,
             po_control_realized=base + rho_i * s,
             po_baseline=base,
         )
         pop = PotentialOutcomePanel(
             regime=SPILLOVER_DUMMY, assignments=w, lambda_grid=np.array([0.0, 1.0]),
-            po_grid=np.stack([base, base + 1.0], axis=2),
             realized_outcomes=base, groups=None, exposure=exposure, truth={},
+            impact=linear_impact(1.0), impact_scale=(base + 1.0) - base, base=base,
         )
         atte, aste = oracle_atte_aste(pop)
         mask = w == 1
@@ -193,9 +190,10 @@ class TestOracleAtteAste:
         pop, _, _ = self._pop_with_exposure(1.0, 0.2)
         empty = PotentialOutcomePanel(
             regime=SPILLOVER_DUMMY, assignments=np.zeros_like(pop.assignments),
-            lambda_grid=pop.lambda_grid, po_grid=pop.po_grid,
+            lambda_grid=pop.lambda_grid,
             realized_outcomes=pop.realized_outcomes, groups=None,
             exposure=pop.exposure, truth={},
+            impact=pop.impact, impact_scale=pop.impact_scale, base=pop.base,
         )
         with pytest.raises(NoTreatedCells):
             oracle_atte_aste(empty)
