@@ -5,7 +5,8 @@ VAR, pick a lag order, run diagnostics, compute bootstrap impulse
 responses, run the spillover regression, and drive the theorem
 verifications.  All stochastic commands require a seed (flag or the
 CAUSAL_PVAR_SEED environment variable) and write byte-identical artifacts
-given the same seed, regardless of --threads.
+given the same seed.  --threads is accepted (it must be at least 1) but
+changes nothing: every command runs on one thread.
 
 Exit codes: 0 success, 1 expected errors (bad data, estimation failures),
 2 invalid invocation.
@@ -239,7 +240,6 @@ def cmd_irf(args) -> int:
         n_reps=args.reps,
         level=args.level,
         seed=seed,
-        n_threads=args.threads,
     )
     records = []
     for v, name in enumerate(panel.variable_names):
@@ -314,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, stochastic=False):
         p.add_argument("--output", required=True, help="output directory")
         p.add_argument("--format", choices=["csv", "json-lines"], default="csv")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; every command runs on one thread")
         p.add_argument("--seed", type=int, default=None,
                        help=f"RNG seed (falls back to ${SEED_ENV})" if stochastic else argparse.SUPPRESS)
 
@@ -399,6 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.threads < 1:
+        print(f"error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except CausalPvarError as exc:

@@ -64,7 +64,11 @@ class ZeroPolicyVariance(CausalPvarError):
 
 
 class BootstrapUnstable(CausalPvarError):
-    """More than 5% of bootstrap replications failed to refit."""
+    """Too many bootstrap replications failed to refit.
+
+    Raised when more than 5% of an impulse-response bootstrap fails, or
+    when fewer than two spillover-regression draws remain.
+    """
 
 
 # --- simulation / estimands ---------------------------------------------------

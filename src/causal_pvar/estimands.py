@@ -25,6 +25,8 @@ from .scenarios import DUMMY_REGIMES, PotentialOutcomePanel
 __all__ = [
     "EstimandReport",
     "oracle_estimands",
+    "acr_on_grid",
+    "acrt_on_grid",
     "selection_bias",
     "did_four_means",
     "dummy_gamma",
@@ -69,7 +71,8 @@ def oracle_estimands(pop: PotentialOutcomePanel, grid=None) -> EstimandReport:
     central finite differences of the mean potential outcome across the
     grid (one-sided at the boundary), where the mean is
     ``mean(scale) * g(lam) + mean(base)``; ACRT bins cells by realized
-    dose and differentiates the bin's own potential-outcome path.
+    dose and differentiates the bin's own potential-outcome path (see
+    ``acr_on_grid`` and ``acrt_on_grid``).
     """
     grid = _check_grid(pop, grid)
     w = pop.assignments
@@ -98,31 +101,8 @@ def oracle_estimands(pop: PotentialOutcomePanel, grid=None) -> EstimandReport:
     else:
         att, se_att = float("nan"), float("nan")
 
-    mean_scale = np.broadcast_to(pop.impact_scale, pop.base.shape).mean()
-    mean_po = mean_scale * pop.impact(grid) + pop.base.mean()
-    acr = np.gradient(mean_po, grid)
-
-    # ACRT differentiates the realized conditional mean m(lam) =
-    # E[outcome | dose = lam], so the movement of the conditioning set
-    # (the selection slope) is part of the derivative.
-    mids = (grid[:-1] + grid[1:]) / 2.0
-    bins = np.searchsorted(mids, w.ravel())
-    in_range = (w.ravel() >= grid[0] - 1e-9) & (w.ravel() <= grid[-1] + 1e-9)
-    counts = np.bincount(bins[in_range], minlength=grid.size)
-    sums = np.bincount(
-        bins[in_range], weights=pop.realized_outcomes.ravel()[in_range], minlength=grid.size
-    )
-    with np.errstate(invalid="ignore"):
-        cond_mean = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    empty = counts == 0
-    if empty.all():
-        acrt = np.full(grid.size, np.nan)
-    else:
-        idx = np.arange(grid.size)
-        filled = cond_mean.copy()
-        filled[empty] = np.interp(idx[empty], idx[~empty], cond_mean[~empty])
-        acrt = np.gradient(filled, grid)
-        acrt[empty] = np.nan
+    acr = acr_on_grid(pop, grid)
+    acrt = acrt_on_grid(pop, grid)
 
     if pop.regime in DUMMY_REGIMES:
         delta = selection_bias(pop)
@@ -138,6 +118,48 @@ def oracle_estimands(pop: PotentialOutcomePanel, grid=None) -> EstimandReport:
         selection_bias=delta,
         mc_se={"ate": se_ate, "att": se_att},
     )
+
+
+def acr_on_grid(pop: PotentialOutcomePanel, grid: np.ndarray) -> np.ndarray:
+    """Average causal response at each grid dose.
+
+    Central finite differences (one-sided at the boundary) of the mean
+    potential outcome ``mean(scale) * g(lam) + mean(base)``.
+    """
+    mean_scale = np.broadcast_to(pop.impact_scale, pop.base.shape).mean()
+    mean_po = mean_scale * pop.impact(grid) + pop.base.mean()
+    return np.gradient(mean_po, grid)
+
+
+def acrt_on_grid(pop: PotentialOutcomePanel, grid: np.ndarray) -> np.ndarray:
+    """Average causal response on the treated at each grid dose.
+
+    Cells are binned by realized dose to the nearest grid point and the
+    bin means of the realized outcome differentiated across the grid;
+    empty bins are interpolated for the differences and reported as NaN.
+    """
+    # ACRT differentiates the realized conditional mean m(lam) =
+    # E[outcome | dose = lam], so the movement of the conditioning set
+    # (the selection slope) is part of the derivative.
+    w = pop.assignments.ravel()
+    mids = (grid[:-1] + grid[1:]) / 2.0
+    bins = np.searchsorted(mids, w)
+    in_range = (w >= grid[0] - 1e-9) & (w <= grid[-1] + 1e-9)
+    counts = np.bincount(bins[in_range], minlength=grid.size)
+    sums = np.bincount(
+        bins[in_range], weights=pop.realized_outcomes.ravel()[in_range], minlength=grid.size
+    )
+    with np.errstate(invalid="ignore"):
+        cond_mean = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+    empty = counts == 0
+    if empty.all():
+        return np.full(grid.size, np.nan)
+    idx = np.arange(grid.size)
+    filled = cond_mean.copy()
+    filled[empty] = np.interp(idx[empty], idx[~empty], cond_mean[~empty])
+    acrt = np.gradient(filled, grid)
+    acrt[empty] = np.nan
+    return acrt
 
 
 def selection_bias(pop: PotentialOutcomePanel) -> float:

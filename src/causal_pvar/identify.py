@@ -7,6 +7,14 @@ equals the regression coefficient cov(policy residual, outcome residual) /
 var(policy residual).  Dynamics come from powers of the companion matrix;
 confidence bands from a recursive residual bootstrap.
 
+The bootstrap is batched: replications are taken in chunks bounded by
+``CHUNK_BYTES`` of regenerated panel, each chunk regenerated by one loop
+over time and refitted from one within-demeaned cross-product per
+replication (equilibrated normal equations in place of ``fit_pvar``'s
+least squares), then factored and propagated by the same batched helpers
+that ``cholesky_lower`` and ``irf`` apply, with a leading axis of one, to
+the point estimate from ``fit_pvar``.
+
 Ordering caveat (documented, not asserted): permuting two policy columns
 leaves the residual covariance matrix unchanged but changes the factor,
 and with it which estimand each impact coefficient targets.  Variable
@@ -15,7 +23,6 @@ order is a modelling choice, not a mechanical detail.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +43,16 @@ __all__ = [
 
 UNIT_SHOCK = "unit-shock"
 ONE_SD = "one-sd"
+
+# Regenerated panel bytes per bootstrap chunk (at least one replication per
+# chunk): bounds the engine's working memory, a few times this, for any B.
+CHUNK_BYTES = 512 * 1024
+
+# Factor policy, shared by the point estimate and every bootstrap replication.
+PSD_FLOOR = -1e-8  # a covariance eigenvalue below this is not PSD
+RIDGE = 1e-10  # eigenvalues below this are lifted to it before factoring
+UNIT_FLOOR = 1e-12  # |lower[k, k]| below this leaves shock k without variance
+COND_LIMIT = 1e12  # largest condition number of an equilibrated lag Gram matrix
 
 
 @dataclass(frozen=True)
@@ -66,30 +83,77 @@ class ImpulseResponse:
 
 @dataclass(frozen=True)
 class BootstrapBands:
-    """Percentile bands around an impulse response."""
+    """Percentile bands around an impulse response.
+
+    ``n_reps`` replications were drawn; the bands come from the
+    ``n_reps - n_failed`` that refit.
+    """
 
     level: float
     lower: np.ndarray
     upper: np.ndarray
     n_reps: int
+    n_failed: int
     seed: int
 
 
-def cholesky_lower(sigma: np.ndarray, clamp: float = 1e-10) -> CholeskyFactor:
+def _factor(sigma: np.ndarray, clamp: float = RIDGE):
+    """Batched factor rule of ``cholesky_lower`` over (b, m, m) covariances.
+
+    Returns ``(lower, psd, eigmin)``: the (b', m, m) factors of the b'
+    covariances with no eigenvalue below ``PSD_FLOOR``, their (b,) mask and
+    every covariance's smallest eigenvalue.
+    """
+    sigma = (sigma + sigma.transpose(0, 2, 1)) / 2.0
+    eigmin = np.linalg.eigvalsh(sigma).min(axis=1)
+    psd = eigmin >= PSD_FLOOR
+    sigma, low = sigma[psd], eigmin[psd] < clamp
+    sigma[low] += (clamp - eigmin[psd][low])[:, None, None] * np.eye(sigma.shape[1])
+    return np.linalg.cholesky(sigma), psd, eigmin
+
+
+def _impact(lower: np.ndarray, k: int, normalization: str):
+    """Impact columns of shock k from (b, m, m) factors.
+
+    Returns ``(impact, unit)``: the (b', m) columns, rescaled under
+    unit-shock normalization so that variable k moves by one, and the (b,)
+    mask of factors with ``|lower[k, k]| >= UNIT_FLOOR`` (all of them under
+    one-sd normalization).
+    """
+    impact = lower[:, :, k]
+    if normalization == ONE_SD:
+        return impact, np.ones(lower.shape[0], dtype=bool)
+    if normalization != UNIT_SHOCK:
+        raise CausalPvarError(f"unknown normalization {normalization!r}")
+    diag = lower[:, k, k]
+    unit = np.abs(diag) >= UNIT_FLOOR
+    return impact[unit] / diag[unit, None], unit
+
+
+def _propagate(comp: np.ndarray, impact: np.ndarray, horizon: int) -> np.ndarray:
+    """Responses (b, m, horizon + 1) of (b, mp, mp) companions to (b, m) impacts."""
+    b, m = impact.shape
+    state = np.zeros((b, comp.shape[1], 1))
+    state[:, :m, 0] = impact
+    out = np.empty((b, m, horizon + 1))
+    out[:, :, 0] = impact
+    for h in range(1, horizon + 1):
+        state = comp @ state
+        out[:, :, h] = state[:, :m, 0]
+    return out
+
+
+def cholesky_lower(sigma: np.ndarray, clamp: float = RIDGE) -> CholeskyFactor:
     """Lower-triangular factorization of a symmetric PSD matrix.
 
-    Eigenvalues in (-1e-8, 0] are clamped to a tiny positive ridge so that
-    numerically semidefinite inputs still factor; anything below -1e-8
-    raises NotPSD.
+    Eigenvalues in (-1e-8, clamp) are lifted to ``clamp`` by a ridge so
+    that numerically semidefinite inputs still factor; anything below
+    -1e-8 raises NotPSD.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    sigma = (sigma + sigma.T) / 2.0
-    eigmin = float(np.linalg.eigvalsh(sigma).min())
-    if eigmin < -1e-8:
-        raise NotPSD(f"minimum eigenvalue {eigmin:.3e} below -1e-8")
-    if eigmin < clamp:
-        sigma = sigma + (clamp - eigmin) * np.eye(sigma.shape[0])
-    return CholeskyFactor(np.linalg.cholesky(sigma))
+    lower, psd, eigmin = _factor(np.asarray(sigma, dtype=float)[None], clamp)
+    if not psd[0]:
+        raise NotPSD(f"minimum eigenvalue {eigmin[0]:.3e} below -1e-8")
+    return CholeskyFactor(lower[0])
 
 
 def impact_gamma(chol: CholeskyFactor, k: int, j: int) -> float:
@@ -103,22 +167,9 @@ def impact_gamma(chol: CholeskyFactor, k: int, j: int) -> float:
     if not 0 <= k < j < chol.n_vars:
         raise CausalPvarError(f"need 0 <= k < j < m, got k={k}, j={j}, m={chol.n_vars}")
     diag = chol.lower[k, k]
-    if abs(diag) < 1e-12:
+    if abs(diag) < UNIT_FLOOR:
         raise ZeroPolicyVariance(f"policy residual {k} has ~zero variance")
     return float(chol.lower[j, k] / diag)
-
-
-def _propagate(fit: PVARFit, impact: np.ndarray, horizon: int) -> np.ndarray:
-    m = fit.n_vars
-    comp = companion(fit).matrix
-    state = np.zeros(comp.shape[0])
-    state[:m] = impact
-    out = np.empty((m, horizon + 1))
-    out[:, 0] = impact
-    for h in range(1, horizon + 1):
-        state = comp @ state
-        out[:, h] = state[:m]
-    return out
 
 
 def irf(
@@ -136,18 +187,13 @@ def irf(
     """
     if horizon < 0:
         raise CausalPvarError("horizon must be >= 0")
-    impact = chol.lower[:, k].copy()
-    if normalization == UNIT_SHOCK:
-        diag = chol.lower[k, k]
-        if abs(diag) < 1e-12:
-            raise ZeroPolicyVariance(f"policy residual {k} has ~zero variance")
-        impact = impact / diag
-    elif normalization != ONE_SD:
-        raise CausalPvarError(f"unknown normalization {normalization!r}")
+    impact, unit = _impact(chol.lower[None], k, normalization)
+    if not unit[0]:
+        raise ZeroPolicyVariance(f"policy residual {k} has ~zero variance")
     return ImpulseResponse(
         shock_index=k,
         horizons=np.arange(horizon + 1),
-        responses=_propagate(fit, impact, horizon),
+        responses=_propagate(companion(fit).matrix[None], impact, horizon)[0],
         normalization=normalization,
     )
 
@@ -165,35 +211,107 @@ def irf_from_impact(fit: PVARFit, impact: np.ndarray, horizon: int) -> ImpulseRe
     return ImpulseResponse(
         shock_index=-1,
         horizons=np.arange(horizon + 1),
-        responses=_propagate(fit, impact, horizon),
+        responses=_propagate(companion(fit).matrix[None], impact[None], horizon)[0],
         normalization="plug-in",
     )
 
 
-def _regenerate(panel: PanelDataset, fit: PVARFit, shocks: np.ndarray) -> PanelDataset:
-    """Rebuild a panel from fitted dynamics and resampled residual vectors.
+def _regenerate(
+    fit: PVARFit, initial: np.ndarray, drift: np.ndarray, shocks: np.ndarray
+) -> np.ndarray:
+    """Rebuild a chunk of panels from fitted dynamics and resampled residuals.
 
-    The first ``drop`` observed values per unit are held fixed as initial
-    conditions.
+    ``initial`` (drop, n, m) holds the observed first ``drop`` periods, kept
+    fixed as initial conditions; ``drift`` (t, n, m) the unit intercepts
+    plus any dummy effects; ``shocks`` (t - drop, b, n, m) the residual
+    vectors of b replications.  Returns the time-major (t, b, n, m) panels.
     """
-    n, t, m = panel.values.shape
-    p = fit.spec.lag_order
-    drop = fit.sample_offset
-    out = np.empty_like(panel.values)
-    out[:, :drop, :] = panel.values[:, :drop, :]
-    const = fit.intercepts                                     # (n, m)
-    dummy_part = None
-    if fit.dummy_coef is not None:
-        dmat = panel.exogenous_dummies[:, :, list(fit.spec.dummy_columns)]
-        dummy_part = np.einsum("ntd,dm->ntm", dmat, fit.dummy_coef)
-    for s in range(drop, t):
-        x = const + shocks[:, s - drop, :]
-        for l in range(1, p + 1):
-            x = x + out[:, s - l, :] @ fit.phi[l - 1].T
-        if dummy_part is not None:
-            x = x + dummy_part[:, s, :]
-        out[:, s, :] = x
-    return PanelDataset(out, panel.n_policies, panel.variable_names, panel.exogenous_dummies)
+    drop = initial.shape[0]
+    tr, b, n, m = shocks.shape
+    innov = (shocks + drift[drop:, None]).reshape(tr, b * n, m)
+    out = np.empty((drop + tr, b * n, m))
+    out.reshape(-1, b, n, m)[:drop] = initial[:, None]
+    phi_t = [phi.T.copy() for phi in fit.phi]
+    for s in range(drop, drop + tr):
+        x = np.matmul(out[s - 1], phi_t[0], out=out[s])
+        for l in range(2, len(phi_t) + 1):
+            x += out[s - l] @ phi_t[l - 1]
+        x += innov[s - drop]
+    return out.reshape(-1, b, n, m)
+
+
+def _refit(states: np.ndarray, p: int, dummies: np.ndarray | None):
+    """Within-OLS refit of every panel in a chunk from one cross-product each.
+
+    ``states`` is the (t, b, n, m) output of ``_regenerate``; as in
+    ``fit_pvar`` the first p periods are dropped.  Each replication's
+    Z = [lags 1..p, dep] is demeaned per unit and its Gram matrix Z'Z taken
+    with one batched matmul; with ``dummies`` (the per-unit demeaned
+    ((t - p) * n, d) dummy block, rows time-major) the dummy projection
+    Z'D (D'D)^-1 D'Z is subtracted.  From the lag Gram G, the cross term C
+    and the dependent block DD: ``coef = G^-1 C`` (rows stacked lag by lag,
+    as ``fit_pvar``'s regression) and ``sigma = (DD - C' coef) / eff``.
+
+    Returns ``(coef, sigma, ok)``.  ``ok`` is False, and that replication's
+    coef and sigma are NaN, where the panel or its cross-product is
+    non-finite, a lag column has no within variation, or the equilibrated
+    Gram matrix S G S, S = diag(G)^-1/2, has condition number above
+    ``COND_LIMIT``.
+    """
+    t, b, n, m = states.shape
+    tr, mp = t - p, m * p
+    coef = np.full((b, mp, m), np.nan)
+    sigma = np.full((b, m, m), np.nan)
+    ok = np.isfinite(states).all(axis=(0, 2, 3))
+    good = states[:, ok]
+    z = np.empty((good.shape[1], tr, n, mp + m))
+    for l in range(1, p + 1):
+        z[..., (l - 1) * m : l * m] = good[p - l : t - l].transpose(1, 0, 2, 3)
+    z[..., mp:] = good[p:].transpose(1, 0, 2, 3)
+    z -= z.mean(axis=1, keepdims=True)
+    flat = z.reshape(-1, tr * n, mp + m)
+    cross = flat.transpose(0, 2, 1) @ flat
+    if dummies is not None:
+        dz = dummies.T @ flat
+        cross -= dz.transpose(0, 2, 1) @ np.linalg.solve(dummies.T @ dummies, dz)
+    # equilibrate the lag Gram matrix, G = S^-1 (S G S) S^-1 with
+    # S = diag(G)^-1/2, so that the guard and the solve ignore the units
+    # each variable is measured in
+    diag = np.diagonal(cross[:, :mp, :mp], axis1=1, axis2=2)
+    sub = np.isfinite(cross).all(axis=(1, 2)) & (diag > 0).all(axis=1)
+    cross, scale = cross[sub], 1.0 / np.sqrt(diag[sub])
+    gram = cross[:, :mp, :mp] * scale[:, :, None] * scale[:, None, :]
+    well = np.linalg.cond(gram) <= COND_LIMIT
+    sub[sub] = well
+    ok[ok] = sub
+    cross, scale, gram = cross[well], scale[well, :, None], gram[well]
+    lag_dep, dep = cross[:, :mp, mp:], cross[:, mp:, mp:]
+    slopes = scale * np.linalg.solve(gram, scale * lag_dep)
+    cov = (dep - lag_dep.transpose(0, 2, 1) @ slopes) / (n * tr)
+    coef[ok] = slopes
+    sigma[ok] = (cov + cov.transpose(0, 2, 1)) / 2.0
+    return coef, sigma, ok
+
+
+def _responses(coef, sigma, ok, k: int, horizon: int, normalization: str):
+    """Impulse responses of a chunk of refits, by the rules of ``cholesky_lower`` and ``irf``.
+
+    Returns ``(responses, ok)``: (b, m, horizon + 1) responses, NaN where a
+    replication failed, and the refit mask narrowed to the replications
+    that factor and, under unit-shock normalization, admit a unit shock.
+    """
+    b, mp, m = coef.shape
+    out = np.full((b, m, horizon + 1), np.nan)
+    lower, psd, _ = _factor(sigma[ok])
+    impact, unit = _impact(lower, k, normalization)
+    psd[psd] = unit
+    ok = ok.copy()
+    ok[ok] = psd
+    comp = np.zeros((impact.shape[0], mp, mp))
+    comp[:, :m, :] = coef[ok].transpose(0, 2, 1)
+    comp[:, m:, :-m] = np.eye(mp - m)
+    out[ok] = _propagate(comp, impact, horizon)
+    return out, ok
 
 
 def bootstrap_irf(
@@ -212,8 +330,17 @@ def bootstrap_irf(
     Residual vectors are resampled i.i.d. over (unit, time) cells with
     replacement, panels regenerated from the fitted dynamics, refitted, and
     the impulse response recomputed.  Replication r draws from its own RNG
-    stream derived from (seed, r), so results are identical whether the
-    loop runs sequentially or on several threads.
+    stream, child r of ``SeedSequence(seed)``.  Replications run in chunks
+    of about ``CHUNK_BYTES`` of regenerated panel, each regenerated by one
+    loop over time and refitted from batched cross-products, so the bands
+    do not depend on the chunking (on a one-unit panel, up to last-bit
+    rounding of a single-row matmul).  A replication fails when its panel is
+    non-finite, its lag Gram matrix, scaled to a unit diagonal, has
+    condition number above ``COND_LIMIT`` (1e12), its
+    covariance has an eigenvalue below -1e-8, or (unit-shock) its policy
+    factor is below 1e-12; failures are counted in ``n_failed`` and more
+    than 5% raises BootstrapUnstable.  ``n_threads`` is accepted and
+    ignored: the engine runs on the calling thread.
     """
     if n_reps < 100:
         raise CausalPvarError("need at least 100 bootstrap replications")
@@ -222,43 +349,47 @@ def bootstrap_irf(
     fit = fit_pvar(panel, spec)
     point = irf(fit, cholesky_lower(fit.sigma), k, horizon, normalization)
 
-    n, m = fit.n_units, fit.n_vars
-    tr = fit.residuals.shape[1]
+    n, t, m = panel.values.shape
+    drop = fit.sample_offset
+    tr = t - drop
     pool = fit.residuals.reshape(n * tr, m)
+    initial = panel.values[:, :drop].transpose(1, 0, 2)
+    drift = np.broadcast_to(fit.intercepts, (t, n, m))
+    dummies = None
+    if fit.dummy_coef is not None:
+        dmat = panel.exogenous_dummies[:, :, list(spec.dummy_columns)]
+        drift = drift + np.einsum("ntd,dm->tnm", dmat, fit.dummy_coef)
+        dsample = dmat[:, drop:]
+        dsample = dsample - dsample.mean(axis=1, keepdims=True)
+        dummies = dsample.transpose(1, 0, 2).reshape(tr * n, -1)
+
     children = np.random.SeedSequence(seed).spawn(n_reps)
-    results = np.full((n_reps, m, horizon + 1), np.nan)
-    failures = np.zeros(n_reps, dtype=bool)
+    results = np.empty((n_reps, m, horizon + 1))
+    ok = np.empty(n_reps, dtype=bool)
+    per_chunk = max(1, CHUNK_BYTES // panel.values.nbytes)
+    for start in range(0, n_reps, per_chunk):
+        reps = slice(start, min(start + per_chunk, n_reps))
+        idx = np.stack([
+            np.random.default_rng(child).integers(0, n * tr, size=n * tr)
+            for child in children[reps]
+        ])
+        # idx is unit-major per replication; gather straight into (tr, b, n, m)
+        shocks = np.take(pool, idx.reshape(-1, n, tr).transpose(2, 0, 1), axis=0)
+        states = _regenerate(fit, initial, drift, shocks)
+        coef, sigma, refit_ok = _refit(states, spec.lag_order, dummies)
+        results[reps], ok[reps] = _responses(coef, sigma, refit_ok, k, horizon, normalization)
 
-    def run_rep(r: int) -> None:
-        rng = np.random.default_rng(children[r])
-        idx = rng.integers(0, n * tr, size=n * tr)
-        shocks = pool[idx].reshape(n, tr, m)
-        try:
-            sim = _regenerate(panel, fit, shocks)
-            refit = fit_pvar(sim, spec)
-            rep_irf = irf(refit, cholesky_lower(refit.sigma), k, horizon, normalization)
-        except CausalPvarError:
-            failures[r] = True
-            return
-        results[r] = rep_irf.responses
-
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool_exec:
-            list(pool_exec.map(run_rep, range(n_reps)))
-    else:
-        for r in range(n_reps):
-            run_rep(r)
-
-    n_failed = int(failures.sum())
+    n_failed = int(n_reps - ok.sum())
     if n_failed > 0.05 * n_reps:
         raise BootstrapUnstable(f"{n_failed}/{n_reps} replications failed to refit")
-    good = results[~failures]
+    good = results[ok]
     alpha = (1.0 - level) / 2.0
     bands = BootstrapBands(
         level=level,
         lower=np.quantile(good, alpha, axis=0),
         upper=np.quantile(good, 1.0 - alpha, axis=0),
         n_reps=n_reps,
+        n_failed=n_failed,
         seed=seed,
     )
     return point, bands

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadConfig, CollinearRegressors, NoTreatedCells, RegimeMismatch
+from .errors import (
+    BadConfig,
+    BootstrapUnstable,
+    CollinearRegressors,
+    NoTreatedCells,
+    RegimeMismatch,
+)
 from .scenarios import (
     BINARY_ANY_NEIGHBOR,
     TREATED_NEIGHBOR_SHARE,
@@ -39,7 +45,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpilloverFit:
-    """Two-regressor fit of outcome residuals on policy residual and exposure."""
+    """Two-regressor fit of outcome residuals on policy residual and exposure.
+
+    ``n_dropped`` counts the bootstrap draws that could not be fitted
+    (non-finite coefficients); the standard errors use the rest.
+    """
 
     delta: float
     rho: float
@@ -49,6 +59,7 @@ class SpilloverFit:
     seed: int | None
     degenerate_exposure: bool = False
     drift_adjusted: bool = False
+    n_dropped: int = 0
 
 
 def spillover_regression(
@@ -63,7 +74,9 @@ def spillover_regression(
     Residual inputs are expected mean-zero; any drift above 1e-8 in the
     policy or outcome series is subtracted and flagged.  The exposure
     regressor is used as given.  Standard errors come from an i.i.d. cell
-    bootstrap with ``n_reps`` replications (skipped when n_reps = 0).
+    bootstrap with ``n_reps`` replications (skipped when n_reps = 0); draws
+    that cannot be fitted are dropped and counted, and BootstrapUnstable is
+    raised when fewer than two remain.
     """
     w = np.asarray(policy_residuals, dtype=float).ravel()
     y = np.asarray(outcome_residuals, dtype=float).ravel()
@@ -105,10 +118,16 @@ def spillover_regression(
                 except CollinearRegressors:
                     draws[r] = np.nan
         good = draws[np.isfinite(draws).all(axis=1)]
+        n_dropped = n_reps - len(good)
+        if len(good) < 2:
+            raise BootstrapUnstable(
+                f"{len(good)} of {n_reps} bootstrap draws fitted; standard errors need 2"
+            )
         se_delta = float(good[:, 0].std(ddof=1))
         se_rho = float(good[:, 1].std(ddof=1))
     else:
         se_delta = se_rho = None
+        n_dropped = 0
 
     return SpilloverFit(
         delta=float(coef[0]),
@@ -119,6 +138,7 @@ def spillover_regression(
         seed=seed,
         degenerate_exposure=bool(degenerate),
         drift_adjusted=drift,
+        n_dropped=n_dropped,
     )
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import AllZeros, BadConfig, GridMismatch, GridTooNarrow
-from .estimands import oracle_estimands
+from .estimands import acr_on_grid, acrt_on_grid
 from .scenarios import PotentialOutcomePanel
 
 __all__ = [
@@ -200,29 +200,34 @@ def nonneg_weights(sample=None, law=None, grid=None, n_grid: int = 201) -> Weigh
 
 
 def weighted_estimand(profile: WeightProfile, pop: PotentialOutcomePanel, mode: str) -> float:
-    """Compose the dose weights with oracle estimands into one scalar.
+    """Compose the dose weights with the oracle ACR or ACRT into one scalar.
+
+    Only the curve the mode reads is computed, on the panel's dose grid.
 
     mode "acr":  integral of q * ACR  (unconditional derivative)
     mode "acrt": integral of q * ACRT (derivative conditioned on dose)
     mode "nonneg": integral of q1 * ACRT over [d_L, d_U]
                    plus q0 * (mean po(d_L) - mean po(0)) / d_L.
     """
-    report = oracle_estimands(pop)
     grid = profile.grid
-    if grid[0] < pop.lambda_grid[0] - 1e-9 or grid[-1] > pop.lambda_grid[-1] + 1e-9:
+    pop_grid = pop.lambda_grid
+    if grid[0] < pop_grid[0] - 1e-9 or grid[-1] > pop_grid[-1] + 1e-9:
         raise GridMismatch("weight grid extends beyond the potential-outcome grid")
 
     if mode in ("acr", "acrt"):
         if profile.q is None:
             raise GridMismatch("profile has no q weights; use gaussian_weights")
-        values = report.acr_grid if mode == "acr" else _fill_nan(report.acrt_grid)
-        values = np.interp(grid, report.grid, values)
+        if mode == "acr":
+            values = acr_on_grid(pop, pop_grid)
+        else:
+            values = _fill_nan(acrt_on_grid(pop, pop_grid))
+        values = np.interp(grid, pop_grid, values)
         return float(np.trapezoid(profile.q * values, grid))
 
     if mode == "nonneg":
         if profile.q1 is None or profile.q0 is None:
             raise GridMismatch("profile has no q1/q0 weights; use nonneg_weights")
-        acrt = np.interp(grid, report.grid, _fill_nan(report.acrt_grid))
+        acrt = np.interp(grid, pop_grid, _fill_nan(acrt_on_grid(pop, pop_grid)))
         intensive = float(np.trapezoid(profile.q1 * acrt, grid))
         gain = float(pop.po_at(profile.d_lower).mean() - pop.po_at(0.0).mean())
         return intensive + profile.q0 * gain / profile.d_lower

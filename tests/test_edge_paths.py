@@ -40,16 +40,13 @@ def test_bootstrap_unstable_when_refits_fail(monkeypatch):
     import causal_pvar.identify as ident
 
     panel = make_var_panel([[0.3, 0.0], [0.2, 0.3]], 10, 40, seed=1)
-    real_fit = ident.fit_pvar
-    calls = {"n": 0}
+    real_refit = ident._refit
 
-    def flaky(p, spec, **kw):
-        calls["n"] += 1
-        if calls["n"] > 1:  # first call fits the point estimate
-            raise SingularDesign("forced failure")
-        return real_fit(p, spec, **kw)
+    def flaky(states, p, dummies):
+        coef, sigma, ok = real_refit(states, p, dummies)
+        return coef, sigma, np.zeros_like(ok)  # every replication fails to refit
 
-    monkeypatch.setattr(ident, "fit_pvar", flaky)
+    monkeypatch.setattr(ident, "_refit", flaky)
     with pytest.raises(BootstrapUnstable):
         ident.bootstrap_irf(panel, PVARSpec(1), 0, 3, 100, 0.9, seed=0)
 

@@ -240,6 +240,13 @@ class TestCli:
                       "--seed", "1", "--output", str(tmp_path / "spill"))
         self._one_line_exit_2(res)
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exits_2(self, sim_dir, tmp_path, threads):
+        res = run_cli("irf", "--input", str(sim_dir / "panel.csv"), "--threads", threads,
+                      "--reps", "100", "--seed", "1", "--output", str(tmp_path / "irf"))
+        self._one_line_exit_2(res)
+        assert not (tmp_path / "irf").exists()
+
     def test_non_integer_seed_env_exits_2(self, tmp_path):
         res = run_cli("simulate", "--regime", "homogeneous_dummy", "--units", "10",
                       "--times", "30", "--output", str(tmp_path / "env"),

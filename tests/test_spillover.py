@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causal_pvar.errors import AsymmetricAdjacency, NoTreatedCells, SelfLoop
+from causal_pvar.errors import (
+    AsymmetricAdjacency,
+    BootstrapUnstable,
+    CollinearRegressors,
+    NoTreatedCells,
+    SelfLoop,
+)
 from causal_pvar.scenarios import (
     SPILLOVER_DUMMY,
     ExposureTruth,
@@ -126,6 +132,53 @@ class TestSpilloverRegression:
         a = spillover_regression(w, y, s, n_reps=150, seed=5)
         b = spillover_regression(w, y, s, n_reps=150, seed=5)
         assert a.se_delta == b.se_delta and a.se_rho == b.se_rho
+
+    @staticmethod
+    def _fail_draws(monkeypatch, failing):
+        """Make bootstrap draw r fail to fit for each r in ``failing``."""
+        import causal_pvar.spillover as sp
+
+        real = sp._two_regressor_ols
+        calls = {"n": 0}
+
+        def flaky(w, y, s):
+            calls["n"] += 1
+            if calls["n"] - 2 in failing:  # call 1 fits the point estimate
+                raise CollinearRegressors("forced failure")
+            return real(w, y, s)
+
+        monkeypatch.setattr(sp, "_two_regressor_ols", flaky)
+
+    def _centered(self):
+        rng = np.random.default_rng(6)
+        w, s = rng.standard_normal((2, 1500))
+        w -= w.mean()
+        y = 0.7 * w + 0.3 * s + rng.standard_normal(1500)
+        return w, y - y.mean(), s
+
+    def test_dropped_draws_counted_and_left_out(self, monkeypatch):
+        w, y, s = self._centered()
+        assert spillover_regression(w, y, s, n_reps=150, seed=5).n_dropped == 0
+        failing = {3, 70, 149}
+        self._fail_draws(monkeypatch, failing)
+        fit = spillover_regression(w, y, s, n_reps=150, seed=5)
+        assert fit.n_dropped == 3
+        x = np.column_stack([w, s])
+        draws = []
+        for r, child in enumerate(np.random.SeedSequence(5).spawn(150)):
+            idx = np.random.default_rng(child).integers(0, w.size, size=w.size)
+            if r not in failing:
+                draws.append(np.linalg.solve(x[idx].T @ x[idx], x[idx].T @ y[idx]))
+        draws = np.array(draws)
+        assert fit.se_delta == pytest.approx(draws[:, 0].std(ddof=1), rel=1e-12)
+        assert fit.se_rho == pytest.approx(draws[:, 1].std(ddof=1), rel=1e-12)
+
+    @pytest.mark.parametrize("kept", [0, 1])
+    def test_fewer_than_two_draws_raises(self, monkeypatch, kept):
+        w, y, s = self._centered()
+        self._fail_draws(monkeypatch, set(range(kept, 40)))
+        with pytest.raises(BootstrapUnstable):
+            spillover_regression(w, y, s, n_reps=40, seed=5)
 
 
 class TestOracleAtteAste:
