@@ -86,18 +86,6 @@ def _parse_impact(spec: str):
     raise SystemExit(2)
 
 
-def _residual_records(fit, variable_names):
-    recs = []
-    offset = fit.sample_offset
-    for i in range(fit.residuals.shape[0]):
-        for t in range(fit.residuals.shape[1]):
-            rec = {"unit": i + 1, "time": t + 1 + offset}
-            for v, name in enumerate(variable_names):
-                rec[name] = fit.residuals[i, t, v]
-            recs.append(rec)
-    return recs
-
-
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     cfg = ScenarioConfig(
@@ -169,11 +157,8 @@ def cmd_fit(args) -> int:
         },
         os.path.join(args.output, "fit.json"),
     )
-    cpio.write_records(
-        _residual_records(fit, panel.variable_names),
-        os.path.join(args.output, "residuals.csv"),
-        fmt="csv",
-    )
+    cpio.write_grid(fit.residuals, os.path.join(args.output, "residuals.csv"),
+                    panel.variable_names, first_time=fit.sample_offset + 1)
     return 0
 
 
@@ -406,9 +391,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CausalPvarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

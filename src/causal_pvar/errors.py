@@ -126,4 +126,4 @@ class NoTreatedCells(CausalPvarError):
 
 
 class IoError(CausalPvarError):
-    """Filesystem failure while writing results."""
+    """A file could not be read, decoded as UTF-8, or written, or a directory created."""

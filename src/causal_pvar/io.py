@@ -1,17 +1,31 @@
 """File formats: panel CSV, edge lists, flat result records, and JSON reports.
 
-Panel CSV contract: an optional ``# policies=K`` comment line, a header
-``unit,time,<var1>,...,<varm>``, rows sorted by (unit, time), integer unit
-and time labels, decimal floats for values.  Result records are flat
-dicts written as CSV or JSON lines with floats at 17 significant digits
-so artifacts are byte-stable and round-trip exactly.  Nested reports
-(truth, fit, diagnostics) are written as key-sorted, indented JSON.
+Panel CSV contract: a header ``unit,time,<var1>,...,<varm>``, then one
+row per (unit, time) cell in any order, with integer unit and time labels
+and decimal floats for values.  Blank lines and ``#`` comment lines may
+appear anywhere; a ``# policies=K`` comment sets K, the last one winning.
+Numbers follow Python's ``int``/``float`` grammar (so ``nan`` and ``inf``
+parse) less underscores and non-ASCII digits, and labels fit in int64.
+
+Reading: the lines up to the header are read one by one; every data row
+is then parsed by one call of numpy's C text reader, and a second pass
+looks only at the lines that hold a ``#``.  If the reader rejects a row,
+the rows are scanned again in Python to report the first bad line.
+Writing: panel-shaped grids (``panel.csv``, ``residuals.csv``) go through
+``write_grid``, which formats rows with one %-template and streams them.
+Result records are flat dicts written as CSV or JSON lines.  Floats are
+written at 17 significant digits everywhere, so artifacts are byte-stable
+and round-trip exactly.  Nested reports (truth, fit, diagnostics) are
+written as key-sorted, indented JSON.  Files that cannot be opened,
+decoded as UTF-8 or written raise IoError.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import warnings
 
 import numpy as np
 
@@ -25,8 +39,12 @@ __all__ = [
     "write_json",
     "load_panel_csv",
     "write_panel_csv",
+    "write_grid",
     "load_edge_list",
 ]
+
+
+_BLOCK_ROWS = 8192  # grid rows formatted per writelines call
 
 
 def fmt_float(x: float) -> str:
@@ -134,80 +152,175 @@ def load_panel_csv(path, n_policies: int | None = None) -> PanelDataset:
     ``n_policies``.  Row order does not matter: sorting by (unit, time)
     is canonical.
     """
-    units, times, rows = [], [], []
-    header = None
-    annotated_k = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("policies="):
-                    try:
-                        annotated_k = int(body.split("=", 1)[1])
-                    except ValueError:
-                        raise ParseError("malformed policies annotation", lineno)
-                continue
-            if header is None:
-                header = [h.strip() for h in line.split(",")]
-                if header[:2] != ["unit", "time"] or len(header) < 4:
-                    raise ParseError(
-                        "header must be unit,time,<var1>,...,<varm> with m >= 2", lineno
-                    )
-                continue
-            toks = line.split(",")
-            if len(toks) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(toks)}", lineno)
-            try:
-                units.append(int(toks[0]))
-                times.append(int(toks[1]))
-            except ValueError:
-                raise ParseError("unit and time must be integers", lineno)
-            try:
-                rows.append([float(v) for v in toks[2:]])
-            except ValueError:
-                raise ParseError("values must be decimal floats", lineno)
-    if header is None:
-        raise ParseError("file has no header", 1)
-    if not rows:
+    with _read_text(path) as fh:
+        header, lineno, annotated_k = _read_header(fh)
+        ncols = len(header)
+        body = fh.tell()
+        rows = _read_rows(fh, lineno, ncols, body)
+        fh.seek(body)
+        for at, line in _lines_with_hash(fh, lineno):
+            if not line.startswith("#"):
+                raise ParseError(_row_error(line, ncols), at)
+            annotated_k = _annotation(line, at, annotated_k)
+    if not rows.size:
         raise ParseError("file has no data rows", 2)
     k = n_policies if n_policies is not None else annotated_k
     if k is None:
         raise BadConfig(
             "number of policy variables unknown: add '# policies=K' or pass a flag"
         )
-    order = np.lexsort((times, units))
-    units = np.asarray(units)[order]
-    times = np.asarray(times)[order]
-    values = np.asarray(rows, dtype=float)[order]
-    pairs = set()
-    for u, t in zip(units, times):
-        if (u, t) in pairs:
-            raise UnbalancedPanel(u, t)
-        pairs.add((u, t))
-    return panel_from_records(units, times, values, k, tuple(header[2:]))
+    rows = rows[np.lexsort((rows["time"], rows["unit"]))]
+    units, times = rows["unit"], rows["time"]
+    repeated = (units[1:] == units[:-1]) & (times[1:] == times[:-1])
+    if repeated.any():
+        i = repeated.argmax() + 1
+        raise UnbalancedPanel(units[i], times[i])
+    return panel_from_records(units, times, rows["values"], k, tuple(header[2:]))
+
+
+@contextlib.contextmanager
+def _read_text(path):
+    """Open ``path`` as UTF-8 text; filesystem and decoding failures become IoError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+
+
+def _annotation(line: str, lineno: int, k):
+    """K after the comment ``line``: its ``policies=K`` value, else ``k`` unchanged."""
+    body = line[1:].strip()
+    if not body.startswith("policies="):
+        return k
+    try:
+        return int(body.split("=", 1)[1])
+    except ValueError:
+        raise ParseError("malformed policies annotation", lineno)
+
+
+def _read_header(fh):
+    """Read through the header line: (its fields, its line number, K annotated so far)."""
+    k = None
+    for lineno, raw in enumerate(iter(fh.readline, ""), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            k = _annotation(line, lineno, k)
+            continue
+        header = [h.strip() for h in line.split(",")]
+        if header[:2] != ["unit", "time"] or len(header) < 4:
+            raise ParseError("header must be unit,time,<var1>,...,<varm> with m >= 2", lineno)
+        return header, lineno, k
+    raise ParseError("file has no header", 1)
+
+
+def _read_rows(fh, lineno: int, ncols: int, body):
+    """Every data row after the header, parsed by numpy's C reader.
+
+    Lines are stripped first, so blank and comment lines are skipped
+    whatever their indentation.  If the reader rejects a row, the lines
+    are scanned again from ``body`` (the position after the header) and
+    the first one that is not a data row raises ParseError.
+    """
+    dtype = [("unit", "i8"), ("time", "i8"), ("values", "f8", (ncols - 2,))]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            return np.loadtxt(map(str.strip, fh), dtype=dtype, delimiter=",",
+                              comments="#", ndmin=1)
+    except ValueError as exc:
+        fh.seek(body)
+        for at, raw in enumerate(fh, start=lineno + 1):
+            line = raw.strip()
+            if line.startswith("#"):
+                _annotation(line, at, None)
+            elif line and (problem := _row_error(line, ncols)):
+                raise ParseError(problem, at)
+        raise ParseError(f"data rows rejected: {exc}") from exc
+
+
+def _row_error(line: str, ncols: int):
+    """Why ``line`` is not a data row of ``ncols`` fields, or None if it is one."""
+    toks = line.split(",")
+    if len(toks) != ncols:
+        return f"expected {ncols} fields, got {len(toks)}"
+    if not all(_is_number(tok, int) for tok in toks[:2]):
+        return "unit and time must be integers"
+    if not all(_is_number(tok, float) for tok in toks[2:]):
+        return "values must be decimal floats"
+    return None
+
+
+def _is_number(tok: str, kind) -> bool:
+    """Whether numpy's reader takes ``tok`` as a ``kind`` (int or float).
+
+    That is Python's grammar less underscores and non-ASCII digits, with
+    integers inside int64.
+    """
+    tok = tok.strip()
+    if "_" in tok or not tok.isascii():
+        return False
+    try:
+        value = kind(tok)
+    except ValueError:
+        return False
+    return kind is float or -(2**63) <= value < 2**63
+
+
+def _lines_with_hash(fh, lineno: int):
+    """(line number, stripped text) of each line after line ``lineno`` that holds a '#'.
+
+    Reads in blocks and looks only at the lines around each '#', so no
+    Python code runs per line without one.
+    """
+    while block := fh.read(1 << 20):
+        block += fh.readline()
+        pos = 0
+        while (hit := block.find("#", pos)) >= 0:
+            start = block.rfind("\n", 0, hit) + 1
+            end = block.find("\n", hit) + 1 or len(block)
+            lineno += block.count("\n", pos, start) + 1
+            yield lineno, block[start:end].strip()
+            pos = end
+        lineno += block.count("\n", pos)
+
+
+def write_grid(values, path, variable_names, first_time: int = 1, preamble: str = "") -> None:
+    """Write an (n, t, m) grid as ``unit,time,<vars>`` CSV rows.
+
+    Units are labelled 1..n and times ``first_time``, ``first_time + 1``,
+    ...; ``preamble`` goes before the header.  Rows are formatted with one
+    %-template in blocks of ``_BLOCK_ROWS`` and streamed to the file;
+    ``'%.17g' % x`` is ``fmt_float(x)``.
+    """
+    n, t, m = values.shape
+    row = "%d,%d" + ",%.17g" * m + "\n"
+    flat = values.reshape(n * t, m)
+    units = np.repeat(np.arange(1, n + 1), t)
+    times = np.tile(np.arange(first_time, first_time + t), n)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(preamble + "unit,time," + ",".join(variable_names) + "\n")
+            for a in range(0, n * t, _BLOCK_ROWS):
+                b = a + _BLOCK_ROWS
+                cells = zip(units[a:b].tolist(), times[a:b].tolist(), *flat[a:b].T.tolist())
+                fh.writelines(map(row.__mod__, cells))
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def write_panel_csv(panel: PanelDataset, path) -> None:
     """Write a panel with 1-based unit/time labels and the K annotation."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# policies={panel.n_policies}\n")
-            fh.write("unit,time," + ",".join(panel.variable_names) + "\n")
-            for i in range(panel.n_units):
-                for t in range(panel.n_times):
-                    vals = ",".join(fmt_float(v) for v in panel.values[i, t])
-                    fh.write(f"{i + 1},{t + 1},{vals}\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_grid(panel.values, path, panel.variable_names,
+               preamble=f"# policies={panel.n_policies}\n")
 
 
 def load_edge_list(path, n_units: int) -> np.ndarray:
     """Read ``unit_a,unit_b`` lines (1-based labels) into an adjacency matrix."""
     adj = np.zeros((n_units, n_units))
-    with open(path, encoding="utf-8") as fh:
+    with _read_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -228,4 +341,8 @@ def load_edge_list(path, n_units: int) -> np.ndarray:
 
 
 def ensure_dir(path) -> None:
-    os.makedirs(path, exist_ok=True)
+    """Create the output directory ``path`` and its parents if missing."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create output directory {path}: {exc}") from exc

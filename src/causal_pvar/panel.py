@@ -140,25 +140,27 @@ def panel_from_records(units, times, values, n_policies, variable_names=None):
 
     ``units``/``times`` are per-row labels and ``values`` the per-row
     variable vectors.  Raises UnbalancedPanel on the first missing
-    (unit, time) combination.
+    (unit, time) combination, and on the first missing period when the
+    sorted time labels are not equally spaced (a period absent for every
+    unit).
     """
     units = np.asarray(units)
     times = np.asarray(times)
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or len(units) != len(times) or len(units) != values.shape[0]:
         raise BadOrdering("records must align: one (unit, time, value-row) per line")
-    unit_ids = np.unique(units)
-    time_ids = np.unique(times)
+    unit_ids, unit_idx = np.unique(units, return_inverse=True)
+    time_ids, time_idx = np.unique(times, return_inverse=True)
     n, t, m = len(unit_ids), len(time_ids), values.shape[1]
     out = np.full((n, t, m), np.nan)
-    u_idx = {u: i for i, u in enumerate(unit_ids)}
-    t_idx = {s: i for i, s in enumerate(time_ids)}
-    for u, s, row in zip(units, times, values):
-        out[u_idx[u], t_idx[s]] = row
+    out[unit_idx, time_idx] = values
     missing = np.isnan(out).all(axis=2)
     if missing.any():
         i, j = np.argwhere(missing)[0]
         raise UnbalancedPanel(unit_ids[i], time_ids[j])
+    step = np.diff(time_ids)
+    if step.size and (gap := step != step.min()).any():
+        raise UnbalancedPanel(unit_ids[0], time_ids[gap.argmax()] + step.min())
     if variable_names is None:
         variable_names = tuple(f"v{k + 1}" for k in range(m))
     panel = PanelDataset(out, n_policies, variable_names)

@@ -112,6 +112,36 @@ class TestPanelCsv:
             load_panel_csv(tmp_path / "bad.csv")
         assert err.value.line_number == 3
 
+    def test_period_missing_for_every_unit_reported(self, tmp_path):
+        panel = PanelDataset(np.random.default_rng(4).standard_normal((10, 30, 2)), 1, ("w", "y"))
+        path = tmp_path / "panel.csv"
+        write_panel_csv(panel, path)
+        kept = [l for l in path.read_text().splitlines() if l.split(",")[1:2] != ["15"]]
+        (tmp_path / "gap.csv").write_text("\n".join(kept) + "\n")
+        with pytest.raises(UnbalancedPanel) as err:
+            load_panel_csv(tmp_path / "gap.csv")
+        assert (err.value.unit, err.value.time) == (1, 15)
+
+    def test_equally_spaced_time_labels_accepted(self, tmp_path):
+        rows = [f"{u},{year},{u * 0.5},{year / 1000}" for u in (1, 2) for year in (2000, 2005, 2010)]
+        (tmp_path / "p.csv").write_text("# policies=1\nunit,time,w,y\n" + "\n".join(rows) + "\n")
+        panel = load_panel_csv(tmp_path / "p.csv")
+        assert panel.values.shape == (2, 3, 2)
+        assert panel.values[1, 2, 1] == 2.01
+
+    @pytest.mark.parametrize("row, message", [
+        ("1_0,1,0.5,0.5", "unit and time must be integers"),
+        ("1,1,0.5,1_0.5", "values must be decimal floats"),
+        ("1,1,0.5,0.5 # note", "values must be decimal floats"),
+        ("9223372036854775808,1,0.5,0.5", "unit and time must be integers"),
+    ])
+    def test_rejected_number_reports_its_line(self, tmp_path, row, message):
+        (tmp_path / "bad.csv").write_text(
+            f"# policies=1\nunit,time,w,y\n1,2,0.5,0.5\n\n{row}\n2,1,0.5,0.5\n")
+        with pytest.raises(ParseError) as err:
+            load_panel_csv(tmp_path / "bad.csv")
+        assert str(err.value) == f"line 5: {message}"
+
     def test_policies_flag_required_without_annotation(self, tmp_path):
         (tmp_path / "p.csv").write_text("unit,time,w,y\n1,1,0.0,1.0\n1,2,0.0,1.0\n")
         with pytest.raises(BadConfig):
@@ -220,16 +250,16 @@ class TestCli:
         assert all(r["se"] >= 0 for r in recs)
 
     @staticmethod
-    def _one_line_exit_2(res):
+    def _one_error_line(res, code):
         lines = res.stderr.strip().splitlines()
-        assert res.returncode == 2, res.stderr
+        assert res.returncode == code, res.stderr
         assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
 
     @pytest.mark.parametrize("shock", ["2", "-1"])
     def test_irf_shock_out_of_range_exits_2(self, sim_dir, tmp_path, shock):
         res = run_cli("irf", "--input", str(sim_dir / "panel.csv"), "--shock", shock,
                       "--reps", "100", "--seed", "1", "--output", str(tmp_path / "irf"))
-        self._one_line_exit_2(res)
+        self._one_error_line(res, 2)
 
     @pytest.mark.parametrize("outcome", ["2", "0"])
     def test_spillover_outcome_out_of_range_exits_2(self, sim_dir, tmp_path, outcome):
@@ -238,20 +268,48 @@ class TestCli:
         res = run_cli("spillover", "--input", str(sim_dir / "panel.csv"),
                       "--adjacency", str(edges), "--outcome", outcome, "--reps", "10",
                       "--seed", "1", "--output", str(tmp_path / "spill"))
-        self._one_line_exit_2(res)
+        self._one_error_line(res, 2)
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exits_2(self, sim_dir, tmp_path, threads):
         res = run_cli("irf", "--input", str(sim_dir / "panel.csv"), "--threads", threads,
                       "--reps", "100", "--seed", "1", "--output", str(tmp_path / "irf"))
-        self._one_line_exit_2(res)
+        self._one_error_line(res, 2)
         assert not (tmp_path / "irf").exists()
+
+    def test_input_directory_exits_1(self, tmp_path):
+        res = run_cli("fit", "--input", str(tmp_path), "--output", str(tmp_path / "o"))
+        self._one_error_line(res, 1)
+
+    def test_non_utf8_input_exits_1(self, tmp_path):
+        (tmp_path / "p.csv").write_bytes(b"# policies=1\nunit,time,w,y\n1,1,0.5,\xff\n")
+        res = run_cli("fit", "--input", str(tmp_path / "p.csv"), "--output", str(tmp_path / "o"))
+        self._one_error_line(res, 1)
+
+    def test_output_naming_a_file_exits_1(self, sim_dir, tmp_path):
+        (tmp_path / "taken").write_text("")
+        res = run_cli("fit", "--input", str(sim_dir / "panel.csv"),
+                      "--output", str(tmp_path / "taken"))
+        self._one_error_line(res, 1)
+
+    @pytest.mark.parametrize("edges", ["directory", "non-utf8"])
+    def test_unreadable_edge_list_exits_1(self, tmp_path, edges):
+        panel = PanelDataset(np.zeros((4, 10, 2)), 1, ("w", "y"))
+        write_panel_csv(panel, tmp_path / "panel.csv")
+        path = tmp_path / "edges"
+        if edges == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"1,2\n\xff,3\n")
+        res = run_cli("spillover", "--input", str(tmp_path / "panel.csv"), "--adjacency",
+                      str(path), "--seed", "1", "--output", str(tmp_path / "o"))
+        self._one_error_line(res, 1)
 
     def test_non_integer_seed_env_exits_2(self, tmp_path):
         res = run_cli("simulate", "--regime", "homogeneous_dummy", "--units", "10",
                       "--times", "30", "--output", str(tmp_path / "env"),
                       env_extra={"CAUSAL_PVAR_SEED": "abc"})
-        self._one_line_exit_2(res)
+        self._one_error_line(res, 2)
 
     def test_verify_single_theorem(self, tmp_path):
         out = tmp_path / "ver"

@@ -161,6 +161,22 @@ class TestFitPvar:
         np.testing.assert_allclose(fit_p.sigma, fit.sigma, atol=1e-12)
         np.testing.assert_allclose(fit_p.mu, fit.mu[perm], atol=1e-10)
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), t=st.integers(12, 40),
+           m=st.integers(2, 3), p=st.integers(1, 2), scale=st.floats(0.0, 100.0))
+    def test_fit_invariant_to_unit_constants_and_unit_order(self, seed, n, t, m, p, scale):
+        rng = np.random.default_rng(seed)
+        phi = 0.4 / m * rng.uniform(-1.0, 1.0, size=(p, m, m))
+        panel = make_var_panel(phi, n, t, seed=seed)
+        fit = fit_pvar(panel, PVARSpec(p))
+        shifted = panel.values + scale * rng.uniform(-1.0, 1.0, size=(n, 1, m))
+        perm = rng.permutation(n)
+        for values in (shifted, panel.values[perm]):
+            other = fit_pvar(PanelDataset(values, 1, panel.variable_names), PVARSpec(p))
+            for lag in range(p):
+                np.testing.assert_allclose(other.phi[lag], fit.phi[lag], rtol=0, atol=1e-10)
+            np.testing.assert_allclose(other.sigma, fit.sigma, rtol=0, atol=1e-10)
+
     def test_mu_recovered(self):
         mu = np.array([[2.0, -1.0]]).repeat(50, axis=0) * np.linspace(0.5, 1.5, 50)[:, None]
         panel = make_var_panel([[0.4, 0.0], [0.2, 0.3]], 50, 400, seed=11, mu=mu)
