@@ -158,7 +158,7 @@ def cmd_fit(args) -> int:
         os.path.join(args.output, "fit.json"),
     )
     cpio.write_grid(fit.residuals, os.path.join(args.output, "residuals.csv"),
-                    panel.variable_names, first_time=fit.sample_offset + 1)
+                    panel.variable_names, first_time=fit.spec.lag_order + 1)
     return 0
 
 

@@ -16,7 +16,8 @@ import numpy as np
 from scipy import stats
 
 from .errors import BadConfig
-from .panel import PanelDataset, PVARFit, PVARSpec, companion, fit_pvar
+from .panel import PanelDataset, PVARFit, PVARSpec, companion, validate_panel
+from .panel import _sample_dummies, _within_cross, _within_design, _within_ols_one
 
 __all__ = [
     "LagSelectionTable",
@@ -94,8 +95,10 @@ class DiagnosticsReport:
 def lag_criteria(panel: PanelDataset, pmax: int, spec: PVARSpec | None = None) -> LagSelectionTable:
     """Fit p = 1..pmax on the common sample and score each with three criteria.
 
-    Each fit is scored by ln det(Sigma_p) plus a penalty in the number of
-    slope parameters m^2 p:
+    The within cross-product of the pmax lags is built once and order p is
+    solved from its leading m p lags, so every fit shares the sample
+    t > pmax and the rule of SingularDesign.  Each fit is scored by
+    ln det(Sigma_p) plus a penalty in the number of slope parameters m^2 p:
 
     - bic_like: (m^2 p / eff) * ln(eff)
     - aic_like: 2 m^2 p / eff
@@ -108,17 +111,17 @@ def lag_criteria(panel: PanelDataset, pmax: int, spec: PVARSpec | None = None) -
         raise BadConfig("pmax must be >= 1")
     if pmax >= panel.n_times / 3:
         raise BadConfig(f"pmax={pmax} too large for T={panel.n_times} (need pmax < T/3)")
-    base = spec or PVARSpec()
-    m = panel.n_vars
-    eff = panel.n_units * (panel.n_times - pmax)
+    validate_panel(panel)
+    n, t, m = panel.values.shape
+    eff = n * (t - pmax)
+    z, _ = _within_design(panel.values, pmax)
+    _, dummies = _sample_dummies(panel, spec or PVARSpec(), pmax)
+    cross, _ = _within_cross(z.reshape(1, eff, -1), dummies)
     rows = {c: np.empty(pmax) for c in CRITERIA}
     for p in range(1, pmax + 1):
-        fit = fit_pvar(
-            panel,
-            PVARSpec(p, base.dummy_columns),
-            drop_initial=pmax,
-        )
-        sign, logdet = np.linalg.slogdet(fit.sigma)
+        keep = np.r_[: m * p, m * pmax : m * pmax + m]  # lags 1..p and dep
+        _, sigma = _within_ols_one(cross[0][np.ix_(keep, keep)], m * p, eff)
+        sign, logdet = np.linalg.slogdet(sigma)
         if sign <= 0:
             logdet = -np.inf
         k = m * m * p / eff

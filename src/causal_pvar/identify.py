@@ -10,10 +10,9 @@ confidence bands from a recursive residual bootstrap.
 The bootstrap is batched: replications are taken in chunks bounded by
 ``CHUNK_BYTES`` of regenerated panel, each chunk regenerated by one loop
 over time and refitted from one within-demeaned cross-product per
-replication (equilibrated normal equations in place of ``fit_pvar``'s
-least squares), then factored and propagated by the same batched helpers
-that ``cholesky_lower`` and ``irf`` apply, with a leading axis of one, to
-the point estimate from ``fit_pvar``.
+replication by ``fit_pvar``'s solver, then factored and propagated by the
+same batched helpers that ``cholesky_lower`` and ``irf`` apply, with a
+leading axis of one, to the point estimate from ``fit_pvar``.
 
 Ordering caveat (documented, not asserted): permuting two policy columns
 leaves the residual covariance matrix unchanged but changes the factor,
@@ -29,6 +28,7 @@ import numpy as np
 
 from .errors import BootstrapUnstable, CausalPvarError, NotPSD, ZeroPolicyVariance
 from .panel import PanelDataset, PVARFit, PVARSpec, companion, fit_pvar
+from .panel import _sample_dummies, _within_cross, _within_design, _within_ols
 
 __all__ = [
     "CholeskyFactor",
@@ -52,7 +52,6 @@ CHUNK_BYTES = 512 * 1024
 PSD_FLOOR = -1e-8  # a covariance eigenvalue below this is not PSD
 RIDGE = 1e-10  # eigenvalues below this are lifted to it before factoring
 UNIT_FLOOR = 1e-12  # |lower[k, k]| below this leaves shock k without variance
-COND_LIMIT = 1e12  # largest condition number of an equilibrated lag Gram matrix
 
 
 @dataclass(frozen=True)
@@ -244,53 +243,16 @@ def _refit(states: np.ndarray, p: int, dummies: np.ndarray | None):
     """Within-OLS refit of every panel in a chunk from one cross-product each.
 
     ``states`` is the (t, b, n, m) output of ``_regenerate``; as in
-    ``fit_pvar`` the first p periods are dropped.  Each replication's
-    Z = [lags 1..p, dep] is demeaned per unit and its Gram matrix Z'Z taken
-    with one batched matmul; with ``dummies`` (the per-unit demeaned
-    ((t - p) * n, d) dummy block, rows time-major) the dummy projection
-    Z'D (D'D)^-1 D'Z is subtracted.  From the lag Gram G, the cross term C
-    and the dependent block DD: ``coef = G^-1 C`` (rows stacked lag by lag,
-    as ``fit_pvar``'s regression) and ``sigma = (DD - C' coef) / eff``.
-
-    Returns ``(coef, sigma, ok)``.  ``ok`` is False, and that replication's
-    coef and sigma are NaN, where the panel or its cross-product is
-    non-finite, a lag column has no within variation, or the equilibrated
-    Gram matrix S G S, S = diag(G)^-1/2, has condition number above
-    ``COND_LIMIT``.
+    ``fit_pvar`` the first p periods are dropped and ``dummies`` are the
+    per-unit demeaned ((t - p) * n, d) dummy rows, time-major.  Returns
+    ``_within_ols``'s ``(coef, sigma, ok)``: a non-finite panel yields a
+    non-finite cross-product and fails like a singular one.
     """
     t, b, n, m = states.shape
-    tr, mp = t - p, m * p
-    coef = np.full((b, mp, m), np.nan)
-    sigma = np.full((b, m, m), np.nan)
-    ok = np.isfinite(states).all(axis=(0, 2, 3))
-    good = states[:, ok]
-    z = np.empty((good.shape[1], tr, n, mp + m))
-    for l in range(1, p + 1):
-        z[..., (l - 1) * m : l * m] = good[p - l : t - l].transpose(1, 0, 2, 3)
-    z[..., mp:] = good[p:].transpose(1, 0, 2, 3)
-    z -= z.mean(axis=1, keepdims=True)
-    flat = z.reshape(-1, tr * n, mp + m)
-    cross = flat.transpose(0, 2, 1) @ flat
-    if dummies is not None:
-        dz = dummies.T @ flat
-        cross -= dz.transpose(0, 2, 1) @ np.linalg.solve(dummies.T @ dummies, dz)
-    # equilibrate the lag Gram matrix, G = S^-1 (S G S) S^-1 with
-    # S = diag(G)^-1/2, so that the guard and the solve ignore the units
-    # each variable is measured in
-    diag = np.diagonal(cross[:, :mp, :mp], axis1=1, axis2=2)
-    sub = np.isfinite(cross).all(axis=(1, 2)) & (diag > 0).all(axis=1)
-    cross, scale = cross[sub], 1.0 / np.sqrt(diag[sub])
-    gram = cross[:, :mp, :mp] * scale[:, :, None] * scale[:, None, :]
-    well = np.linalg.cond(gram) <= COND_LIMIT
-    sub[sub] = well
-    ok[ok] = sub
-    cross, scale, gram = cross[well], scale[well, :, None], gram[well]
-    lag_dep, dep = cross[:, :mp, mp:], cross[:, mp:, mp:]
-    slopes = scale * np.linalg.solve(gram, scale * lag_dep)
-    cov = (dep - lag_dep.transpose(0, 2, 1) @ slopes) / (n * tr)
-    coef[ok] = slopes
-    sigma[ok] = (cov + cov.transpose(0, 2, 1)) / 2.0
-    return coef, sigma, ok
+    with np.errstate(invalid="ignore", over="ignore"):
+        z, _ = _within_design(states.transpose(1, 0, 2, 3), p)
+        cross, _ = _within_cross(z.reshape(b, n * (t - p), -1), dummies)
+    return _within_ols(cross, m * p, n * (t - p))
 
 
 def _responses(coef, sigma, ok, k: int, horizon: int, normalization: str):
@@ -323,7 +285,6 @@ def bootstrap_irf(
     level: float,
     seed: int,
     normalization: str = UNIT_SHOCK,
-    n_threads: int = 1,
 ) -> tuple[ImpulseResponse, BootstrapBands]:
     """Point impulse response plus percentile bootstrap bands.
 
@@ -334,13 +295,12 @@ def bootstrap_irf(
     of about ``CHUNK_BYTES`` of regenerated panel, each regenerated by one
     loop over time and refitted from batched cross-products, so the bands
     do not depend on the chunking (on a one-unit panel, up to last-bit
-    rounding of a single-row matmul).  A replication fails when its panel is
-    non-finite, its lag Gram matrix, scaled to a unit diagonal, has
-    condition number above ``COND_LIMIT`` (1e12), its
-    covariance has an eigenvalue below -1e-8, or (unit-shock) its policy
-    factor is below 1e-12; failures are counted in ``n_failed`` and more
-    than 5% raises BootstrapUnstable.  ``n_threads`` is accepted and
-    ignored: the engine runs on the calling thread.
+    rounding of a single-row matmul).  The point fit raises SingularDesign
+    by the rule documented there; a replication fails when its panel is
+    non-finite or breaks that rule, when its covariance has an eigenvalue
+    below -1e-8, or (unit-shock) when its policy factor is below 1e-12.
+    Failures are counted in ``n_failed`` and more than 5% raises
+    BootstrapUnstable.
     """
     if n_reps < 100:
         raise CausalPvarError("need at least 100 bootstrap replications")
@@ -350,18 +310,16 @@ def bootstrap_irf(
     point = irf(fit, cholesky_lower(fit.sigma), k, horizon, normalization)
 
     n, t, m = panel.values.shape
-    drop = fit.sample_offset
+    drop = spec.lag_order
     tr = t - drop
     pool = fit.residuals.reshape(n * tr, m)
     initial = panel.values[:, :drop].transpose(1, 0, 2)
     drift = np.broadcast_to(fit.intercepts, (t, n, m))
-    dummies = None
-    if fit.dummy_coef is not None:
-        dmat = panel.exogenous_dummies[:, :, list(spec.dummy_columns)]
+    _, dummies = _sample_dummies(panel, spec, drop)
+    if dummies is not None:
+        dmat, _ = _sample_dummies(panel, spec, 0)
         drift = drift + np.einsum("ntd,dm->tnm", dmat, fit.dummy_coef)
-        dsample = dmat[:, drop:]
-        dsample = dsample - dsample.mean(axis=1, keepdims=True)
-        dummies = dsample.transpose(1, 0, 2).reshape(tr * n, -1)
+        dummies = dummies.reshape(n, tr, -1).transpose(1, 0, 2).reshape(tr * n, -1)
 
     children = np.random.SeedSequence(seed).spawn(n_reps)
     results = np.empty((n_reps, m, horizon + 1))

@@ -24,6 +24,9 @@ from .errors import (
     UnbalancedPanel,
 )
 
+# Largest condition number of a lag Gram matrix scaled to a unit diagonal.
+COND_LIMIT = 1e12
+
 __all__ = [
     "PanelDataset",
     "PVARSpec",
@@ -104,7 +107,9 @@ class PVARFit:
 
     ``phi`` holds one m x m slope matrix per lag (row = equation).
     ``residuals`` covers t = p+1..T, so its time axis is shorter than the
-    input panel by ``spec.lag_order + sample_offset`` periods.
+    input panel by ``spec.lag_order`` periods.  ``dummy_coef`` holds the
+    coefficients of the spec's dummies in the joint regression on [lags,
+    dummies].
     """
 
     phi: tuple[np.ndarray, ...]
@@ -115,7 +120,6 @@ class PVARFit:
     effective_obs: int
     intercepts: np.ndarray = field(repr=False, default=None)
     dummy_coef: np.ndarray | None = field(repr=False, default=None)
-    sample_offset: int = 0
 
     @property
     def n_vars(self) -> int:
@@ -207,16 +211,16 @@ def validate_panel(raw: PanelDataset) -> PanelDataset:
     return raw
 
 
-def _partial_out_dummies(columns: np.ndarray, dummies: np.ndarray):
-    """Residualize pooled columns on already-demeaned dummy regressors."""
-    gram = dummies.T @ dummies
-    scale = np.abs(gram).max()
-    if scale < 1e-12:
-        raise DegenerateDummy("dummy columns are collinear with the unit means")
-    if np.linalg.cond(gram) > 1e12:
-        raise DegenerateDummy("dummy columns are mutually collinear after demeaning")
-    coef = np.linalg.solve(gram, dummies.T @ columns)
-    return columns - dummies @ coef, coef
+def _sample_dummies(panel: PanelDataset, spec: PVARSpec, drop: int):
+    """The spec's raw (n, T - drop, d) dummy block on periods drop+1..T and its
+    per-unit demeaned (n * (T - drop), d) rows, unit-major; (None, None) without."""
+    if not spec.dummy_columns:
+        return None, None
+    if panel.exogenous_dummies is None:
+        raise BadConfig("spec names dummy_columns but panel has no dummies")
+    raw = panel.exogenous_dummies[:, drop:, list(spec.dummy_columns)]
+    flat = raw - raw.mean(axis=1, keepdims=True)
+    return raw, flat.reshape(-1, raw.shape[2])
 
 
 def within_demean(panel: PanelDataset, spec: PVARSpec | None = None) -> PanelDataset:
@@ -229,107 +233,137 @@ def within_demean(panel: PanelDataset, spec: PVARSpec | None = None) -> PanelDat
     """
     spec = spec or PVARSpec()
     vals = panel.values - panel.values.mean(axis=1, keepdims=True)
-    if spec.dummy_columns:
-        if panel.exogenous_dummies is None:
-            raise BadConfig("spec names dummy_columns but panel has no dummies")
-        dmat = panel.exogenous_dummies[:, :, list(spec.dummy_columns)]
-        dmat = dmat - dmat.mean(axis=1, keepdims=True)
-        n, t, m = vals.shape
-        flat, _ = _partial_out_dummies(
-            vals.reshape(n * t, m), dmat.reshape(n * t, -1)
-        )
-        vals = flat.reshape(n, t, m)
+    _, dflat = _sample_dummies(panel, spec, 0)
+    if dflat is not None:
+        flat = vals.reshape(1, dflat.shape[0], -1)
+        vals = (flat - dflat @ _within_cross(flat, dflat)[1]).reshape(vals.shape)
     return PanelDataset(vals, panel.n_policies, panel.variable_names, panel.exogenous_dummies)
 
 
-def fit_pvar(panel: PanelDataset, spec: PVARSpec, *, drop_initial: int | None = None) -> PVARFit:
+def _within_design(values: np.ndarray, p: int):
+    """Z = [lags 1..p, dep] of (a, T, ..., m) series on periods p+1..T, lags never wrapped.
+
+    Returns ``(z, means)``: Z demeaned over time (axis 1), shape (a, T - p,
+    ..., m p + m), and its time means.  Z is filled in place, not concatenated,
+    so that it is C-ordered for any strides of ``values`` and flattens to
+    rows without a copy.
+    """
+    t, m = values.shape[1], values.shape[-1]
+    if t - p < m * p + 2:
+        raise InsufficientObs(f"need T - p >= m*p + 2 per unit: T={t}, m={m}, p={p}")
+    z = np.empty((values.shape[0], t - p, *values.shape[2:-1], m * p + m))
+    for i, l in enumerate((*range(1, p + 1), 0)):
+        z[..., i * m : (i + 1) * m] = values[:, p - l : t - l]
+    means = z.mean(axis=1, keepdims=True)
+    z -= means
+    return z, means
+
+
+def _within_cross(z: np.ndarray, dummies: np.ndarray | None):
+    """Cross-products Z'Z of (b, rows, q) demeaned designs, less the dummy projection.
+
+    With per-unit demeaned (rows, d) ``dummies`` D, ``Z'D (D'D)^-1 D'Z`` is
+    subtracted (Frisch-Waugh).  Returns ``(cross, proj)``: the (b, q, q)
+    cross-products and ``proj = (D'D)^-1 D'Z`` of shape (b, d, q), or None.
+    """
+    cross = z.transpose(0, 2, 1) @ z
+    if dummies is None:
+        return cross, None
+    gram = dummies.T @ dummies
+    if np.abs(gram).max() < 1e-12:
+        raise DegenerateDummy("dummy columns are collinear with the unit means")
+    if np.linalg.cond(gram) > 1e12:
+        raise DegenerateDummy("dummy columns are mutually collinear after demeaning")
+    dz = dummies.T @ z
+    proj = np.linalg.solve(gram, dz)
+    cross -= dz.transpose(0, 2, 1) @ proj
+    return cross, proj
+
+
+def _within_ols(cross: np.ndarray, mp: int, eff: int):
+    """Within-OLS slopes and residual covariance from (b, mp + m, mp + m) cross-products.
+
+    ``cross`` is Z'Z of Z = [lags, dep], within-demeaned and with any dummy
+    projection removed.  From the lag Gram G, the cross term C and the
+    dependent block DD: ``coef = G^-1 C`` (rows stacked lag by lag) and
+    ``sigma = (DD - C' coef) / eff``, solved on G scaled to a unit diagonal.
+
+    Returns ``(coef, sigma, ok)`` over the leading axis; ``ok`` is False, and
+    that design's coef and sigma are NaN, where the rule documented on
+    :class:`~causal_pvar.errors.SingularDesign` rejects it.
+    """
+    b, m = cross.shape[0], cross.shape[1] - mp
+    coef = np.full((b, mp, m), np.nan)
+    sigma = np.full((b, m, m), np.nan)
+    diag = np.diagonal(cross[:, :mp, :mp], axis1=1, axis2=2)
+    ok = np.isfinite(cross).all(axis=(1, 2)) & (diag > 0).all(axis=1)
+    scale = 1.0 / np.sqrt(diag[ok])
+    gram = cross[ok, :mp, :mp] * scale[:, :, None] * scale[:, None, :]
+    well = np.linalg.cond(gram) <= COND_LIMIT
+    ok[ok] = well
+    cross, scale, gram = cross[ok], scale[well, :, None], gram[well]
+    lag_dep, dep = cross[:, :mp, mp:], cross[:, mp:, mp:]
+    slopes = scale * np.linalg.solve(gram, scale * lag_dep)
+    cov = (dep - lag_dep.transpose(0, 2, 1) @ slopes) / eff
+    coef[ok] = slopes
+    sigma[ok] = (cov + cov.transpose(0, 2, 1)) / 2.0
+    return coef, sigma, ok
+
+
+def _within_ols_one(cross: np.ndarray, mp: int, eff: int):
+    """``_within_ols`` of one (mp + m, mp + m) cross-product; SingularDesign if rejected."""
+    coef, sigma, ok = _within_ols(cross[None], mp, eff)
+    if not ok[0]:
+        raise SingularDesign(f"the {mp} x {mp} lag Gram matrix, scaled to a unit diagonal, "
+                             f"is singular or has condition number above {COND_LIMIT:.0e}")
+    return coef[0], sigma[0]
+
+
+def fit_pvar(panel: PanelDataset, spec: PVARSpec) -> PVARFit:
     """Within-OLS fit of the panel VAR.
 
-    Lags are built within unit only; the first ``drop_initial`` periods per
-    unit (default: the lag order) are dropped, never wrapped.  Slopes come
-    from pooled OLS of the demeaned series on their demeaned lags; the
-    residual covariance uses the divisor N * (T - drop_initial) with no
-    small-sample correction.
-
-    Parameters
-    ----------
-    drop_initial : int, optional
-        Number of initial periods excluded per unit.  Passing a value
-        larger than the lag order fits on a common subsample, which keeps
-        information criteria comparable across lag orders.
+    Lags are built within unit only; the first ``lag_order`` periods per
+    unit are dropped, never wrapped.  Slopes come from pooled OLS of the
+    demeaned series on their demeaned lags and dummies; the residual
+    covariance uses the divisor N * (T - p) with no small-sample
+    correction.  Raises SingularDesign by the rule documented there.
     """
     validate_panel(panel)
     p = spec.lag_order
     n, t, m = panel.values.shape
-    drop = p if drop_initial is None else drop_initial
-    if drop < p:
-        raise BadConfig(f"drop_initial={drop} below lag_order={p}")
     if p >= t - 1:
         raise BadConfig(f"lag_order={p} too large for T={t}")
-    if (t - drop) < m * p + 2:
-        raise InsufficientObs(
-            f"need T - drop >= m*p + 2 per unit: T={t}, drop={drop}, m={m}, p={p}"
-        )
+    mp, eff = m * p, n * (t - p)
+    z, means = _within_design(panel.values, p)
+    raw_dummies, dummies = _sample_dummies(panel, spec, p)
+    flat = z.reshape(1, eff, mp + m)
+    cross, proj = _within_cross(flat, dummies)
+    coef, _ = _within_ols_one(cross[0], mp, eff)
 
-    vals = panel.values
-    dep = vals[:, drop:, :]                                   # (n, tr, m)
-    lags = np.concatenate(
-        [vals[:, drop - l : t - l, :] for l in range(1, p + 1)], axis=2
-    )                                                         # (n, tr, m*p)
-    tr = t - drop
-
-    dep_c = dep - dep.mean(axis=1, keepdims=True)
-    lags_c = lags - lags.mean(axis=1, keepdims=True)
-
-    dummy_coef = None
-    if spec.dummy_columns:
-        if panel.exogenous_dummies is None:
-            raise BadConfig("spec names dummy_columns but panel has no dummies")
-        dmat = panel.exogenous_dummies[:, drop:, list(spec.dummy_columns)]
-        dmat = dmat - dmat.mean(axis=1, keepdims=True)
-        dflat = dmat.reshape(n * tr, -1)
-        dep_flat, dummy_coef = _partial_out_dummies(dep_c.reshape(n * tr, m), dflat)
-        lag_flat, _ = _partial_out_dummies(lags_c.reshape(n * tr, m * p), dflat)
-    else:
-        dep_flat = dep_c.reshape(n * tr, m)
-        lag_flat = lags_c.reshape(n * tr, m * p)
-
-    coef, _, rank, _ = np.linalg.lstsq(lag_flat, dep_flat, rcond=None)
-    if rank < m * p:
-        raise SingularDesign(
-            f"lag regressor Gram matrix has rank {rank} < {m * p}"
-        )
-    resid_flat = dep_flat - lag_flat @ coef
-    residuals = resid_flat.reshape(n, tr, m)
-    eff = n * tr
-    sigma = resid_flat.T @ resid_flat / eff
-    sigma = (sigma + sigma.T) / 2.0
-
+    # Z [-coef; I] = dep - lags coef: on the rows, the means and the dummy
+    # projection it gives the joint regression's residuals, intercepts and dummy_coef
+    beta = np.vstack([-coef, np.eye(m)])
+    resid, intercepts, dummy_coef = flat[0] @ beta, means[:, 0] @ beta, None
+    if proj is not None:
+        dummy_coef = proj[0] @ beta
+        resid -= dummies @ dummy_coef
+        intercepts -= raw_dummies.mean(axis=1) @ dummy_coef
+    sigma = resid.T @ resid / eff
     phi = tuple(coef[(l * m) : (l + 1) * m, :].T.copy() for l in range(p))
-
-    # Per-unit intercepts on the raw scale, then back out the unit means.
-    fitted_dyn = np.einsum("ntq,qm->ntm", lags, coef)
-    adj = dep - fitted_dyn
-    if spec.dummy_columns and dummy_coef is not None:
-        raw_dmat = panel.exogenous_dummies[:, drop:, list(spec.dummy_columns)]
-        adj = adj - np.einsum("ntd,dm->ntm", raw_dmat, dummy_coef)
-    intercepts = adj.mean(axis=1)                              # (n, m)
     phi_sum = np.eye(m) - sum(phi)
     try:
         mu = np.linalg.solve(phi_sum, intercepts.T).T
-    except np.linalg.LinAlgError:
-        mu = np.linalg.lstsq(phi_sum, intercepts.T, rcond=None)[0].T
-
+    except np.linalg.LinAlgError:  # a unit root: the minimum-norm solution
+        mu = (np.linalg.pinv(phi_sum) @ intercepts.T).T
     return PVARFit(
         phi=phi,
         mu=mu,
-        residuals=residuals,
-        sigma=sigma,
+        residuals=resid.reshape(n, t - p, m),
+        sigma=(sigma + sigma.T) / 2.0,
         spec=spec,
         effective_obs=eff,
         intercepts=intercepts,
         dummy_coef=dummy_coef,
-        sample_offset=drop,
     )
 
 

@@ -47,8 +47,8 @@ __all__ = [
 class SpilloverFit:
     """Two-regressor fit of outcome residuals on policy residual and exposure.
 
-    ``n_dropped`` counts the bootstrap draws that could not be fitted
-    (non-finite coefficients); the standard errors use the rest.
+    ``n_dropped`` counts the bootstrap draws whose Gram matrix failed the
+    collinearity guard; the standard errors use the rest.
     """
 
     delta: float
@@ -91,43 +91,29 @@ def spillover_regression(
         y = y - y.mean()
         drift = True
 
+    if n_reps > 0 and seed is None:
+        raise BadConfig("bootstrap standard errors need a seed")
     degenerate = float(s @ s) / s.size < 1e-20
-    if degenerate:
-        denom = float(w @ w)
-        if denom <= 0:
-            raise CollinearRegressors("policy residual has zero variance")
-        coef = np.array([float(w @ y) / denom, 0.0])
-    else:
-        coef = _two_regressor_ols(w, y, s)
-
+    # row 0 fits the point estimate, row r the cells that draw r resampled
+    prods = np.stack([w * w, w * s, s * s, w * y, s * y])
+    sums = np.empty((n_reps + 1, 5))
+    sums[0] = prods.sum(axis=1)
+    for r, child in enumerate(np.random.SeedSequence(seed).spawn(n_reps), 1):
+        idx = np.random.default_rng(child).integers(0, w.size, size=w.size)
+        sums[r] = prods @ np.bincount(idx, minlength=w.size)
+    coef, ok = _two_regressor_ols(sums, degenerate)
+    if not ok[0]:
+        why = "has zero variance" if degenerate else "and exposure are collinear"
+        raise CollinearRegressors(f"policy residual {why}")
+    coef, draws = coef[0], coef[1:][ok[1:]]
+    n_dropped = n_reps - len(draws)
+    se_delta = se_rho = None
     if n_reps > 0:
-        if seed is None:
-            raise BadConfig("bootstrap standard errors need a seed")
-        children = np.random.SeedSequence(seed).spawn(n_reps)
-        draws = np.empty((n_reps, 2))
-        n = w.size
-        for r in range(n_reps):
-            rng = np.random.default_rng(children[r])
-            idx = rng.integers(0, n, size=n)
-            if degenerate:
-                denom = float(w[idx] @ w[idx])
-                draws[r] = (float(w[idx] @ y[idx]) / denom if denom > 0 else np.nan, 0.0)
-            else:
-                try:
-                    draws[r] = _two_regressor_ols(w[idx], y[idx], s[idx])
-                except CollinearRegressors:
-                    draws[r] = np.nan
-        good = draws[np.isfinite(draws).all(axis=1)]
-        n_dropped = n_reps - len(good)
-        if len(good) < 2:
+        if len(draws) < 2:
             raise BootstrapUnstable(
-                f"{len(good)} of {n_reps} bootstrap draws fitted; standard errors need 2"
+                f"{len(draws)} of {n_reps} bootstrap draws fitted; standard errors need 2"
             )
-        se_delta = float(good[:, 0].std(ddof=1))
-        se_rho = float(good[:, 1].std(ddof=1))
-    else:
-        se_delta = se_rho = None
-        n_dropped = 0
+        se_delta, se_rho = (float(draws[:, j].std(ddof=1)) for j in (0, 1))
 
     return SpilloverFit(
         delta=float(coef[0]),
@@ -142,12 +128,21 @@ def spillover_regression(
     )
 
 
-def _two_regressor_ols(w, y, s) -> np.ndarray:
-    x = np.column_stack([w, s])
-    gram = x.T @ x
-    if np.linalg.cond(gram) > 1e10:
-        raise CollinearRegressors("policy residual and exposure are collinear")
-    return np.linalg.solve(gram, x.T @ y)
+def _two_regressor_ols(sums: np.ndarray, degenerate: bool):
+    """Batched no-intercept OLS of y on (w, s) from (b, 5) sums of w w, w s, s s, w y, s y.
+
+    Returns (b, 2) coefficients and ``ok``, False (and the row NaN) where the
+    Gram matrix has condition number above 1e10.  A ``degenerate`` exposure
+    is dropped: the Gram matrix becomes diag(w w, w w) and rho is 0.
+    """
+    ww, ws, ss, wy, sy = sums.T
+    if degenerate:
+        ws, ss, sy = np.zeros_like(ws), ww, np.zeros_like(sy)
+    gram = np.stack([ww, ws, ws, ss], axis=1).reshape(-1, 2, 2)
+    ok = np.linalg.cond(gram) <= 1e10
+    coef = np.full((len(ok), 2), np.nan)
+    coef[ok] = np.linalg.solve(gram[ok], np.stack([wy, sy], axis=1)[ok, :, None])[:, :, 0]
+    return coef, ok
 
 
 def oracle_atte_aste(pop: PotentialOutcomePanel) -> tuple[float, float]:
@@ -187,7 +182,7 @@ def estimate_adjusted_impact(
     residual column used as the dependent series.
     """
     s_reg = build_exposure(adjacency, treatment, mode).s_values * (1.0 - treatment)
-    s_reg = s_reg[:, fit.sample_offset :]
+    s_reg = s_reg[:, fit.spec.lag_order :]
     s_reg = s_reg - s_reg.mean(axis=1, keepdims=True)
     return spillover_regression(
         fit.residuals[:, :, 0], fit.residuals[:, :, outcome], s_reg, n_reps=n_reps, seed=seed

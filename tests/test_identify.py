@@ -177,13 +177,6 @@ class TestBootstrapIrf:
         np.testing.assert_array_equal(b1.lower, b2.lower)
         np.testing.assert_array_equal(b1.upper, b2.upper)
 
-    def test_threads_do_not_change_bands(self):
-        panel = self._panel()
-        _, b1 = bootstrap_irf(panel, PVARSpec(1), 0, 6, 120, 0.9, seed=5, n_threads=1)
-        _, b4 = bootstrap_irf(panel, PVARSpec(1), 0, 6, 120, 0.9, seed=5, n_threads=4)
-        np.testing.assert_array_equal(b1.lower, b4.lower)
-        np.testing.assert_array_equal(b1.upper, b4.upper)
-
     def test_nested_levels(self):
         panel = self._panel()
         _, wide = bootstrap_irf(panel, PVARSpec(1), 0, 6, 150, 0.90, seed=9)
