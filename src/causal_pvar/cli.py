@@ -80,7 +80,7 @@ def _parse_impact(spec: str):
             return quadratic_impact(*params)
         if kind == "step":
             return step_impact(*params)
-    except TypeError:
+    except (TypeError, ValueError):
         pass
     print(f"error: bad --impact {spec!r}; use linear:b, quadratic:a,b or step:h,thr", file=sys.stderr)
     raise SystemExit(2)

@@ -11,9 +11,9 @@ policy residuals helps decide which causal regime the data resembles
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats
 
 from .errors import BadConfig
 from .panel import PanelDataset, PVARFit, PVARSpec, companion, validate_panel
@@ -161,7 +161,7 @@ def residual_autocorr(fit: PVARFit, smax: int) -> AutocorrDiagnostic:
             corr = np.where(denom > 1e-150, cross / np.where(denom == 0, 1.0, denom), 0.0)
         tensor[:, :, s - 1] = corr
     n_tests = m * m * smax
-    z = stats.norm.ppf(1.0 - 0.05 / (2 * n_tests))
+    z = NormalDist().inv_cdf(1.0 - 0.05 / (2 * n_tests))
     bound = z / np.sqrt(fit.effective_obs)
     violated = bool(np.abs(tensor).max() > bound)
     return AutocorrDiagnostic(tensor, float(bound), violated, fit.effective_obs)

@@ -50,8 +50,6 @@ class EstimandReport:
     acrt_grid: np.ndarray
     selection_bias: float
     mc_se: dict
-    atte: float | None = None
-    aste: float | None = None
 
 
 def _check_grid(pop: PotentialOutcomePanel, grid) -> np.ndarray:

@@ -52,15 +52,17 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _fmt_value(v, quote=str) -> str:
-    """Record field text; ``quote`` renders non-numeric values (json.dumps for JSON)."""
+def _fmt_value(v, json_lines: bool = False) -> str:
+    """Record field text; None is an empty CSV field and JSON null."""
+    if v is None:
+        return "null" if json_lines else ""
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return fmt_float(v)
-    return quote(str(v))
+    return json.dumps(str(v)) if json_lines else str(v)
 
 
 def write_records(records, path, fmt: str = "csv", fieldnames=None) -> None:
@@ -79,7 +81,8 @@ def write_records(records, path, fmt: str = "csv", fieldnames=None) -> None:
             elif fmt == "json-lines":
                 for rec in records:
                     body = ", ".join(
-                        f"{json.dumps(k)}: {_fmt_value(rec[k], json.dumps)}" for k in fieldnames
+                        f"{json.dumps(k)}: {_fmt_value(rec[k], json_lines=True)}"
+                        for k in fieldnames
                     )
                     fh.write("{" + body + "}\n")
             else:
@@ -111,7 +114,7 @@ def _jsonable(v):
 
 
 def read_records(path, fmt: str = "csv") -> list[dict]:
-    """Inverse of write_records; numbers parsed back to int/float."""
+    """Inverse of write_records; numbers parsed back to int/float, empty fields to None."""
     out = []
     with open(path, encoding="utf-8") as fh:
         if fmt == "json-lines":
@@ -131,6 +134,8 @@ def read_records(path, fmt: str = "csv") -> list[dict]:
 
 
 def _parse_token(tok: str):
+    if tok == "":
+        return None
     if tok == "true":
         return True
     if tok == "false":

@@ -91,6 +91,8 @@ def spillover_regression(
         y = y - y.mean()
         drift = True
 
+    if n_reps < 0:
+        raise BadConfig(f"n_reps must be non-negative, got {n_reps}")
     if n_reps > 0 and seed is None:
         raise BadConfig("bootstrap standard errors need a seed")
     degenerate = float(s @ s) / s.size < 1e-20

@@ -1,30 +1,29 @@
 """Dose-mixing weight functions for continuous policy regimes.
 
 A recursive impact coefficient on a continuous policy averages the local
-dose-response derivative with weights determined entirely by the policy
-distribution.  For an unbounded mean-zero policy the weights are
+dose-response derivative with weights set entirely by the policy
+distribution.  Every profile has one shape: a density part ``q`` over the
+dose grid [d_L, d_U] and a scalar ``q0`` attached to the extensive margin,
+with integral(q) + q0 = 1.  For a mean-zero Gaussian policy ``q`` is the
+policy density itself and q0 = 0.  For a non-negative policy with a point
+mass at zero
 
-    q(lam) = (E[W] F(lam) - theta(lam)) / var(W),   theta(lam) = E[W 1{W <= lam}],
+    q(lam) = (E[W | W >= lam] - E[W]) P(W >= lam) / var(W)   on [d_L, d_U],
+    q0 = (E[W | W > 0] - E[W]) P(W > 0) d_L / var(W),
 
-which integrates to one and reduces to the policy density in the Gaussian
-case.  For a non-negative policy with a point mass at zero the weights
-split into a density part over the positive support [d_L, d_U]
-
-    q1(lam) = (E[W | W >= lam] - E[W]) P(W >= lam) / var(W)
-
-and a scalar q0 = (E[W | W > 0] - E[W]) P(W > 0) d_L / var(W) attached to
-the extensive margin, with integral(q1) + q0 = 1 exactly.
+and q0 = 0 when the policy has no mass at zero.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats
 
 from .errors import AllZeros, BadConfig, GridMismatch, GridTooNarrow
-from .estimands import acr_on_grid, acrt_on_grid
+from .estimands import _check_grid, acr_on_grid, acrt_on_grid
 from .scenarios import PotentialOutcomePanel
 
 __all__ = [
@@ -43,14 +42,9 @@ class WeightProfile:
     grid: np.ndarray
     d_lower: float
     d_upper: float
-    q: np.ndarray | None = None
-    theta: np.ndarray | None = None
-    cdf: np.ndarray | None = None
-    q_integral: float | None = None
-    q1: np.ndarray | None = None
-    q0: float | None = None
-    q1_integral: float | None = None
-    no_zero_mass: bool = False
+    q: np.ndarray
+    q_integral: float
+    q0: float
 
 
 @dataclass(frozen=True)
@@ -111,9 +105,9 @@ class ZeroInflatedUniform:
 def gaussian_weights(sigma: float, grid) -> WeightProfile:
     """Dose weights for a mean-zero Gaussian policy innovation.
 
-    theta(lam) = integral of m f(m) up to lam = -sigma^2 f(lam) in closed
-    form, so q(lam) = (0 * F(lam) - theta(lam)) / sigma^2 collapses to the
-    Gaussian density itself.  The grid must capture all but 1e-6 of the
+    theta(lam) = E[W 1{W <= lam}] = -sigma^2 f(lam) in closed form, so the
+    weights (E[W] F(lam) - theta(lam)) / sigma^2 are the Gaussian density
+    itself and q0 = 0.  The grid must capture all but 1e-6 of the
     probability mass.
     """
     if sigma <= 0:
@@ -121,22 +115,19 @@ def gaussian_weights(sigma: float, grid) -> WeightProfile:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or (np.diff(grid) <= 0).any():
         raise BadConfig("grid must be strictly increasing")
-    law = stats.norm(loc=0.0, scale=sigma)
+    law = NormalDist(0.0, sigma)
     mass = law.cdf(grid[-1]) - law.cdf(grid[0])
     if mass < 1.0 - 1e-6:
         raise GridTooNarrow(f"grid captures only {mass:.8f} of the policy mass")
-    pdf = law.pdf(grid)
-    cdf = law.cdf(grid)
-    theta = -(sigma**2) * pdf
-    q = (0.0 * cdf - theta) / sigma**2
+    z = grid / sigma
+    q = np.exp(-z * z / 2) / math.sqrt(2 * math.pi) / sigma
     return WeightProfile(
         grid=grid,
         d_lower=float(grid[0]),
         d_upper=float(grid[-1]),
         q=q,
-        theta=theta,
-        cdf=cdf,
         q_integral=float(np.trapezoid(q, grid)),
+        q0=0.0,
     )
 
 
@@ -144,11 +135,10 @@ def nonneg_weights(sample=None, law=None, grid=None, n_grid: int = 201) -> Weigh
     """Dose weights for a non-negative policy, from a sample or a law.
 
     The positive support is [d_L, d_U] with d_L the smallest positive
-    value observed (or the law's lower endpoint).  ``q1_integral`` is
+    value observed (or the law's lower endpoint).  ``q_integral`` is
     computed from exact moment identities rather than grid quadrature, so
-    q1_integral + q0 = 1 holds to machine precision.  When the input has
-    no mass at zero the profile degenerates to the pure continuous case:
-    q0 = 0 and ``no_zero_mass`` is set.
+    q_integral + q0 = 1 holds to machine precision.  When the input has
+    no mass at zero, q0 = 0.
     """
     if (sample is None) == (law is None):
         raise BadConfig("pass exactly one of sample= or law=")
@@ -171,7 +161,7 @@ def nonneg_weights(sample=None, law=None, grid=None, n_grid: int = 201) -> Weigh
         idx = np.searchsorted(pos_sorted, grid, side="left")
         prob_ge = (pos_sorted.size - idx) / w.size
         partial_ge = suffix[idx] / w.size
-        q1_int = float(
+        q_int = float(
             (np.mean(pos * (pos - d_lo)) * pos.size - ew * np.sum(pos - d_lo)) / (var * w.size)
         )
     else:
@@ -184,55 +174,40 @@ def nonneg_weights(sample=None, law=None, grid=None, n_grid: int = 201) -> Weigh
         grid = np.linspace(d_lo, d_hi, n_grid) if grid is None else np.asarray(grid, dtype=float)
         prob_ge = law.prob_ge(grid)
         partial_ge = law.partial_mean_ge(grid)
-        q1_int = float(1.0 - ew * p0 * d_lo / var)
+        q_int = float(1.0 - ew * p0 * d_lo / var)
 
-    q1 = (partial_ge - ew * prob_ge) / var
     q0 = ew * p0 * d_lo / var
     return WeightProfile(
         grid=grid,
         d_lower=d_lo,
         d_upper=d_hi,
-        q1=q1,
+        q=(partial_ge - ew * prob_ge) / var,
+        q_integral=q_int,
         q0=float(q0),
-        q1_integral=q1_int,
-        no_zero_mass=(p0 == 0.0),
     )
 
 
 def weighted_estimand(profile: WeightProfile, pop: PotentialOutcomePanel, mode: str) -> float:
     """Compose the dose weights with the oracle ACR or ACRT into one scalar.
 
-    Only the curve the mode reads is computed, on the panel's dose grid.
-
-    mode "acr":  integral of q * ACR  (unconditional derivative)
-    mode "acrt": integral of q * ACRT (derivative conditioned on dose)
-    mode "nonneg": integral of q1 * ACRT over [d_L, d_U]
-                   plus q0 * (mean po(d_L) - mean po(0)) / d_L.
+    ``mode`` picks the curve, computed on the panel's dose grid: "acr"
+    (unconditional derivative) or "acrt" (derivative conditioned on dose).
+    The value is the integral of q * curve over the profile's grid, plus
+    q0 * (mean po(d_L) - mean po(0)) / d_L when q0 is nonzero.
     """
-    grid = profile.grid
+    grid = _check_grid(pop, profile.grid)
     pop_grid = pop.lambda_grid
-    if grid[0] < pop_grid[0] - 1e-9 or grid[-1] > pop_grid[-1] + 1e-9:
-        raise GridMismatch("weight grid extends beyond the potential-outcome grid")
-
-    if mode in ("acr", "acrt"):
-        if profile.q is None:
-            raise GridMismatch("profile has no q weights; use gaussian_weights")
-        if mode == "acr":
-            values = acr_on_grid(pop, pop_grid)
-        else:
-            values = _fill_nan(acrt_on_grid(pop, pop_grid))
-        values = np.interp(grid, pop_grid, values)
-        return float(np.trapezoid(profile.q * values, grid))
-
-    if mode == "nonneg":
-        if profile.q1 is None or profile.q0 is None:
-            raise GridMismatch("profile has no q1/q0 weights; use nonneg_weights")
-        acrt = np.interp(grid, pop_grid, _fill_nan(acrt_on_grid(pop, pop_grid)))
-        intensive = float(np.trapezoid(profile.q1 * acrt, grid))
+    if mode == "acr":
+        curve = acr_on_grid(pop, pop_grid)
+    elif mode == "acrt":
+        curve = _fill_nan(acrt_on_grid(pop, pop_grid))
+    else:
+        raise BadConfig(f"unknown mode {mode!r}")
+    value = float(np.trapezoid(profile.q * np.interp(grid, pop_grid, curve), grid))
+    if profile.q0 != 0:
         gain = float(pop.po_at(profile.d_lower).mean() - pop.po_at(0.0).mean())
-        return intensive + profile.q0 * gain / profile.d_lower
-
-    raise BadConfig(f"unknown mode {mode!r}")
+        value += profile.q0 * gain / profile.d_lower
+    return value
 
 
 def _fill_nan(values: np.ndarray) -> np.ndarray:

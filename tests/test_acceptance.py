@@ -121,14 +121,14 @@ def test_criterion_3_gaussian_weights_and_acr():
 
 def test_criterion_4_nonnegative_mixture():
     law_prof = nonneg_weights(law=ZeroInflatedUniform(0.5, 1.0, 2.0))
-    law_err = abs(law_prof.q1_integral + law_prof.q0 - 1.0)
+    law_err = abs(law_prof.q_integral + law_prof.q0 - 1.0)
     rng = np.random.default_rng(404)
     n = 1_000_000
     sample = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(1.0, 2.0, n))
     samp_prof = nonneg_weights(sample=sample)
-    samp_err = abs(samp_prof.q1_integral + samp_prof.q0 - 1.0)
+    samp_err = abs(samp_prof.q_integral + samp_prof.q0 - 1.0)
     report("4a", law_err < 1e-6 and samp_err < 1e-6,
-           f"q1 integral + q0 = 1 within {law_err:.2e} (law) and {samp_err:.2e} "
+           f"q integral + q0 = 1 within {law_err:.2e} (law) and {samp_err:.2e} "
            f"(1e6-draw sample), both < 1e-6")
 
     rep = verify_theorem("T7", reps=200)

@@ -104,6 +104,20 @@ class TestResidualAutocorr:
         assert np.abs(diag.tensor).max() == 0.0
         assert not diag.violated
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_bound_matches_scipy_quantile(self, m):
+        from scipy import stats
+
+        fit = PVARFit(
+            phi=(np.zeros((m, m)),), mu=np.zeros((3, m)),
+            residuals=np.zeros((3, 20, m)), sigma=np.eye(m),
+            spec=PVARSpec(1), effective_obs=60,
+        )
+        for smax in range(1, 7):
+            want = stats.norm.ppf(1.0 - 0.05 / (2 * m * m * smax)) / np.sqrt(60)
+            got = residual_autocorr(fit, smax).bound
+            assert abs(got - want) <= 1e-15 * want
+
 
 def _fit_with_phi(phi_list):
     phi_list = tuple(np.asarray(p, dtype=float) for p in phi_list)

@@ -68,6 +68,15 @@ class TestRecords:
         back = read_records(path)
         assert back[0]["b"] == np.pi and back[1]["b"] == -1e-17
 
+    def test_none_round_trips(self, tmp_path):
+        recs = [{"term": "x", "estimate": 0.5, "se": None}]
+        write_records(recs, tmp_path / "r.csv")
+        write_records(recs, tmp_path / "r.jsonl", fmt="json-lines")
+        assert (tmp_path / "r.csv").read_text() == "term,estimate,se\nx,0.5,\n"
+        assert (tmp_path / "r.jsonl").read_text() == '{"term": "x", "estimate": 0.5, "se": null}\n'
+        assert read_records(tmp_path / "r.csv") == recs
+        assert read_records(tmp_path / "r.jsonl", fmt="json-lines") == recs
+
 
 class TestPanelCsv:
     def _panel(self, seed=0):
@@ -166,6 +175,26 @@ def sim_dir(tmp_path_factory):
     )
     assert res.returncode == 0, res.stderr
     return out
+
+
+@pytest.fixture(scope="module")
+def spill_dir(tmp_path_factory):
+    """A 0/1-policy spillover panel with a line-graph edge list beside it."""
+    out = tmp_path_factory.mktemp("cli") / "spill"
+    res = run_cli("simulate", "--regime", "spillover_dummy", "--units", "30",
+                  "--times", "60", "--treat-prob", "0.15", "--rho", "0.5",
+                  "--phi", "0.0,0.0;0.3,0.35", "--mu-scale", "0.0",
+                  "--seed", "4", "--output", str(out))
+    assert res.returncode == 0, res.stderr
+    (out / "edges.csv").write_text("".join(f"{i + 1},{i + 2}\n" for i in range(29)))
+    return out
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, causal_pvar.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 class TestCli:
@@ -304,6 +333,29 @@ class TestCli:
         res = run_cli("spillover", "--input", str(tmp_path / "panel.csv"), "--adjacency",
                       str(path), "--seed", "1", "--output", str(tmp_path / "o"))
         self._one_error_line(res, 1)
+
+    @pytest.mark.parametrize("impact", ["linear:abc", "quadratic:1,x"])
+    def test_non_numeric_impact_exits_2(self, tmp_path, impact):
+        res = run_cli("simulate", "--regime", "gaussian_continuous", "--impact", impact,
+                      "--seed", "1", "--output", str(tmp_path / "sim"))
+        self._one_error_line(res, 2)
+
+    def test_negative_spillover_reps_exits_1(self, spill_dir, tmp_path):
+        res = run_cli("spillover", "--input", str(spill_dir / "panel.csv"),
+                      "--adjacency", str(spill_dir / "edges.csv"), "--reps", "-3",
+                      "--seed", "1", "--output", str(tmp_path / "spill"))
+        self._one_error_line(res, 1)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_spillover_without_bootstrap_writes_empty_se(self, spill_dir, tmp_path, fmt):
+        out = tmp_path / "spill"
+        res = run_cli("spillover", "--input", str(spill_dir / "panel.csv"),
+                      "--adjacency", str(spill_dir / "edges.csv"), "--reps", "0",
+                      "--seed", "1", "--format", fmt, "--output", str(out))
+        assert res.returncode == 0, res.stderr
+        recs = read_records(out / "spillover.csv", fmt=fmt)
+        assert [r["se"] for r in recs] == [None, None]
+        assert all(isinstance(r["estimate"], float) for r in recs)
 
     def test_non_integer_seed_env_exits_2(self, tmp_path):
         res = run_cli("simulate", "--regime", "homogeneous_dummy", "--units", "10",

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from causal_pvar.errors import (
     AsymmetricAdjacency,
+    BadConfig,
     BootstrapUnstable,
     NoTreatedCells,
     SelfLoop,
@@ -122,6 +123,11 @@ class TestSpilloverRegression:
         y = 1.2 * w + 0.4 * s + 0.05 * rng.standard_normal(5000)
         fit = spillover_regression(w, y, s, n_reps=0)
         assert fit.delta == pytest.approx((w @ (y - y.mean())) / (w @ w), abs=1e-10)
+
+    def test_negative_reps_rejected(self):
+        w, y, s = self._centered()
+        with pytest.raises(BadConfig):
+            spillover_regression(w, y, s, n_reps=-3, seed=5)
 
     def test_same_seed_identical_ses(self):
         rng = np.random.default_rng(4)

@@ -39,13 +39,16 @@ class TestGaussianWeights:
         np.testing.assert_allclose(prof.q, stats.norm.pdf(grid, scale=2.0), atol=1e-8)
 
     def test_theta_matches_partial_moment_quadrature(self):
-        # theta(lam) = integral of m f(m) below lam, checked by quadrature.
+        # theta(lam) = integral of m f(m) below lam = -sigma^2 q(lam), by quadrature.
         from scipy.integrate import quad
 
         prof = gaussian_weights(1.5, np.linspace(-9, 9, 25))
-        for lam, theta in zip(prof.grid[::6], prof.theta[::6]):
+        for lam, theta in zip(prof.grid[::6], -(1.5**2) * prof.q[::6]):
             oracle, _ = quad(lambda m: m * stats.norm.pdf(m, scale=1.5), -20, lam)
             assert theta == pytest.approx(oracle, abs=1e-9)
+
+    def test_no_extensive_margin(self):
+        assert gaussian_weights(1.0, DENSE).q0 == 0.0
 
     def test_narrow_grid_rejected(self):
         with pytest.raises(GridTooNarrow):
@@ -61,15 +64,15 @@ class TestNonnegWeights:
         var = 7.0 / 6.0 - 0.5625
         assert prof.q0 == pytest.approx(0.75 * 0.5 * 1.0 / var, abs=1e-12)
         assert prof.q0 == pytest.approx(0.6207, abs=1e-4)
-        assert prof.q1_integral == pytest.approx(0.3793, abs=1e-4)
-        assert prof.q1_integral + prof.q0 == pytest.approx(1.0, abs=1e-12)
+        assert prof.q_integral == pytest.approx(0.3793, abs=1e-4)
+        assert prof.q_integral + prof.q0 == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_positive_part(self):
         # Two-point law: all positive mass at a single point d.
         law = ZeroInflatedUniform(0.4, 1.7, 1.7)
         prof = nonneg_weights(law=law)
         assert prof.q0 == pytest.approx(1.0, abs=1e-12)
-        assert prof.q1_integral == pytest.approx(0.0, abs=1e-12)
+        assert prof.q_integral == pytest.approx(0.0, abs=1e-12)
 
     def test_empirical_converges_to_law(self):
         rng = np.random.default_rng(0)
@@ -78,8 +81,8 @@ class TestNonnegWeights:
         prof = nonneg_weights(sample=w, n_grid=101)
         law_prof = nonneg_weights(law=ZeroInflatedUniform(0.5, 1.0, 2.0), grid=prof.grid)
         assert prof.q0 == pytest.approx(law_prof.q0, abs=1e-2)
-        np.testing.assert_allclose(prof.q1, law_prof.q1, atol=1e-2)
-        assert prof.q1_integral + prof.q0 == pytest.approx(1.0, abs=1e-10)
+        np.testing.assert_allclose(prof.q, law_prof.q, atol=1e-2)
+        assert prof.q_integral + prof.q0 == pytest.approx(1.0, abs=1e-10)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -89,7 +92,7 @@ class TestNonnegWeights:
     )
     def test_normalization_identity_any_mixture(self, p0, low, width):
         prof = nonneg_weights(law=ZeroInflatedUniform(p0, low, low + width))
-        assert prof.q1_integral + prof.q0 == pytest.approx(1.0, abs=1e-9)
+        assert prof.q_integral + prof.q0 == pytest.approx(1.0, abs=1e-9)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 100_000))
@@ -97,11 +100,11 @@ class TestNonnegWeights:
         rng = np.random.default_rng(seed)
         w = np.where(rng.random(5000) < 0.4, 0.0, rng.gamma(2.0, 1.0, size=5000) + 0.1)
         prof = nonneg_weights(sample=w)
-        assert prof.q1_integral + prof.q0 == pytest.approx(1.0, abs=1e-9)
+        assert prof.q_integral + prof.q0 == pytest.approx(1.0, abs=1e-9)
 
     def test_no_zero_mass_flagged(self):
         prof = nonneg_weights(sample=np.random.default_rng(3).uniform(1, 2, 1000))
-        assert prof.no_zero_mass and prof.q0 == 0.0
+        assert prof.q0 == 0.0
 
     def test_all_zeros(self):
         with pytest.raises(AllZeros):
@@ -142,6 +145,6 @@ class TestWeightedEstimand:
             ew, ew2, ew3 = 0.75, 7 / 6, 15 / 8
             var = ew2 - ew**2
             analytic = (0.5 * ew2 + 0.3 * ew3 - ew * (0.5 * ew + 0.3 * ew2)) / var
-            diffs.append(weighted_estimand(prof, pop, "nonneg") - analytic)
+            diffs.append(weighted_estimand(prof, pop, "acrt") - analytic)
         se = np.std(diffs, ddof=1) / np.sqrt(len(diffs))
         assert abs(np.mean(diffs)) < 3 * se + 1e-3
