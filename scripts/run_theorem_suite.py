@@ -20,12 +20,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from causal_pvar.io import write_records  # noqa: E402
-from causal_pvar.verify import (  # noqa: E402
-    THEOREMS,
-    default_config,
-    verify_interference,
-    verify_theorem,
-)
+from causal_pvar.verify import verify_suite  # noqa: E402
 
 
 def main() -> int:
@@ -36,15 +31,11 @@ def main() -> int:
     args = ap.parse_args()
 
     reports = []
-    for name in (*THEOREMS, "interference"):
-        t0 = time.time()
-        cfg = default_config(name).with_seed(args.seed)
-        if name == "interference":
-            rep = verify_interference(cfg, reps=args.reps)
-        else:
-            rep = verify_theorem(name, cfg, reps=args.reps)
+    t0 = time.time()
+    for rep in verify_suite(args.seed, args.reps):
         print(f"{rep.summary_line()}  [{time.time() - t0:.1f}s]")
         reports.append(rep)
+        t0 = time.time()
 
     if args.out:
         os.makedirs(args.out, exist_ok=True)

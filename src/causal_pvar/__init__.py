@@ -21,6 +21,7 @@ from .diagnostics import (
 from .errors import CausalPvarError
 from .estimands import (
     EstimandReport,
+    average_effects,
     did_four_means,
     dummy_gamma,
     oracle_estimands,
@@ -70,6 +71,7 @@ from .verify import (
     VerificationReport,
     default_config,
     verify_interference,
+    verify_suite,
     verify_theorem,
 )
 from .weights import (

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .scenarios import (
 )
 from .spillover import estimate_adjusted_impact, oracle_atte_aste
 from .estimands import oracle_estimands
-from .verify import THEOREMS, default_config, verify_interference, verify_theorem
+from .verify import THEOREMS, verify_suite
 
 SEED_ENV = "CAUSAL_PVAR_SEED"
 
@@ -138,6 +137,12 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _write_records(records, args, stem: str) -> None:
+    """Write result records to ``<stem>.csv``, or ``<stem>.jsonl`` under --format json-lines."""
+    name = stem + (".csv" if args.format == "csv" else ".jsonl")
+    cpio.write_records(records, os.path.join(args.output, name), fmt=args.format)
+
+
 def _load_panel(args):
     return cpio.load_panel_csv(args.input, n_policies=args.policies)
 
@@ -175,7 +180,7 @@ def cmd_lagselect(args) -> int:
         }
         for i, p in enumerate(table.lags)
     ]
-    cpio.write_records(records, os.path.join(args.output, "lagselect.csv"), fmt=args.format)
+    _write_records(records, args, "lagselect")
     print("chosen:", {k: int(v) for k, v in table.chosen.items()})
     return 0
 
@@ -239,7 +244,7 @@ def cmd_irf(args) -> int:
                 }
             )
     cpio.ensure_dir(args.output)
-    cpio.write_records(records, os.path.join(args.output, "irf.csv"), fmt=args.format)
+    _write_records(records, args, "irf")
     return 0
 
 
@@ -259,13 +264,13 @@ def cmd_spillover(args) -> int:
         mode=args.mode, outcome=args.outcome, n_reps=args.reps, seed=seed,
     )
     cpio.ensure_dir(args.output)
-    cpio.write_records(
+    _write_records(
         [
             {"term": panel.variable_names[0], "estimate": reg.delta, "se": reg.se_delta},
             {"term": "spillover_exposure", "estimate": reg.rho, "se": reg.se_rho},
         ],
-        os.path.join(args.output, "spillover.csv"),
-        fmt=args.format,
+        args,
+        "spillover",
     )
     return 0
 
@@ -274,18 +279,11 @@ def cmd_verify(args) -> int:
     seed = _resolve_seed(args)
     cpio.ensure_dir(args.output)
     reports = []
-    names = [*THEOREMS, "interference"] if args.theorem == "all" else [args.theorem]
-    for name in names:
-        cfg = default_config(name).with_seed(seed)
-        if name == "interference":
-            rep = verify_interference(replace(cfg, spillover_rho=args.rho), reps=args.reps)
-        else:
-            rep = verify_theorem(name, cfg, reps=args.reps)
+    names = None if args.theorem == "all" else [args.theorem]
+    for rep in verify_suite(seed, args.reps, names, rho=args.rho):
         print(rep.summary_line())
         reports.append(rep)
-    fname = "verify.csv" if args.format == "csv" else "verify.jsonl"
-    cpio.write_records([r.record() for r in reports], os.path.join(args.output, fname),
-                       fmt=args.format)
+    _write_records([r.record() for r in reports], args, "verify")
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -25,6 +25,7 @@ from .scenarios import DUMMY_REGIMES, PotentialOutcomePanel
 __all__ = [
     "EstimandReport",
     "oracle_estimands",
+    "average_effects",
     "acr_on_grid",
     "acrt_on_grid",
     "selection_bias",
@@ -73,31 +74,18 @@ def oracle_estimands(pop: PotentialOutcomePanel, grid=None) -> EstimandReport:
     ``acr_on_grid`` and ``acrt_on_grid``).
     """
     grid = _check_grid(pop, grid)
-    w = pop.assignments
-    n_cells = w.size
-
-    po1 = pop.po_at(1.0) if grid[-1] >= 1.0 - 1e-12 and grid[0] <= 1e-12 else None
-    if po1 is not None:
-        po0 = pop.po_at(0.0)
-        effects = po1 - po0
-        ate = float(effects.mean())
-        se_ate = float(effects.std(ddof=1) / np.sqrt(n_cells))
-    else:
-        ate, se_ate, effects = float("nan"), float("nan"), None
-
-    treated = np.abs(w) > 1e-12
-    if not treated.any():
-        raise EmptyTreatedSet("no realized-treated cells")
-    if effects is not None:
+    ate = att = se_ate = se_att = float("nan")
+    treated = _treated(pop)
+    if grid[-1] >= 1.0 - 1e-12 and grid[0] <= 1e-12:
+        effects = pop.po_at(1.0) - pop.po_at(0.0)
         treated_effects = effects[treated]
-        att = float(treated_effects.mean())
+        ate, att = float(effects.mean()), float(treated_effects.mean())
+        se_ate = float(effects.std(ddof=1) / np.sqrt(effects.size))
         se_att = float(
             treated_effects.std(ddof=1) / np.sqrt(treated_effects.size)
             if treated_effects.size > 1
             else 0.0
         )
-    else:
-        att, se_att = float("nan"), float("nan")
 
     acr = acr_on_grid(pop, grid)
     acrt = acrt_on_grid(pop, grid)
@@ -116,6 +104,20 @@ def oracle_estimands(pop: PotentialOutcomePanel, grid=None) -> EstimandReport:
         selection_bias=delta,
         mc_se={"ate": se_ate, "att": se_att},
     )
+
+
+def _treated(pop: PotentialOutcomePanel) -> np.ndarray:
+    treated = np.abs(pop.assignments) > 1e-12
+    if not treated.any():
+        raise EmptyTreatedSet("no realized-treated cells")
+    return treated
+
+
+def average_effects(pop: PotentialOutcomePanel) -> tuple[float, float]:
+    """ATE and ATT of ``oracle_estimands``, without its dose-response curves:
+    po(1) - po(0) averaged over every cell and over the realized-treated cells."""
+    effects = pop.po_at(1.0) - pop.po_at(0.0)
+    return float(effects.mean()), float(effects[_treated(pop)].mean())
 
 
 def acr_on_grid(pop: PotentialOutcomePanel, grid: np.ndarray) -> np.ndarray:

@@ -8,9 +8,10 @@ var(policy residual).  Dynamics come from powers of the companion matrix;
 confidence bands from a recursive residual bootstrap.
 
 The bootstrap is batched: replications are taken in chunks bounded by
-``CHUNK_BYTES`` of regenerated panel, each chunk regenerated by one loop
-over time and refitted from one within-demeaned cross-product per
-replication by ``fit_pvar``'s solver, then factored and propagated by the
+``CHUNK_BYTES`` of regenerated panel, each chunk regenerated by the VAR
+recursion that ``simulate_var_panel`` runs, one loop over time, and
+refitted from one within-demeaned cross-product per replication by
+``fit_pvar``'s solver, then factored and propagated by the
 same batched helpers that ``cholesky_lower`` and ``irf`` apply, with a
 leading axis of one, to the point estimate from ``fit_pvar``.
 
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BootstrapUnstable, CausalPvarError, NotPSD, ZeroPolicyVariance
-from .panel import PanelDataset, PVARFit, PVARSpec, companion, fit_pvar
-from .panel import _sample_dummies, _within_cross, _within_design, _within_ols
+from .panel import CHUNK_BYTES, PanelDataset, PVARFit, PVARSpec, companion, fit_pvar
+from .panel import _sample_dummies, _var_recursion, _within_fit
 
 __all__ = [
     "CholeskyFactor",
@@ -43,10 +44,6 @@ __all__ = [
 
 UNIT_SHOCK = "unit-shock"
 ONE_SD = "one-sd"
-
-# Regenerated panel bytes per bootstrap chunk (at least one replication per
-# chunk): bounds the engine's working memory, a few times this, for any B.
-CHUNK_BYTES = 512 * 1024
 
 # Factor policy, shared by the point estimate and every bootstrap replication.
 PSD_FLOOR = -1e-8  # a covariance eigenvalue below this is not PSD
@@ -227,32 +224,16 @@ def _regenerate(
     """
     drop = initial.shape[0]
     tr, b, n, m = shocks.shape
-    innov = (shocks + drift[drop:, None]).reshape(tr, b * n, m)
-    out = np.empty((drop + tr, b * n, m))
-    out.reshape(-1, b, n, m)[:drop] = initial[:, None]
-    phi_t = [phi.T.copy() for phi in fit.phi]
-    for s in range(drop, drop + tr):
-        x = np.matmul(out[s - 1], phi_t[0], out=out[s])
-        for l in range(2, len(phi_t) + 1):
-            x += out[s - l] @ phi_t[l - 1]
-        x += innov[s - drop]
-    return out.reshape(-1, b, n, m)
+    out = np.empty((drop + tr, b, n, m))
+    out[:drop] = initial[:, None]
+    np.add(shocks, drift[drop:, None], out=out[drop:])
+    _var_recursion(out.reshape(drop + tr, b * n, m), fit.phi)
+    return out
 
 
 def _refit(states: np.ndarray, p: int, dummies: np.ndarray | None):
-    """Within-OLS refit of every panel in a chunk from one cross-product each.
-
-    ``states`` is the (t, b, n, m) output of ``_regenerate``; as in
-    ``fit_pvar`` the first p periods are dropped and ``dummies`` are the
-    per-unit demeaned ((t - p) * n, d) dummy rows, time-major.  Returns
-    ``_within_ols``'s ``(coef, sigma, ok)``: a non-finite panel yields a
-    non-finite cross-product and fails like a singular one.
-    """
-    t, b, n, m = states.shape
-    with np.errstate(invalid="ignore", over="ignore"):
-        z, _ = _within_design(states.transpose(1, 0, 2, 3), p)
-        cross, _ = _within_cross(z.reshape(b, n * (t - p), -1), dummies)
-    return _within_ols(cross, m * p, n * (t - p))
+    """``_within_fit``'s ``(coef, sigma, ok)`` for the (t, b, n, m) output of ``_regenerate``."""
+    return _within_fit(states, p, dummies)[1:]
 
 
 def _responses(coef, sigma, ok, k: int, horizon: int, normalization: str):

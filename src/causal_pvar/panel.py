@@ -26,6 +26,10 @@ from .errors import (
 
 # Largest condition number of a lag Gram matrix scaled to a unit diagonal.
 COND_LIMIT = 1e12
+# Panel bytes per chunk of the batched engines (bootstrap replications,
+# Monte-Carlo replications; at least one per chunk): bounds their working
+# memory, a few times this, for any number of replications.
+CHUNK_BYTES = 512 * 1024
 
 __all__ = [
     "PanelDataset",
@@ -181,12 +185,13 @@ def validate_panel(raw: PanelDataset) -> PanelDataset:
     vals = raw.values
     if vals.ndim != 3:
         raise BadOrdering(f"values must be (unit, time, variable), got ndim={vals.ndim}")
-    missing = np.isnan(vals).all(axis=2)
-    if missing.any():
-        i, j = np.argwhere(missing)[0]
-        raise UnbalancedPanel(i + 1, j + 1)
-    if not np.isfinite(vals).all():
-        bad = np.argwhere(~np.isfinite(vals))[0]
+    finite = np.isfinite(vals)
+    if not finite.all():
+        missing = np.isnan(vals).all(axis=2)
+        if missing.any():
+            i, j = np.argwhere(missing)[0]
+            raise UnbalancedPanel(i + 1, j + 1)
+        bad = np.argwhere(~finite)[0]
         raise NonFinite(
             f"non-finite value at (unit={bad[0] + 1}, time={bad[1] + 1}, "
             f"variable={bad[2] + 1})"
@@ -310,6 +315,22 @@ def _within_ols(cross: np.ndarray, mp: int, eff: int):
     return coef, sigma, ok
 
 
+def _within_fit(states: np.ndarray, p: int, dummies: np.ndarray | None = None):
+    """Within-OLS fit of a chunk of b time-major (t, b, n, m) panels.
+
+    As in ``fit_pvar`` the first p periods are dropped; ``dummies`` are the
+    per-unit demeaned ((t - p) * n, d) dummy rows, time-major.  Returns
+    ``(z, coef, sigma, ok)``: the (b, t - p, n, mp + m) design and
+    ``_within_ols``'s results.  A non-finite panel yields a non-finite
+    cross-product and fails like a singular one.
+    """
+    t, b, n, m = states.shape
+    with np.errstate(invalid="ignore", over="ignore"):
+        z, _ = _within_design(states.transpose(1, 0, 2, 3), p)
+        cross, _ = _within_cross(z.reshape(b, n * (t - p), -1), dummies)
+    return (z, *_within_ols(cross, m * p, n * (t - p)))
+
+
 def _within_ols_one(cross: np.ndarray, mp: int, eff: int):
     """``_within_ols`` of one (mp + m, mp + m) cross-product; SingularDesign if rejected."""
     coef, sigma, ok = _within_ols(cross[None], mp, eff)
@@ -365,6 +386,22 @@ def fit_pvar(panel: PanelDataset, spec: PVARSpec) -> PVARFit:
         intercepts=intercepts,
         dummy_coef=dummy_coef,
     )
+
+
+def _var_recursion(states: np.ndarray, phi) -> np.ndarray:
+    """Run VAR(p) dynamics in place over time-major (T, N, m) ``states``.
+
+    On entry ``states[:p]`` holds the p initial states and ``states[p:]`` the
+    innovations, intercepts included.  On return ``states[s]`` is
+    ``innovation_s + states[s - 1] @ phi[0].T + ... + states[s - p] @ phi[p - 1].T``,
+    summed in that order, for s >= p.
+    """
+    phi_t = [f.T for f in phi]
+    rows, step = list(states), np.empty(states.shape[1:])
+    for s in range(len(phi_t), len(rows)):
+        for l, f in enumerate(phi_t, 1):
+            rows[s] += np.matmul(rows[s - l], f, out=step)
+    return states
 
 
 def companion(fit: PVARFit) -> CompanionMatrix:

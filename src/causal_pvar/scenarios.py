@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import AsymmetricAdjacency, BadConfig, SelfLoop
-from .panel import PanelDataset
+from .panel import PanelDataset, _var_recursion
 
 __all__ = [
     "ImpactFunction",
@@ -268,20 +268,15 @@ def simulate_var_panel(phi, mu, innovations, n_policies=1, variable_names=None) 
     shifts every observation by exactly that constant.
     """
     phi = _as_phi_tuple(phi)
-    m = phi[0].shape[0]
-    p = len(phi)
+    m, p = phi[0].shape[0], len(phi)
     innovations = np.asarray(innovations, dtype=float)
     n, t = innovations.shape[0], innovations.shape[1]
     mu = np.asarray(mu, dtype=float).reshape(n, m)
-    const = mu @ (np.eye(m) - sum(phi)).T
-    buf = np.empty((n, t + p, m))
-    buf[:, :p, :] = mu[:, None, :]
-    for s in range(t):
-        x = const + innovations[:, s, :]
-        for l in range(1, p + 1):
-            x = x + buf[:, p + s - l, :] @ phi[l - 1].T
-        buf[:, p + s, :] = x
-    return PanelDataset(buf[:, p:, :], n_policies, variable_names or _default_names(n_policies, m))
+    states = np.empty((p + t, n, m))
+    states[:p] = mu
+    np.add(mu @ (np.eye(m) - sum(phi)).T, innovations.transpose(1, 0, 2), out=states[p:])
+    values = _var_recursion(states, phi)[p:].transpose(1, 0, 2)
+    return PanelDataset(values, n_policies, variable_names or _default_names(n_policies, m))
 
 
 def _default_names(n_policies: int, m: int) -> tuple[str, ...]:
@@ -371,6 +366,18 @@ def _default_grid(config: ScenarioConfig) -> np.ndarray:
     return np.concatenate([[0.0], np.linspace(low, high, 121)])
 
 
+@dataclass(frozen=True)
+class _Draw:
+    """The draw step of one replication: unit means ``mu`` (n, 2), the
+    outcome noise ``burn`` (n, burn_in) of the burn-in periods, and the
+    ground truth, whose assignments and realized outcomes are the policy
+    and outcome innovations of the sample periods."""
+
+    mu: np.ndarray
+    burn: np.ndarray
+    pop: PotentialOutcomePanel
+
+
 def simulate_scenario(config: ScenarioConfig) -> tuple[PanelDataset, PotentialOutcomePanel]:
     """Generate one panel plus its fully observed potential outcomes.
 
@@ -382,6 +389,41 @@ def simulate_scenario(config: ScenarioConfig) -> tuple[PanelDataset, PotentialOu
     outcome at the realized assignment exactly.
     """
     phi = _validate_config(config)
+    draw = _draw(config)
+    values = _propagate(phi, [draw])[-config.n_times:, 0].transpose(1, 0, 2)
+    return PanelDataset(values, 1, _default_names(1, 2)), draw.pop
+
+
+def _propagate(phi, draws: list[_Draw]) -> np.ndarray:
+    """Time-major (p + burn_in + t, b, n, 2) states of b draws of one config.
+
+    The pre-sample state is pinned at ``mu``; zero policy innovations and
+    ``burn`` drive the burn-in periods, then the draw's assignments and
+    realized outcomes the sample periods, all shifted by ``(I - sum phi) mu``
+    as in ``simulate_var_panel``.
+    """
+    p = len(phi)
+    n, t = draws[0].pop.base.shape
+    burn_in = draws[0].burn.shape[1]
+    b = len(draws)
+    states = np.empty((p + burn_in + t, b, n, 2))
+    drift = (np.eye(2) - sum(phi)).T
+    for r, draw in enumerate(draws):
+        units = states[:, r]
+        units[:p] = draw.mu
+        units[p : p + burn_in, :, 0] = 0.0
+        units[p : p + burn_in, :, 1] = draw.burn.T
+        units[p + burn_in :, :, 0] = draw.pop.assignments.T
+        units[p + burn_in :, :, 1] = draw.pop.realized_outcomes.T
+        units[p:] += draw.mu @ drift
+    _var_recursion(states.reshape(-1, b * n, 2), phi)
+    return states
+
+
+def _draw(config: ScenarioConfig) -> _Draw:
+    """Every random draw of one replication from ``default_rng(config.seed)``,
+    in order: unit means, effect scales, assignment, outcome noise, burn-in
+    noise.  ``config`` has passed ``_validate_config``."""
     rng = np.random.default_rng(config.seed)
     n, t = config.n_units, config.n_times
     g = config.impact
@@ -481,15 +523,7 @@ def simulate_scenario(config: ScenarioConfig) -> tuple[PanelDataset, PotentialOu
     grid = _default_grid(config)
     realized = scale[:, None] * g(w) + base
 
-    innovations = np.stack([w, realized], axis=2)
-    if config.burn_in > 0:
-        burn = np.zeros((n, config.burn_in, 2))
-        burn[:, :, 1] = config.noise_scale * rng.standard_normal((n, config.burn_in))
-        full = np.concatenate([burn, innovations], axis=1)
-    else:
-        full = innovations
-    panel = simulate_var_panel(phi, mu, full, n_policies=1)
-    panel = PanelDataset(panel.values[:, -t:, :], 1, panel.variable_names)
+    burn = config.noise_scale * rng.standard_normal((n, max(config.burn_in, 0)))
 
     pop = PotentialOutcomePanel(
         regime=config.regime,
@@ -503,4 +537,4 @@ def simulate_scenario(config: ScenarioConfig) -> tuple[PanelDataset, PotentialOu
         impact_scale=scale[:, None],
         base=base,
     )
-    return panel, pop
+    return _Draw(mu, burn, pop)

@@ -7,20 +7,27 @@ and compares the mean discrepancy against three Monte-Carlo standard
 errors of that mean.  T1 is an exact finite-sample decomposition and is
 checked at 1e-10 instead.  ``CHECKS`` holds every check: its default
 scenario, its per-replication (estimate, oracle) pairs and its test.
+
+Replications run in chunks of about ``CHUNK_BYTES`` of panel.  Each
+replication draws from its own seed, as ``simulate_scenario`` does, and
+its oracles are computed on its own ground truth; the chunk's panels are
+then propagated through the VAR dynamics by one time-major loop and fitted
+together by the within-OLS kernel, whose covariance gives the impact
+coefficient ``sigma[1, 0] / sigma[0, 0]``.  The chunking does not change
+the results.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .errors import BadConfig, RegimeMismatch
-from .estimands import did_four_means, dummy_gamma, oracle_estimands
-from .identify import cholesky_lower, impact_gamma
-from .panel import PVARSpec, fit_pvar
+from .errors import BadConfig, RegimeMismatch, SingularDesign
+from .estimands import average_effects, did_four_means, dummy_gamma, selection_bias
+from .panel import CHUNK_BYTES, PanelDataset, PVARSpec, _within_fit, validate_panel
 from .scenarios import (
     GAUSSIAN_CONTINUOUS,
     HETEROGENEOUS_DUMMY,
@@ -31,8 +38,8 @@ from .scenarios import (
     ScenarioConfig,
     linear_impact,
     quadratic_impact,
-    simulate_scenario,
 )
+from .scenarios import _draw, _propagate, _validate_config
 from .spillover import estimate_adjusted_impact, oracle_atte_aste
 from .weights import ZeroInflatedUniform, gaussian_weights, nonneg_weights, weighted_estimand
 
@@ -42,6 +49,7 @@ __all__ = [
     "VerificationReport",
     "default_config",
     "verify_interference",
+    "verify_suite",
     "verify_theorem",
     "THEOREMS",
 ]
@@ -122,22 +130,36 @@ class InterferenceReport:
         }
 
 
-def _pipeline_gamma(panel, lag_order: int = 1) -> tuple:
-    fit = fit_pvar(panel, PVARSpec(lag_order))
-    gamma = impact_gamma(cholesky_lower(fit.sigma), 0, 1)
-    return gamma, fit
+@dataclass(frozen=True)
+class _RepFit:
+    """One replication's VAR(1) within fit, as read by the checks: the
+    recursive impact coefficient ``gamma``, and the design Z (t - 1, n, 4)
+    and slopes from which ``residuals`` are read (``estimate_adjusted_impact``
+    reads those and ``spec`` of a ``PVARFit``)."""
+
+    gamma: float
+    design: np.ndarray
+    coef: np.ndarray
+    spec: PVARSpec = PVARSpec(1)
+
+    @property
+    def residuals(self) -> np.ndarray:
+        """(n, t - 1, 2) residuals ``Z [-coef; I]``, as ``fit_pvar`` gives them."""
+        t, n, q = self.design.shape
+        beta = np.vstack([-self.coef, np.eye(self.coef.shape[1])])
+        return (self.design.reshape(t * n, q) @ beta).reshape(t, n, -1).transpose(1, 0, 2)
 
 
-def _t1_pairs(config, panel, pop):
+def _t1_pairs(config, pop):
     # Binary contrast = ATE + selection bias, on the true innovations.
-    report = oracle_estimands(pop)
-    return ((dummy_gamma(pop.assignments, pop.realized_outcomes),
-             report.ate + report.selection_bias),)
+    pair = (dummy_gamma(pop.assignments, pop.realized_outcomes),
+            average_effects(pop)[0] + selection_bias(pop))
+    return lambda fit: (pair,)
 
 
-def _t2_pairs(config, panel, pop):
-    report = oracle_estimands(pop)
-    return (_pipeline_gamma(panel)[0], report.ate), (report.selection_bias, 0.0)
+def _t2_pairs(config, pop):
+    ate, bias = average_effects(pop)[0], selection_bias(pop)
+    return lambda fit: ((fit.gamma, ate), (bias, 0.0))
 
 
 @functools.lru_cache(maxsize=16)
@@ -148,57 +170,69 @@ def _gaussian_quadrature_oracle(sigma: float, impact) -> float:
     return float(np.trapezoid(dens * impact.derivative(lam), lam))
 
 
-def _t3_pairs(config, panel, pop):
-    oracle = _gaussian_quadrature_oracle(config.policy_sigma, config.impact)
-    return ((_pipeline_gamma(panel)[0], oracle),)
+def _gamma_vs(oracle: float):
+    return lambda fit: ((fit.gamma, oracle),)
+
+
+def _t3_pairs(config, pop):
+    return _gamma_vs(_gaussian_quadrature_oracle(config.policy_sigma, config.impact))
 
 
 def _gaussian_pairs(mode):
-    def pairs(config, panel, pop):
+    def pairs(config, pop):
         profile = gaussian_weights(config.policy_sigma, pop.lambda_grid)
-        return ((_pipeline_gamma(panel)[0], weighted_estimand(profile, pop, mode)),)
+        return _gamma_vs(weighted_estimand(profile, pop, mode))
 
     return pairs
 
 
-def _t6_pairs(config, panel, pop):
+def _t6_pairs(config, pop):
     profile = nonneg_weights(law=ZeroInflatedUniform(config.zero_prob, *config.support))
-    return ((_pipeline_gamma(panel)[0], weighted_estimand(profile, pop, "acrt")),)
+    return _gamma_vs(weighted_estimand(profile, pop, "acrt"))
 
 
-def _t7_pairs(config, panel, pop):
+def _t7_pairs(config, pop):
     profile = nonneg_weights(sample=pop.assignments)
-    return ((_pipeline_gamma(panel)[0], weighted_estimand(profile, pop, "acrt")),)
+    return _gamma_vs(weighted_estimand(profile, pop, "acrt"))
 
 
-def _t9_pairs(config, panel, pop):
+def _t9_pairs(config, pop):
     groups = pop.groups
-    oracle = did_four_means(pop.realized_outcomes, groups.treated_units, groups.treated_times)
-    return ((_pipeline_gamma(panel)[0], oracle),)
+    return _gamma_vs(did_four_means(pop.realized_outcomes, groups.treated_units,
+                                    groups.treated_times))
 
 
-def _t10_pairs(config, panel, pop):
-    return ((_pipeline_gamma(panel)[0], oracle_estimands(pop).att),)
+def _t10_pairs(config, pop):
+    return _gamma_vs(average_effects(pop)[1])
 
 
-def _interference_pairs(config, panel, pop, mode=TREATED_NEIGHBOR_SHARE):
+def _interference_pairs(config, pop, mode=TREATED_NEIGHBOR_SHARE):
     # Naive coefficient vs ATTE - ASTE, exposure-adjusted coefficient vs ATTE.
-    gamma, fit = _pipeline_gamma(panel)
-    adjusted = estimate_adjusted_impact(fit, pop.exposure.adjacency, pop.assignments, mode)
     atte, aste = oracle_atte_aste(pop)
-    return (gamma, atte - aste), (adjusted.delta, atte)
+    adjacency, treatment = pop.exposure.adjacency, pop.assignments
+
+    def score(fit):
+        adjusted = estimate_adjusted_impact(fit, adjacency, treatment, mode)
+        return (fit.gamma, atte - aste), (adjusted.delta, atte)
+
+    return score
 
 
 @dataclass(frozen=True)
 class Check:
     """One verification: a default scenario satisfying the claim's premises,
-    sized for desk runs; per-replication (estimate, oracle) pairs; and
+    sized for desk runs; its per-replication (estimate, oracle) pairs; and
     whether every pair must agree to 1e-10 (``exact``) or its mean
-    discrepancy must fall within three Monte-Carlo standard errors."""
+    discrepancy must fall within three Monte-Carlo standard errors.
+
+    ``pairs(config, pop, **options)`` computes the oracles on one
+    replication's ground truth and returns a function of the replication's
+    within fit (None unless ``fit``) that gives its pairs."""
 
     config: ScenarioConfig
     pairs: Callable
     exact: bool = False
+    fit: bool = True
 
 
 _T6_T7 = ScenarioConfig(
@@ -219,7 +253,7 @@ CHECKS = {
         regime=HETEROGENEOUS_DUMMY, n_units=40, n_times=60, seed=0,
         impact=linear_impact(2.0), effect_sd=0.6, treat_on_gain=0.4,
         treat_prob=0.4, time_frac=0.4,
-    ), _t1_pairs, exact=True),
+    ), _t1_pairs, exact=True, fit=False),
     "T2": Check(ScenarioConfig(
         regime=HOMOGENEOUS_DUMMY, n_units=200, n_times=200, seed=0,
         impact=linear_impact(2.0), treat_prob=0.3, effect_sd=0.5,
@@ -273,8 +307,37 @@ class _Pair:
     passed: bool
 
 
+def _fit_chunk(states: np.ndarray, n_times: int) -> list[_RepFit]:
+    """Fit the last ``n_times`` periods of a chunk of ``_propagate`` states at once."""
+    states = states[-n_times:]
+    stacked = states.reshape(n_times, -1, 2).transpose(1, 0, 2)  # every unit of the chunk
+    validate_panel(PanelDataset(stacked, 1, ("policy1", "outcome1")))
+    design, coef, sigma, ok = _within_fit(states, 1)
+    if not ok.all():
+        raise SingularDesign("a replication's lag Gram matrix is singular or ill-conditioned")
+    gamma = sigma[:, 1, 0] / sigma[:, 0, 0]
+    return [_RepFit(float(g), d, c) for g, d, c in zip(gamma, design, coef)]
+
+
+def _chunk_pairs(check: Check, config: ScenarioConfig, phi, seeds, options) -> list:
+    """Per-replication pairs of one chunk of replications.
+
+    Each replication is drawn from its own seed and its oracles computed on
+    its ground truth; then the chunk's panels are propagated together
+    through the VAR dynamics and fitted together by the within-OLS kernel.
+    """
+    draws = [_draw(config.with_seed(s)) for s in seeds]
+    scores = [check.pairs(config, d.pop, **options) for d in draws]
+    if not check.fit:
+        return [score(None) for score in scores]
+    states = _propagate(phi, draws)
+    del draws  # scored: only the panels are needed from here on
+    return [score(fit) for score, fit in zip(scores, _fit_chunk(states, config.n_times))]
+
+
 def _run(name: str, config: ScenarioConfig, reps: int, **options) -> list[_Pair]:
-    """Run check ``name`` on ``reps`` seeded replications of ``config``."""
+    """Run check ``name`` on ``reps`` seeded replications of ``config``, in
+    chunks of about ``CHUNK_BYTES`` of panel."""
     check = CHECKS[name]
     if config.regime != check.config.regime:
         raise RegimeMismatch(
@@ -282,14 +345,16 @@ def _run(name: str, config: ScenarioConfig, reps: int, **options) -> list[_Pair]
         )
     if reps < 2:
         raise BadConfig("need at least 2 replications")
-    draws = []
-    for s in _rep_seeds(config.seed, reps):
-        rep_config = config.with_seed(s)
-        panel, pop = simulate_scenario(rep_config)
-        draws.append(check.pairs(rep_config, panel, pop, **options))
+    phi = _validate_config(config)
+    seeds = _rep_seeds(config.seed, reps)
+    panel_bytes = config.n_units * config.n_times * 2 * 8
+    per_chunk = max(1, CHUNK_BYTES // panel_bytes)
+    rows = []
+    for start in range(0, reps, per_chunk):
+        rows += _chunk_pairs(check, config, phi, seeds[start : start + per_chunk], options)
     pairs = []
     # (reps, pairs, 2) -> per pair: estimates, oracles
-    for estimates, oracles in np.asarray(draws, dtype=float).transpose(1, 2, 0):
+    for estimates, oracles in np.asarray(rows, dtype=float).transpose(1, 2, 0):
         diffs = estimates - oracles
         if check.exact:
             discrepancy, mc_se = float(np.abs(diffs).max()), 0.0
@@ -365,3 +430,20 @@ def verify_interference(config: ScenarioConfig, reps: int = 200,
             "mean_aste": float(aste.mean()),
         },
     )
+
+
+def verify_suite(seed: int, reps: int = 200, names=None, rho: float | None = None):
+    """Run checks on their default scenarios at ``seed``, yielding each report.
+
+    ``names`` are theorem names and "interference", in the order to run
+    (default: every theorem, then the interference pair); ``rho``, if
+    given, replaces the interference scenario's spillover strength.
+    """
+    for name in names or (*THEOREMS, "interference"):
+        config = default_config(name).with_seed(seed)
+        if name == "interference":
+            if rho is not None:
+                config = replace(config, spillover_rho=rho)
+            yield verify_interference(config, reps=reps)
+        else:
+            yield verify_theorem(name, config, reps=reps)

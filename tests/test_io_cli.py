@@ -20,6 +20,9 @@ from causal_pvar.io import (
 from causal_pvar.panel import PanelDataset, PVARSpec, fit_pvar
 
 
+RECORD_FILES = {"csv": "{}.csv", "json-lines": "{}.jsonl"}
+
+
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
     env.pop("CAUSAL_PVAR_SEED", None)
@@ -353,9 +356,28 @@ class TestCli:
                       "--adjacency", str(spill_dir / "edges.csv"), "--reps", "0",
                       "--seed", "1", "--format", fmt, "--output", str(out))
         assert res.returncode == 0, res.stderr
-        recs = read_records(out / "spillover.csv", fmt=fmt)
+        recs = read_records(out / RECORD_FILES[fmt].format("spillover"), fmt=fmt)
         assert [r["se"] for r in recs] == [None, None]
         assert all(isinstance(r["estimate"], float) for r in recs)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    @pytest.mark.parametrize("command", ["lagselect", "irf", "spillover", "verify"])
+    def test_record_file_is_named_for_its_format(self, spill_dir, tmp_path, command, fmt):
+        out = tmp_path / command
+        args = {
+            "lagselect": ["--pmax", "2"],
+            "irf": ["--reps", "100", "--horizon", "2", "--seed", "1"],
+            "spillover": ["--adjacency", str(spill_dir / "edges.csv"), "--reps", "0",
+                          "--seed", "1"],
+            "verify": ["--theorem", "T1", "--reps", "3", "--seed", "1"],
+        }[command]
+        if command != "verify":
+            args += ["--input", str(spill_dir / "panel.csv")]
+        res = run_cli(command, *args, "--format", fmt, "--output", str(out))
+        assert res.returncode == 0, res.stderr
+        name = RECORD_FILES[fmt].format(command)
+        assert sorted(p.name for p in out.iterdir()) == [name]
+        assert read_records(out / name, fmt=fmt)
 
     def test_non_integer_seed_env_exits_2(self, tmp_path):
         res = run_cli("simulate", "--regime", "homogeneous_dummy", "--units", "10",

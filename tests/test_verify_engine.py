@@ -1,0 +1,137 @@
+"""The batched Monte-Carlo verification engine against a per-replication reference.
+
+``_reference_pairs`` is the one-replication-at-a-time pipeline: simulate
+the scenario, fit it with ``fit_pvar``, factor with ``cholesky_lower``, read
+the impact coefficient with ``impact_gamma``, and compute each check's
+oracles on the replication's ground truth.  The engine must reproduce every
+replication's estimates and oracles to 1e-12 for any chunking.
+``_unit_major`` is the unit-major VAR loop the propagation kernel replaced.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import causal_pvar.verify as verify
+from causal_pvar.estimands import did_four_means, dummy_gamma, oracle_estimands
+from causal_pvar.identify import cholesky_lower, impact_gamma
+from causal_pvar.panel import PVARSpec, fit_pvar
+from causal_pvar.scenarios import simulate_scenario, simulate_var_panel
+from causal_pvar.spillover import estimate_adjusted_impact, oracle_atte_aste
+from causal_pvar.weights import ZeroInflatedUniform, gaussian_weights, nonneg_weights, weighted_estimand
+
+REPS = 5
+
+
+def _oracle_pairs(name, config, pop, fit, gamma):
+    """The (estimate, oracle) pairs of check ``name`` on one replication."""
+    if name in ("T1", "T2", "T10"):
+        report = oracle_estimands(pop)
+        if name == "T1":
+            return ((dummy_gamma(pop.assignments, pop.realized_outcomes),
+                     report.ate + report.selection_bias),)
+        if name == "T2":
+            return (gamma, report.ate), (report.selection_bias, 0.0)
+        return ((gamma, report.att),)
+    if name == "T3":
+        return ((gamma, verify._gaussian_quadrature_oracle(config.policy_sigma, config.impact)),)
+    if name in ("T4", "T5"):
+        profile = gaussian_weights(config.policy_sigma, pop.lambda_grid)
+        return ((gamma, weighted_estimand(profile, pop, "acrt" if name == "T4" else "acr")),)
+    if name in ("T6", "T7"):
+        law = ZeroInflatedUniform(config.zero_prob, *config.support)
+        profile = (nonneg_weights(law=law) if name == "T6"
+                   else nonneg_weights(sample=pop.assignments))
+        return ((gamma, weighted_estimand(profile, pop, "acrt")),)
+    if name == "T9":
+        groups = pop.groups
+        return ((gamma, did_four_means(pop.realized_outcomes, groups.treated_units,
+                                       groups.treated_times)),)
+    adjusted = estimate_adjusted_impact(fit, pop.exposure.adjacency, pop.assignments)
+    atte, aste = oracle_atte_aste(pop)
+    return (gamma, atte - aste), (adjusted.delta, atte)
+
+
+def _reference_pairs(name, config, reps):
+    """(pairs, 2, reps) estimates and oracles, one replication at a time."""
+    rows = []
+    for seed in verify._rep_seeds(config.seed, reps):
+        rep_config = config.with_seed(seed)
+        panel, pop = simulate_scenario(rep_config)
+        fit = fit_pvar(panel, PVARSpec(1))
+        gamma = impact_gamma(cholesky_lower(fit.sigma), 0, 1)
+        rows.append(_oracle_pairs(name, rep_config, pop, fit, gamma))
+    return np.asarray(rows, dtype=float).transpose(1, 2, 0)
+
+
+def _engine_pairs(name, config, reps, per_chunk):
+    """The engine's (pairs, 2, reps) estimates and oracles and its chunk sizes."""
+    budget = per_chunk * 16 * config.n_units * config.n_times
+    with mock.patch.object(verify, "CHUNK_BYTES", budget), \
+            mock.patch.object(verify, "_chunk_pairs", wraps=verify._chunk_pairs) as spy:
+        pairs = verify._run(name, config, reps)
+    sizes = [len(call.args[3]) for call in spy.call_args_list]
+    return np.array([(p.estimates, p.oracles) for p in pairs]), sizes
+
+
+@pytest.mark.parametrize("name", list(verify.CHECKS))
+def test_engine_matches_per_replication_reference(name):
+    config = verify.default_config(name).with_seed(11)
+    got, sizes = _engine_pairs(name, config, REPS, per_chunk=2)
+    assert sizes == [2, 2, 1]  # several chunks and a partial last one
+    want = _reference_pairs(name, config, REPS)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["T1", "T6", "interference"])
+def test_engine_does_not_depend_on_chunk_size(name):
+    config = verify.default_config(name).with_seed(3)
+    one, sizes = _engine_pairs(name, config, REPS, per_chunk=1)
+    assert sizes == [1] * REPS
+    whole, sizes = _engine_pairs(name, config, REPS, per_chunk=REPS)
+    assert sizes == [REPS]
+    np.testing.assert_allclose(one, whole, rtol=0, atol=1e-12)
+
+
+def _unit_major(phi, mu, innovations):
+    """The VAR recursion one unit-major slice at a time, as it was before the kernel."""
+    p, m = len(phi), phi[0].shape[0]
+    n, t = innovations.shape[:2]
+    const = mu @ (np.eye(m) - sum(phi)).T
+    buf = np.empty((n, t + p, m))
+    buf[:, :p, :] = mu[:, None, :]
+    for s in range(t):
+        x = const + innovations[:, s, :]
+        for l in range(1, p + 1):
+            x = x + buf[:, p + s - l, :] @ phi[l - 1].T
+        buf[:, p + s, :] = x
+    return buf[:, p:, :]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), p=st.integers(1, 3), m=st.integers(2, 3),
+       n=st.integers(1, 6), t=st.integers(1, 30))
+def test_propagation_kernel_matches_unit_major_loop(seed, p, m, n, t):
+    rng = np.random.default_rng(seed)
+    phi = [rng.uniform(-0.6, 0.6, (m, m)) / p for _ in range(p)]
+    mu = rng.standard_normal((n, m))
+    innovations = rng.standard_normal((n, t, m))
+    want = _unit_major(phi, mu, innovations)
+    got = simulate_var_panel(np.stack(phi), mu, innovations).values
+    if p == 1:
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_propagation_kernel_covers_a_one_unit_panel():
+    rng = np.random.default_rng(5)
+    phi = [np.array([[0.4, 0.0], [0.3, 0.5]])]
+    mu = rng.standard_normal((1, 2))
+    innovations = rng.standard_normal((1, 80, 2))
+    got = simulate_var_panel(phi[0], mu, innovations).values
+    np.testing.assert_array_equal(got, _unit_major(phi, mu, innovations))
