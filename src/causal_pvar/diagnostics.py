@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BadConfig
 from .panel import PanelDataset, PVARFit, PVARSpec, companion, validate_panel
-from .panel import _sample_dummies, _within_cross, _within_design, _within_ols_one
+from .panel import _sample_dummies, _within_moments, _within_ols_one
 
 __all__ = [
     "LagSelectionTable",
@@ -114,9 +114,8 @@ def lag_criteria(panel: PanelDataset, pmax: int, spec: PVARSpec | None = None) -
     validate_panel(panel)
     n, t, m = panel.values.shape
     eff = n * (t - pmax)
-    z, _ = _within_design(panel.values, pmax)
     _, dummies = _sample_dummies(panel, spec or PVARSpec(), pmax)
-    cross, _ = _within_cross(z.reshape(1, eff, -1), dummies)
+    cross = _within_moments(panel.values.transpose(1, 0, 2)[:, None], pmax, dummies)[0]
     rows = {c: np.empty(pmax) for c in CRITERIA}
     for p in range(1, pmax + 1):
         keep = np.r_[: m * p, m * pmax : m * pmax + m]  # lags 1..p and dep
@@ -141,12 +140,14 @@ def lag_criteria(panel: PanelDataset, pmax: int, spec: PVARSpec | None = None) -
 def residual_autocorr(fit: PVARFit, smax: int) -> AutocorrDiagnostic:
     """Cross-correlations of residuals with their lags, within unit.
 
-    Zero-variance series define correlations as 0 rather than NaN.
+    Needs 1 <= smax < T - p, the length of each unit's residual series, so
+    that every lag has a pair of periods to correlate.  Zero-variance series
+    define correlations as 0 rather than NaN.
     """
-    if smax < 1:
-        raise BadConfig("smax must be >= 1")
     res = fit.residuals
     n, tr, m = res.shape
+    if not 1 <= smax < tr:
+        raise BadConfig(f"smax={smax} must be in [1, T - p) = [1, {tr})")
     tensor = np.zeros((m, m, smax))
     for s in range(1, smax + 1):
         cur = res[:, s:, :].reshape(-1, m)

@@ -7,11 +7,11 @@ equals the regression coefficient cov(policy residual, outcome residual) /
 var(policy residual).  Dynamics come from powers of the companion matrix;
 confidence bands from a recursive residual bootstrap.
 
-The bootstrap is batched: replications are taken in chunks bounded by
-``CHUNK_BYTES`` of regenerated panel, each chunk regenerated by the VAR
-recursion that ``simulate_var_panel`` runs, one loop over time, and
-refitted from one within-demeaned cross-product per replication by
-``fit_pvar``'s solver, then factored and propagated by the
+The bootstrap is batched: each replication's resampled residuals are
+gathered straight into one state slab, which holds a chunk of replications
+(twice ``CHUNK_BYTES`` of panel), regenerated there by the VAR recursion
+that ``simulate_var_panel`` runs, one loop over time, and refitted from the
+within moments that ``fit_pvar`` reads, then factored and propagated by the
 same batched helpers that ``cholesky_lower`` and ``irf`` apply, with a
 leading axis of one, to the point estimate from ``fit_pvar``.
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import BootstrapUnstable, CausalPvarError, NotPSD, ZeroPolicyVariance
 from .panel import CHUNK_BYTES, PanelDataset, PVARFit, PVARSpec, companion, fit_pvar
-from .panel import _sample_dummies, _var_recursion, _within_fit
+from .panel import _sample_dummies, _var_recursion, _within_moments, _within_ols
 
 __all__ = [
     "CholeskyFactor",
@@ -212,28 +212,15 @@ def irf_from_impact(fit: PVARFit, impact: np.ndarray, horizon: int) -> ImpulseRe
     )
 
 
-def _regenerate(
-    fit: PVARFit, initial: np.ndarray, drift: np.ndarray, shocks: np.ndarray
-) -> np.ndarray:
-    """Rebuild a chunk of panels from fitted dynamics and resampled residuals.
-
-    ``initial`` (drop, n, m) holds the observed first ``drop`` periods, kept
-    fixed as initial conditions; ``drift`` (t, n, m) the unit intercepts
-    plus any dummy effects; ``shocks`` (t - drop, b, n, m) the residual
-    vectors of b replications.  Returns the time-major (t, b, n, m) panels.
-    """
-    drop = initial.shape[0]
-    tr, b, n, m = shocks.shape
-    out = np.empty((drop + tr, b, n, m))
-    out[:drop] = initial[:, None]
-    np.add(shocks, drift[drop:, None], out=out[drop:])
-    _var_recursion(out.reshape(drop + tr, b * n, m), fit.phi)
-    return out
-
-
-def _refit(states: np.ndarray, p: int, dummies: np.ndarray | None):
-    """``_within_fit``'s ``(coef, sigma, ok)`` for the (t, b, n, m) output of ``_regenerate``."""
-    return _within_fit(states, p, dummies)[1:]
+def _refit(states: np.ndarray, p: int, fixed):
+    """``(coef, sigma, ok)`` of ``_within_ols`` for a (t, b, n, m) chunk of regenerated
+    panels; ``fixed`` is ``(dummies, centred)``: the time-major dummy rows or None,
+    and the (b', m, t, n) centring buffer, b' >= b, that every chunk reuses."""
+    dummies, centred = fixed
+    t, b, n, m = states.shape
+    with np.errstate(invalid="ignore", over="ignore"):
+        cross = _within_moments(states, p, dummies, out=centred[:b])[0]
+    return _within_ols(cross, m * p, n * (t - p))
 
 
 def _responses(coef, sigma, ok, k: int, horizon: int, normalization: str):
@@ -273,8 +260,9 @@ def bootstrap_irf(
     replacement, panels regenerated from the fitted dynamics, refitted, and
     the impulse response recomputed.  Replication r draws from its own RNG
     stream, child r of ``SeedSequence(seed)``.  Replications run in chunks
-    of about ``CHUNK_BYTES`` of regenerated panel, each regenerated by one
-    loop over time and refitted from batched cross-products, so the bands
+    of about twice ``CHUNK_BYTES`` of regenerated panel, in one state slab
+    and one centring buffer allocated per call, each chunk regenerated by
+    one loop over time and refitted from batched moments, so the bands
     do not depend on the chunking (on a one-unit panel, up to last-bit
     rounding of a single-row matmul).  The point fit raises SingularDesign
     by the rule documented there; a replication fails when its panel is
@@ -291,32 +279,35 @@ def bootstrap_irf(
     point = irf(fit, cholesky_lower(fit.sigma), k, horizon, normalization)
 
     n, t, m = panel.values.shape
-    drop = spec.lag_order
-    tr = t - drop
+    p = spec.lag_order
+    tr = t - p
     pool = fit.residuals.reshape(n * tr, m)
-    initial = panel.values[:, :drop].transpose(1, 0, 2)
-    drift = np.broadcast_to(fit.intercepts, (t, n, m))
-    _, dummies = _sample_dummies(panel, spec, drop)
+    drift = fit.intercepts
+    raw_dummies, dummies = _sample_dummies(panel, spec, p)
     if dummies is not None:
-        dmat, _ = _sample_dummies(panel, spec, 0)
-        drift = drift + np.einsum("ntd,dm->tnm", dmat, fit.dummy_coef)
-        dummies = dummies.reshape(n, tr, -1).transpose(1, 0, 2).reshape(tr * n, -1)
+        drift = drift + np.einsum("ntd,dm->tnm", raw_dummies, fit.dummy_coef)[:, None]
 
-    children = np.random.SeedSequence(seed).spawn(n_reps)
     results = np.empty((n_reps, m, horizon + 1))
     ok = np.empty(n_reps, dtype=bool)
-    per_chunk = max(1, CHUNK_BYTES // panel.values.nbytes)
+    # A chunk holds two panels per replication: the state slab, whose first p
+    # periods stay the observed ones, and the centring buffer of the refit.
+    per_chunk = max(1, min(n_reps, 2 * (CHUNK_BYTES // panel.values.nbytes)))
+    slab = np.empty((t, per_chunk, n, m))
+    slab[:p] = panel.values[:, :p].transpose(1, 0, 2)[:, None]
+    fixed = (dummies, np.empty((per_chunk, m, t, n)))
     for start in range(0, n_reps, per_chunk):
         reps = slice(start, min(start + per_chunk, n_reps))
-        idx = np.stack([
-            np.random.default_rng(child).integers(0, n * tr, size=n * tr)
-            for child in children[reps]
-        ])
-        # idx is unit-major per replication; gather straight into (tr, b, n, m)
-        shocks = np.take(pool, idx.reshape(-1, n, tr).transpose(2, 0, 1), axis=0)
-        states = _regenerate(fit, initial, drift, shocks)
-        coef, sigma, refit_ok = _refit(states, spec.lag_order, dummies)
+        states = slab[:, : reps.stop - start]
+        for r in range(reps.start, reps.stop):
+            # child r of SeedSequence(seed); its draws index the pool unit-major
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+            draws = rng.integers(0, n * tr, size=n * tr).reshape(n, tr).T
+            np.take(pool, draws, axis=0, out=states[p:, r - start], mode="clip")
+        states[p:] += drift
+        _var_recursion(states.reshape(t, -1, m), fit.phi)
+        coef, sigma, refit_ok = _refit(states, p, fixed)
         results[reps], ok[reps] = _responses(coef, sigma, refit_ok, k, horizon, normalization)
+    del slab, states, fixed  # the working set is done with; free it before the quantiles
 
     n_failed = int(n_reps - ok.sum())
     if n_failed > 0.05 * n_reps:

@@ -5,7 +5,10 @@ series stored first and the outcome series after them.  Estimation removes
 unit effects (and optional exogenous dummies) by residualizing, regresses
 each variable on its own and the others' lags pooled across units, and
 returns slope matrices, unit effects, residuals, and the residual
-covariance matrix.
+covariance matrix.  The lag design is never built: one moments kernel
+centres each unit once and reads every block of the within cross-product,
+and the residuals, from lag-shifted views of that copy, for one panel or a
+chunk of them.
 """
 
 from __future__ import annotations
@@ -26,9 +29,11 @@ from .errors import (
 
 # Largest condition number of a lag Gram matrix scaled to a unit diagonal.
 COND_LIMIT = 1e12
-# Panel bytes per chunk of the batched engines (bootstrap replications,
-# Monte-Carlo replications; at least one per chunk): bounds their working
-# memory, a few times this, for any number of replications.
+# Panel bytes per chunk of the Monte-Carlo engine, at least one replication
+# per chunk: its working set, each replication's draw and state with the
+# burn-in, is a few times this for any number of replications.  The
+# bootstrap holds two panels per replication, its state slab and centring
+# buffer, and takes twice this, a working set of about 4 x CHUNK_BYTES.
 CHUNK_BYTES = 512 * 1024
 
 __all__ = [
@@ -218,13 +223,13 @@ def validate_panel(raw: PanelDataset) -> PanelDataset:
 
 def _sample_dummies(panel: PanelDataset, spec: PVARSpec, drop: int):
     """The spec's raw (n, T - drop, d) dummy block on periods drop+1..T and its
-    per-unit demeaned (n * (T - drop), d) rows, unit-major; (None, None) without."""
+    per-unit demeaned ((T - drop) * n, d) rows, time-major; (None, None) without."""
     if not spec.dummy_columns:
         return None, None
     if panel.exogenous_dummies is None:
         raise BadConfig("spec names dummy_columns but panel has no dummies")
     raw = panel.exogenous_dummies[:, drop:, list(spec.dummy_columns)]
-    flat = raw - raw.mean(axis=1, keepdims=True)
+    flat = (raw - raw.mean(axis=1, keepdims=True)).transpose(1, 0, 2)
     return raw, flat.reshape(-1, raw.shape[2])
 
 
@@ -237,52 +242,82 @@ def within_demean(panel: PanelDataset, spec: PVARSpec | None = None) -> PanelDat
     per unit first, then the dummy projection is removed).
     """
     spec = spec or PVARSpec()
-    vals = panel.values - panel.values.mean(axis=1, keepdims=True)
-    _, dflat = _sample_dummies(panel, spec, 0)
-    if dflat is not None:
-        flat = vals.reshape(1, dflat.shape[0], -1)
-        vals = (flat - dflat @ _within_cross(flat, dflat)[1]).reshape(vals.shape)
+    _, dummies = _sample_dummies(panel, spec, 0)
+    _, proj, (vals,), _, _ = _within_moments(panel.values.transpose(1, 0, 2)[:, None], 0, dummies)
+    if proj is not None:
+        vals = vals - proj[0].T @ dummies.T
+    vals = vals[0].reshape(panel.n_vars, panel.n_times, panel.n_units).transpose(2, 1, 0)
     return PanelDataset(vals, panel.n_policies, panel.variable_names, panel.exogenous_dummies)
 
 
-def _within_design(values: np.ndarray, p: int):
-    """Z = [lags 1..p, dep] of (a, T, ..., m) series on periods p+1..T, lags never wrapped.
+def _within_moments(states: np.ndarray, p: int, dummies: np.ndarray | None = None,
+                    out: np.ndarray | None = None):
+    """Within moments of Z = [lags 1..p, dep] on periods p+1..t of b time-major
+    (t, b, n, m) panels, lags never wrapped, without building Z.
 
-    Returns ``(z, means)``: Z demeaned over time (axis 1), shape (a, T - p,
-    ..., m p + m), and its time means.  Z is filled in place, not concatenated,
-    so that it is C-ordered for any strides of ``values`` and flattens to
-    rows without a copy.
+    Each unit is centred once, by a copy into ``out`` (b, m, t, n) and a
+    subtraction.  Each lag of Z is then a view of m time-major rows, so an
+    off-diagonal block of Z'Z is a product of views and a diagonal one the
+    Gram matrix of all t periods less that of the at most p edge periods
+    outside the window; both less ``(t - p) sum_units w w'`` over the window
+    means w, minus the edges' sum over t - p as the centred series sum to zero.
+    With per-unit demeaned, time-major dummy rows D, ``Z'D (D'D)^-1 D'Z`` is
+    subtracted (Frisch-Waugh).
+
+    Returns ``(cross, proj, rows, means, unit_means)``: the (b, q, q) Z'Z; the
+    (b, d, q) ``(D'D)^-1 D'Z`` or None; the (b, m, (t - p) n) views of lags
+    1..p and dep; the (b, q, n) window means; and the (b, m, n) unit means.
+    A non-finite panel yields a non-finite Z'Z.
     """
-    t, m = values.shape[1], values.shape[-1]
-    if t - p < m * p + 2:
+    t, b, n, m = states.shape
+    if p and t - p < m * p + 2:
         raise InsufficientObs(f"need T - p >= m*p + 2 per unit: T={t}, m={m}, p={p}")
-    z = np.empty((values.shape[0], t - p, *values.shape[2:-1], m * p + m))
-    for i, l in enumerate((*range(1, p + 1), 0)):
-        z[..., i * m : (i + 1) * m] = values[:, p - l : t - l]
-    means = z.mean(axis=1, keepdims=True)
-    z -= means
-    return z, means
+    unit_means = states.sum(axis=0).transpose(0, 2, 1) / t
+    centred = np.empty((b, m, t, n)) if out is None else out
+    np.copyto(centred, states.transpose(1, 3, 0, 2))
+    centred -= unit_means[:, :, None]
+    lags = (*range(1, p + 1), 0)
+    rows = [centred[:, :, p - l : t - l].reshape(b, m, -1) for l in lags]
+    # numpy hands x @ x.T to BLAS syrk, which at a few rows and thousands of
+    # columns is 2-3x slower than a gemv and a gemm on the first row and the rest
+    flat = centred.reshape(b, m, -1)
+    whole = np.concatenate([flat @ flat[:, :1].transpose(0, 2, 1),
+                            flat @ flat[:, 1:].transpose(0, 2, 1)], axis=2)
+    cross, means = np.empty((b, m * (p + 1), m * (p + 1))), np.empty((b, m * (p + 1), n))
+    for i, l in enumerate(lags):
+        at = slice(i * m, (i + 1) * m)
+        edges = centred[:, :, [*range(p - l), *range(t - l, t)]]
+        means[:, at] = edges.sum(axis=2)
+        edges = edges.reshape(b, m, -1)
+        cross[:, at, at] = whole - edges @ edges.transpose(0, 2, 1)
+        for j in range(i):
+            cross[:, j * m : (j + 1) * m, at] = rows[j] @ rows[i].transpose(0, 2, 1)
+            cross[:, at, j * m : (j + 1) * m] = cross[:, j * m : (j + 1) * m, at].transpose(0, 2, 1)
+    means /= -(t - p)
+    cross -= (t - p) * (means @ means.transpose(0, 2, 1))
+    proj = None
+    if dummies is not None:
+        gram = dummies.T @ dummies
+        if np.abs(gram).max() < 1e-12:
+            raise DegenerateDummy("dummy columns are collinear with the unit means")
+        if np.linalg.cond(gram) > 1e12:
+            raise DegenerateDummy("dummy columns are mutually collinear after demeaning")
+        dz = np.concatenate([r @ dummies for r in rows], axis=1).transpose(0, 2, 1)
+        proj = np.linalg.solve(gram, dz)
+        cross -= dz.transpose(0, 2, 1) @ proj
+    return cross, proj, rows, means, unit_means
 
 
-def _within_cross(z: np.ndarray, dummies: np.ndarray | None):
-    """Cross-products Z'Z of (b, rows, q) demeaned designs, less the dummy projection.
-
-    With per-unit demeaned (rows, d) ``dummies`` D, ``Z'D (D'D)^-1 D'Z`` is
-    subtracted (Frisch-Waugh).  Returns ``(cross, proj)``: the (b, q, q)
-    cross-products and ``proj = (D'D)^-1 D'Z`` of shape (b, d, q), or None.
-    """
-    cross = z.transpose(0, 2, 1) @ z
-    if dummies is None:
-        return cross, None
-    gram = dummies.T @ dummies
-    if np.abs(gram).max() < 1e-12:
-        raise DegenerateDummy("dummy columns are collinear with the unit means")
-    if np.linalg.cond(gram) > 1e12:
-        raise DegenerateDummy("dummy columns are mutually collinear after demeaning")
-    dz = dummies.T @ z
-    proj = np.linalg.solve(gram, dz)
-    cross -= dz.transpose(0, 2, 1) @ proj
-    return cross, proj
+def _within_resid(rows, means: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Residuals ``Z beta`` of ``beta = [-coef; I]``, as (..., m, (t - p) n) time-major
+    rows, from ``_within_moments``' lag views (dep last) and window means."""
+    m, n = rows[-1].shape[-2], means.shape[-1]
+    beta_t = np.swapaxes(beta, -1, -2)
+    resid = rows[-1].reshape(*rows[-1].shape[:-1], -1, n) - (beta_t @ means)[..., None, :]
+    resid = resid.reshape(rows[-1].shape)
+    for l, lag in enumerate(rows[:-1]):
+        resid += beta_t[..., l * m : (l + 1) * m] @ lag
+    return resid
 
 
 def _within_ols(cross: np.ndarray, mp: int, eff: int):
@@ -315,22 +350,6 @@ def _within_ols(cross: np.ndarray, mp: int, eff: int):
     return coef, sigma, ok
 
 
-def _within_fit(states: np.ndarray, p: int, dummies: np.ndarray | None = None):
-    """Within-OLS fit of a chunk of b time-major (t, b, n, m) panels.
-
-    As in ``fit_pvar`` the first p periods are dropped; ``dummies`` are the
-    per-unit demeaned ((t - p) * n, d) dummy rows, time-major.  Returns
-    ``(z, coef, sigma, ok)``: the (b, t - p, n, mp + m) design and
-    ``_within_ols``'s results.  A non-finite panel yields a non-finite
-    cross-product and fails like a singular one.
-    """
-    t, b, n, m = states.shape
-    with np.errstate(invalid="ignore", over="ignore"):
-        z, _ = _within_design(states.transpose(1, 0, 2, 3), p)
-        cross, _ = _within_cross(z.reshape(b, n * (t - p), -1), dummies)
-    return (z, *_within_ols(cross, m * p, n * (t - p)))
-
-
 def _within_ols_one(cross: np.ndarray, mp: int, eff: int):
     """``_within_ols`` of one (mp + m, mp + m) cross-product; SingularDesign if rejected."""
     coef, sigma, ok = _within_ols(cross[None], mp, eff)
@@ -355,16 +374,17 @@ def fit_pvar(panel: PanelDataset, spec: PVARSpec) -> PVARFit:
     if p >= t - 1:
         raise BadConfig(f"lag_order={p} too large for T={t}")
     mp, eff = m * p, n * (t - p)
-    z, means = _within_design(panel.values, p)
     raw_dummies, dummies = _sample_dummies(panel, spec, p)
-    flat = z.reshape(1, eff, mp + m)
-    cross, proj = _within_cross(flat, dummies)
+    cross, proj, rows, means, unit_means = _within_moments(
+        panel.values.transpose(1, 0, 2)[:, None], p, dummies)
     coef, _ = _within_ols_one(cross[0], mp, eff)
 
-    # Z [-coef; I] = dep - lags coef: on the rows, the means and the dummy
-    # projection it gives the joint regression's residuals, intercepts and dummy_coef
+    # Z [-coef; I] = dep - lags coef: on the rows, the window means and the
+    # dummy projection it gives the joint regression's residuals, intercepts and dummy_coef
     beta = np.vstack([-coef, np.eye(m)])
-    resid, intercepts, dummy_coef = flat[0] @ beta, means[:, 0] @ beta, None
+    resid = _within_resid([r[0] for r in rows], means[0], beta).T
+    intercepts = (means[0] + np.tile(unit_means[0], (p + 1, 1))).T @ beta
+    dummy_coef = None
     if proj is not None:
         dummy_coef = proj[0] @ beta
         resid -= dummies @ dummy_coef
@@ -379,7 +399,7 @@ def fit_pvar(panel: PanelDataset, spec: PVARSpec) -> PVARFit:
     return PVARFit(
         phi=phi,
         mu=mu,
-        residuals=resid.reshape(n, t - p, m),
+        residuals=resid.reshape(t - p, n, m).transpose(1, 0, 2).copy(),
         sigma=(sigma + sigma.T) / 2.0,
         spec=spec,
         effective_obs=eff,
@@ -396,7 +416,10 @@ def _var_recursion(states: np.ndarray, phi) -> np.ndarray:
     ``innovation_s + states[s - 1] @ phi[0].T + ... + states[s - p] @ phi[p - 1].T``,
     summed in that order, for s >= p.
     """
-    phi_t = [f.T for f in phi]
+    # C-ordered copies multiply 1.7-2.6x faster than the transposed views; a
+    # one-row slab keeps the views, whose single-row product BLAS rounds
+    # differently in the last bit
+    phi_t = [f.T if states.shape[1] == 1 else np.ascontiguousarray(f.T) for f in phi]
     rows, step = list(states), np.empty(states.shape[1:])
     for s in range(len(phi_t), len(rows)):
         for l, f in enumerate(phi_t, 1):

@@ -12,9 +12,11 @@ Replications run in chunks of about ``CHUNK_BYTES`` of panel.  Each
 replication draws from its own seed, as ``simulate_scenario`` does, and
 its oracles are computed on its own ground truth; the chunk's panels are
 then propagated through the VAR dynamics by one time-major loop and fitted
-together by the within-OLS kernel, whose covariance gives the impact
-coefficient ``sigma[1, 0] / sigma[0, 0]``.  The chunking does not change
-the results.
+together from the within moments kernel, whose covariance gives the impact
+coefficient ``sigma[1, 0] / sigma[0, 0]`` and whose lag views give the
+interference pair its residuals.  The chunking does not change the
+results.  ``verify_suite`` scores checks that share a scenario (T6 and T7,
+T9 and T10) on one run of its replications.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import numpy as np
 
 from .errors import BadConfig, RegimeMismatch, SingularDesign
 from .estimands import average_effects, did_four_means, dummy_gamma, selection_bias
-from .panel import CHUNK_BYTES, PanelDataset, PVARSpec, _within_fit, validate_panel
+from .panel import CHUNK_BYTES, PanelDataset, PVARSpec, validate_panel
+from .panel import _within_moments, _within_ols, _within_resid
 from .scenarios import (
     GAUSSIAN_CONTINUOUS,
     HETEROGENEOUS_DUMMY,
@@ -133,21 +136,22 @@ class InterferenceReport:
 @dataclass(frozen=True)
 class _RepFit:
     """One replication's VAR(1) within fit, as read by the checks: the
-    recursive impact coefficient ``gamma``, and the design Z (t - 1, n, 4)
-    and slopes from which ``residuals`` are read (``estimate_adjusted_impact``
-    reads those and ``spec`` of a ``PVARFit``)."""
+    recursive impact coefficient ``gamma``, and the lag and dep rows, window
+    means and slopes from which ``residuals`` are read
+    (``estimate_adjusted_impact`` reads those and ``spec`` of a ``PVARFit``)."""
 
     gamma: float
-    design: np.ndarray
+    rows: tuple
+    means: np.ndarray
     coef: np.ndarray
     spec: PVARSpec = PVARSpec(1)
 
     @property
     def residuals(self) -> np.ndarray:
         """(n, t - 1, 2) residuals ``Z [-coef; I]``, as ``fit_pvar`` gives them."""
-        t, n, q = self.design.shape
-        beta = np.vstack([-self.coef, np.eye(self.coef.shape[1])])
-        return (self.design.reshape(t * n, q) @ beta).reshape(t, n, -1).transpose(1, 0, 2)
+        beta = np.vstack([-self.coef, np.eye(2)])
+        resid = _within_resid(self.rows, self.means, beta)
+        return resid.reshape(2, -1, self.means.shape[-1]).transpose(2, 1, 0)
 
 
 def _t1_pairs(config, pop):
@@ -312,37 +316,39 @@ def _fit_chunk(states: np.ndarray, n_times: int) -> list[_RepFit]:
     states = states[-n_times:]
     stacked = states.reshape(n_times, -1, 2).transpose(1, 0, 2)  # every unit of the chunk
     validate_panel(PanelDataset(stacked, 1, ("policy1", "outcome1")))
-    design, coef, sigma, ok = _within_fit(states, 1)
+    cross, _, rows, means, _ = _within_moments(states, 1)
+    coef, sigma, ok = _within_ols(cross, 2, states.shape[2] * (n_times - 1))
     if not ok.all():
         raise SingularDesign("a replication's lag Gram matrix is singular or ill-conditioned")
     gamma = sigma[:, 1, 0] / sigma[:, 0, 0]
-    return [_RepFit(float(g), d, c) for g, d, c in zip(gamma, design, coef)]
+    return [_RepFit(float(g), (lag, dep), w, c)
+            for g, lag, dep, w, c in zip(gamma, *rows, means, coef)]
 
 
-def _chunk_pairs(check: Check, config: ScenarioConfig, phi, seeds, options) -> list:
-    """Per-replication pairs of one chunk of replications.
-
-    Each replication is drawn from its own seed and its oracles computed on
-    its ground truth; then the chunk's panels are propagated together
-    through the VAR dynamics and fitted together by the within-OLS kernel.
-    """
+def _chunk_pairs(checks, config: ScenarioConfig, phi, seeds, options) -> list:
+    """Per replication of one chunk, each of ``checks``' pairs.  Each replication
+    is drawn from its own seed and every check's oracles computed on its ground
+    truth; then the chunk's panels are propagated together through the VAR
+    dynamics and fitted together, once for all the checks."""
     draws = [_draw(config.with_seed(s)) for s in seeds]
-    scores = [check.pairs(config, d.pop, **options) for d in draws]
-    if not check.fit:
-        return [score(None) for score in scores]
-    states = _propagate(phi, draws)
-    del draws  # scored: only the panels are needed from here on
-    return [score(fit) for score, fit in zip(scores, _fit_chunk(states, config.n_times))]
+    scores = [[check.pairs(config, d.pop, **options) for check in checks] for d in draws]
+    fits = [None] * len(draws)
+    if any(check.fit for check in checks):
+        states = _propagate(phi, draws)
+        del draws  # scored: only the panels are needed from here on
+        fits = _fit_chunk(states, config.n_times)
+    return [[score(fit) for score in rep] for rep, fit in zip(scores, fits)]
 
 
-def _run(name: str, config: ScenarioConfig, reps: int, **options) -> list[_Pair]:
-    """Run check ``name`` on ``reps`` seeded replications of ``config``, in
-    chunks of about ``CHUNK_BYTES`` of panel."""
-    check = CHECKS[name]
-    if config.regime != check.config.regime:
-        raise RegimeMismatch(
-            f"{name} needs regime {check.config.regime!r}, got {config.regime!r}"
-        )
+def _run_shared(names, config: ScenarioConfig, reps: int, **options) -> list[list[_Pair]]:
+    """Run the checks ``names`` on the same ``reps`` seeded replications of
+    ``config``, in chunks of about ``CHUNK_BYTES`` of panel: each check's pairs."""
+    checks = [CHECKS[name] for name in names]
+    for name, check in zip(names, checks):
+        if config.regime != check.config.regime:
+            raise RegimeMismatch(
+                f"{name} needs regime {check.config.regime!r}, got {config.regime!r}"
+            )
     if reps < 2:
         raise BadConfig("need at least 2 replications")
     phi = _validate_config(config)
@@ -351,32 +357,30 @@ def _run(name: str, config: ScenarioConfig, reps: int, **options) -> list[_Pair]
     per_chunk = max(1, CHUNK_BYTES // panel_bytes)
     rows = []
     for start in range(0, reps, per_chunk):
-        rows += _chunk_pairs(check, config, phi, seeds[start : start + per_chunk], options)
-    pairs = []
-    # (reps, pairs, 2) -> per pair: estimates, oracles
-    for estimates, oracles in np.asarray(rows, dtype=float).transpose(1, 2, 0):
-        diffs = estimates - oracles
-        if check.exact:
-            discrepancy, mc_se = float(np.abs(diffs).max()), 0.0
-            passed = discrepancy < 1e-10
-        else:
-            discrepancy = float(abs(diffs.mean()))
-            mc_se = float(diffs.std(ddof=1) / np.sqrt(reps))
-            passed = discrepancy < 3.0 * mc_se
-        pairs.append(_Pair(estimates, oracles, discrepancy, mc_se, bool(passed)))
-    return pairs
+        rows += _chunk_pairs(checks, config, phi, seeds[start : start + per_chunk], options)
+    runs = [[] for _ in checks]
+    # per check, (reps, pairs, 2) -> per pair: estimates, oracles
+    for check, check_rows, pairs in zip(checks, zip(*rows), runs):
+        for estimates, oracles in np.asarray(check_rows, dtype=float).transpose(1, 2, 0):
+            diffs = estimates - oracles
+            if check.exact:
+                discrepancy, mc_se = float(np.abs(diffs).max()), 0.0
+                passed = discrepancy < 1e-10
+            else:
+                discrepancy = float(abs(diffs.mean()))
+                mc_se = float(diffs.std(ddof=1) / np.sqrt(reps))
+                passed = discrepancy < 3.0 * mc_se
+            pairs.append(_Pair(estimates, oracles, discrepancy, mc_se, bool(passed)))
+    return runs
 
 
-def verify_theorem(theorem: str, config: ScenarioConfig | None = None, reps: int = 200) -> VerificationReport:
-    """Run one theorem check for ``reps`` seeded replications.
+def _run(name: str, config: ScenarioConfig, reps: int, **options) -> list[_Pair]:
+    """The pairs of check ``name`` alone."""
+    return _run_shared([name], config, reps, **options)[0]
 
-    T2 also requires the mean selection bias to be zero within three
-    Monte-Carlo standard errors.
-    """
-    theorem = theorem.upper()
-    if theorem not in THEOREMS:
-        raise BadConfig(f"unknown theorem {theorem!r}; choose from {THEOREMS}")
-    main, *bias = _run(theorem, config or default_config(theorem), reps)
+
+def _theorem_report(theorem: str, pairs: list[_Pair], reps: int) -> VerificationReport:
+    main, *bias = pairs
     if CHECKS[theorem].exact:
         details = {"criterion": "max |estimate - oracle| < 1e-10"}
     else:
@@ -398,6 +402,18 @@ def verify_theorem(theorem: str, config: ScenarioConfig | None = None, reps: int
         passed=main.passed and all(b.passed for b in bias),
         details=details,
     )
+
+
+def verify_theorem(theorem: str, config: ScenarioConfig | None = None, reps: int = 200) -> VerificationReport:
+    """Run one theorem check for ``reps`` seeded replications.
+
+    T2 also requires the mean selection bias to be zero within three
+    Monte-Carlo standard errors.
+    """
+    theorem = theorem.upper()
+    if theorem not in THEOREMS:
+        raise BadConfig(f"unknown theorem {theorem!r}; choose from {THEOREMS}")
+    return _theorem_report(theorem, _run(theorem, config or default_config(theorem), reps), reps)
 
 
 def verify_interference(config: ScenarioConfig, reps: int = 200,
@@ -438,12 +454,23 @@ def verify_suite(seed: int, reps: int = 200, names=None, rho: float | None = Non
     ``names`` are theorem names and "interference", in the order to run
     (default: every theorem, then the interference pair); ``rho``, if
     given, replaces the interference scenario's spillover strength.
+    Theorems that share a default scenario (T6 and T7, T9 and T10) are
+    scored on one run of its replications, as ``verify_theorem`` scores each.
     """
-    for name in names or (*THEOREMS, "interference"):
+    names = names or (*THEOREMS, "interference")
+    shared = {}
+    for name in names:
         config = default_config(name).with_seed(seed)
         if name == "interference":
             if rho is not None:
                 config = replace(config, spillover_rho=rho)
             yield verify_interference(config, reps=reps)
-        else:
+            continue
+        group = [other for other in names if default_config(other) is default_config(name)]
+        if len(group) == 1:
             yield verify_theorem(name, config, reps=reps)
+            continue
+        if name not in shared:
+            for other, pairs in zip(group, _run_shared(group, config, reps)):
+                shared[other] = _theorem_report(other, pairs, reps)
+        yield shared.pop(name)

@@ -7,6 +7,7 @@ from causal_pvar.diagnostics import (
     residual_autocorr,
     stationarity,
 )
+from causal_pvar.errors import BadConfig
 from causal_pvar.panel import PanelDataset, PVARFit, PVARSpec, fit_pvar
 from causal_pvar.scenarios import simulate_var_panel
 
@@ -103,6 +104,19 @@ class TestResidualAutocorr:
         diag = residual_autocorr(fit, 2)
         assert np.abs(diag.tensor).max() == 0.0
         assert not diag.violated
+
+    def test_smax_must_leave_a_pair_of_periods(self):
+        # 20 residual periods per unit: lag 19 pairs the last period with the
+        # first; a longer lag has nothing to correlate and counts no test.
+        res = np.random.default_rng(4).standard_normal((3, 20, 2))
+        fit = PVARFit(
+            phi=(np.zeros((2, 2)),), mu=np.zeros((3, 2)), residuals=res,
+            sigma=np.eye(2), spec=PVARSpec(1), effective_obs=60,
+        )
+        assert np.abs(residual_autocorr(fit, 19).tensor[:, :, -1]).max() > 0.0
+        for smax in (0, 20, 500):
+            with pytest.raises(BadConfig):
+                residual_autocorr(fit, smax)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_bound_matches_scipy_quantile(self, m):

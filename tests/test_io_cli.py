@@ -261,6 +261,18 @@ class TestCli:
         assert "spectral_radius" in report and "autocorr_bound" in report
         assert "policy1" in report["policy_probe"]
 
+    @pytest.mark.parametrize("smax", ["59", "500"])
+    def test_diagnose_rejects_lags_past_the_residual_series(self, sim_dir, tmp_path, smax):
+        # 60 periods at lag order 1 leave 59 residual periods per unit: lags
+        # 1..58 can be correlated, lag 59 has no pair of periods left.
+        out = tmp_path / "diag"
+        res = run_cli("diagnose", "--input", str(sim_dir / "panel.csv"),
+                      "--lags", "1", "--smax", smax, "--output", str(out))
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert "Warning" not in res.stderr
+        assert not (out / "diagnostics.json").exists()
+
     def test_spillover_table_shape(self, tmp_path):
         # raw-dummy panel: no dynamics or unit effects in the policy column
         sim = tmp_path / "spill"
