@@ -9,7 +9,6 @@ spillover-adjusted estimation on a known network.
 
 from .diagnostics import (
     AutocorrDiagnostic,
-    DiagnosticsReport,
     LagSelectionTable,
     PolicyProbe,
     StationarityDiagnostic,
@@ -67,7 +66,6 @@ from .spillover import (
     spillover_regression,
 )
 from .verify import (
-    InterferenceReport,
     VerificationReport,
     default_config,
     verify_interference,

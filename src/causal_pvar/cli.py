@@ -37,7 +37,7 @@ from .scenarios import (
 )
 from .spillover import estimate_adjusted_impact, oracle_atte_aste
 from .estimands import oracle_estimands
-from .verify import THEOREMS, verify_suite
+from .verify import CHECKS, verify_suite
 
 SEED_ENV = "CAUSAL_PVAR_SEED"
 
@@ -162,8 +162,8 @@ def cmd_fit(args) -> int:
         },
         os.path.join(args.output, "fit.json"),
     )
-    cpio.write_grid(fit.residuals, os.path.join(args.output, "residuals.csv"),
-                    panel.variable_names, first_time=fit.spec.lag_order + 1)
+    cpio.write_grid(fit.residuals, os.path.join(args.output, "residuals.csv"), panel.variable_names,
+                    panel.unit_labels, panel.time_labels[fit.spec.lag_order :])
     return 0
 
 
@@ -258,7 +258,7 @@ def cmd_spillover(args) -> int:
     if not np.isin(treatment, (0.0, 1.0)).all():
         print("error: spillover command expects a 0/1 policy column", file=sys.stderr)
         return 1
-    adjacency = cpio.load_edge_list(args.adjacency, panel.n_units)
+    adjacency = cpio.load_edge_list(args.adjacency, panel.unit_labels)
     reg = estimate_adjusted_impact(
         fit_pvar(panel, PVARSpec(args.lags)), adjacency, treatment,
         mode=args.mode, outcome=args.outcome, n_reps=args.reps, seed=seed,
@@ -371,8 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spillover)
 
     p = sub.add_parser("verify", help="theorem-by-theorem Monte-Carlo checks")
-    p.add_argument("--theorem", default="all",
-                   choices=list(THEOREMS) + ["interference", "all"])
+    p.add_argument("--theorem", default="all", choices=[*CHECKS, "all"])
     p.add_argument("--reps", type=int, default=200)
     p.add_argument("--rho", type=float, default=0.5, help="spillover strength (interference)")
     common(p, stochastic=True)

@@ -24,7 +24,6 @@ __all__ = [
     "AutocorrDiagnostic",
     "StationarityDiagnostic",
     "PolicyProbe",
-    "DiagnosticsReport",
     "lag_criteria",
     "residual_autocorr",
     "stationarity",
@@ -83,13 +82,6 @@ class PolicyProbe:
     skewness: float
     excess_kurtosis: float
     normality_stat: float
-
-
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    autocorr: AutocorrDiagnostic
-    stationarity: StationarityDiagnostic
-    policy_probes: tuple[PolicyProbe, ...]
 
 
 def lag_criteria(panel: PanelDataset, pmax: int, spec: PVARSpec | None = None) -> LagSelectionTable:

@@ -13,12 +13,12 @@ class CausalPvarError(Exception):
 # --- panel construction / validation ---------------------------------------
 
 class UnbalancedPanel(CausalPvarError):
-    """A (unit, time) cell is missing from the panel."""
+    """A (unit, time) cell is missing from the panel, or ``repeated`` in its records."""
 
-    def __init__(self, unit, time):
+    def __init__(self, unit, time, problem="missing"):
         self.unit = unit
         self.time = time
-        super().__init__(f"missing cell (unit={unit}, time={time})")
+        super().__init__(f"{problem} cell (unit={unit}, time={time})")
 
 
 class NonFinite(CausalPvarError):

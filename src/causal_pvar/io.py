@@ -2,10 +2,13 @@
 
 Panel CSV contract: a header ``unit,time,<var1>,...,<varm>``, then one
 row per (unit, time) cell in any order, with integer unit and time labels
-and decimal floats for values.  Blank lines and ``#`` comment lines may
-appear anywhere; a ``# policies=K`` comment sets K, the last one winning.
-Numbers follow Python's ``int``/``float`` grammar (so ``nan`` and ``inf``
-parse) less underscores and non-ASCII digits, and labels fit in int64.
+and decimal floats for values.  The panel keeps the sorted labels:
+``residuals.csv`` carries them, and edge lists name units by them.  Blank
+lines and ``#`` comment lines may appear anywhere; a ``# policies=K``
+comment sets K, the last one winning.  Numbers follow Python's
+``int``/``float`` grammar (so ``nan`` and ``inf`` parse) less underscores
+and non-ASCII digits, and labels fit in int64.  A (unit, time) cell given
+twice is an error, as is one left out.
 
 Reading: the lines up to the header are read one by one; every data row
 is then parsed by one call of numpy's C text reader, and a second pass
@@ -29,7 +32,7 @@ import warnings
 
 import numpy as np
 
-from .errors import BadConfig, IoError, ParseError, UnbalancedPanel
+from .errors import BadConfig, IoError, ParseError
 from .panel import PanelDataset, panel_from_records
 
 __all__ = [
@@ -155,7 +158,8 @@ def load_panel_csv(path, n_policies: int | None = None) -> PanelDataset:
 
     K comes from the ``# policies=K`` annotation unless overridden by
     ``n_policies``.  Row order does not matter: sorting by (unit, time)
-    is canonical.
+    is canonical, and the panel keeps the sorted labels.  A (unit, time)
+    cell given twice raises UnbalancedPanel naming it as repeated.
     """
     with _read_text(path) as fh:
         header, lineno, annotated_k = _read_header(fh)
@@ -174,13 +178,7 @@ def load_panel_csv(path, n_policies: int | None = None) -> PanelDataset:
         raise BadConfig(
             "number of policy variables unknown: add '# policies=K' or pass a flag"
         )
-    rows = rows[np.lexsort((rows["time"], rows["unit"]))]
-    units, times = rows["unit"], rows["time"]
-    repeated = (units[1:] == units[:-1]) & (times[1:] == times[:-1])
-    if repeated.any():
-        i = repeated.argmax() + 1
-        raise UnbalancedPanel(units[i], times[i])
-    return panel_from_records(units, times, rows["values"], k, tuple(header[2:]))
+    return panel_from_records(rows["unit"], rows["time"], rows["values"], k, tuple(header[2:]))
 
 
 @contextlib.contextmanager
@@ -292,19 +290,19 @@ def _lines_with_hash(fh, lineno: int):
         lineno += block.count("\n", pos)
 
 
-def write_grid(values, path, variable_names, first_time: int = 1, preamble: str = "") -> None:
+def write_grid(values, path, variable_names, unit_labels, time_labels, preamble: str = "") -> None:
     """Write an (n, t, m) grid as ``unit,time,<vars>`` CSV rows.
 
-    Units are labelled 1..n and times ``first_time``, ``first_time + 1``,
-    ...; ``preamble`` goes before the header.  Rows are formatted with one
-    %-template in blocks of ``_BLOCK_ROWS`` and streamed to the file;
-    ``'%.17g' % x`` is ``fmt_float(x)``.
+    Units are labelled by the n integer ``unit_labels`` and times by the t
+    ``time_labels``; ``preamble`` goes before the header.  Rows are
+    formatted with one %-template in blocks of ``_BLOCK_ROWS`` and streamed
+    to the file; ``'%.17g' % x`` is ``fmt_float(x)``.
     """
     n, t, m = values.shape
     row = "%d,%d" + ",%.17g" * m + "\n"
     flat = values.reshape(n * t, m)
-    units = np.repeat(np.arange(1, n + 1), t)
-    times = np.tile(np.arange(first_time, first_time + t), n)
+    units = np.repeat(unit_labels, t)
+    times = np.tile(time_labels, n)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(preamble + "unit,time," + ",".join(variable_names) + "\n")
@@ -317,14 +315,19 @@ def write_grid(values, path, variable_names, first_time: int = 1, preamble: str 
 
 
 def write_panel_csv(panel: PanelDataset, path) -> None:
-    """Write a panel with 1-based unit/time labels and the K annotation."""
-    write_grid(panel.values, path, panel.variable_names,
+    """Write a panel with its unit/time labels and the K annotation."""
+    write_grid(panel.values, path, panel.variable_names, panel.unit_labels, panel.time_labels,
                preamble=f"# policies={panel.n_policies}\n")
 
 
-def load_edge_list(path, n_units: int) -> np.ndarray:
-    """Read ``unit_a,unit_b`` lines (1-based labels) into an adjacency matrix."""
-    adj = np.zeros((n_units, n_units))
+def load_edge_list(path, unit_labels) -> np.ndarray:
+    """Read ``unit_a,unit_b`` lines into an adjacency matrix over ``unit_labels``.
+
+    Endpoints are unit labels, as in the panel CSV; row and column i of the
+    matrix belong to ``unit_labels[i]``.
+    """
+    position = {int(label): i for i, label in enumerate(unit_labels)}
+    adj = np.zeros((len(position), len(position)))
     with _read_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -334,11 +337,12 @@ def load_edge_list(path, n_units: int) -> np.ndarray:
             if len(toks) != 2:
                 raise ParseError("edge lines must be 'unit_a,unit_b'", lineno)
             try:
-                a, b = int(toks[0]) - 1, int(toks[1]) - 1
+                ends = [int(tok) for tok in toks]
             except ValueError:
                 raise ParseError("edge endpoints must be integers", lineno)
-            if not (0 <= a < n_units and 0 <= b < n_units):
-                raise ParseError(f"edge endpoint outside 1..{n_units}", lineno)
+            if unknown := [end for end in ends if end not in position]:
+                raise ParseError(f"edge endpoint {unknown[0]} is not a unit of the panel", lineno)
+            a, b = (position[end] for end in ends)
             if a == b:
                 raise ParseError("self-loops are not allowed", lineno)
             adj[a, b] = adj[b, a] = 1.0

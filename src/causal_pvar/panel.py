@@ -1,7 +1,8 @@
 """Panel data model and fixed-effects (within) estimation of a panel VAR.
 
 The data model is a balanced (unit, time, variable) array with the policy
-series stored first and the outcome series after them.  Estimation removes
+series stored first and the outcome series after them, and the sorted
+unit and time labels of the records it was built from.  Estimation removes
 unit effects (and optional exogenous dummies) by residualizing, regresses
 each variable on its own and the others' lags pooled across units, and
 returns slope matrices, unit effects, residuals, and the residual
@@ -13,7 +14,7 @@ chunk of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,12 +65,17 @@ class PanelDataset:
     exogenous_dummies : ndarray, optional, shape (n_units, n_times, d)
         0/1 controls (e.g. a pandemic-period dummy) partialled out
         alongside the unit effects.
+    unit_labels, time_labels : ndarray, optional, shapes (n_units,), (n_times,)
+        The sorted unit and time labels of the input records, which the
+        written artifacts carry; 1..n_units and 1..n_times by default.
     """
 
     values: np.ndarray
     n_policies: int
     variable_names: tuple[str, ...]
     exogenous_dummies: np.ndarray | None = None
+    unit_labels: np.ndarray | None = None
+    time_labels: np.ndarray | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -79,6 +85,10 @@ class PanelDataset:
             object.__setattr__(
                 self, "exogenous_dummies", np.asarray(self.exogenous_dummies, dtype=float)
             )
+        for name, size in zip(("unit_labels", "time_labels"), vals.shape + (0, 0)):
+            labels = getattr(self, name)
+            object.__setattr__(self, name, np.arange(1, size + 1) if labels is None
+                               else np.asarray(labels))
 
     @property
     def n_units(self) -> int:
@@ -151,11 +161,12 @@ class CompanionMatrix:
 def panel_from_records(units, times, values, n_policies, variable_names=None):
     """Assemble a PanelDataset from long-format records.
 
-    ``units``/``times`` are per-row labels and ``values`` the per-row
-    variable vectors.  Raises UnbalancedPanel on the first missing
-    (unit, time) combination, and on the first missing period when the
-    sorted time labels are not equally spaced (a period absent for every
-    unit).
+    ``units``/``times`` are per-row labels, in any order, and ``values``
+    the per-row variable vectors; the panel keeps the sorted labels.
+    Raises UnbalancedPanel on the first (unit, time) cell, in label order,
+    that more than one record fills, then on the first missing cell, and
+    on the first missing period when the sorted time labels are not
+    equally spaced (a period absent for every unit).
     """
     units = np.asarray(units)
     times = np.asarray(times)
@@ -165,6 +176,10 @@ def panel_from_records(units, times, values, n_policies, variable_names=None):
     unit_ids, unit_idx = np.unique(units, return_inverse=True)
     time_ids, time_idx = np.unique(times, return_inverse=True)
     n, t, m = len(unit_ids), len(time_ids), values.shape[1]
+    repeated = np.bincount(unit_idx * t + time_idx, minlength=n * t) > 1
+    if repeated.any():
+        i, j = divmod(int(repeated.argmax()), t)
+        raise UnbalancedPanel(unit_ids[i], time_ids[j], "repeated")
     out = np.full((n, t, m), np.nan)
     out[unit_idx, time_idx] = values
     missing = np.isnan(out).all(axis=2)
@@ -176,7 +191,8 @@ def panel_from_records(units, times, values, n_policies, variable_names=None):
         raise UnbalancedPanel(unit_ids[0], time_ids[gap.argmax()] + step.min())
     if variable_names is None:
         variable_names = tuple(f"v{k + 1}" for k in range(m))
-    panel = PanelDataset(out, n_policies, variable_names)
+    panel = PanelDataset(out, n_policies, variable_names,
+                         unit_labels=unit_ids, time_labels=time_ids)
     return validate_panel(panel)
 
 
@@ -185,20 +201,23 @@ def validate_panel(raw: PanelDataset) -> PanelDataset:
 
     Returns the dataset unchanged on success.  A fully-NaN (unit, time)
     cell is reported as a missing cell; any other non-finite entry as a
-    NonFinite error.
+    NonFinite error; both by the panel's unit and time labels.
     """
     vals = raw.values
     if vals.ndim != 3:
         raise BadOrdering(f"values must be (unit, time, variable), got ndim={vals.ndim}")
+    units, times = raw.unit_labels, raw.time_labels
+    if (len(units), len(times)) != vals.shape[:2]:
+        raise BadOrdering("one unit label per unit and one time label per period")
     finite = np.isfinite(vals)
     if not finite.all():
         missing = np.isnan(vals).all(axis=2)
         if missing.any():
             i, j = np.argwhere(missing)[0]
-            raise UnbalancedPanel(i + 1, j + 1)
+            raise UnbalancedPanel(units[i], times[j])
         bad = np.argwhere(~finite)[0]
         raise NonFinite(
-            f"non-finite value at (unit={bad[0] + 1}, time={bad[1] + 1}, "
+            f"non-finite value at (unit={units[bad[0]]}, time={times[bad[1]]}, "
             f"variable={bad[2] + 1})"
         )
     m = raw.n_vars
@@ -247,7 +266,7 @@ def within_demean(panel: PanelDataset, spec: PVARSpec | None = None) -> PanelDat
     if proj is not None:
         vals = vals - proj[0].T @ dummies.T
     vals = vals[0].reshape(panel.n_vars, panel.n_times, panel.n_units).transpose(2, 1, 0)
-    return PanelDataset(vals, panel.n_policies, panel.variable_names, panel.exogenous_dummies)
+    return replace(panel, values=vals)
 
 
 def _within_moments(states: np.ndarray, p: int, dummies: np.ndarray | None = None,

@@ -63,6 +63,9 @@ DUMMY_REGIMES = (HOMOGENEOUS_DUMMY, HETEROGENEOUS_DUMMY, SPILLOVER_DUMMY)
 TREATED_NEIGHBOR_SHARE = "treated_neighbor_share"
 BINARY_ANY_NEIGHBOR = "binary_any_neighbor"
 
+# Periods simulated from the unit means before the sample, then dropped.
+BURN_IN = 50
+
 
 @dataclass(frozen=True)
 class ImpactFunction:
@@ -205,7 +208,6 @@ class ScenarioConfig:
     ring_neighbors: int = 2
     adjacency: np.ndarray | None = None
     lambda_grid: np.ndarray | None = None
-    burn_in: int = 50
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
         return replace(self, seed=int(seed))
@@ -369,7 +371,7 @@ def _default_grid(config: ScenarioConfig) -> np.ndarray:
 @dataclass(frozen=True)
 class _Draw:
     """The draw step of one replication: unit means ``mu`` (n, 2), the
-    outcome noise ``burn`` (n, burn_in) of the burn-in periods, and the
+    outcome noise ``burn`` (n, BURN_IN) of the burn-in periods, and the
     ground truth, whose assignments and realized outcomes are the policy
     and outcome innovations of the sample periods."""
 
@@ -395,7 +397,7 @@ def simulate_scenario(config: ScenarioConfig) -> tuple[PanelDataset, PotentialOu
 
 
 def _propagate(phi, draws: list[_Draw]) -> np.ndarray:
-    """Time-major (p + burn_in + t, b, n, 2) states of b draws of one config.
+    """Time-major (p + BURN_IN + t, b, n, 2) states of b draws of one config.
 
     The pre-sample state is pinned at ``mu``; zero policy innovations and
     ``burn`` drive the burn-in periods, then the draw's assignments and
@@ -404,17 +406,16 @@ def _propagate(phi, draws: list[_Draw]) -> np.ndarray:
     """
     p = len(phi)
     n, t = draws[0].pop.base.shape
-    burn_in = draws[0].burn.shape[1]
     b = len(draws)
-    states = np.empty((p + burn_in + t, b, n, 2))
+    states = np.empty((p + BURN_IN + t, b, n, 2))
     drift = (np.eye(2) - sum(phi)).T
     for r, draw in enumerate(draws):
         units = states[:, r]
         units[:p] = draw.mu
-        units[p : p + burn_in, :, 0] = 0.0
-        units[p : p + burn_in, :, 1] = draw.burn.T
-        units[p + burn_in :, :, 0] = draw.pop.assignments.T
-        units[p + burn_in :, :, 1] = draw.pop.realized_outcomes.T
+        units[p : p + BURN_IN, :, 0] = 0.0
+        units[p : p + BURN_IN, :, 1] = draw.burn.T
+        units[p + BURN_IN :, :, 0] = draw.pop.assignments.T
+        units[p + BURN_IN :, :, 1] = draw.pop.realized_outcomes.T
         units[p:] += draw.mu @ drift
     _var_recursion(states.reshape(-1, b * n, 2), phi)
     return states
@@ -523,7 +524,7 @@ def _draw(config: ScenarioConfig) -> _Draw:
     grid = _default_grid(config)
     realized = scale[:, None] * g(w) + base
 
-    burn = config.noise_scale * rng.standard_normal((n, max(config.burn_in, 0)))
+    burn = config.noise_scale * rng.standard_normal((n, BURN_IN))
 
     pop = PotentialOutcomePanel(
         regime=config.regime,

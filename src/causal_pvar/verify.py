@@ -5,8 +5,12 @@ recursive identification -> impact coefficient), computes the predicted
 estimand from the potential-outcome oracles on the same simulated data,
 and compares the mean discrepancy against three Monte-Carlo standard
 errors of that mean.  T1 is an exact finite-sample decomposition and is
-checked at 1e-10 instead.  ``CHECKS`` holds every check: its default
-scenario, its per-replication (estimate, oracle) pairs and its test.
+checked at 1e-10 instead.  ``CHECKS`` holds every check, the interference
+pair included: its default scenario, its per-replication (estimate,
+oracle) pairs and its test.  ``verify_theorem`` runs any of them into one
+``VerificationReport``, whose fields hold the reported pair and whose
+``details`` hold any further one (T2's selection bias, the naive
+coefficient of the interference check).
 
 Replications run in chunks of about ``CHUNK_BYTES`` of panel.  Each
 replication draws from its own seed, as ``simulate_scenario`` does, and
@@ -48,7 +52,6 @@ from .weights import ZeroInflatedUniform, gaussian_weights, nonneg_weights, weig
 
 __all__ = [
     "CHECKS",
-    "InterferenceReport",
     "VerificationReport",
     "default_config",
     "verify_interference",
@@ -59,7 +62,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Aggregate of one theorem-style Monte-Carlo check."""
+    """Aggregate of one Monte-Carlo check: its reported (estimate, oracle)
+    pair, and in ``details`` each further pair as ``<name>_mean``,
+    ``_oracle_mean``, ``_discrepancy``, ``_se`` and ``_pass``.  ``passed``
+    requires every pair to pass."""
 
     theorem: str
     n_reps: int
@@ -72,63 +78,27 @@ class VerificationReport:
 
     def summary_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        return (
+        line = (
             f"{self.theorem}: {status}  |mean gamma_hat - oracle| = "
             f"{self.discrepancy:.6g} vs 3*SE = {3 * self.mc_se:.6g} "
             f"({self.n_reps} reps)"
         )
+        for key in self.details:
+            if key.endswith("_discrepancy"):
+                name = key[: -len("_discrepancy")]
+                line += (f"; {name} |mean - oracle| = {self.details[key]:.6g} "
+                         f"vs 3*SE = {3 * self.details[name + '_se']:.6g}")
+        return line
 
     def record(self) -> dict:
         """One row of ``verify.csv``."""
         return {
-            "theorem": self.theorem,
+            "theorem": RECORD_NAMES.get(self.theorem, self.theorem),
             "n_reps": self.n_reps,
             "estimate_mean": self.estimate_mean,
             "oracle_mean": self.oracle_mean,
             "discrepancy": self.discrepancy,
             "mc_se": self.mc_se,
-            "passed": self.passed,
-        }
-
-
-@dataclass(frozen=True)
-class InterferenceReport:
-    """Joint check: naive coefficient vs ATTE - ASTE, adjusted vs ATTE."""
-
-    n_reps: int
-    naive_mean: float
-    adjusted_mean: float
-    atte_mean: float
-    aste_mean: float
-    naive_discrepancy: float
-    naive_se: float
-    naive_passed: bool
-    adjusted_discrepancy: float
-    adjusted_se: float
-    adjusted_passed: bool
-    details: dict
-
-    @property
-    def passed(self) -> bool:
-        return self.naive_passed and self.adjusted_passed
-
-    def summary_line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"interference: {status}  naive vs ATTE-ASTE: {self.naive_discrepancy:.6g} "
-            f"(3*SE {3 * self.naive_se:.6g}); adjusted vs ATTE: "
-            f"{self.adjusted_discrepancy:.6g} (3*SE {3 * self.adjusted_se:.6g})"
-        )
-
-    def record(self) -> dict:
-        """One row of ``verify.csv``, reporting the adjusted coefficient."""
-        return {
-            "theorem": "T11_T12_interference",
-            "n_reps": self.n_reps,
-            "estimate_mean": self.adjusted_mean,
-            "oracle_mean": self.atte_mean,
-            "discrepancy": self.adjusted_discrepancy,
-            "mc_se": self.adjusted_se,
             "passed": self.passed,
         }
 
@@ -211,13 +181,13 @@ def _t10_pairs(config, pop):
 
 
 def _interference_pairs(config, pop, mode=TREATED_NEIGHBOR_SHARE):
-    # Naive coefficient vs ATTE - ASTE, exposure-adjusted coefficient vs ATTE.
+    # Exposure-adjusted coefficient vs ATTE, naive coefficient vs ATTE - ASTE.
     atte, aste = oracle_atte_aste(pop)
     adjacency, treatment = pop.exposure.adjacency, pop.assignments
 
     def score(fit):
         adjusted = estimate_adjusted_impact(fit, adjacency, treatment, mode)
-        return (fit.gamma, atte - aste), (adjusted.delta, atte)
+        return (adjusted.delta, atte), (fit.gamma, atte - aste)
 
     return score
 
@@ -231,12 +201,13 @@ class Check:
 
     ``pairs(config, pop, **options)`` computes the oracles on one
     replication's ground truth and returns a function of the replication's
-    within fit (None unless ``fit``) that gives its pairs."""
+    within fit (None for an exact check, which needs none) that gives its
+    pairs: the reported pair first, then one pair per name in ``further``."""
 
     config: ScenarioConfig
     pairs: Callable
     exact: bool = False
-    fit: bool = True
+    further: tuple[str, ...] = ()
 
 
 _T6_T7 = ScenarioConfig(
@@ -257,11 +228,11 @@ CHECKS = {
         regime=HETEROGENEOUS_DUMMY, n_units=40, n_times=60, seed=0,
         impact=linear_impact(2.0), effect_sd=0.6, treat_on_gain=0.4,
         treat_prob=0.4, time_frac=0.4,
-    ), _t1_pairs, exact=True, fit=False),
+    ), _t1_pairs, exact=True),
     "T2": Check(ScenarioConfig(
         regime=HOMOGENEOUS_DUMMY, n_units=200, n_times=200, seed=0,
         impact=linear_impact(2.0), treat_prob=0.3, effect_sd=0.5,
-    ), _t2_pairs),
+    ), _t2_pairs, further=("selection_bias",)),
     "T3": Check(ScenarioConfig(
         regime=GAUSSIAN_CONTINUOUS, n_units=100, n_times=150, seed=0,
         impact=quadratic_impact(1.0, 0.4), policy_sigma=1.0,
@@ -283,16 +254,24 @@ CHECKS = {
     "interference": Check(ScenarioConfig(
         regime=SPILLOVER_DUMMY, n_units=100, n_times=120, seed=0,
         impact=linear_impact(1.0), treat_prob=0.35, time_frac=0.4, spillover_rho=0.5,
-    ), _interference_pairs),
+    ), _interference_pairs, further=("naive",)),
 }
 THEOREMS = tuple(name for name in CHECKS if name != "interference")
+# verify.csv names the interference row after the two claims it checks.
+RECORD_NAMES = {"interference": "T11_T12_interference"}
+
+
+def _check_name(name: str) -> str:
+    """The key of ``CHECKS`` that ``name`` spells, in any case."""
+    for key in CHECKS:
+        if key.upper() == name.upper():
+            return key
+    raise BadConfig(f"unknown theorem {name!r}; choose from {tuple(CHECKS)}")
 
 
 def default_config(name: str) -> ScenarioConfig:
     """The default scenario of a check: a theorem name or "interference"."""
-    if name not in CHECKS:
-        raise BadConfig(f"unknown theorem {name!r}")
-    return CHECKS[name].config
+    return CHECKS[_check_name(name)].config
 
 
 def _rep_seeds(seed: int, reps: int) -> np.ndarray:
@@ -333,7 +312,7 @@ def _chunk_pairs(checks, config: ScenarioConfig, phi, seeds, options) -> list:
     draws = [_draw(config.with_seed(s)) for s in seeds]
     scores = [[check.pairs(config, d.pop, **options) for check in checks] for d in draws]
     fits = [None] * len(draws)
-    if any(check.fit for check in checks):
+    if not all(check.exact for check in checks):
         states = _propagate(phi, draws)
         del draws  # scored: only the panels are needed from here on
         fits = _fit_chunk(states, config.n_times)
@@ -379,98 +358,68 @@ def _run(name: str, config: ScenarioConfig, reps: int, **options) -> list[_Pair]
     return _run_shared([name], config, reps, **options)[0]
 
 
-def _theorem_report(theorem: str, pairs: list[_Pair], reps: int) -> VerificationReport:
-    main, *bias = pairs
-    if CHECKS[theorem].exact:
+def _report(name: str, pairs: list[_Pair], reps: int, options: dict) -> VerificationReport:
+    """The report of check ``name`` from its pairs, run with ``options``."""
+    check = CHECKS[name]
+    main, *further = pairs
+    if check.exact:
         details = {"criterion": "max |estimate - oracle| < 1e-10"}
     else:
         details = {
             "estimates_sd": float(main.estimates.std(ddof=1)),
             "oracle_sd": float(main.oracles.std(ddof=1)),
         }
-    for b in bias:
-        details["selection_bias_mean"] = float(b.estimates.mean())
-        details["selection_bias_se"] = b.mc_se
-        details["selection_bias_pass"] = b.passed
-    return VerificationReport(
-        theorem=theorem,
-        n_reps=reps,
-        estimate_mean=float(main.estimates.mean()),
-        oracle_mean=float(main.oracles.mean()),
-        discrepancy=main.discrepancy,
-        mc_se=main.mc_se,
-        passed=main.passed and all(b.passed for b in bias),
-        details=details,
-    )
+    details.update(options)
+    for label, pair in zip(check.further, further):
+        details.update({f"{label}_mean": float(pair.estimates.mean()),
+                        f"{label}_oracle_mean": float(pair.oracles.mean()),
+                        f"{label}_discrepancy": pair.discrepancy,
+                        f"{label}_se": pair.mc_se, f"{label}_pass": pair.passed})
+    return VerificationReport(name, reps, float(main.estimates.mean()), float(main.oracles.mean()),
+                              main.discrepancy, main.mc_se, all(p.passed for p in pairs), details)
 
 
-def verify_theorem(theorem: str, config: ScenarioConfig | None = None, reps: int = 200) -> VerificationReport:
-    """Run one theorem check for ``reps`` seeded replications.
+def verify_theorem(theorem: str, config: ScenarioConfig | None = None, reps: int = 200,
+                   **options) -> VerificationReport:
+    """Run the check ``theorem``, any key of ``CHECKS``, for ``reps`` seeded
+    replications of ``config`` (default: the check's default scenario).
 
-    T2 also requires the mean selection bias to be zero within three
-    Monte-Carlo standard errors.
+    T2 also requires the mean selection bias to be zero, and "interference"
+    the naive coefficient to centre on ATTE - ASTE, within three Monte-Carlo
+    standard errors.  ``options`` go to the check's pairs (interference
+    takes the exposure ``mode``) and are recorded in ``details``.
     """
-    theorem = theorem.upper()
-    if theorem not in THEOREMS:
-        raise BadConfig(f"unknown theorem {theorem!r}; choose from {THEOREMS}")
-    return _theorem_report(theorem, _run(theorem, config or default_config(theorem), reps), reps)
+    name = _check_name(theorem)
+    pairs = _run(name, config or CHECKS[name].config, reps, **options)
+    return _report(name, pairs, reps, options)
 
 
 def verify_interference(config: ScenarioConfig, reps: int = 200,
-                        mode: str = TREATED_NEIGHBOR_SHARE) -> InterferenceReport:
-    """Monte-Carlo check of the naive and exposure-adjusted estimators.
-
-    Per replication: the naive recursive coefficient should center on
-    ATTE - ASTE, the adjusted policy coefficient on ATTE, both at three
-    Monte-Carlo standard errors; the naive bias is reported and should
-    approximate -ASTE.
-    """
-    naive, adjusted = _run("interference", config, reps, mode=mode)
-    atte = adjusted.oracles
-    aste = atte - naive.oracles
-    return InterferenceReport(
-        n_reps=reps,
-        naive_mean=float(naive.estimates.mean()),
-        adjusted_mean=float(adjusted.estimates.mean()),
-        atte_mean=float(atte.mean()),
-        aste_mean=float(aste.mean()),
-        naive_discrepancy=naive.discrepancy,
-        naive_se=naive.mc_se,
-        naive_passed=naive.passed,
-        adjusted_discrepancy=adjusted.discrepancy,
-        adjusted_se=adjusted.mc_se,
-        adjusted_passed=adjusted.passed,
-        details={
-            "mode": mode,
-            "naive_bias_vs_atte": float((naive.estimates - atte).mean()),
-            "mean_aste": float(aste.mean()),
-        },
-    )
+                        mode: str = TREATED_NEIGHBOR_SHARE) -> VerificationReport:
+    """The "interference" check of ``verify_theorem`` with exposure regressor ``mode``."""
+    return verify_theorem("interference", config, reps, mode=mode)
 
 
 def verify_suite(seed: int, reps: int = 200, names=None, rho: float | None = None):
     """Run checks on their default scenarios at ``seed``, yielding each report.
 
-    ``names`` are theorem names and "interference", in the order to run
-    (default: every theorem, then the interference pair); ``rho``, if
-    given, replaces the interference scenario's spillover strength.
-    Theorems that share a default scenario (T6 and T7, T9 and T10) are
-    scored on one run of its replications, as ``verify_theorem`` scores each.
+    ``names`` are keys of ``CHECKS``, in the order to run (default: all of
+    them); ``rho``, if given, replaces the interference scenario's
+    spillover strength.  Checks that share a default scenario (T6 and T7,
+    T9 and T10) are scored on one run of its replications, as
+    ``verify_theorem`` scores each.
     """
-    names = names or (*THEOREMS, "interference")
+    names = names or tuple(CHECKS)
     shared = {}
     for name in names:
         config = default_config(name).with_seed(seed)
-        if name == "interference":
-            if rho is not None:
-                config = replace(config, spillover_rho=rho)
-            yield verify_interference(config, reps=reps)
-            continue
+        if name == "interference" and rho is not None:
+            config = replace(config, spillover_rho=rho)
         group = [other for other in names if default_config(other) is default_config(name)]
         if len(group) == 1:
             yield verify_theorem(name, config, reps=reps)
             continue
         if name not in shared:
             for other, pairs in zip(group, _run_shared(group, config, reps)):
-                shared[other] = _theorem_report(other, pairs, reps)
+                shared[other] = _report(other, pairs, reps, {})
         yield shared.pop(name)

@@ -163,7 +163,7 @@ class TestPanelCsv:
 
     def test_edge_list(self, tmp_path):
         (tmp_path / "edges.csv").write_text("1,2\n2,3\n")
-        adj = load_edge_list(tmp_path / "edges.csv", 3)
+        adj = load_edge_list(tmp_path / "edges.csv", np.arange(1, 4))
         assert adj[0, 1] == adj[1, 0] == adj[1, 2] == 1.0
         assert adj[0, 2] == 0.0
 
@@ -404,3 +404,68 @@ class TestCli:
         assert res.returncode == 0, res.stderr
         recs = read_records(out / "verify.csv")
         assert recs[0]["theorem"] == "T1" and recs[0]["passed"] is True
+
+    def test_verify_interference_writes_its_row(self, tmp_path):
+        out = tmp_path / "ver"
+        res = run_cli("verify", "--theorem", "interference", "--reps", "10", "--seed", "2",
+                      "--output", str(out))
+        recs = read_records(out / "verify.csv")
+        assert [r["theorem"] for r in recs] == ["T11_T12_interference"]
+        assert res.returncode == (0 if recs[0]["passed"] else 1), res.stderr
+        assert res.stdout.startswith("interference: ")
+
+    def test_repeated_row_exits_1_naming_the_cell(self, tmp_path):
+        panel = PanelDataset(np.random.default_rng(8).standard_normal((3, 5, 2)), 1, ("w", "y"))
+        write_panel_csv(panel, tmp_path / "panel.csv")
+        lines = (tmp_path / "panel.csv").read_text().splitlines(keepends=True)
+        repeat = next(line for line in lines if line.startswith("2,3,"))
+        (tmp_path / "panel.csv").write_text("".join(lines + [repeat]))
+        res = run_cli("fit", "--input", str(tmp_path / "panel.csv"), "--output", str(tmp_path / "o"))
+        self._one_error_line(res, 1)
+        assert res.stderr.strip() == "error: repeated cell (unit=2, time=3)"
+
+    def test_fit_keeps_the_input_labels(self, sim_dir, tmp_path):
+        units = [101, 205, 307, 409] + list(range(500, 526))
+        times = list(range(2000, 2300, 5))
+        _relabel(sim_dir / "panel.csv", tmp_path / "labelled.csv", units, times)
+        for name in ("plain", "labelled"):
+            source = sim_dir / "panel.csv" if name == "plain" else tmp_path / "labelled.csv"
+            res = run_cli("fit", "--input", str(source), "--lags", "2",
+                          "--output", str(tmp_path / name))
+            assert res.returncode == 0, res.stderr
+        plain = (tmp_path / "plain" / "residuals.csv").read_text().splitlines()
+        labelled = (tmp_path / "labelled" / "residuals.csv").read_text().splitlines()
+        assert labelled[1].startswith("101,2010,") and labelled[-1].startswith("525,2295,")
+        assert [l.split(",", 2)[2] for l in labelled] == [l.split(",", 2)[2] for l in plain]
+        assert ((tmp_path / "labelled" / "fit.json").read_text()
+                == (tmp_path / "plain" / "fit.json").read_text())
+
+    def test_spillover_edges_name_unit_labels(self, spill_dir, tmp_path):
+        labels = [2 * u + 1 for u in range(30)]
+        _relabel(spill_dir / "panel.csv", tmp_path / "labelled.csv", labels, range(1, 61))
+        (tmp_path / "edges.csv").write_text(
+            "".join(f"{a},{b}\n" for a, b in zip(labels, labels[1:])))
+        outputs = []
+        for panel, edges in ((spill_dir / "panel.csv", spill_dir / "edges.csv"),
+                             (tmp_path / "labelled.csv", tmp_path / "edges.csv")):
+            out = tmp_path / f"spill{len(outputs)}"
+            res = run_cli("spillover", "--input", str(panel), "--adjacency", str(edges),
+                          "--reps", "20", "--seed", "1", "--output", str(out))
+            assert res.returncode == 0, res.stderr
+            outputs.append((out / "spillover.csv").read_text())
+        assert outputs[0] == outputs[1]
+        (tmp_path / "unknown.csv").write_text("1,3\n3,4\n")
+        res = run_cli("spillover", "--input", str(tmp_path / "labelled.csv"), "--adjacency",
+                      str(tmp_path / "unknown.csv"), "--seed", "1", "--output", str(tmp_path / "o"))
+        self._one_error_line(res, 1)
+        assert res.stderr.strip() == "error: line 2: edge endpoint 4 is not a unit of the panel"
+
+
+def _relabel(src, dst, units, times):
+    """Copy a panel CSV labelled 1..n and 1..T with unit i named units[i - 1]
+    and time t named times[t - 1]."""
+    units, times = list(units), list(times)
+    lines = src.read_text().splitlines(keepends=True)
+    body = [line.split(",", 2) for line in lines[2:]]
+    dst.write_text("".join(lines[:2] + [f"{units[int(u) - 1]},{times[int(t) - 1]},{rest}"
+                                        for u, t, rest in body]))

@@ -43,6 +43,25 @@ class TestValidatePanel:
             panel_from_records(units, times, values, 1)
         assert err.value.unit == 2 and err.value.time == 3
 
+    def test_repeated_record_rejected(self):
+        # (2, 1) repeats first in row order, (1, 2) first in (unit, time) order
+        units = [1, 1, 1, 2, 2, 2, 2, 1]
+        times = [1, 2, 3, 1, 2, 3, 1, 2]
+        with pytest.raises(UnbalancedPanel, match=r"^repeated cell \(unit=1, time=2\)$") as err:
+            panel_from_records(units, times, np.arange(16.0).reshape(8, 2), 1)
+        assert err.value.unit == 1 and err.value.time == 2
+
+    def test_records_keep_their_sorted_labels(self):
+        units = [205, 101, 205, 101]
+        times = [2005, 2005, 2000, 2000]
+        panel = panel_from_records(units, times, np.arange(8.0).reshape(4, 2), 1)
+        np.testing.assert_array_equal(panel.unit_labels, [101, 205])
+        np.testing.assert_array_equal(panel.time_labels, [2000, 2005])
+        np.testing.assert_array_equal(panel.values[:, :, 0], [[6.0, 2.0], [4.0, 0.0]])
+        default = PanelDataset(np.zeros((3, 4, 2)), 1, ("w", "y"))
+        np.testing.assert_array_equal(default.unit_labels, [1, 2, 3])
+        np.testing.assert_array_equal(default.time_labels, [1, 2, 3, 4])
+
     def test_bad_ordering_metadata(self):
         vals = np.ones((2, 4, 2))
         with pytest.raises(BadOrdering):

@@ -264,21 +264,23 @@ class TestVerifyInterference:
 
     def test_naive_biased_adjusted_unbiased(self):
         rep = verify_interference(self.CFG, reps=80)
-        assert rep.naive_passed and rep.adjusted_passed
+        assert rep.passed  # the naive and the adjusted pair
         # naive bias vs ATTE approximately -ASTE
-        assert rep.details["naive_bias_vs_atte"] == pytest.approx(
-            -rep.aste_mean, abs=3 * rep.naive_se + 0.01
+        naive_bias_vs_atte = rep.details["naive_mean"] - rep.oracle_mean
+        aste_mean = rep.oracle_mean - rep.details["naive_oracle_mean"]
+        assert naive_bias_vs_atte == pytest.approx(
+            -aste_mean, abs=3 * rep.details["naive_se"] + 0.01
         )
 
     def test_zero_rho_limit(self):
         from dataclasses import replace
 
         rep = verify_interference(replace(self.CFG, spillover_rho=0.0, seed=5), reps=60)
-        assert abs(rep.naive_mean - rep.adjusted_mean) < 0.02
+        assert abs(rep.details["naive_mean"] - rep.estimate_mean) < 0.02
 
     def test_misspecified_exposure_reported_not_asserted(self):
         # binary exposure regressor on a share-exposure DGP: the report
         # carries the discrepancy; no pass requirement.
         rep = verify_interference(self.CFG, reps=40, mode=BINARY_ANY_NEIGHBOR)
-        assert np.isfinite(rep.adjusted_discrepancy)
+        assert np.isfinite(rep.discrepancy)
         assert rep.details["mode"] == BINARY_ANY_NEIGHBOR

@@ -52,7 +52,7 @@ def _oracle_pairs(name, config, pop, fit, gamma):
                                        groups.treated_times)),)
     adjusted = estimate_adjusted_impact(fit, pop.exposure.adjacency, pop.assignments)
     atte, aste = oracle_atte_aste(pop)
-    return (gamma, atte - aste), (adjusted.delta, atte)
+    return (adjusted.delta, atte), (gamma, atte - aste)
 
 
 def _reference_pairs(name, config, reps):
@@ -95,6 +95,15 @@ def test_engine_does_not_depend_on_chunk_size(name):
     whole, sizes = _engine_pairs(name, config, REPS, per_chunk=REPS)
     assert sizes == [REPS]
     np.testing.assert_allclose(one, whole, rtol=0, atol=1e-12)
+
+
+def test_every_check_runs_through_verify_theorem_as_in_the_suite():
+    suite = {rep.theorem: rep.record() for rep in verify.verify_suite(4, reps=3)}
+    assert list(suite) == list(verify.CHECKS)
+    assert suite["interference"]["theorem"] == "T11_T12_interference"
+    for name in verify.CHECKS:
+        config = verify.default_config(name).with_seed(4)
+        assert verify.verify_theorem(name, config, reps=3).record() == suite[name]
 
 
 def _unit_major(phi, mu, innovations):
