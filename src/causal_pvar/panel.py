@@ -164,9 +164,10 @@ def panel_from_records(units, times, values, n_policies, variable_names=None):
     ``units``/``times`` are per-row labels, in any order, and ``values``
     the per-row variable vectors; the panel keeps the sorted labels.
     Raises UnbalancedPanel on the first (unit, time) cell, in label order,
-    that more than one record fills, then on the first missing cell, and
-    on the first missing period when the sorted time labels are not
-    equally spaced (a period absent for every unit).
+    that more than one record fills, then on the first cell that no record
+    fills, and on the first missing period when the sorted time labels are
+    not equally spaced (a period absent for every unit).  A record present
+    with NaN or infinite values raises NonFinite, through ``validate_panel``.
     """
     units = np.asarray(units)
     times = np.asarray(times)
@@ -176,16 +177,13 @@ def panel_from_records(units, times, values, n_policies, variable_names=None):
     unit_ids, unit_idx = np.unique(units, return_inverse=True)
     time_ids, time_idx = np.unique(times, return_inverse=True)
     n, t, m = len(unit_ids), len(time_ids), values.shape[1]
-    repeated = np.bincount(unit_idx * t + time_idx, minlength=n * t) > 1
-    if repeated.any():
-        i, j = divmod(int(repeated.argmax()), t)
-        raise UnbalancedPanel(unit_ids[i], time_ids[j], "repeated")
+    counts = np.bincount(unit_idx * t + time_idx, minlength=n * t)
+    for problem, bad in (("repeated", counts > 1), ("missing", counts == 0)):
+        if bad.any():
+            i, j = divmod(int(bad.argmax()), t)
+            raise UnbalancedPanel(unit_ids[i], time_ids[j], problem)
     out = np.full((n, t, m), np.nan)
     out[unit_idx, time_idx] = values
-    missing = np.isnan(out).all(axis=2)
-    if missing.any():
-        i, j = np.argwhere(missing)[0]
-        raise UnbalancedPanel(unit_ids[i], time_ids[j])
     step = np.diff(time_ids)
     if step.size and (gap := step != step.min()).any():
         raise UnbalancedPanel(unit_ids[0], time_ids[gap.argmax()] + step.min())
@@ -199,9 +197,10 @@ def panel_from_records(units, times, values, n_policies, variable_names=None):
 def validate_panel(raw: PanelDataset) -> PanelDataset:
     """Check balance, finiteness, and policies-first ordering metadata.
 
-    Returns the dataset unchanged on success.  A fully-NaN (unit, time)
-    cell is reported as a missing cell; any other non-finite entry as a
-    NonFinite error; both by the panel's unit and time labels.
+    Returns the dataset unchanged on success.  A dense panel has no missing
+    cell (``panel_from_records`` finds those from its records), so any NaN
+    or infinite entry, an all-NaN cell included, is a NonFinite error
+    naming the panel's unit and time labels and the variable.
     """
     vals = raw.values
     if vals.ndim != 3:
@@ -211,10 +210,6 @@ def validate_panel(raw: PanelDataset) -> PanelDataset:
         raise BadOrdering("one unit label per unit and one time label per period")
     finite = np.isfinite(vals)
     if not finite.all():
-        missing = np.isnan(vals).all(axis=2)
-        if missing.any():
-            i, j = np.argwhere(missing)[0]
-            raise UnbalancedPanel(units[i], times[j])
         bad = np.argwhere(~finite)[0]
         raise NonFinite(
             f"non-finite value at (unit={units[bad[0]]}, time={times[bad[1]]}, "

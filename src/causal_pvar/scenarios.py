@@ -1,20 +1,23 @@
 """Scenario simulators with fully observed potential outcomes.
 
-Each regime draws policy innovations from a different law (common dummy,
-Gaussian, zero-inflated non-negative, unit-by-time dummy, dummy with
-network spillovers), builds the outcome innovation as a structural impact
-of the realized policy innovation plus idiosyncratic noise, and runs the
-panel through the autoregressive dynamics.  Potential outcomes are kept in
-structural form, ``po(lam) = scale * g(lam) + base`` with every other
-shock held in ``base``, so any counterfactual dose is evaluated exactly
-and brute-force estimand oracles need no stored grid of outcomes.  The
-network exposure of the spillover regime (``build_exposure``) lives here
-too, so the simulator and the estimators share one definition.
+Each regime is one entry of ``SCENARIOS``: its assignment law (common
+dummy, Gaussian, zero-inflated non-negative, unit-by-time dummy, sparse
+dummy with network spillovers), its default dose grid and the config
+fields it records.  The outcome innovation is a structural impact of the
+realized policy innovation plus noise, shifted by the selection,
+anticipation and spillover steps, and the panel runs through the
+autoregressive dynamics.  Potential outcomes are kept in structural form,
+``po(lam) = scale * g(lam) + base`` with every other shock held in
+``base``, so any counterfactual dose is evaluated exactly and brute-force
+estimand oracles need no stored grid of outcomes.  The network exposure
+(``build_exposure``) lives here too, so the simulator and the estimators
+share one definition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -31,6 +34,8 @@ __all__ = [
     "ExposureTruth",
     "PotentialOutcomePanel",
     "ScenarioConfig",
+    "Scenario",
+    "SCENARIOS",
     "build_exposure",
     "ring_adjacency",
     "simulate_var_panel",
@@ -51,14 +56,6 @@ GAUSSIAN_CONTINUOUS = "gaussian_continuous"
 NONNEGATIVE_CONTINUOUS = "nonnegative_continuous"
 HETEROGENEOUS_DUMMY = "heterogeneous_dummy"
 SPILLOVER_DUMMY = "spillover_dummy"
-REGIMES = (
-    HOMOGENEOUS_DUMMY,
-    GAUSSIAN_CONTINUOUS,
-    NONNEGATIVE_CONTINUOUS,
-    HETEROGENEOUS_DUMMY,
-    SPILLOVER_DUMMY,
-)
-DUMMY_REGIMES = (HOMOGENEOUS_DUMMY, HETEROGENEOUS_DUMMY, SPILLOVER_DUMMY)
 
 TREATED_NEIGHBOR_SHARE = "treated_neighbor_share"
 BINARY_ANY_NEIGHBOR = "binary_any_neighbor"
@@ -133,18 +130,17 @@ class ExposureMap:
 
 @dataclass(frozen=True)
 class ExposureTruth:
-    """Ground-truth exposure and exposure-indexed potential outcomes.
+    """Ground-truth network exposure of the spillover regime.
 
-    The ``po_*`` arrays are per-cell potential outcome innovations: own
-    treatment at the realized exposure, no own treatment at the realized
-    exposure, and no own treatment with zero exposure.
+    The network (``adjacency``), each cell's exposure ``s_values`` and the
+    spillover effect ``rho``, which broadcasts against ``s_values``: a
+    cell's ``base`` holds ``rho * s``, so its potential outcome with own
+    dose lam at exposure s' is ``po_at(lam) + rho * (s' - s)``.
     """
 
     adjacency: np.ndarray
     s_values: np.ndarray
-    po_treated_realized: np.ndarray
-    po_control_realized: np.ndarray
-    po_baseline: np.ndarray
+    rho: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -178,12 +174,14 @@ class PotentialOutcomePanel:
 class ScenarioConfig:
     """Parameters of one simulated scenario.
 
-    Only the fields relevant to ``regime`` are read; the rest keep their
-    defaults.  ``treat_on_gain`` tilts unit-level treatment probability
-    toward units with larger impact scale (a selection-on-gains device),
-    ``anticipation`` shifts treated units' innovations in untreated
-    periods (a no-anticipation violation), and ``selection_strength``
-    correlates the outcome noise with the realized Gaussian policy draw.
+    Each regime reads its own fields and ignores the rest, but a non-zero
+    violation flag on a regime that does not take it raises BadConfig:
+    ``anticipation`` shifts treated units' innovations in untreated periods
+    (the regimes with groups, ``homogeneous_dummy`` and
+    ``heterogeneous_dummy``), and ``selection_strength`` correlates the
+    outcome noise with the realized policy draw (``gaussian_continuous``).
+    ``treat_on_gain`` tilts unit-level treatment probability toward units
+    with larger impact scale (a selection-on-gains device).
     """
 
     regime: str
@@ -206,7 +204,6 @@ class ScenarioConfig:
     support: tuple[float, float] = (1.0, 2.0)
     spillover_rho: float = 0.0
     ring_neighbors: int = 2
-    adjacency: np.ndarray | None = None
     lambda_grid: np.ndarray | None = None
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
@@ -298,7 +295,8 @@ def _as_phi_tuple(phi) -> tuple[np.ndarray, ...]:
 
 
 def _validate_config(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
-    if config.regime not in REGIMES:
+    """The checks every regime shares; each draw checks the fields it reads."""
+    if config.regime not in SCENARIOS:
         raise BadConfig(f"unknown regime {config.regime!r}")
     if config.n_units < 2 or config.n_times < 4:
         raise BadConfig("need at least 2 units and 4 periods")
@@ -307,65 +305,126 @@ def _validate_config(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
         raise BadConfig("scenario simulators use one policy and one outcome (m = 2)")
     if config.noise_scale < 0 or config.mu_scale < 0:
         raise BadConfig("scales must be non-negative")
-    if config.regime == HOMOGENEOUS_DUMMY and not 0.0 < config.treat_prob < 1.0:
-        raise BadConfig("treat_prob must be in (0, 1)")
-    if config.regime == GAUSSIAN_CONTINUOUS and config.policy_sigma <= 0:
-        raise BadConfig("policy_sigma must be positive")
-    if config.regime == NONNEGATIVE_CONTINUOUS:
-        low, high = config.support
-        if not (0.0 < low <= high):
-            raise BadConfig("non-negative regime needs 0 < support low <= high")
-        if not 0.0 <= config.zero_prob < 1.0:
-            raise BadConfig("zero_prob must be in [0, 1)")
-    if config.regime in (HETEROGENEOUS_DUMMY, SPILLOVER_DUMMY):
-        if config.treat_schedule is None:
-            if not 0.0 < config.treat_prob < 1.0 or not 0.0 < config.time_frac < 1.0:
-                raise BadConfig("treat_prob and time_frac must be in (0, 1)")
-    return phi
-
-
-def _group_assignment(config: ScenarioConfig, rng, scale_z):
-    """Draw product-form unit x time treatment with non-degenerate groups."""
-    n, t = config.n_units, config.n_times
-    prob = np.clip(config.treat_prob + config.treat_on_gain * scale_z, 0.02, 0.98)
-    units = rng.random(n) < prob
-    if not units.any():
-        units[int(np.argmax(prob))] = True
-    if units.all():
-        units[int(np.argmin(prob))] = False
-    times = rng.random(t) < config.time_frac
-    if not times.any():
-        times[0] = True
-    if times.all():
-        times[-1] = False
-    return units, times
-
-
-def _schedule_groups(schedule: np.ndarray):
-    w = np.asarray(schedule, dtype=float)
-    if not np.isin(w, (0.0, 1.0)).all():
-        raise BadConfig("treat_schedule must be 0/1")
-    treated_times = w.any(axis=0)
-    # Assumption structure: a contemporaneous control unit must exist
-    # whenever anyone is treated.
-    if (w.all(axis=0) & treated_times).any():
-        raise BadConfig("every treated period needs at least one control unit")
-    return w, w.any(axis=1), treated_times
-
-
-def _default_grid(config: ScenarioConfig) -> np.ndarray:
+    for name in VIOLATIONS:
+        if getattr(config, name) != 0.0 and name not in SCENARIOS[config.regime].records:
+            raise BadConfig(f"regime {config.regime!r} does not take {name}")
     if config.lambda_grid is not None:
         grid = np.asarray(config.lambda_grid, dtype=float)
         if grid.ndim != 1 or grid.size < 2 or (np.diff(grid) <= 0).any():
             raise BadConfig("lambda_grid must be strictly increasing")
-        return grid
-    if config.regime in DUMMY_REGIMES:
-        return np.array([0.0, 1.0])
-    if config.regime == GAUSSIAN_CONTINUOUS:
-        s = config.policy_sigma
-        return np.linspace(-5.0 * s, 5.0 * s, 201)
+    return phi
+
+
+def _both_arms(treated: np.ndarray, on=0, off=-1) -> np.ndarray:
+    """Keep at least one treated and one control entry of a boolean draw:
+    treat flat entry ``on`` if none is treated, untreat ``off`` if all are."""
+    flat = treated.reshape(-1)
+    if not flat.any():
+        flat[on] = True
+    if flat.all():
+        flat[off] = False
+    return treated
+
+
+def _schedule(config: ScenarioConfig) -> np.ndarray:
+    """The fixed 0/1 calendar ``treat_schedule``, with a control unit in every
+    treated period, as the assumption structure requires."""
+    w = np.asarray(config.treat_schedule, dtype=float)
+    if w.shape != (config.n_units, config.n_times):
+        raise BadConfig("treat_schedule shape must be (n_units, n_times)")
+    if not np.isin(w, (0.0, 1.0)).all():
+        raise BadConfig("treat_schedule must be 0/1")
+    if (w.all(axis=0) & w.any(axis=0)).any():
+        raise BadConfig("every treated period needs at least one control unit")
+    return w
+
+
+def _common_dummy(rng, config, scale_z):
+    """Every unit treated in the same randomly drawn periods."""
+    if not 0.0 < config.treat_prob < 1.0:
+        raise BadConfig("treat_prob must be in (0, 1)")
+    d = _both_arms(rng.random(config.n_times) < config.treat_prob)
+    n = config.n_units
+    return np.tile(d.astype(float), (n, 1)), GroupLabels(np.ones(n, dtype=bool), d)
+
+
+def _gaussian_dose(rng, config, scale_z):
+    if config.policy_sigma <= 0:
+        raise BadConfig("policy_sigma must be positive")
+    return config.policy_sigma * rng.standard_normal((config.n_units, config.n_times)), None
+
+
+def _nonnegative_dose(rng, config, scale_z):
+    """Zero with probability ``zero_prob``, else uniform on ``support``."""
     low, high = config.support
-    return np.concatenate([[0.0], np.linspace(low, high, 121)])
+    if not 0.0 < low <= high:
+        raise BadConfig("non-negative regime needs 0 < support low <= high")
+    if not 0.0 <= config.zero_prob < 1.0:
+        raise BadConfig("zero_prob must be in [0, 1)")
+    shape = (config.n_units, config.n_times)
+    is_zero = rng.random(shape) < config.zero_prob
+    return np.where(is_zero, 0.0, low + (high - low) * rng.random(shape)), None
+
+
+def _block_dummy(rng, config, scale_z):
+    """Treated units in treated periods, a product of unit and period draws
+    (unit probabilities tilted by ``treat_on_gain``), or ``treat_schedule``."""
+    if config.treat_schedule is not None:
+        w = _schedule(config)
+        return w, GroupLabels(w.any(axis=1), w.any(axis=0))
+    if not 0.0 < config.treat_prob < 1.0 or not 0.0 < config.time_frac < 1.0:
+        raise BadConfig("treat_prob and time_frac must be in (0, 1)")
+    prob = np.clip(config.treat_prob + config.treat_on_gain * scale_z, 0.02, 0.98)
+    units = _both_arms(rng.random(config.n_units) < prob, np.argmax(prob), np.argmin(prob))
+    times = _both_arms(rng.random(config.n_times) < config.time_frac)
+    return np.outer(units, times).astype(float), GroupLabels(units, times)
+
+
+def _sparse_dummy(rng, config, scale_z):
+    """Sparse, independently timed treatment (or ``treat_schedule``), so every
+    unit re-enters the control pool and own timing is independent of
+    neighbour exposure.  With grouped timing the within estimator draws no
+    variation from pure controls and would absorb the treated cells' own
+    exposure instead of netting it out."""
+    if config.treat_schedule is not None:
+        return _schedule(config), None
+    if not 0.0 < config.treat_prob < 1.0 or not 0.0 < config.time_frac < 1.0:
+        raise BadConfig("treat_prob and time_frac must be in (0, 1)")
+    w = _both_arms(rng.random((config.n_units, config.n_times)) < config.treat_prob)
+    return w.astype(float), None
+
+
+def _dummy_grid(config):
+    return np.array([0.0, 1.0])
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One regime: ``draw(rng, config, scale_z) -> (w, groups)`` draws the
+    policy innovations and rejects bad values of its fields, ``grid(config)``
+    is the default dose grid, and ``records`` names the fields written to
+    ``truth``; a field of ``VIOLATIONS`` only when non-zero."""
+
+    draw: Callable
+    grid: Callable
+    records: tuple[str, ...] = ()
+
+
+SCENARIOS = {
+    HOMOGENEOUS_DUMMY: Scenario(_common_dummy, _dummy_grid, ("anticipation",)),
+    GAUSSIAN_CONTINUOUS: Scenario(
+        _gaussian_dose, lambda c: np.linspace(-5.0 * c.policy_sigma, 5.0 * c.policy_sigma, 201),
+        ("policy_sigma", "selection_strength")),
+    NONNEGATIVE_CONTINUOUS: Scenario(
+        _nonnegative_dose, lambda c: np.concatenate([[0.0], np.linspace(*c.support, 121)]),
+        ("zero_prob", "support")),
+    HETEROGENEOUS_DUMMY: Scenario(_block_dummy, _dummy_grid, ("anticipation",)),
+    SPILLOVER_DUMMY: Scenario(_sparse_dummy, _dummy_grid, ("spillover_rho",)),
+}
+REGIMES = tuple(SCENARIOS)
+DUMMY_REGIMES = (HOMOGENEOUS_DUMMY, HETEROGENEOUS_DUMMY, SPILLOVER_DUMMY)
+# No-anticipation and exogenous-selection violations, each one step after the draw.
+VIOLATIONS = ("anticipation", "selection_strength")
 
 
 @dataclass(frozen=True)
@@ -433,8 +492,8 @@ def _draw(config: ScenarioConfig) -> _Draw:
     scale_z = rng.standard_normal(n)
     scale = 1.0 + config.effect_sd * scale_z
 
-    groups = None
-    exposure = None
+    scenario = SCENARIOS[config.regime]
+    w, groups = scenario.draw(rng, config, scale_z)
     truth = {
         "regime": config.regime,
         "impact_kind": g.kind,
@@ -442,86 +501,22 @@ def _draw(config: ScenarioConfig) -> _Draw:
         "noise_scale": config.noise_scale,
         "effect_sd": config.effect_sd,
     }
+    truth.update((name, getattr(config, name)) for name in scenario.records
+                 if name not in VIOLATIONS or getattr(config, name) != 0.0)
 
-    if config.regime == HOMOGENEOUS_DUMMY:
-        d = (rng.random(t) < config.treat_prob).astype(float)
-        if not d.any():
-            d[0] = 1.0
-        if d.all():
-            d[-1] = 0.0
-        w = np.tile(d, (n, 1))
-        groups = GroupLabels(np.ones(n, dtype=bool), d.astype(bool))
-    elif config.regime == GAUSSIAN_CONTINUOUS:
-        w = config.policy_sigma * rng.standard_normal((n, t))
-        truth["policy_sigma"] = config.policy_sigma
-    elif config.regime == NONNEGATIVE_CONTINUOUS:
-        low, high = config.support
-        is_zero = rng.random((n, t)) < config.zero_prob
-        pos = low + (high - low) * rng.random((n, t))
-        w = np.where(is_zero, 0.0, pos)
-        truth["zero_prob"] = config.zero_prob
-        truth["support"] = (low, high)
-    elif config.regime == HETEROGENEOUS_DUMMY:
-        if config.treat_schedule is not None:
-            w, unit_mask, time_mask = _schedule_groups(config.treat_schedule)
-            if w.shape != (n, t):
-                raise BadConfig("treat_schedule shape must be (n_units, n_times)")
-        else:
-            unit_mask, time_mask = _group_assignment(config, rng, scale_z)
-            w = np.outer(unit_mask, time_mask).astype(float)
-        groups = GroupLabels(unit_mask, time_mask)
-    else:
-        # Spillover regime: sparse, independently timed treatment, so every
-        # unit re-enters the control pool and own timing is independent of
-        # neighbour exposure.  With grouped timing the within estimator
-        # draws no variation from pure controls and would absorb the
-        # treated cells' own exposure instead of netting it out.
-        if config.treat_schedule is not None:
-            w, _, _ = _schedule_groups(config.treat_schedule)
-            if w.shape != (n, t):
-                raise BadConfig("treat_schedule shape must be (n_units, n_times)")
-        else:
-            w = (rng.random((n, t)) < config.treat_prob).astype(float)
-            if not w.any():
-                w[0, 0] = 1.0
-            if w.all():
-                w[0, 0] = 0.0
-
-    eps = config.noise_scale * rng.standard_normal((n, t))
-    base = eps
-    if config.regime == GAUSSIAN_CONTINUOUS and config.selection_strength != 0.0:
+    base = config.noise_scale * rng.standard_normal((n, t))
+    if config.selection_strength != 0.0:
         base = base + config.selection_strength * w
-        truth["selection_strength"] = config.selection_strength
-    if config.anticipation != 0.0 and groups is not None:
-        antic = config.anticipation * np.outer(
-            groups.treated_units, ~groups.treated_times
-        )
-        base = base + antic
-        truth["anticipation"] = config.anticipation
+    if config.anticipation != 0.0:
+        base = base + config.anticipation * np.outer(groups.treated_units, ~groups.treated_times)
+    exposure = None
+    if "spillover_rho" in scenario.records:
+        network = build_exposure(ring_adjacency(n, config.ring_neighbors), w)
+        exposure = ExposureTruth(network.adjacency, network.s_values, config.spillover_rho)
+        base = base + config.spillover_rho * network.s_values
 
-    if config.regime == SPILLOVER_DUMMY:
-        adjacency = (
-            config.adjacency
-            if config.adjacency is not None
-            else ring_adjacency(n, config.ring_neighbors)
-        )
-        if np.shape(adjacency) != (n, n):
-            raise BadConfig("adjacency must be n x n")
-        network = build_exposure(adjacency, w)
-        s_values = network.s_values
-        base = base + config.spillover_rho * s_values
-        truth["spillover_rho"] = config.spillover_rho
-        own = scale[:, None] * (g(1.0) - g(0.0))
-        po_baseline = base - config.spillover_rho * s_values + scale[:, None] * g(0.0)
-        exposure = ExposureTruth(
-            adjacency=network.adjacency,
-            s_values=s_values,
-            po_treated_realized=po_baseline + config.spillover_rho * s_values + own,
-            po_control_realized=po_baseline + config.spillover_rho * s_values,
-            po_baseline=po_baseline,
-        )
-
-    grid = _default_grid(config)
+    grid = (scenario.grid(config) if config.lambda_grid is None
+            else np.asarray(config.lambda_grid, dtype=float))
     realized = scale[:, None] * g(w) + base
 
     burn = config.noise_scale * rng.standard_normal((n, BURN_IN))

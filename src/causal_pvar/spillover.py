@@ -148,19 +148,21 @@ def _two_regressor_ols(sums: np.ndarray, degenerate: bool):
 
 
 def oracle_atte_aste(pop: PotentialOutcomePanel) -> tuple[float, float]:
-    """Enumerated total and spillover effects on the treated.
+    """Total and spillover effects on the treated, from the structural form.
 
-    ATTE averages po(1, s) - po(0, 0) over treated cells at their realized
-    exposure s; ASTE averages po(0, s) - po(0, 0) over the same cells.
+    ATTE averages po(1, s) - po(0, 0) = scale * (g(1) - g(0)) + rho * s over
+    treated cells at their realized exposure s; ASTE averages
+    po(0, s) - po(0, 0) = rho * s over the same cells.
     """
     if pop.exposure is None:
         raise RegimeMismatch("potential-outcome panel carries no exposure truth")
     treated = pop.assignments == 1.0
     if not treated.any():
         raise NoTreatedCells("no treated cells")
-    exp = pop.exposure
-    atte = float((exp.po_treated_realized - exp.po_baseline)[treated].mean())
-    aste = float((exp.po_control_realized - exp.po_baseline)[treated].mean())
+    spill = pop.exposure.rho * pop.exposure.s_values
+    own = pop.impact_scale * float(pop.impact(1.0) - pop.impact(0.0))
+    atte = float((own + spill)[treated].mean())
+    aste = float(spill[treated].mean())
     return atte, aste
 
 

@@ -424,6 +424,24 @@ class TestCli:
         self._one_error_line(res, 1)
         assert res.stderr.strip() == "error: repeated cell (unit=2, time=3)"
 
+    @pytest.mark.parametrize("regime, flag", [
+        ("gaussian_continuous", "--anticipation"),
+        ("spillover_dummy", "--selection-strength"),
+    ])
+    def test_simulate_rejects_a_violation_the_regime_ignores(self, tmp_path, regime, flag):
+        res = run_cli("simulate", "--regime", regime, "--units", "10", "--times", "20",
+                      flag, "0.7", "--seed", "1", "--output", str(tmp_path / "o"))
+        self._one_error_line(res, 1)
+        assert flag.lstrip("-").replace("-", "_") in res.stderr
+
+    def test_all_nan_row_exits_1_as_non_finite(self, tmp_path):
+        rows = [f"{u},{t},0.5,0.25" for u in (1, 2) for t in (1, 2, 3)]
+        rows[1] = "1,2,nan,nan"
+        (tmp_path / "panel.csv").write_text("# policies=1\nunit,time,w,y\n" + "\n".join(rows) + "\n")
+        res = run_cli("fit", "--input", str(tmp_path / "panel.csv"), "--output", str(tmp_path / "o"))
+        self._one_error_line(res, 1)
+        assert res.stderr.strip() == "error: non-finite value at (unit=1, time=2, variable=1)"
+
     def test_fit_keeps_the_input_labels(self, sim_dir, tmp_path):
         units = [101, 205, 307, 409] + list(range(500, 526))
         times = list(range(2000, 2300, 5))

@@ -43,6 +43,16 @@ class TestValidatePanel:
             panel_from_records(units, times, values, 1)
         assert err.value.unit == 2 and err.value.time == 3
 
+    def test_all_nan_record_is_non_finite_not_missing(self):
+        units = [1, 1, 1, 2, 2, 2]
+        times = [1, 2, 3, 1, 2, 3]
+        values = np.ones((6, 2))
+        values[1] = np.nan  # (1, 2) is present, every value NaN
+        with pytest.raises(NonFinite, match=r"\(unit=1, time=2, variable=1\)"):
+            panel_from_records(units, times, values, 1)
+        with pytest.raises(UnbalancedPanel, match=r"^missing cell \(unit=1, time=2\)$"):
+            panel_from_records(np.delete(units, 1), np.delete(times, 1), np.delete(values, 1, 0), 1)
+
     def test_repeated_record_rejected(self):
         # (2, 1) repeats first in row order, (1, 2) first in (unit, time) order
         units = [1, 1, 1, 2, 2, 2, 2, 1]

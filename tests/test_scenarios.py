@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +13,10 @@ from causal_pvar.scenarios import (
     HETEROGENEOUS_DUMMY,
     HOMOGENEOUS_DUMMY,
     NONNEGATIVE_CONTINUOUS,
+    REGIMES,
     SPILLOVER_DUMMY,
     ScenarioConfig,
+    _draw,
     linear_impact,
     quadratic_impact,
     ring_adjacency,
@@ -146,13 +151,15 @@ def test_spillover_exposure_truth():
     adj = ring_adjacency(12, 1)
     share = (adj @ pop.assignments) / adj.sum(axis=1, keepdims=True)
     np.testing.assert_allclose(exp.s_values, share, atol=1e-12)
-    # realized outcome = po(w, s) at realized w and s
-    got = np.where(pop.assignments == 1.0, exp.po_treated_realized, exp.po_control_realized)
+    # realized outcome = po(w, s) at realized w and s: po(0, 0) + own effect + rho s
+    baseline = pop.po_at(0.0) - exp.rho * exp.s_values
+    own = pop.impact_scale * (cfg.impact(1.0) - cfg.impact(0.0))
+    got = baseline + pop.assignments * own + exp.rho * exp.s_values
     np.testing.assert_allclose(pop.realized_outcomes, got, atol=1e-12)
-    # baseline removes the spillover entirely
-    np.testing.assert_allclose(
-        exp.po_control_realized - exp.po_baseline, 0.5 * exp.s_values, atol=1e-12
-    )
+    # baseline removes the spillover entirely: it is the same draw at rho = 0
+    _, pop0 = simulate_scenario(replace(cfg, spillover_rho=0.0))
+    np.testing.assert_allclose(pop.po_at(0.0) - pop0.po_at(0.0), 0.5 * exp.s_values, atol=1e-12)
+    np.testing.assert_allclose(baseline, pop0.po_at(0.0), atol=1e-12)
 
 
 def test_mu_scale_zero_matches_shifted_panel():
@@ -167,3 +174,56 @@ def test_mu_scale_zero_matches_shifted_panel():
     np.testing.assert_allclose(pop0.assignments, pop1.assignments, atol=1e-12)
     shift = p1.values - p0.values
     assert np.abs(shift - shift[:, :1, :]).max() < 1e-9
+
+
+# First 16 hex digits of the SHA-256 of each array's little-endian float64
+# bytes: mu, burn, assignments, realized_outcomes of ``_draw`` at seed 0.
+# They involve only the RNG and elementwise arithmetic, so they hold on any
+# machine; a change moves the draw order or the streams of existing configs.
+DRAW_DIGESTS = {
+    HOMOGENEOUS_DUMMY: ("0109e58c26417499", "886f20cfc230639b", "2ae2c9397f1534e0",
+                        "4de72d92695cc94b"),
+    GAUSSIAN_CONTINUOUS: ("0109e58c26417499", "bd22e1c8ab27923a", "f958d169c651e2cd",
+                          "aa5fa490464dcc23"),
+    NONNEGATIVE_CONTINUOUS: ("0109e58c26417499", "9e31ef42fd288442", "739d7c8bfc663e0f",
+                             "e50773d0de1f4e16"),
+    HETEROGENEOUS_DUMMY: ("0109e58c26417499", "ef940342e2628d46", "b2bbf6dfd6c91c7e",
+                          "def5269167a7cc36"),
+    SPILLOVER_DUMMY: ("0109e58c26417499", "ed6f248833a856bc", "0f7d2cbb243fb9cd",
+                      "b9752aa409ec12a0"),
+    "treat_schedule": ("6f988cd5cad13389", "085ecefd80b10184", "35bd44cc53e0930e",
+                       "bce89cd39111b8cd"),
+}
+
+
+def _pinned_config(name):
+    if name == "treat_schedule":
+        schedule = np.array([[0, 1, 0, 1, 1], [1, 0, 1, 0, 0]], dtype=float).repeat(3, axis=0)
+        return ScenarioConfig(regime=HETEROGENEOUS_DUMMY, n_units=6, n_times=5, seed=0,
+                              effect_sd=0.3, treat_schedule=schedule)
+    return ScenarioConfig(regime=name, n_units=12, n_times=20, seed=0,
+                          impact=quadratic_impact(1.0, 0.4), effect_sd=0.3, spillover_rho=0.5)
+
+
+@pytest.mark.parametrize("name", [*REGIMES, "treat_schedule"])
+def test_draw_stream_is_pinned(name):
+    draw = _draw(_pinned_config(name))
+    arrays = (draw.mu, draw.burn, draw.pop.assignments, draw.pop.realized_outcomes)
+    got = tuple(hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()[:16]
+                for a in arrays)
+    assert got == DRAW_DIGESTS[name]
+
+
+@pytest.mark.parametrize("regime, flag", [
+    (GAUSSIAN_CONTINUOUS, "anticipation"),
+    (NONNEGATIVE_CONTINUOUS, "anticipation"),
+    (SPILLOVER_DUMMY, "anticipation"),
+    (HOMOGENEOUS_DUMMY, "selection_strength"),
+    (NONNEGATIVE_CONTINUOUS, "selection_strength"),
+    (HETEROGENEOUS_DUMMY, "selection_strength"),
+    (SPILLOVER_DUMMY, "selection_strength"),
+])
+def test_violation_flag_the_regime_ignores_is_rejected(regime, flag):
+    cfg = ScenarioConfig(regime=regime, n_units=10, n_times=20, seed=0, **{flag: 0.7})
+    with pytest.raises(BadConfig, match=flag):
+        simulate_scenario(cfg)

@@ -36,3 +36,10 @@ def test_coverage_study_exits_zero(monkeypatch, capsys):
     args = ["--runs", "1", "--reps", "100", "--units", "20", "--times", "60"]
     assert _run(monkeypatch, "coverage_study.py", args) == 0
     assert "bands contain the true impact" in capsys.readouterr().out
+
+
+def test_demo_pipeline_writes_every_artifact(monkeypatch, capsys, tmp_path):
+    assert _run(monkeypatch, "demo_pipeline.py", ["--out", str(tmp_path)]) == 0
+    for name in ("panel.csv", "truth.json", "lagselect.csv", "diagnostics.json",
+                 "irf.csv", "spillover.csv"):
+        assert (tmp_path / name).stat().st_size > 0, name

@@ -191,20 +191,14 @@ class TestOracleAtteAste:
         n, t = 20, 30
         w = (rng.random((n, t)) < 0.3).astype(float)
         s = np.where(rng.random((n, t)) < 0.8, mean_exposure, 0.0)
-        base = rng.standard_normal((n, t))
-        exposure = ExposureTruth(
-            adjacency=np.zeros((n, n)),
-            s_values=s,
-            po_treated_realized=base + beta + rho * s,
-            po_control_realized=base + rho * s,
-            po_baseline=base,
-        )
+        base = rng.standard_normal((n, t)) + rho * s  # po(0) at the realized exposure
+        exposure = ExposureTruth(adjacency=np.zeros((n, n)), s_values=s, rho=rho)
         return PotentialOutcomePanel(
             regime=SPILLOVER_DUMMY, assignments=w,
             lambda_grid=np.array([0.0, 1.0]),
-            realized_outcomes=np.where(w == 1, base + beta + rho * s, base + rho * s),
+            realized_outcomes=beta * w + base,
             groups=None, exposure=exposure, truth={},
-            impact=linear_impact(1.0), impact_scale=(base + beta) - base, base=base,
+            impact=linear_impact(1.0), impact_scale=np.full((n, 1), beta), base=base,
         ), s, w
 
     def test_additive_construction(self):
@@ -226,17 +220,12 @@ class TestOracleAtteAste:
         w = (rng.random((n, t)) < 0.4).astype(float)
         s = rng.random((n, t))
         rho_i = rng.uniform(0.0, 1.0, size=(n, 1))
-        base = rng.standard_normal((n, t))
-        exposure = ExposureTruth(
-            adjacency=np.zeros((n, n)), s_values=s,
-            po_treated_realized=base + 1.0 + rho_i * s,
-            po_control_realized=base + rho_i * s,
-            po_baseline=base,
-        )
+        base = rng.standard_normal((n, t)) + rho_i * s
+        exposure = ExposureTruth(adjacency=np.zeros((n, n)), s_values=s, rho=rho_i)
         pop = PotentialOutcomePanel(
             regime=SPILLOVER_DUMMY, assignments=w, lambda_grid=np.array([0.0, 1.0]),
-            realized_outcomes=base, groups=None, exposure=exposure, truth={},
-            impact=linear_impact(1.0), impact_scale=(base + 1.0) - base, base=base,
+            realized_outcomes=w + base, groups=None, exposure=exposure, truth={},
+            impact=linear_impact(1.0), impact_scale=np.ones((n, 1)), base=base,
         )
         atte, aste = oracle_atte_aste(pop)
         mask = w == 1

@@ -17,7 +17,7 @@ from causal_pvar.diagnostics import lag_criteria
 from causal_pvar.errors import SingularDesign
 from causal_pvar.identify import bootstrap_irf
 from causal_pvar.io import write_panel_csv
-from causal_pvar.panel import PanelDataset, PVARSpec, fit_pvar
+from causal_pvar.panel import PanelDataset, PVARSpec, _within_moments, _within_ols, fit_pvar
 from causal_pvar.scenarios import simulate_var_panel
 
 from conftest import make_var_panel
@@ -73,9 +73,9 @@ def test_dummy_coef_is_the_joint_regression_coefficient():
     np.testing.assert_allclose(fit.residuals, resid, rtol=0, atol=1e-10)
 
 
-def _near_copy_panel(eps):
+def _near_copy_panel(eps, seed=0):
     """20 x 60 panel whose outcome is the policy plus eps-scaled noise."""
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(seed)
     w = np.zeros((20, 60))
     e = rng.standard_normal((20, 60))
     for s in range(1, 60):
@@ -111,6 +111,35 @@ class TestOneSingularityRule:
         lag_criteria(panel, 3)
         _, bands = bootstrap_irf(panel, PVARSpec(1), 0, 4, 100, 0.9, seed=0)
         assert bands.n_failed == 0
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_cross_product_sigma_tracks_the_residual_sigma_up_to_the_guard(seed):
+    # lag_criteria and the bootstrap take sigma = (DD - C'G^-1 C) / eff from
+    # the cross-product; fit_pvar takes it from the residuals.  As eps falls
+    # the scaled lag Gram matrix nears COND_LIMIT.  At each eps until
+    # SingularDesign the two agree within 1e-10 relative, or within machine
+    # epsilon times the scaled condition number once that is larger: the
+    # cross-product form loses accuracy in proportion to the conditioning
+    # (2.7e-10 at seed 0, eps 1e-5, cond 4.7e10), so 1e-10 alone does not
+    # hold up to the guard.
+    for k in range(60):
+        panel = _near_copy_panel(10.0 ** (-k / 8), seed)
+        try:
+            fit = fit_pvar(panel, PVARSpec(1))
+        except SingularDesign:
+            break
+        cross = _within_moments(panel.values.transpose(1, 0, 2)[:, None], 1)[0]
+        _, sigma, ok = _within_ols(cross, 2, 20 * 59)
+        assert ok[0]
+        scale = 1.0 / np.sqrt(np.diag(cross[0, :2, :2]))
+        cond = np.linalg.cond(cross[0, :2, :2] * np.outer(scale, scale))
+        rtol = max(1e-10, np.finfo(float).eps * cond)
+        np.testing.assert_allclose(sigma[0], fit.sigma, rtol=rtol, atol=0)
+    else:
+        raise AssertionError("the guard never tripped")
+    assert k > 30  # eps reached about 1e-4 before the guard
 
 
 def _scaled_case(seed, n_units, n_times, dummy, log_scales):
