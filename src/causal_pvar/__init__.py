@@ -29,7 +29,6 @@ from .estimands import (
 from .identify import (
     BootstrapBands,
     CholeskyFactor,
-    ImpulseResponse,
     bootstrap_irf,
     cholesky_lower,
     impact_gamma,
@@ -37,7 +36,6 @@ from .identify import (
     irf_from_impact,
 )
 from .panel import (
-    CompanionMatrix,
     PanelDataset,
     PVARFit,
     PVARSpec,

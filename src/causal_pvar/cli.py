@@ -23,7 +23,7 @@ import numpy as np
 from . import io as cpio
 from .diagnostics import lag_criteria, policy_regime_probe, residual_autocorr, stationarity
 from .errors import CausalPvarError
-from .identify import bootstrap_irf, cholesky_lower, impact_gamma
+from .identify import bootstrap_irf
 from .panel import PVARSpec, fit_pvar
 from .scenarios import (
     BINARY_ANY_NEIGHBOR,
@@ -238,7 +238,7 @@ def cmd_irf(args) -> int:
                 {
                     "variable": name,
                     "horizon": h,
-                    "point": point.responses[v, h],
+                    "point": point[v, h],
                     "lower": bands.lower[v, h],
                     "upper": bands.upper[v, h],
                 }

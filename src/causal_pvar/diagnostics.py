@@ -166,7 +166,7 @@ def stationarity(fit: PVARFit) -> StationarityDiagnostic:
     The companion matrix is only mp x mp, so the eigenvalues are computed
     directly; the fit is stationary when the radius is below one.
     """
-    radius = float(np.abs(np.linalg.eigvals(companion(fit).matrix)).max())
+    radius = float(np.abs(np.linalg.eigvals(companion(fit))).max())
     return StationarityDiagnostic(radius, radius < 1.0)
 
 

@@ -65,7 +65,7 @@ class InsufficientObs(CausalPvarError):
 # --- identification ---------------------------------------------------------
 
 class NotPSD(CausalPvarError):
-    """Covariance matrix has an eigenvalue below the clamp threshold."""
+    """Covariance matrix has an eigenvalue below -1e-8."""
 
 
 class ZeroPolicyVariance(CausalPvarError):

@@ -4,8 +4,9 @@ The contemporaneous impact of policy shock k on a later-ordered variable j
 is read off the lower-triangular factor of the residual covariance matrix:
 ``gamma = lower[j, k] / lower[k, k]``.  In the two-variable case this
 equals the regression coefficient cov(policy residual, outcome residual) /
-var(policy residual).  Dynamics come from powers of the companion matrix;
-confidence bands from a recursive residual bootstrap.
+var(policy residual).  Impulse responses carry that unit-shock impact
+forward through the fitted dynamics, by the VAR recursion that simulates
+panels; confidence bands come from a recursive residual bootstrap.
 
 The bootstrap is batched: each replication's resampled residuals are
 gathered straight into one state slab, which holds a chunk of replications
@@ -28,12 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BootstrapUnstable, CausalPvarError, NotPSD, ZeroPolicyVariance
-from .panel import CHUNK_BYTES, PanelDataset, PVARFit, PVARSpec, companion, fit_pvar
+from .panel import CHUNK_BYTES, PanelDataset, PVARFit, PVARSpec, fit_pvar
 from .panel import _sample_dummies, _var_recursion, _within_moments, _within_ols
 
 __all__ = [
     "CholeskyFactor",
-    "ImpulseResponse",
     "BootstrapBands",
     "cholesky_lower",
     "impact_gamma",
@@ -41,9 +41,6 @@ __all__ = [
     "irf_from_impact",
     "bootstrap_irf",
 ]
-
-UNIT_SHOCK = "unit-shock"
-ONE_SD = "one-sd"
 
 # Factor policy, shared by the point estimate and every bootstrap replication.
 PSD_FLOOR = -1e-8  # a covariance eigenvalue below this is not PSD
@@ -63,21 +60,6 @@ class CholeskyFactor:
 
 
 @dataclass(frozen=True)
-class ImpulseResponse:
-    """Responses of every variable to one identified shock.
-
-    ``responses[v, h]`` is the response of variable v at horizon h.
-    Under unit-shock normalization the shocked variable responds by
-    exactly 1 at h = 0.
-    """
-
-    shock_index: int
-    horizons: np.ndarray
-    responses: np.ndarray
-    normalization: str
-
-
-@dataclass(frozen=True)
 class BootstrapBands:
     """Percentile bands around an impulse response.
 
@@ -93,7 +75,7 @@ class BootstrapBands:
     seed: int
 
 
-def _factor(sigma: np.ndarray, clamp: float = RIDGE):
+def _factor(sigma: np.ndarray):
     """Batched factor rule of ``cholesky_lower`` over (b, m, m) covariances.
 
     Returns ``(lower, psd, eigmin)``: the (b', m, m) factors of the b'
@@ -103,50 +85,50 @@ def _factor(sigma: np.ndarray, clamp: float = RIDGE):
     sigma = (sigma + sigma.transpose(0, 2, 1)) / 2.0
     eigmin = np.linalg.eigvalsh(sigma).min(axis=1)
     psd = eigmin >= PSD_FLOOR
-    sigma, low = sigma[psd], eigmin[psd] < clamp
-    sigma[low] += (clamp - eigmin[psd][low])[:, None, None] * np.eye(sigma.shape[1])
+    sigma, low = sigma[psd], eigmin[psd] < RIDGE
+    sigma[low] += (RIDGE - eigmin[psd][low])[:, None, None] * np.eye(sigma.shape[1])
     return np.linalg.cholesky(sigma), psd, eigmin
 
 
-def _impact(lower: np.ndarray, k: int, normalization: str):
-    """Impact columns of shock k from (b, m, m) factors.
+def _impact(lower: np.ndarray, k: int):
+    """Unit-shock impact columns of shock k from (b, m, m) factors.
 
-    Returns ``(impact, unit)``: the (b', m) columns, rescaled under
-    unit-shock normalization so that variable k moves by one, and the (b,)
-    mask of factors with ``|lower[k, k]| >= UNIT_FLOOR`` (all of them under
-    one-sd normalization).
+    Returns ``(impact, unit)``: the (b', m) columns ``lower[:, k] / lower[k, k]``,
+    so that variable k moves by one, of the b' factors in the (b,) mask
+    ``unit`` of those with ``|lower[k, k]| >= UNIT_FLOOR``.
     """
-    impact = lower[:, :, k]
-    if normalization == ONE_SD:
-        return impact, np.ones(lower.shape[0], dtype=bool)
-    if normalization != UNIT_SHOCK:
-        raise CausalPvarError(f"unknown normalization {normalization!r}")
     diag = lower[:, k, k]
     unit = np.abs(diag) >= UNIT_FLOOR
-    return impact[unit] / diag[unit, None], unit
+    return lower[unit, :, k] / diag[unit, None], unit
 
 
-def _propagate(comp: np.ndarray, impact: np.ndarray, horizon: int) -> np.ndarray:
-    """Responses (b, m, horizon + 1) of (b, mp, mp) companions to (b, m) impacts."""
-    b, m = impact.shape
-    state = np.zeros((b, comp.shape[1], 1))
-    state[:, :m, 0] = impact
-    out = np.empty((b, m, horizon + 1))
-    out[:, :, 0] = impact
-    for h in range(1, horizon + 1):
-        state = comp @ state
-        out[:, :, h] = state[:, :m, 0]
-    return out
+def _unit_column(chol: CholeskyFactor, k: int) -> np.ndarray:
+    """The unit-shock impact column of shock k; ZeroPolicyVariance without one."""
+    impact, unit = _impact(chol.lower[None], k)
+    if not unit[0]:
+        raise ZeroPolicyVariance(f"policy residual {k} has ~zero variance")
+    return impact[0]
 
 
-def cholesky_lower(sigma: np.ndarray, clamp: float = RIDGE) -> CholeskyFactor:
+def _propagate(phi, impact: np.ndarray, horizon: int) -> np.ndarray:
+    """Responses (b, m, horizon + 1) to (b, m) impacts of the VAR with slopes ``phi``:
+    p (m, m) matrices shared by the b impacts, or p (b, m, m) stacks."""
+    if horizon < 0:
+        raise CausalPvarError("horizon must be >= 0")
+    p, (b, m) = len(phi), impact.shape
+    states = np.zeros((p + horizon + 1, b, 1, m))
+    states[p, :, 0] = impact
+    return _var_recursion(states, phi)[p:, :, 0].transpose(1, 2, 0)
+
+
+def cholesky_lower(sigma: np.ndarray) -> CholeskyFactor:
     """Lower-triangular factorization of a symmetric PSD matrix.
 
-    Eigenvalues in (-1e-8, clamp) are lifted to ``clamp`` by a ridge so
-    that numerically semidefinite inputs still factor; anything below
-    -1e-8 raises NotPSD.
+    Eigenvalues in (-1e-8, ``RIDGE``) are lifted to ``RIDGE`` so that
+    numerically semidefinite inputs still factor; anything below -1e-8
+    raises NotPSD.
     """
-    lower, psd, eigmin = _factor(np.asarray(sigma, dtype=float)[None], clamp)
+    lower, psd, eigmin = _factor(np.asarray(sigma, dtype=float)[None])
     if not psd[0]:
         raise NotPSD(f"minimum eigenvalue {eigmin[0]:.3e} below -1e-8")
     return CholeskyFactor(lower[0])
@@ -162,39 +144,21 @@ def impact_gamma(chol: CholeskyFactor, k: int, j: int) -> float:
     """
     if not 0 <= k < j < chol.n_vars:
         raise CausalPvarError(f"need 0 <= k < j < m, got k={k}, j={j}, m={chol.n_vars}")
-    diag = chol.lower[k, k]
-    if abs(diag) < UNIT_FLOOR:
-        raise ZeroPolicyVariance(f"policy residual {k} has ~zero variance")
-    return float(chol.lower[j, k] / diag)
+    return float(_unit_column(chol, k)[j])
 
 
-def irf(
-    fit: PVARFit,
-    chol: CholeskyFactor,
-    k: int,
-    horizon: int,
-    normalization: str = UNIT_SHOCK,
-) -> ImpulseResponse:
-    """Impulse response to shock k over horizons 0..horizon.
+def irf(fit: PVARFit, chol: CholeskyFactor, k: int, horizon: int) -> np.ndarray:
+    """Impulse response (m, horizon + 1) to a unit shock k over horizons 0..horizon.
 
-    The h = 0 column is the k-th column of the lower factor, rescaled so
-    the shocked variable moves by one under unit-shock normalization; the
-    h-step block applies the companion matrix h times.
+    ``irf[v, h]`` is the response of variable v at horizon h.  The h = 0
+    column is the k-th column of the lower factor, rescaled so that the
+    shocked variable moves by one; later columns carry it through the fitted
+    VAR dynamics.
     """
-    if horizon < 0:
-        raise CausalPvarError("horizon must be >= 0")
-    impact, unit = _impact(chol.lower[None], k, normalization)
-    if not unit[0]:
-        raise ZeroPolicyVariance(f"policy residual {k} has ~zero variance")
-    return ImpulseResponse(
-        shock_index=k,
-        horizons=np.arange(horizon + 1),
-        responses=_propagate(companion(fit).matrix[None], impact, horizon)[0],
-        normalization=normalization,
-    )
+    return _propagate(fit.phi, _unit_column(chol, k)[None], horizon)[0]
 
 
-def irf_from_impact(fit: PVARFit, impact: np.ndarray, horizon: int) -> ImpulseResponse:
+def irf_from_impact(fit: PVARFit, impact: np.ndarray, horizon: int) -> np.ndarray:
     """Propagate a caller-supplied impact vector (e.g. a plug-in (1, delta)).
 
     Used when the impact column is identified outside the recursive scheme,
@@ -204,12 +168,7 @@ def irf_from_impact(fit: PVARFit, impact: np.ndarray, horizon: int) -> ImpulseRe
     impact = np.asarray(impact, dtype=float)
     if impact.shape != (fit.n_vars,) or not np.isfinite(impact).all():
         raise CausalPvarError("impact must be a finite vector of length m")
-    return ImpulseResponse(
-        shock_index=-1,
-        horizons=np.arange(horizon + 1),
-        responses=_propagate(companion(fit).matrix[None], impact[None], horizon)[0],
-        normalization="plug-in",
-    )
+    return _propagate(fit.phi, impact[None], horizon)[0]
 
 
 def _refit(states: np.ndarray, p: int, fixed):
@@ -223,24 +182,23 @@ def _refit(states: np.ndarray, p: int, fixed):
     return _within_ols(cross, m * p, n * (t - p))
 
 
-def _responses(coef, sigma, ok, k: int, horizon: int, normalization: str):
+def _responses(coef, sigma, ok, k: int, horizon: int):
     """Impulse responses of a chunk of refits, by the rules of ``cholesky_lower`` and ``irf``.
 
     Returns ``(responses, ok)``: (b, m, horizon + 1) responses, NaN where a
     replication failed, and the refit mask narrowed to the replications
-    that factor and, under unit-shock normalization, admit a unit shock.
+    that factor and admit a unit shock.
     """
     b, mp, m = coef.shape
     out = np.full((b, m, horizon + 1), np.nan)
     lower, psd, _ = _factor(sigma[ok])
-    impact, unit = _impact(lower, k, normalization)
+    impact, unit = _impact(lower, k)
     psd[psd] = unit
     ok = ok.copy()
     ok[ok] = psd
-    comp = np.zeros((impact.shape[0], mp, mp))
-    comp[:, :m, :] = coef[ok].transpose(0, 2, 1)
-    comp[:, m:, :-m] = np.eye(mp - m)
-    out[ok] = _propagate(comp, impact, horizon)
+    # coef stacks phi_l.T lag by lag
+    phi = [np.swapaxes(coef[ok, l : l + m], -1, -2) for l in range(0, mp, m)]
+    out[ok] = _propagate(phi, impact, horizon)
     return out, ok
 
 
@@ -252,8 +210,7 @@ def bootstrap_irf(
     n_reps: int,
     level: float,
     seed: int,
-    normalization: str = UNIT_SHOCK,
-) -> tuple[ImpulseResponse, BootstrapBands]:
+) -> tuple[np.ndarray, BootstrapBands]:
     """Point impulse response plus percentile bootstrap bands.
 
     Residual vectors are resampled i.i.d. over (unit, time) cells with
@@ -267,7 +224,7 @@ def bootstrap_irf(
     rounding of a single-row matmul).  The point fit raises SingularDesign
     by the rule documented there; a replication fails when its panel is
     non-finite or breaks that rule, when its covariance has an eigenvalue
-    below -1e-8, or (unit-shock) when its policy factor is below 1e-12.
+    below -1e-8, or when its policy factor is below 1e-12.
     Failures are counted in ``n_failed`` and more than 5% raises
     BootstrapUnstable.
     """
@@ -276,7 +233,7 @@ def bootstrap_irf(
     if not 0.0 < level < 1.0:
         raise CausalPvarError("level must be in (0, 1)")
     fit = fit_pvar(panel, spec)
-    point = irf(fit, cholesky_lower(fit.sigma), k, horizon, normalization)
+    point = irf(fit, cholesky_lower(fit.sigma), k, horizon)
 
     n, t, m = panel.values.shape
     p = spec.lag_order
@@ -306,7 +263,7 @@ def bootstrap_irf(
         states[p:] += drift
         _var_recursion(states.reshape(t, -1, m), fit.phi)
         coef, sigma, refit_ok = _refit(states, p, fixed)
-        results[reps], ok[reps] = _responses(coef, sigma, refit_ok, k, horizon, normalization)
+        results[reps], ok[reps] = _responses(coef, sigma, refit_ok, k, horizon)
     del slab, states, fixed  # the working set is done with; free it before the quantiles
 
     n_failed = int(n_reps - ok.sum())

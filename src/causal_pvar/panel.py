@@ -41,7 +41,6 @@ __all__ = [
     "PanelDataset",
     "PVARSpec",
     "PVARFit",
-    "CompanionMatrix",
     "panel_from_records",
     "validate_panel",
     "within_demean",
@@ -147,15 +146,6 @@ class PVARFit:
     @property
     def n_units(self) -> int:
         return self.residuals.shape[0]
-
-
-@dataclass(frozen=True)
-class CompanionMatrix:
-    """VAR(1) companion form of a VAR(p): stacked slopes over identity blocks."""
-
-    matrix: np.ndarray
-    n_vars: int
-    lag_order: int
 
 
 def panel_from_records(units, times, values, n_policies, variable_names=None):
@@ -428,12 +418,16 @@ def _var_recursion(states: np.ndarray, phi) -> np.ndarray:
     On entry ``states[:p]`` holds the p initial states and ``states[p:]`` the
     innovations, intercepts included.  On return ``states[s]`` is
     ``innovation_s + states[s - 1] @ phi[0].T + ... + states[s - p] @ phi[p - 1].T``,
-    summed in that order, for s >= p.
+    summed in that order, for s >= p.  In the stacked form, (T, b, 1, m)
+    states are b separate systems and each ``phi[l]`` is one (m, m) slope
+    matrix shared by all of them or a (b, m, m) stack, one per system.
     """
     # C-ordered copies multiply 1.7-2.6x faster than the transposed views; a
-    # one-row slab keeps the views, whose single-row product BLAS rounds
-    # differently in the last bit
-    phi_t = [f.T if states.shape[1] == 1 else np.ascontiguousarray(f.T) for f in phi]
+    # one-row product keeps the views, which BLAS rounds differently in the
+    # last bit
+    one_row = states.shape[-2] == 1
+    phi_t = [np.swapaxes(f, -1, -2) for f in phi]
+    phi_t = phi_t if one_row else [np.ascontiguousarray(f) for f in phi_t]
     rows, step = list(states), np.empty(states.shape[1:])
     for s in range(len(phi_t), len(rows)):
         for l, f in enumerate(phi_t, 1):
@@ -441,12 +435,12 @@ def _var_recursion(states: np.ndarray, phi) -> np.ndarray:
     return states
 
 
-def companion(fit: PVARFit) -> CompanionMatrix:
-    """Stack the slope matrices into the VAR(1) companion form."""
+def companion(fit: PVARFit) -> np.ndarray:
+    """The (mp, mp) VAR(1) companion form: stacked slopes over identity blocks."""
     m = fit.n_vars
     p = fit.spec.lag_order
     out = np.zeros((m * p, m * p))
     out[:m, :] = np.hstack(fit.phi)
     if p > 1:
         out[m:, :-m] = np.eye(m * (p - 1))
-    return CompanionMatrix(out, m, p)
+    return out

@@ -16,7 +16,7 @@ share one definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -174,8 +174,10 @@ class PotentialOutcomePanel:
 class ScenarioConfig:
     """Parameters of one simulated scenario.
 
-    Each regime reads its own fields and ignores the rest, but a non-zero
-    violation flag on a regime that does not take it raises BadConfig:
+    Every regime reads the fields from ``regime`` to ``effect_sd`` and
+    ``lambda_grid``.  The rest are regime-specific: a regime reads those its
+    ``SCENARIOS`` entry names in ``reads``, and any other one set away from
+    its default raises BadConfig.
     ``anticipation`` shifts treated units' innovations in untreated periods
     (the regimes with groups, ``homogeneous_dummy`` and
     ``heterogeneous_dummy``), and ``selection_strength`` correlates the
@@ -305,9 +307,11 @@ def _validate_config(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
         raise BadConfig("scenario simulators use one policy and one outcome (m = 2)")
     if config.noise_scale < 0 or config.mu_scale < 0:
         raise BadConfig("scales must be non-negative")
-    for name in VIOLATIONS:
-        if getattr(config, name) != 0.0 and name not in SCENARIOS[config.regime].records:
-            raise BadConfig(f"regime {config.regime!r} does not take {name}")
+    reads = SCENARIOS[config.regime].reads
+    for f in fields(config):
+        if (f.name in REGIME_FIELDS and f.name not in reads
+                and not np.array_equal(getattr(config, f.name), f.default)):
+            raise BadConfig(f"regime {config.regime!r} does not take {f.name}")
     if config.lambda_grid is not None:
         grid = np.asarray(config.lambda_grid, dtype=float)
         if grid.ndim != 1 or grid.size < 2 or (np.diff(grid) <= 0).any():
@@ -388,8 +392,8 @@ def _sparse_dummy(rng, config, scale_z):
     exposure instead of netting it out."""
     if config.treat_schedule is not None:
         return _schedule(config), None
-    if not 0.0 < config.treat_prob < 1.0 or not 0.0 < config.time_frac < 1.0:
-        raise BadConfig("treat_prob and time_frac must be in (0, 1)")
+    if not 0.0 < config.treat_prob < 1.0:
+        raise BadConfig("treat_prob must be in (0, 1)")
     w = _both_arms(rng.random((config.n_units, config.n_times)) < config.treat_prob)
     return w.astype(float), None
 
@@ -402,26 +406,36 @@ def _dummy_grid(config):
 class Scenario:
     """One regime: ``draw(rng, config, scale_z) -> (w, groups)`` draws the
     policy innovations and rejects bad values of its fields, ``grid(config)``
-    is the default dose grid, and ``records`` names the fields written to
-    ``truth``; a field of ``VIOLATIONS`` only when non-zero."""
+    is the default dose grid, ``reads`` names the regime-specific config
+    fields the regime takes, and ``records`` those written to ``truth``; a
+    field of ``VIOLATIONS`` only when non-zero."""
 
     draw: Callable
     grid: Callable
-    records: tuple[str, ...] = ()
+    reads: tuple[str, ...]
+    records: tuple[str, ...]
 
 
 SCENARIOS = {
-    HOMOGENEOUS_DUMMY: Scenario(_common_dummy, _dummy_grid, ("anticipation",)),
+    HOMOGENEOUS_DUMMY: Scenario(
+        _common_dummy, _dummy_grid, ("treat_prob", "anticipation"), ("anticipation",)),
     GAUSSIAN_CONTINUOUS: Scenario(
         _gaussian_dose, lambda c: np.linspace(-5.0 * c.policy_sigma, 5.0 * c.policy_sigma, 201),
-        ("policy_sigma", "selection_strength")),
+        ("policy_sigma", "selection_strength"), ("policy_sigma", "selection_strength")),
     NONNEGATIVE_CONTINUOUS: Scenario(
         _nonnegative_dose, lambda c: np.concatenate([[0.0], np.linspace(*c.support, 121)]),
-        ("zero_prob", "support")),
-    HETEROGENEOUS_DUMMY: Scenario(_block_dummy, _dummy_grid, ("anticipation",)),
-    SPILLOVER_DUMMY: Scenario(_sparse_dummy, _dummy_grid, ("spillover_rho",)),
+        ("zero_prob", "support"), ("zero_prob", "support")),
+    HETEROGENEOUS_DUMMY: Scenario(
+        _block_dummy, _dummy_grid,
+        ("treat_prob", "time_frac", "treat_on_gain", "treat_schedule", "anticipation"),
+        ("anticipation",)),
+    SPILLOVER_DUMMY: Scenario(
+        _sparse_dummy, _dummy_grid,
+        ("treat_prob", "treat_schedule", "spillover_rho", "ring_neighbors"), ("spillover_rho",)),
 }
 REGIMES = tuple(SCENARIOS)
+# The config fields that only some regimes read.
+REGIME_FIELDS = frozenset(name for s in SCENARIOS.values() for name in s.reads)
 DUMMY_REGIMES = (HOMOGENEOUS_DUMMY, HETEROGENEOUS_DUMMY, SPILLOVER_DUMMY)
 # No-anticipation and exogenous-selection violations, each one step after the draw.
 VIOLATIONS = ("anticipation", "selection_strength")

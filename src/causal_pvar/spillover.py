@@ -133,15 +133,21 @@ def spillover_regression(
 def _two_regressor_ols(sums: np.ndarray, degenerate: bool):
     """Batched no-intercept OLS of y on (w, s) from (b, 5) sums of w w, w s, s s, w y, s y.
 
-    Returns (b, 2) coefficients and ``ok``, False (and the row NaN) where the
-    Gram matrix has condition number above 1e10.  A ``degenerate`` exposure
-    is dropped: the Gram matrix becomes diag(w w, w w) and rho is 0.
+    Returns (b, 2) coefficients and ``ok``, False (and the row NaN) where a
+    regressor has no variation or the Gram matrix, scaled to a unit
+    diagonal, has condition number above 1e10, so that the rule does not
+    depend on the regressors' units.  A ``degenerate`` exposure is dropped:
+    the Gram matrix becomes diag(w w, w w) and rho is 0.
     """
     ww, ws, ss, wy, sy = sums.T
     if degenerate:
         ws, ss, sy = np.zeros_like(ws), ww, np.zeros_like(sy)
     gram = np.stack([ww, ws, ws, ss], axis=1).reshape(-1, 2, 2)
-    ok = np.linalg.cond(gram) <= 1e10
+    ok = (ww > 0) & (ss > 0)
+    # scaled to a unit diagonal the Gram matrix is [[1, c], [c, 1]], with
+    # condition number (1 + |c|) / (1 - |c|)
+    corr = np.abs(ws[ok]) / np.sqrt(ww[ok] * ss[ok])
+    ok[ok] = 1.0 + corr <= 1e10 * (1.0 - corr)
     coef = np.full((len(ok), 2), np.nan)
     coef[ok] = np.linalg.solve(gram[ok], np.stack([wy, sy], axis=1)[ok, :, None])[:, :, 0]
     return coef, ok

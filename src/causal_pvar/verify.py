@@ -253,7 +253,7 @@ CHECKS = {
     "T10": Check(_T9_T10, _t10_pairs),
     "interference": Check(ScenarioConfig(
         regime=SPILLOVER_DUMMY, n_units=100, n_times=120, seed=0,
-        impact=linear_impact(1.0), treat_prob=0.35, time_frac=0.4, spillover_rho=0.5,
+        impact=linear_impact(1.0), treat_prob=0.35, spillover_rho=0.5,
     ), _interference_pairs, further=("naive",)),
 }
 THEOREMS = tuple(name for name in CHECKS if name != "interference")

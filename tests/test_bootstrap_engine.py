@@ -15,14 +15,13 @@ from hypothesis import strategies as st
 
 import causal_pvar.identify as ident
 from causal_pvar.errors import CausalPvarError
-from causal_pvar.identify import ONE_SD, UNIT_SHOCK, bootstrap_irf, cholesky_lower, irf
+from causal_pvar.identify import bootstrap_irf, cholesky_lower, irf
 from causal_pvar.panel import PanelDataset, PVARSpec, fit_pvar
 
 from conftest import make_var_panel
 
 
-def _reference_bands(panel, spec, k, horizon, n_reps, level, seed, normalization,
-                     skip=frozenset()):
+def _reference_bands(panel, spec, k, horizon, n_reps, level, seed, skip=frozenset()):
     """Bands from replications refitted one by one; ``skip`` drops replications."""
     fit = fit_pvar(panel, spec)
     n, t, m = panel.values.shape
@@ -48,11 +47,11 @@ def _reference_bands(panel, spec, k, horizon, n_reps, level, seed, normalization
         sim = PanelDataset(out, panel.n_policies, panel.variable_names, panel.exogenous_dummies)
         try:
             refit = fit_pvar(sim, spec)
-            rep = irf(refit, cholesky_lower(refit.sigma), k, horizon, normalization)
+            rep = irf(refit, cholesky_lower(refit.sigma), k, horizon)
         except CausalPvarError:
             n_failed += 1
             continue
-        responses.append(rep.responses)
+        responses.append(rep)
     alpha = (1.0 - level) / 2.0
     good = np.array(responses)
     return np.quantile(good, alpha, axis=0), np.quantile(good, 1.0 - alpha, axis=0), n_failed
@@ -76,7 +75,6 @@ def _case(seed, lag_order, n_units, n_times, dummy):
 cases = dict(
     seed=st.integers(0, 10_000),
     lag_order=st.sampled_from([1, 2]),
-    normalization=st.sampled_from([UNIT_SHOCK, ONE_SD]),
     dummy=st.booleans(),
     # From 2 units: with one unit, a one-replication chunk regenerates through a
     # single-row matmul, which BLAS may round differently in the last bit.
@@ -87,14 +85,12 @@ cases = dict(
 
 @settings(max_examples=20, deadline=None)
 @given(**cases)
-def test_bands_do_not_depend_on_chunk_size(seed, lag_order, normalization, dummy,
-                                           n_units, n_times):
+def test_bands_do_not_depend_on_chunk_size(seed, lag_order, dummy, n_units, n_times):
     panel, spec = _case(seed, lag_order, n_units, n_times, dummy)
     bands = []
     for chunk_bytes in (1, 10**12):  # one replication per chunk, then all in one
         with mock.patch.object(ident, "CHUNK_BYTES", chunk_bytes):
-            bands.append(bootstrap_irf(panel, spec, 0, 5, 100, 0.9, seed=seed,
-                                       normalization=normalization)[1])
+            bands.append(bootstrap_irf(panel, spec, 0, 5, 100, 0.9, seed=seed)[1])
     np.testing.assert_array_equal(bands[0].lower, bands[1].lower)
     np.testing.assert_array_equal(bands[0].upper, bands[1].upper)
     assert bands[0].n_failed == bands[1].n_failed
@@ -102,12 +98,10 @@ def test_bands_do_not_depend_on_chunk_size(seed, lag_order, normalization, dummy
 
 @settings(max_examples=20, deadline=None)
 @given(**cases)
-def test_bands_match_per_replication_reference(seed, lag_order, normalization, dummy,
-                                               n_units, n_times):
+def test_bands_match_per_replication_reference(seed, lag_order, dummy, n_units, n_times):
     panel, spec = _case(seed, lag_order, n_units, n_times, dummy)
-    _, bands = bootstrap_irf(panel, spec, 0, 5, 100, 0.9, seed=seed,
-                             normalization=normalization)
-    lower, upper, n_failed = _reference_bands(panel, spec, 0, 5, 100, 0.9, seed, normalization)
+    _, bands = bootstrap_irf(panel, spec, 0, 5, 100, 0.9, seed=seed)
+    lower, upper, n_failed = _reference_bands(panel, spec, 0, 5, 100, 0.9, seed)
     assert bands.n_failed == n_failed == 0
     np.testing.assert_allclose(bands.lower, lower, rtol=0, atol=1e-10)
     np.testing.assert_allclose(bands.upper, upper, rtol=0, atol=1e-10)
@@ -133,11 +127,11 @@ def test_failed_replications_are_counted_and_left_out(monkeypatch):
     assert seen["n"] == 100
     assert bands.n_reps == 100 and bands.n_failed == 3
     lower, upper, n_failed = _reference_bands(panel, PVARSpec(1), 0, 4, 100, 0.9, 3,
-                                              UNIT_SHOCK, skip=forced)
+                                              skip=forced)
     assert n_failed == 0
     np.testing.assert_allclose(bands.lower, lower, rtol=0, atol=1e-10)
     np.testing.assert_allclose(bands.upper, upper, rtol=0, atol=1e-10)
-    all_lower, all_upper, _ = _reference_bands(panel, PVARSpec(1), 0, 4, 100, 0.9, 3, UNIT_SHOCK)
+    all_lower, all_upper, _ = _reference_bands(panel, PVARSpec(1), 0, 4, 100, 0.9, 3)
     assert not (np.allclose(all_lower, lower) and np.allclose(all_upper, upper))
 
 

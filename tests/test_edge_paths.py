@@ -11,7 +11,6 @@ from causal_pvar.errors import (
     RegimeMismatch,
     SingularDesign,
 )
-from causal_pvar.identify import bootstrap_irf, cholesky_lower, impact_gamma, irf
 from causal_pvar.panel import PanelDataset, PVARSpec, fit_pvar
 from causal_pvar.scenarios import (
     GAUSSIAN_CONTINUOUS,
@@ -103,15 +102,6 @@ def test_fit_with_exogenous_dummy_absorbs_period_shift():
     assert np.abs(fit.phi[0] - phi).max() < 0.05
     naive = fit_pvar(PanelDataset(shifted, 1, panel.variable_names), PVARSpec(1))
     assert np.abs(naive.phi[0] - phi).max() > np.abs(fit.phi[0] - phi).max()
-
-
-def test_one_sd_normalization_scales_by_policy_sd():
-    panel = make_var_panel([[0.3, 0.0], [0.2, 0.3]], 20, 80, seed=5)
-    fit = fit_pvar(panel, PVARSpec(1))
-    chol = cholesky_lower(fit.sigma)
-    unit = irf(fit, chol, 0, 3, normalization="unit-shock")
-    onesd = irf(fit, chol, 0, 3, normalization="one-sd")
-    np.testing.assert_allclose(onesd.responses, unit.responses * chol.lower[0, 0], atol=1e-12)
 
 
 def test_homogeneous_regime_probe_detects_binary_innovations():

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causal_pvar.errors import BootstrapUnstable, NotPSD, ZeroPolicyVariance
+from causal_pvar.errors import BootstrapUnstable, CausalPvarError, NotPSD, ZeroPolicyVariance
 from causal_pvar.identify import (
+    _propagate,
     bootstrap_irf,
     cholesky_lower,
     impact_gamma,
@@ -87,8 +88,8 @@ class TestIrf:
         panel = make_var_panel(np.zeros((2, 2)), 50, 100, seed=0)
         fit = fit_pvar(panel, PVARSpec(1))
         out = irf(fit, cholesky_lower(fit.sigma), 0, 6)
-        assert out.responses[0, 0] == pytest.approx(1.0)
-        assert np.abs(out.responses[:, 1:]).max() < 0.1  # phi_hat is noise-only
+        assert out[0, 0] == pytest.approx(1.0)
+        assert np.abs(out[:, 1:]).max() < 0.1  # phi_hat is noise-only
         # exact zero propagation with exactly zero slopes
         from causal_pvar.panel import PVARFit
 
@@ -98,7 +99,7 @@ class TestIrf:
             effective_obs=fit.effective_obs,
         )
         out0 = irf(fit0, cholesky_lower(fit.sigma), 0, 6)
-        assert np.abs(out0.responses[:, 1:]).max() == 0.0
+        assert np.abs(out0[:, 1:]).max() == 0.0
 
     def test_diagonal_recurrence(self):
         from causal_pvar.panel import PVARFit
@@ -112,8 +113,8 @@ class TestIrf:
         out = irf(fit, cholesky_lower(sigma), 0, 8)
         gamma = impact_gamma(cholesky_lower(sigma), 0, 1)
         for h in range(9):
-            assert out.responses[0, h] == pytest.approx(0.5**h, abs=1e-12)
-            assert out.responses[1, h] == pytest.approx(0.5**h * gamma, abs=1e-12)
+            assert out[0, h] == pytest.approx(0.5**h, abs=1e-12)
+            assert out[1, h] == pytest.approx(0.5**h * gamma, abs=1e-12)
 
     def test_matches_simulation_differencing_p2(self):
         # Propagation equals the difference between two deterministic paths
@@ -129,13 +130,44 @@ class TestIrf:
         path = simulate_var_panel(np.stack(fit.phi), np.zeros((1, 2)), shocks)
         base = simulate_var_panel(np.stack(fit.phi), np.zeros((1, 2)), np.zeros_like(shocks))
         diff = (path.values - base.values)[0].T
-        np.testing.assert_allclose(out.responses, diff, atol=1e-10)
+        np.testing.assert_allclose(out, diff, atol=1e-10)
 
     def test_unit_shock_normalization_invariant(self):
         panel = make_var_panel([[0.4, 0.1], [0.2, 0.3]], 20, 80, seed=3)
         fit = fit_pvar(panel, PVARSpec(1))
         out = irf(fit, cholesky_lower(fit.sigma), 0, 4)
-        assert out.responses[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert out[0, 0] == pytest.approx(1.0, abs=1e-12)
+
+
+def _companion_powers(phi, impact, horizon):
+    """Responses (b, m, horizon + 1) by powers of the (b, mp, mp) companion matrices
+    of p (b, m, m) slope stacks, the loop the VAR recursion replaced."""
+    b, m = impact.shape
+    mp = m * len(phi)
+    comp = np.zeros((b, mp, mp))
+    comp[:, :m] = np.concatenate(phi, axis=2)
+    comp[:, m:, :-m] = np.eye(mp - m)
+    state = np.zeros((b, mp))
+    state[:, :m] = impact
+    out = np.empty((b, m, horizon + 1))
+    for h in range(horizon + 1):
+        out[:, :, h] = state[:, :m]
+        state = np.einsum("bij,bj->bi", comp, state)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 100_000), p=st.integers(1, 3), m=st.integers(2, 3),
+       b=st.integers(1, 5), stacked=st.booleans())
+def test_propagation_matches_companion_powers(seed, p, m, b, stacked):
+    rng = np.random.default_rng(seed)
+    shape = (b, m, m) if stacked else (m, m)
+    phi = [rng.uniform(-0.6, 0.6, shape) / p for _ in range(p)]
+    impact = rng.standard_normal((b, m))
+    got = _propagate(phi, impact, 12)
+    want = _companion_powers([np.broadcast_to(f, (b, m, m)) for f in phi], impact, 12)
+    assert got.shape == (b, m, 13)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 class TestIrfFromImpact:
@@ -146,13 +178,21 @@ class TestIrfFromImpact:
         impact = chol.lower[:, 0] / chol.lower[0, 0]
         a = irf(fit, chol, 0, 10)
         b = irf_from_impact(fit, impact, 10)
-        np.testing.assert_allclose(a.responses, b.responses, atol=1e-14)
+        np.testing.assert_allclose(a, b, atol=1e-14)
+
+    def test_negative_horizon_rejected(self):
+        panel = make_var_panel([[0.4, 0.1], [0.2, 0.3]], 20, 80, seed=7)
+        fit = fit_pvar(panel, PVARSpec(2))
+        with pytest.raises(CausalPvarError, match="horizon"):
+            irf_from_impact(fit, np.array([1.0, 0.5]), -1)
+        with pytest.raises(CausalPvarError, match="horizon"):
+            irf(fit, cholesky_lower(fit.sigma), 0, -1)
 
     def test_zero_impact(self):
         panel = make_var_panel([[0.4, 0.1], [0.2, 0.3]], 20, 80, seed=7)
         fit = fit_pvar(panel, PVARSpec(1))
         out = irf_from_impact(fit, np.zeros(2), 5)
-        assert np.abs(out.responses).max() == 0.0
+        assert np.abs(out).max() == 0.0
 
     def test_plug_in_impact_matches_simulation(self):
         panel = make_var_panel([[0.4, 0.1], [0.2, 0.3]], 20, 120, seed=9)
@@ -163,7 +203,7 @@ class TestIrfFromImpact:
         shocks[0, 0] = impact
         path = simulate_var_panel(fit.phi[0], np.zeros((1, 2)), shocks)
         base = simulate_var_panel(fit.phi[0], np.zeros((1, 2)), np.zeros_like(shocks))
-        np.testing.assert_allclose(out.responses, (path.values - base.values)[0].T, atol=1e-8)
+        np.testing.assert_allclose(out, (path.values - base.values)[0].T, atol=1e-8)
 
 
 class TestBootstrapIrf:

@@ -434,6 +434,17 @@ class TestCli:
         self._one_error_line(res, 1)
         assert flag.lstrip("-").replace("-", "_") in res.stderr
 
+    @pytest.mark.parametrize("regime, flags, name", [
+        ("gaussian_continuous", ("--rho", "0.5"), "spillover_rho"),
+        ("homogeneous_dummy", ("--ring-neighbors", "7", "--policy-sigma", "3",
+                               "--zero-prob", "0.9"), "policy_sigma"),
+    ])
+    def test_simulate_rejects_a_flag_the_regime_does_not_read(self, tmp_path, regime, flags, name):
+        res = run_cli("simulate", "--regime", regime, "--units", "10", "--times", "20",
+                      *flags, "--seed", "1", "--output", str(tmp_path / "o"))
+        self._one_error_line(res, 1)
+        assert res.stderr.strip() == f"error: regime '{regime}' does not take {name}"
+
     def test_all_nan_row_exits_1_as_non_finite(self, tmp_path):
         rows = [f"{u},{t},0.5,0.25" for u in (1, 2) for t in (1, 2, 3)]
         rows[1] = "1,2,nan,nan"

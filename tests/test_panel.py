@@ -217,7 +217,7 @@ class TestCompanion:
     def test_p1_is_phi(self):
         panel = make_var_panel([[0.4, 0.1], [0.2, 0.3]], 6, 40, seed=1)
         fit = fit_pvar(panel, PVARSpec(1))
-        np.testing.assert_array_equal(companion(fit).matrix, fit.phi[0])
+        np.testing.assert_array_equal(companion(fit), fit.phi[0])
 
     def test_textbook_layout_m1_p2(self):
         # Scalar series with two lags: [[phi1, phi2], [1, 0]].
@@ -231,12 +231,12 @@ class TestCompanion:
             spec=PVARSpec(2),
             effective_obs=5,
         )
-        np.testing.assert_array_equal(companion(fit).matrix, [[0.5, 0.2], [1.0, 0.0]])
+        np.testing.assert_array_equal(companion(fit), [[0.5, 0.2], [1.0, 0.0]])
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 1000), p=st.integers(1, 3))
     def test_top_block_row_bit_exact(self, seed, p):
         panel = make_var_panel([[0.3, 0.05], [0.1, 0.25]], 8, 80, seed=seed)
         fit = fit_pvar(panel, PVARSpec(p))
-        top = companion(fit).matrix[:2, :]
+        top = companion(fit)[:2, :]
         np.testing.assert_array_equal(top, np.hstack(fit.phi))

@@ -14,6 +14,7 @@ from causal_pvar.scenarios import (
     HOMOGENEOUS_DUMMY,
     NONNEGATIVE_CONTINUOUS,
     REGIMES,
+    SCENARIOS,
     SPILLOVER_DUMMY,
     ScenarioConfig,
     _draw,
@@ -48,9 +49,9 @@ def test_homogeneous_dummy_common_assignment():
                                NONNEGATIVE_CONTINUOUS, HETEROGENEOUS_DUMMY,
                                SPILLOVER_DUMMY]))
 def test_consistency_realized_equals_po_at_assignment(seed, regime):
+    spillover = {"spillover_rho": 0.5} if regime == SPILLOVER_DUMMY else {}
     cfg = ScenarioConfig(regime=regime, n_units=12, n_times=25, seed=seed,
-                         impact=quadratic_impact(1.0, 0.4), effect_sd=0.3,
-                         spillover_rho=0.5)
+                         impact=quadratic_impact(1.0, 0.4), effect_sd=0.3, **spillover)
     panel, pop = simulate_scenario(cfg)
     w = pop.assignments
     if regime in (GAUSSIAN_CONTINUOUS, NONNEGATIVE_CONTINUOUS):
@@ -227,3 +228,36 @@ def test_violation_flag_the_regime_ignores_is_rejected(regime, flag):
     cfg = ScenarioConfig(regime=regime, n_units=10, n_times=20, seed=0, **{flag: 0.7})
     with pytest.raises(BadConfig, match=flag):
         simulate_scenario(cfg)
+
+
+@pytest.mark.parametrize("regime, name, value", [
+    (GAUSSIAN_CONTINUOUS, "spillover_rho", 0.5),
+    (HOMOGENEOUS_DUMMY, "ring_neighbors", 7),
+    (HOMOGENEOUS_DUMMY, "policy_sigma", 3.0),
+    (HOMOGENEOUS_DUMMY, "zero_prob", 0.9),
+    (HOMOGENEOUS_DUMMY, "time_frac", 0.5),
+    (SPILLOVER_DUMMY, "time_frac", 0.5),
+    (GAUSSIAN_CONTINUOUS, "treat_prob", 0.5),
+    (NONNEGATIVE_CONTINUOUS, "treat_on_gain", 0.4),
+    (HETEROGENEOUS_DUMMY, "support", (0.5, 3.0)),
+    (NONNEGATIVE_CONTINUOUS, "treat_schedule", np.eye(10, 20)),
+])
+def test_field_the_regime_does_not_read_is_rejected(regime, name, value):
+    cfg = ScenarioConfig(regime=regime, n_units=10, n_times=20, seed=0, **{name: value})
+    with pytest.raises(BadConfig, match=f"regime '{regime}' does not take {name}"):
+        simulate_scenario(cfg)
+
+
+def test_each_regime_takes_the_fields_it_reads():
+    # Each field a regime reads, set away from its default, still simulates.
+    schedule = np.zeros((10, 20))
+    schedule[::2, 1::3] = 1.0
+    values = {"treat_prob": 0.4, "time_frac": 0.5, "treat_on_gain": 0.3,
+              "treat_schedule": schedule, "anticipation": 0.2, "policy_sigma": 2.0,
+              "selection_strength": 0.3, "zero_prob": 0.2, "support": (0.5, 1.5),
+              "spillover_rho": 0.4, "ring_neighbors": 3}
+    for regime in REGIMES:
+        for name in SCENARIOS[regime].reads:
+            cfg = ScenarioConfig(regime=regime, n_units=10, n_times=20, seed=0,
+                                 **{name: values[name]})
+            simulate_scenario(cfg)

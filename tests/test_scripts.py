@@ -1,11 +1,14 @@
 """Smoke runs of the scripts in ``scripts/``, in-process with small arguments."""
 
+import ast
 import os
+import re
 import runpy
 import sys
 
 import pytest
 
+import causal_pvar.cli
 from causal_pvar.verify import THEOREMS
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
@@ -36,6 +39,37 @@ def test_coverage_study_exits_zero(monkeypatch, capsys):
     args = ["--runs", "1", "--reps", "100", "--units", "20", "--times", "60"]
     assert _run(monkeypatch, "coverage_study.py", args) == 0
     assert "bands contain the true impact" in capsys.readouterr().out
+
+
+def _cli_artifact_names():
+    """File names the CLI writes: its ``name.csv``/``name.json`` literals, plus
+    ``stem.csv`` for each ``_write_records(..., stem)``."""
+    with open(causal_pvar.cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if re.fullmatch(r"\w+\.(csv|json)", node.value):
+                names.add(node.value)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "_write_records"):
+            names.add(node.args[-1].value + ".csv")
+    return names
+
+
+def test_artifact_digests_are_reproducible_and_cover_the_cli(monkeypatch, capsys):
+    outputs = []
+    for _ in range(2):
+        assert _run(monkeypatch, "artifact_digests.py", ["--verify-reps", "2"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
+    paths = [line.split("  ", 1)[1] for line in lines]
+    assert paths == sorted(paths)
+    expected = _cli_artifact_names()
+    assert len(expected) >= 9
+    assert expected <= {os.path.basename(path) for path in paths}
 
 
 def test_demo_pipeline_writes_every_artifact(monkeypatch, capsys, tmp_path):

@@ -7,6 +7,7 @@ from causal_pvar.errors import (
     AsymmetricAdjacency,
     BadConfig,
     BootstrapUnstable,
+    CollinearRegressors,
     NoTreatedCells,
     SelfLoop,
 )
@@ -123,6 +124,33 @@ class TestSpilloverRegression:
         y = 1.2 * w + 0.4 * s + 0.05 * rng.standard_normal(5000)
         fit = spillover_regression(w, y, s, n_reps=0)
         assert fit.delta == pytest.approx((w @ (y - y.mean())) / (w @ w), abs=1e-10)
+
+    @pytest.mark.parametrize("w_scale, s_scale", [(1e5, 1.0), (1.0, 1e-5), (1e3, 1.0), (1e-4, 1e4)])
+    def test_rescaled_regressors_give_rescaled_coefficients(self, w_scale, s_scale):
+        # The collinearity guard has no units: independent regressors fit in
+        # any units, and their coefficients carry the units back.
+        rng = np.random.default_rng(4)
+        w = rng.standard_normal(3000)
+        w -= w.mean()
+        s = rng.random(3000)
+        y = 0.7 * w + 0.3 * s + rng.standard_normal(3000)
+        y -= y.mean()
+        base = spillover_regression(w, y, s, n_reps=20, seed=1)
+        fit = spillover_regression(w * w_scale, y, s * s_scale, n_reps=20, seed=1)
+        assert fit.n_dropped == base.n_dropped == 0
+        np.testing.assert_allclose([fit.delta * w_scale, fit.rho * s_scale],
+                                   [base.delta, base.rho], rtol=1e-8)
+        np.testing.assert_allclose([fit.se_delta * w_scale, fit.se_rho * s_scale],
+                                   [base.se_delta, base.se_rho], rtol=1e-8)
+
+    @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+    def test_collinear_regressors_raise_at_any_scale(self, scale):
+        rng = np.random.default_rng(5)
+        w = rng.standard_normal(500) * scale
+        w -= w.mean()
+        y = rng.standard_normal(500)
+        with pytest.raises(CollinearRegressors):
+            spillover_regression(w, y - y.mean(), 3.0 * w, n_reps=0)
 
     def test_negative_reps_rejected(self):
         w, y, s = self._centered()
