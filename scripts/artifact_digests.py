@@ -7,10 +7,12 @@ Usage:
 Runs ``causal_pvar.cli.main`` in-process: each of the five regimes
 simulated at 40 units x 80 periods, then ``fit``, ``diagnose`` and ``irf``
 at ``--lags`` 1 and 2 and ``lagselect`` on its panel; ``spillover`` on a
-spillover panel whose policy column stays 0/1; and ``verify --theorem
-all``.  Prints one ``sha256  path`` line per artifact, sorted by path
-relative to ``--out`` (an empty or new directory; by default a temporary
-one, removed afterwards).  Two checkouts give the same lines exactly when
+spillover panel whose policy column stays 0/1; ``verify --theorem all``;
+and ``lagselect``, ``irf``, ``spillover`` and ``verify`` once more under
+``--format json-lines`` (on the spillover panel, into ``json-lines/``).
+Prints one ``sha256  path`` line per artifact, sorted by path relative to
+``--out`` (an empty or new directory; by default a temporary one, removed
+afterwards).  Two checkouts give the same lines exactly when
 they write the same bytes, so ``diff`` of two runs' output is a byte gate.
 """
 
@@ -51,11 +53,18 @@ def _plan(out: str, seed: int, verify_reps: int):
     yield ["simulate", "--regime", "spillover_dummy", *size, "--treat-prob", "0.15",
            "--rho", "0.5", "--phi", "0.0,0.0;0.3,0.35", "--mu-scale", "0.0",
            "--seed", s, "--output", home], True
-    yield ["spillover", "--input", os.path.join(home, "panel.csv"),
-           "--adjacency", os.path.join(home, "edges.csv"), "--seed", s, "--output", home], True
+    panel = os.path.join(home, "panel.csv")
+    edges = ("--adjacency", os.path.join(home, "edges.csv"))
     # verify exits 1 when a check fails, which few replications allow
-    yield ["verify", "--theorem", "all", "--reps", str(verify_reps), "--seed", s,
-           "--output", os.path.join(out, "verify")], False
+    verify = ["verify", "--theorem", "all", "--reps", str(verify_reps), "--seed", s]
+    yield ["spillover", "--input", panel, *edges, "--seed", s, "--output", home], True
+    yield [*verify, "--output", os.path.join(out, "verify")], False
+    # Each record-writing command once more, through the JSON-lines writer.
+    jsonl = ("--format", "json-lines", "--output", os.path.join(out, "json-lines"))
+    yield ["lagselect", "--input", panel, *jsonl], True
+    yield ["irf", "--input", panel, "--reps", str(IRF_REPS), "--seed", s, *jsonl], True
+    yield ["spillover", "--input", panel, *edges, "--seed", s, *jsonl], True
+    yield [*verify, *jsonl], False
 
 
 def _ring_edges(path: str) -> None:

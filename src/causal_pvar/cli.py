@@ -8,8 +8,14 @@ CAUSAL_PVAR_SEED environment variable) and write byte-identical artifacts
 given the same seed.  --threads is accepted (it must be at least 1) but
 changes nothing: every command runs on one thread.
 
+Defaults live in the library: a ``simulate`` scenario flag left out takes
+the ``ScenarioConfig`` default of the field it sets (``SCENARIO_FLAGS``),
+and ``verify --rho`` defaults to the interference check's own scenario.
+JSON artifacts write non-finite numbers as ``null``.
+
 Exit codes: 0 success, 1 expected errors (bad data, estimation failures),
-2 invalid invocation.
+2 invalid invocation.  Every error is one ``error:`` line on stderr;
+``main`` is the one place that prints it and picks the code.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -42,71 +49,94 @@ from .verify import CHECKS, verify_suite
 SEED_ENV = "CAUSAL_PVAR_SEED"
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
+class InvalidInvocation(Exception):
+    """A bad command line: ``main`` prints it as one ``error:`` line and exits 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's own errors as InvalidInvocation instead of printing usage."""
+
+    def error(self, message):
+        raise InvalidInvocation(message)
+
+
+def _resolve_seed(seed: int | None) -> int:
+    if seed is not None:
+        return seed
     env = os.environ.get(SEED_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            print(f"error: {SEED_ENV}={env!r} is not an integer seed", file=sys.stderr)
-            raise SystemExit(2)
-    print(f"error: this command is stochastic; pass --seed or set {SEED_ENV}", file=sys.stderr)
-    raise SystemExit(2)
+    if env is None:
+        raise InvalidInvocation(f"this command is stochastic; pass --seed or set {SEED_ENV}")
+    try:
+        return int(env)
+    except ValueError:
+        raise InvalidInvocation(f"{SEED_ENV}={env!r} is not an integer seed") from None
 
 
 def _parse_phi(spec: str):
     """Rows separated by ';', entries by ',': e.g. '0.2,0;0.3,0.35'."""
     try:
-        rows = [[float(v) for v in row.split(",")] for row in spec.split(";")]
-        mat = np.asarray(rows, dtype=float)
-        if mat.shape != (2, 2):
-            raise ValueError
-        return mat
+        mat = np.asarray([[float(v) for v in row.split(",")] for row in spec.split(";")])
+        if mat.shape == (2, 2):
+            return mat
     except ValueError:
-        print(f"error: bad --phi {spec!r}; expected 'a,b;c,d'", file=sys.stderr)
-        raise SystemExit(2)
+        pass
+    raise argparse.ArgumentTypeError(f"expected 'a,b;c,d', got {spec!r}")
 
 
 def _parse_impact(spec: str):
     kind, _, rest = spec.partition(":")
+    make = {"linear": linear_impact, "quadratic": quadratic_impact, "step": step_impact}.get(kind)
     try:
         params = [float(tok) for tok in rest.split(",")] if rest else []
-        if kind == "linear":
-            return linear_impact(*params)
-        if kind == "quadratic":
-            return quadratic_impact(*params)
-        if kind == "step":
-            return step_impact(*params)
+        if make is not None:
+            return make(*params)
     except (TypeError, ValueError):
         pass
-    print(f"error: bad --impact {spec!r}; use linear:b, quadratic:a,b or step:h,thr", file=sys.stderr)
-    raise SystemExit(2)
+    raise argparse.ArgumentTypeError(
+        f"expected linear:b, quadratic:a,b or step:h,thr, got {spec!r}")
+
+
+# simulate's scenario flags: flag -> (ScenarioConfig field it sets, value
+# type).  Only the flags given reach the config, so every default is
+# ScenarioConfig's own; --support-low and --support-high set the two ends
+# of ``support``.
+SCENARIO_FLAGS = {
+    "--impact": ("impact", _parse_impact),
+    "--phi": ("phi", _parse_phi),
+    "--noise-scale": ("noise_scale", float),
+    "--mu-scale": ("mu_scale", float),
+    "--effect-sd": ("effect_sd", float),
+    "--treat-prob": ("treat_prob", float),
+    "--time-frac": ("time_frac", float),
+    "--anticipation": ("anticipation", float),
+    "--policy-sigma": ("policy_sigma", float),
+    "--selection-strength": ("selection_strength", float),
+    "--zero-prob": ("zero_prob", float),
+    "--support-low": ("support", float),
+    "--support-high": ("support", float),
+    "--rho": ("spillover_rho", float),
+    "--ring-neighbors": ("ring_neighbors", int),
+}
+
+
+def _scenario(args) -> ScenarioConfig:
+    """The ScenarioConfig of a ``simulate`` invocation: defaults plus the flags given."""
+    cfg = ScenarioConfig(args.regime, args.units, args.times, args.seed)
+    given = {}
+    for flag, (name, _) in SCENARIO_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None:
+            continue
+        if name == "support":
+            ends = list(given.get(name, cfg.support))
+            ends[flag == "--support-high"] = value
+            value = tuple(ends)
+        given[name] = value
+    return replace(cfg, **given)
 
 
 def cmd_simulate(args) -> int:
-    seed = _resolve_seed(args)
-    cfg = ScenarioConfig(
-        regime=args.regime,
-        n_units=args.units,
-        n_times=args.times,
-        seed=seed,
-        phi=_parse_phi(args.phi),
-        impact=_parse_impact(args.impact),
-        noise_scale=args.noise_scale,
-        mu_scale=args.mu_scale,
-        effect_sd=args.effect_sd,
-        treat_prob=args.treat_prob,
-        time_frac=args.time_frac,
-        anticipation=args.anticipation,
-        policy_sigma=args.policy_sigma,
-        selection_strength=args.selection_strength,
-        zero_prob=args.zero_prob,
-        support=(args.support_low, args.support_high),
-        spillover_rho=args.rho,
-        ring_neighbors=args.ring_neighbors,
-    )
+    cfg = _scenario(args)
     panel, pop = simulate_scenario(cfg)
     cpio.ensure_dir(args.output)
     cpio.write_panel_csv(panel, os.path.join(args.output, "panel.csv"))
@@ -171,15 +201,8 @@ def cmd_lagselect(args) -> int:
     panel = _load_panel(args)
     table = lag_criteria(panel, args.pmax)
     cpio.ensure_dir(args.output)
-    records = [
-        {
-            "p": int(p),
-            "bic_like": table.bic_like[i],
-            "aic_like": table.aic_like[i],
-            "hq_like": table.hq_like[i],
-        }
-        for i, p in enumerate(table.lags)
-    ]
+    records = [{"p": int(p), "bic_like": table.bic_like[i], "aic_like": table.aic_like[i],
+                "hq_like": table.hq_like[i]} for i, p in enumerate(table.lags)]
     _write_records(records, args, "lagselect")
     print("chosen:", {k: int(v) for k, v in table.chosen.items()})
     return 0
@@ -217,70 +240,40 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_irf(args) -> int:
-    seed = _resolve_seed(args)
     panel = _load_panel(args)
     if not 0 <= args.shock < panel.n_vars:
-        print(f"error: --shock {args.shock} outside 0..{panel.n_vars - 1}", file=sys.stderr)
-        return 2
-    point, bands = bootstrap_irf(
-        panel,
-        PVARSpec(args.lags),
-        k=args.shock,
-        horizon=args.horizon,
-        n_reps=args.reps,
-        level=args.level,
-        seed=seed,
-    )
-    records = []
-    for v, name in enumerate(panel.variable_names):
-        for h in range(args.horizon + 1):
-            records.append(
-                {
-                    "variable": name,
-                    "horizon": h,
-                    "point": point[v, h],
-                    "lower": bands.lower[v, h],
-                    "upper": bands.upper[v, h],
-                }
-            )
+        raise InvalidInvocation(f"--shock {args.shock} outside 0..{panel.n_vars - 1}")
+    point, bands = bootstrap_irf(panel, PVARSpec(args.lags), k=args.shock, horizon=args.horizon,
+                                 n_reps=args.reps, level=args.level, seed=args.seed)
+    records = [{"variable": name, "horizon": h, "point": point[v, h],
+                "lower": bands.lower[v, h], "upper": bands.upper[v, h]}
+               for v, name in enumerate(panel.variable_names) for h in range(args.horizon + 1)]
     cpio.ensure_dir(args.output)
     _write_records(records, args, "irf")
     return 0
 
 
 def cmd_spillover(args) -> int:
-    seed = _resolve_seed(args)
     panel = _load_panel(args)
     if not 1 <= args.outcome < panel.n_vars:
-        print(f"error: --outcome {args.outcome} outside 1..{panel.n_vars - 1}", file=sys.stderr)
-        return 2
-    treatment = panel.values[:, :, 0]
-    if not np.isin(treatment, (0.0, 1.0)).all():
-        print("error: spillover command expects a 0/1 policy column", file=sys.stderr)
-        return 1
+        raise InvalidInvocation(f"--outcome {args.outcome} outside 1..{panel.n_vars - 1}")
     adjacency = cpio.load_edge_list(args.adjacency, panel.unit_labels)
     reg = estimate_adjusted_impact(
-        fit_pvar(panel, PVARSpec(args.lags)), adjacency, treatment,
-        mode=args.mode, outcome=args.outcome, n_reps=args.reps, seed=seed,
+        fit_pvar(panel, PVARSpec(args.lags)), adjacency, panel.values[:, :, 0],
+        mode=args.mode, outcome=args.outcome, n_reps=args.reps, seed=args.seed,
     )
     cpio.ensure_dir(args.output)
-    _write_records(
-        [
-            {"term": panel.variable_names[0], "estimate": reg.delta, "se": reg.se_delta},
-            {"term": "spillover_exposure", "estimate": reg.rho, "se": reg.se_rho},
-        ],
-        args,
-        "spillover",
-    )
+    records = [{"term": panel.variable_names[0], "estimate": reg.delta, "se": reg.se_delta},
+               {"term": "spillover_exposure", "estimate": reg.rho, "se": reg.se_rho}]
+    _write_records(records, args, "spillover")
     return 0
 
 
 def cmd_verify(args) -> int:
-    seed = _resolve_seed(args)
     cpio.ensure_dir(args.output)
     reports = []
     names = None if args.theorem == "all" else [args.theorem]
-    for rep in verify_suite(seed, args.reps, names, rho=args.rho):
+    for rep in verify_suite(args.seed, args.reps, names, rho=args.rho):
         print(rep.summary_line())
         reports.append(rep)
     _write_records([r.record() for r in reports], args, "verify")
@@ -288,105 +281,83 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="causal-pvar",
-        description="Panel-VAR causal inference toolkit",
-    )
+    parser = _Parser(prog="causal-pvar", description="Panel-VAR causal inference toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, stochastic=False):
-        p.add_argument("--output", required=True, help="output directory")
-        p.add_argument("--format", choices=["csv", "json-lines"], default="csv")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; every command runs on one thread")
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"RNG seed (falls back to ${SEED_ENV})" if stochastic else argparse.SUPPRESS)
+    def command(name, func, help, stochastic=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, stochastic=stochastic)
+        return p
 
-    p = sub.add_parser("simulate", help="generate a scenario panel plus ground truth")
+    def panel_command(name, func, help, stochastic=False, lags=True):
+        """A command that reads a panel CSV (and fits it at --lags, if it has them)."""
+        p = command(name, func, help, stochastic)
+        p.add_argument("--input", required=True)
+        p.add_argument("--policies", type=int, default=None)
+        if lags:
+            p.add_argument("--lags", type=int, default=1)
+        return p
+
+    p = command("simulate", cmd_simulate, "generate a scenario panel plus ground truth",
+                stochastic=True)
     p.add_argument("--regime", choices=REGIMES, required=True)
     p.add_argument("--units", type=int, default=100)
     p.add_argument("--times", type=int, default=120)
-    p.add_argument("--impact", default="linear:1.0")
-    p.add_argument("--phi", default="0.2,0.0;0.3,0.35",
-                   help="slope matrix rows 'a,b;c,d'")
-    p.add_argument("--noise-scale", type=float, default=1.0)
-    p.add_argument("--mu-scale", type=float, default=1.0)
-    p.add_argument("--effect-sd", type=float, default=0.0)
-    p.add_argument("--treat-prob", type=float, default=0.3)
-    p.add_argument("--time-frac", type=float, default=0.4)
-    p.add_argument("--anticipation", type=float, default=0.0)
-    p.add_argument("--policy-sigma", type=float, default=1.0)
-    p.add_argument("--selection-strength", type=float, default=0.0)
-    p.add_argument("--zero-prob", type=float, default=0.5)
-    p.add_argument("--support-low", type=float, default=1.0)
-    p.add_argument("--support-high", type=float, default=2.0)
-    p.add_argument("--rho", type=float, default=0.0)
-    p.add_argument("--ring-neighbors", type=int, default=2)
-    common(p, stochastic=True)
-    p.set_defaults(func=cmd_simulate)
+    for flag, (name, kind) in SCENARIO_FLAGS.items():
+        p.add_argument(flag, type=kind, help=f"sets ScenarioConfig.{name} (omitted: the field's default)")
 
-    p = sub.add_parser("fit", help="within-OLS panel VAR fit")
-    p.add_argument("--input", required=True)
-    p.add_argument("--policies", type=int, default=None)
-    p.add_argument("--lags", type=int, default=1)
-    common(p)
-    p.set_defaults(func=cmd_fit)
+    panel_command("fit", cmd_fit, "within-OLS panel VAR fit")
 
-    p = sub.add_parser("lagselect", help="information criteria over lag orders")
-    p.add_argument("--input", required=True)
-    p.add_argument("--policies", type=int, default=None)
+    p = panel_command("lagselect", cmd_lagselect, "information criteria over lag orders",
+                      lags=False)
     p.add_argument("--pmax", type=int, default=6)
-    common(p)
-    p.set_defaults(func=cmd_lagselect)
 
-    p = sub.add_parser("diagnose", help="autocorrelation, stationarity, policy probe")
-    p.add_argument("--input", required=True)
-    p.add_argument("--policies", type=int, default=None)
-    p.add_argument("--lags", type=int, default=1)
+    p = panel_command("diagnose", cmd_diagnose, "autocorrelation, stationarity, policy probe")
     p.add_argument("--smax", type=int, default=2)
-    common(p)
-    p.set_defaults(func=cmd_diagnose)
 
-    p = sub.add_parser("irf", help="impulse response with bootstrap bands")
-    p.add_argument("--input", required=True)
-    p.add_argument("--policies", type=int, default=None)
-    p.add_argument("--lags", type=int, default=1)
+    p = panel_command("irf", cmd_irf, "impulse response with bootstrap bands", stochastic=True)
     p.add_argument("--shock", type=int, default=0, help="0-based shocked variable index")
     p.add_argument("--horizon", type=int, default=10)
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--level", type=float, default=0.9)
-    common(p, stochastic=True)
-    p.set_defaults(func=cmd_irf)
 
-    p = sub.add_parser("spillover", help="exposure-adjusted impact regression")
-    p.add_argument("--input", required=True)
-    p.add_argument("--policies", type=int, default=None)
-    p.add_argument("--lags", type=int, default=1)
+    p = panel_command("spillover", cmd_spillover, "exposure-adjusted impact regression",
+                      stochastic=True)
     p.add_argument("--adjacency", required=True, help="edge-list file unit_a,unit_b")
     p.add_argument("--mode", choices=[TREATED_NEIGHBOR_SHARE, BINARY_ANY_NEIGHBOR],
                    default=TREATED_NEIGHBOR_SHARE)
     p.add_argument("--outcome", type=int, default=1, help="0-based outcome variable index")
     p.add_argument("--reps", type=int, default=200)
-    common(p, stochastic=True)
-    p.set_defaults(func=cmd_spillover)
 
-    p = sub.add_parser("verify", help="theorem-by-theorem Monte-Carlo checks")
+    p = command("verify", cmd_verify, "theorem-by-theorem Monte-Carlo checks", stochastic=True)
     p.add_argument("--theorem", default="all", choices=[*CHECKS, "all"])
     p.add_argument("--reps", type=int, default=200)
-    p.add_argument("--rho", type=float, default=0.5, help="spillover strength (interference)")
-    common(p, stochastic=True)
-    p.set_defaults(func=cmd_verify)
+    p.add_argument("--rho", type=float,
+                   help="spillover strength of the interference check (default: its scenario's)")
 
+    for p in sub.choices.values():
+        p.add_argument("--output", required=True, help="output directory")
+        p.add_argument("--format", choices=["csv", "json-lines"], default="csv")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; every command runs on one thread")
+        p.add_argument("--seed", type=int,
+                       help=f"RNG seed (falls back to ${SEED_ENV})" if p.get_default("stochastic")
+                       else argparse.SUPPRESS)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.threads < 1:
-        print(f"error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
-        return 2
+    """Run one command; the single exit for every error it meets."""
     try:
+        args = build_parser().parse_args(argv)
+        if args.threads < 1:
+            raise InvalidInvocation(f"--threads must be at least 1, got {args.threads}")
+        if args.stochastic:
+            args.seed = _resolve_seed(args.seed)
         return args.func(args)
+    except InvalidInvocation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except CausalPvarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

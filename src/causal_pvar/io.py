@@ -19,14 +19,17 @@ Writing: panel-shaped grids (``panel.csv``, ``residuals.csv``) go through
 Result records are flat dicts written as CSV or JSON lines.  Floats are
 written at 17 significant digits everywhere, so artifacts are byte-stable
 and round-trip exactly.  Nested reports (truth, fit, diagnostics) are
-written as key-sorted, indented JSON.  Files that cannot be opened,
-decoded as UTF-8 or written raise IoError.
+written as key-sorted, indented JSON.  Both JSON forms are strict JSON:
+a non-finite float is written as ``null`` (CSV keeps ``nan``/``inf``,
+which round-trip).  Files that cannot be opened, decoded as UTF-8 or
+written raise IoError.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import warnings
 
@@ -56,7 +59,8 @@ def fmt_float(x: float) -> str:
 
 
 def _fmt_value(v, json_lines: bool = False) -> str:
-    """Record field text; None is an empty CSV field and JSON null."""
+    """Record field text; None is an empty CSV field and JSON null, as is a
+    non-finite float in JSON lines."""
     if v is None:
         return "null" if json_lines else ""
     if isinstance(v, (bool, np.bool_)):
@@ -64,7 +68,7 @@ def _fmt_value(v, json_lines: bool = False) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        return fmt_float(v)
+        return "null" if json_lines and not math.isfinite(v) else fmt_float(v)
     return json.dumps(str(v)) if json_lines else str(v)
 
 
@@ -95,24 +99,32 @@ def write_records(records, path, fmt: str = "csv", fieldnames=None) -> None:
 
 
 def write_json(obj, path) -> None:
-    """Write a nested report as key-sorted, indented JSON (UTF-8, LF endings).
+    """Write a nested report as key-sorted, indented, strict JSON (UTF-8, LF endings).
 
-    numpy arrays become lists and numpy scalars plain numbers; any other
-    non-JSON value is written as its string form.
+    numpy arrays become lists and numpy scalars plain numbers; non-finite
+    floats become null, as None does in records; any other non-JSON value
+    is written as its string form.
     """
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(obj, fh, sort_keys=True, indent=2, default=_jsonable)
+            json.dump(_jsonable(obj), fh, sort_keys=True, indent=2, allow_nan=False)
             fh.write("\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def _jsonable(v):
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, (np.floating, np.integer, np.bool_)):
-        return v.item()
+    """``v`` in plain JSON values, with non-finite floats as None."""
+    if isinstance(v, dict):
+        return {key: _jsonable(x) for key, x in v.items()}
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return [_jsonable(x) for x in v]
+    if isinstance(v, np.generic):
+        v = v.item()
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if v is None or isinstance(v, (str, int)):
+        return v
     return str(v)
 
 

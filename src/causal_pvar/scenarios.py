@@ -177,7 +177,7 @@ class ScenarioConfig:
     Every regime reads the fields from ``regime`` to ``effect_sd`` and
     ``lambda_grid``.  The rest are regime-specific: a regime reads those its
     ``SCENARIOS`` entry names in ``reads``, and any other one set away from
-    its default raises BadConfig.
+    its default raises BadConfig, as does a non-finite value in any field.
     ``anticipation`` shifts treated units' innovations in untreated periods
     (the regimes with groups, ``homogeneous_dummy`` and
     ``heterogeneous_dummy``), and ``selection_strength`` correlates the
@@ -309,9 +309,13 @@ def _validate_config(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
         raise BadConfig("scales must be non-negative")
     reads = SCENARIOS[config.regime].reads
     for f in fields(config):
-        if (f.name in REGIME_FIELDS and f.name not in reads
-                and not np.array_equal(getattr(config, f.name), f.default)):
+        value = getattr(config, f.name)
+        if f.name in REGIME_FIELDS and f.name not in reads and not np.array_equal(value, f.default):
             raise BadConfig(f"regime {config.regime!r} does not take {f.name}")
+        if isinstance(value, ImpactFunction):
+            value = value.params
+        if f.name not in ("regime", "seed") and value is not None and not np.isfinite(value).all():
+            raise BadConfig(f"{f.name} must be finite")
     if config.lambda_grid is not None:
         grid = np.asarray(config.lambda_grid, dtype=float)
         if grid.ndim != 1 or grid.size < 2 or (np.diff(grid) <= 0).any():

@@ -1,12 +1,15 @@
+import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causal_pvar import cli
 from causal_pvar.errors import BadConfig, ParseError, UnbalancedPanel
 from causal_pvar.identify import cholesky_lower, impact_gamma
 from causal_pvar.io import (
@@ -14,10 +17,12 @@ from causal_pvar.io import (
     load_edge_list,
     load_panel_csv,
     read_records,
+    write_json,
     write_panel_csv,
     write_records,
 )
 from causal_pvar.panel import PanelDataset, PVARSpec, fit_pvar
+from causal_pvar.scenarios import REGIMES, ScenarioConfig, simulate_scenario
 
 
 RECORD_FILES = {"csv": "{}.csv", "json-lines": "{}.jsonl"}
@@ -32,6 +37,13 @@ def run_cli(*args, env_extra=None):
         [sys.executable, "-m", "causal_pvar", *args],
         capture_output=True, text=True, env=env,
     )
+
+
+def _strict_json(text):
+    """Parse ``text`` as JSON, rejecting the NaN and Infinity extensions."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 class TestFloatFormat:
@@ -79,6 +91,16 @@ class TestRecords:
         assert (tmp_path / "r.jsonl").read_text() == '{"term": "x", "estimate": 0.5, "se": null}\n'
         assert read_records(tmp_path / "r.csv") == recs
         assert read_records(tmp_path / "r.jsonl", fmt="json-lines") == recs
+
+    def test_non_finite_floats_are_json_null(self, tmp_path):
+        report = {"a": np.nan, "b": [1.5, np.float64(-np.inf)], "c": np.array([np.inf, 2.0])}
+        write_json(report, tmp_path / "r.json")
+        assert _strict_json((tmp_path / "r.json").read_text()) == {
+            "a": None, "b": [1.5, None], "c": [None, 2.0]}
+        write_records([{"x": np.nan, "y": 0.5}], tmp_path / "r.jsonl", fmt="json-lines")
+        assert (tmp_path / "r.jsonl").read_text() == '{"x": null, "y": 0.5}\n'
+        write_records([{"x": np.nan, "y": 0.5}], tmp_path / "r.csv")
+        assert (tmp_path / "r.csv").read_text() == "x,y\nnan,0.5\n"
 
 
 class TestPanelCsv:
@@ -488,6 +510,77 @@ class TestCli:
                       str(tmp_path / "unknown.csv"), "--seed", "1", "--output", str(tmp_path / "o"))
         self._one_error_line(res, 1)
         assert res.stderr.strip() == "error: line 2: edge endpoint 4 is not a unit of the panel"
+
+    @pytest.mark.parametrize("flags, name", [
+        (("--noise-scale", "nan"), "noise_scale"),
+        (("--phi", "nan,0;0,0"), "phi"),
+        (("--impact", "linear:nan"), "impact"),
+        (("--policy-sigma", "inf"), "policy_sigma"),
+        (("--effect-sd", "inf"), "effect_sd"),
+    ])
+    def test_simulate_rejects_a_non_finite_parameter(self, tmp_path, flags, name):
+        res = run_cli("simulate", "--regime", "gaussian_continuous", "--units", "10",
+                      "--times", "20", *flags, "--seed", "1", "--output", str(tmp_path / "o"))
+        self._one_error_line(res, 1)
+        assert res.stderr.strip() == f"error: {name} must be finite"
+        assert not (tmp_path / "o" / "panel.csv").exists()
+
+    def test_verify_rejects_a_non_finite_rho(self, tmp_path):
+        res = run_cli("verify", "--theorem", "interference", "--rho", "nan", "--reps", "3",
+                      "--seed", "1", "--output", str(tmp_path / "ver"))
+        self._one_error_line(res, 1)
+        assert res.stderr.strip() == "error: spillover_rho must be finite"
+
+    def test_spillover_rejects_a_policy_that_is_not_0_1(self, tmp_path):
+        panel = PanelDataset(np.random.default_rng(5).standard_normal((4, 10, 2)), 1, ("w", "y"))
+        write_panel_csv(panel, tmp_path / "panel.csv")
+        (tmp_path / "edges.csv").write_text("1,2\n2,3\n3,4\n")
+        res = run_cli("spillover", "--input", str(tmp_path / "panel.csv"), "--adjacency",
+                      str(tmp_path / "edges.csv"), "--seed", "1", "--output", str(tmp_path / "o"))
+        self._one_error_line(res, 1)
+        assert res.stderr.strip() == "error: treatment indicator must be 0/1"
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--regime", "foo", "--seed", "1", "--output", "o"),
+        ("irf", "--input", "panel.csv", "--reps", "abc", "--seed", "1", "--output", "o"),
+        (),
+    ])
+    def test_parser_error_is_one_line_and_exit_2(self, argv):
+        self._one_error_line(run_cli(*argv), 2)
+
+
+def test_scenario_flags_set_config_fields_and_default_to_none():
+    names = {f.name for f in fields(ScenarioConfig)}
+    assert all(name in names for name, _ in cli.SCENARIO_FLAGS.values())
+    parser = cli.build_parser()
+    args = parser.parse_args(["simulate", "--regime", REGIMES[0], "--output", "o"])
+    assert all(getattr(args, flag[2:].replace("-", "_")) is None for flag in cli.SCENARIO_FLAGS)
+    assert parser.parse_args(["verify", "--output", "o"]).rho is None
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_simulate_without_flags_is_the_default_scenario(tmp_path, regime):
+    argv = ["simulate", "--regime", regime, "--units", "40", "--times", "80", "--seed", "0"]
+    assert cli.main([*argv, "--output", str(tmp_path / "cli")]) == 0
+    write_panel_csv(simulate_scenario(ScenarioConfig(regime, 40, 80, 0))[0], tmp_path / "lib.csv")
+    assert (tmp_path / "cli" / "panel.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_json_artifacts_are_strict_json(tmp_path, regime):
+    out = str(tmp_path)
+    argv = ["simulate", "--regime", regime, "--units", "20", "--times", "40", "--seed", "0"]
+    assert cli.main([*argv, "--output", out]) == 0
+    panel = ["--input", str(tmp_path / "panel.csv"), "--output", out]
+    assert cli.main(["fit", *panel]) == 0
+    assert cli.main(["diagnose", *panel]) == 0
+    assert cli.main(["lagselect", *panel, "--pmax", "2", "--format", "json-lines"]) == 0
+    written = sorted(p.name for p in tmp_path.glob("*.json*"))
+    assert written == ["diagnostics.json", "fit.json", "lagselect.jsonl", "truth.json"]
+    for name in written:
+        text = (tmp_path / name).read_text()
+        for doc in text.splitlines() if name.endswith(".jsonl") else [text]:
+            _strict_json(doc)
 
 
 def _relabel(src, dst, units, times):

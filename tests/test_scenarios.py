@@ -261,3 +261,22 @@ def test_each_regime_takes_the_fields_it_reads():
             cfg = ScenarioConfig(regime=regime, n_units=10, n_times=20, seed=0,
                                  **{name: values[name]})
             simulate_scenario(cfg)
+
+
+@pytest.mark.parametrize("regime, name, value", [
+    (GAUSSIAN_CONTINUOUS, "phi", ((np.nan, 0.0), (0.0, 0.0))),
+    (GAUSSIAN_CONTINUOUS, "impact", linear_impact(np.inf)),
+    (GAUSSIAN_CONTINUOUS, "noise_scale", np.nan),
+    (GAUSSIAN_CONTINUOUS, "mu_scale", np.inf),
+    (GAUSSIAN_CONTINUOUS, "effect_sd", np.inf),
+    (GAUSSIAN_CONTINUOUS, "policy_sigma", np.inf),
+    (GAUSSIAN_CONTINUOUS, "selection_strength", np.nan),
+    (HOMOGENEOUS_DUMMY, "anticipation", -np.inf),
+    (SPILLOVER_DUMMY, "spillover_rho", np.nan),
+    (NONNEGATIVE_CONTINUOUS, "support", (1.0, np.inf)),
+    (HOMOGENEOUS_DUMMY, "lambda_grid", np.array([0.0, np.nan, 1.0])),
+])
+def test_non_finite_parameter_is_rejected_by_name(regime, name, value):
+    cfg = ScenarioConfig(regime=regime, n_units=10, n_times=20, seed=0, **{name: value})
+    with pytest.raises(BadConfig, match=f"^{name} must be finite$"):
+        simulate_scenario(cfg)

@@ -43,7 +43,7 @@ def test_coverage_study_exits_zero(monkeypatch, capsys):
 
 def _cli_artifact_names():
     """File names the CLI writes: its ``name.csv``/``name.json`` literals, plus
-    ``stem.csv`` for each ``_write_records(..., stem)``."""
+    ``stem.csv`` and ``stem.jsonl`` for each ``_write_records(..., stem)``."""
     with open(causal_pvar.cli.__file__, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     names = set()
@@ -53,7 +53,7 @@ def _cli_artifact_names():
                 names.add(node.value)
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id == "_write_records"):
-            names.add(node.args[-1].value + ".csv")
+            names.update(node.args[-1].value + ext for ext in (".csv", ".jsonl"))
     return names
 
 
