@@ -6,8 +6,11 @@ Usage:
 
 Runs ``causal_pvar.cli.main`` in-process: each of the five regimes
 simulated at 40 units x 80 periods, then ``fit``, ``diagnose`` and ``irf``
-at ``--lags`` 1 and 2 and ``lagselect`` on its panel; ``spillover`` on a
-spillover panel whose policy column stays 0/1; ``verify --theorem all``;
+at ``--lags`` 1 and 2 and ``lagselect`` on its panel; ``irf --reps 100`` at
+``--lags`` 1 and 2 on a ``gaussian_continuous`` panel of 420 units x 80
+periods, whose 537,600 bytes exceed ``panel.CHUNK_BYTES``, so that its
+bootstrap runs one replication per chunk; ``spillover`` on a spillover
+panel whose policy column stays 0/1; ``verify --theorem all``;
 and ``lagselect``, ``irf``, ``spillover`` and ``verify`` once more under
 ``--format json-lines`` (on the spillover panel, into ``json-lines/``).
 Prints one ``sha256  path`` line per artifact, sorted by path relative to
@@ -27,10 +30,11 @@ import tempfile
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from causal_pvar.cli import main as cli_main  # noqa: E402
-from causal_pvar.scenarios import REGIMES  # noqa: E402
+from causal_pvar.scenarios import GAUSSIAN_CONTINUOUS, REGIMES  # noqa: E402
 
 UNITS, TIMES = 40, 80
 IRF_REPS = 200
+LARGE_UNITS, LARGE_IRF_REPS = 420, 100  # a panel above CHUNK_BYTES
 
 
 def _plan(out: str, seed: int, verify_reps: int):
@@ -48,6 +52,13 @@ def _plan(out: str, seed: int, verify_reps: int):
             yield ["fit", *common], True
             yield ["diagnose", *common], True
             yield ["irf", *common, "--reps", str(IRF_REPS), "--seed", s], True
+    home = os.path.join(out, "large")
+    panel = os.path.join(home, "panel.csv")
+    yield ["simulate", "--regime", GAUSSIAN_CONTINUOUS, "--units", str(LARGE_UNITS),
+           "--times", str(TIMES), "--seed", s, "--output", home], True
+    for lags in ("1", "2"):
+        yield ["irf", "--input", panel, "--lags", lags, "--reps", str(LARGE_IRF_REPS),
+               "--seed", s, "--output", os.path.join(home, f"lags{lags}")], True
     # A zero policy row in --phi and no unit means keep the policy column 0/1.
     home = os.path.join(out, "spillover")
     yield ["simulate", "--regime", "spillover_dummy", *size, "--treat-prob", "0.15",

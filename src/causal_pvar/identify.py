@@ -8,13 +8,15 @@ var(policy residual).  Impulse responses carry that unit-shock impact
 forward through the fitted dynamics, by the VAR recursion that simulates
 panels; confidence bands come from a recursive residual bootstrap.
 
-The bootstrap is batched: each replication's resampled residuals are
-gathered straight into one state slab, which holds a chunk of replications
-(twice ``CHUNK_BYTES`` of panel), regenerated there by the VAR recursion
-that ``simulate_var_panel`` runs, one loop over time, and refitted from the
-within moments that ``fit_pvar`` reads, then factored and propagated by the
-same batched helpers that ``cholesky_lower`` and ``irf`` apply, with a
-leading axis of one, to the point estimate from ``fit_pvar``.
+The bootstrap has the shape of ``fit_pvar``: moments, then one solve.
+Each replication's resampled residuals are gathered straight into one
+state slab, which holds a chunk of replications (twice ``CHUNK_BYTES`` of
+panel), regenerated there by the VAR recursion that ``simulate_var_panel``
+runs, one loop over time, and reduced to the within cross-products that
+``fit_pvar`` reads.  Once every chunk is done, one ``_within_ols`` call
+solves all replications and one pass of the batched helpers that
+``cholesky_lower`` and ``irf`` apply, with a leading axis of one, to the
+point estimate factors and propagates them.
 
 Ordering caveat (documented, not asserted): permuting two policy columns
 leaves the residual covariance matrix unchanged but changes the factor,
@@ -171,37 +173,6 @@ def irf_from_impact(fit: PVARFit, impact: np.ndarray, horizon: int) -> np.ndarra
     return _propagate(fit.phi, impact[None], horizon)[0]
 
 
-def _refit(states: np.ndarray, p: int, fixed):
-    """``(coef, sigma, ok)`` of ``_within_ols`` for a (t, b, n, m) chunk of regenerated
-    panels; ``fixed`` is ``(dummies, centred)``: the time-major dummy rows or None,
-    and the (b', m, t, n) centring buffer, b' >= b, that every chunk reuses."""
-    dummies, centred = fixed
-    t, b, n, m = states.shape
-    with np.errstate(invalid="ignore", over="ignore"):
-        cross = _within_moments(states, p, dummies, out=centred[:b])[0]
-    return _within_ols(cross, m * p, n * (t - p))
-
-
-def _responses(coef, sigma, ok, k: int, horizon: int):
-    """Impulse responses of a chunk of refits, by the rules of ``cholesky_lower`` and ``irf``.
-
-    Returns ``(responses, ok)``: (b, m, horizon + 1) responses, NaN where a
-    replication failed, and the refit mask narrowed to the replications
-    that factor and admit a unit shock.
-    """
-    b, mp, m = coef.shape
-    out = np.full((b, m, horizon + 1), np.nan)
-    lower, psd, _ = _factor(sigma[ok])
-    impact, unit = _impact(lower, k)
-    psd[psd] = unit
-    ok = ok.copy()
-    ok[ok] = psd
-    # coef stacks phi_l.T lag by lag
-    phi = [np.swapaxes(coef[ok, l : l + m], -1, -2) for l in range(0, mp, m)]
-    out[ok] = _propagate(phi, impact, horizon)
-    return out, ok
-
-
 def bootstrap_irf(
     panel: PanelDataset,
     spec: PVARSpec,
@@ -216,11 +187,12 @@ def bootstrap_irf(
     Residual vectors are resampled i.i.d. over (unit, time) cells with
     replacement, panels regenerated from the fitted dynamics, refitted, and
     the impulse response recomputed.  Replication r draws from its own RNG
-    stream, child r of ``SeedSequence(seed)``.  Replications run in chunks
-    of about twice ``CHUNK_BYTES`` of regenerated panel, in one state slab
-    and one centring buffer allocated per call, each chunk regenerated by
-    one loop over time and refitted from batched moments, so the bands
-    do not depend on the chunking (on a one-unit panel, up to last-bit
+    stream, child r of ``SeedSequence(seed)``.  Replications are regenerated
+    in chunks of about twice ``CHUNK_BYTES`` of panel, in one state slab and
+    one centring buffer allocated per call, each chunk by one loop over time
+    and reduced to its within cross-products; all replications are then
+    solved, factored and propagated once per call, so the bands do not
+    depend on the chunking (on a one-unit panel, up to last-bit
     rounding of a single-row matmul).  The point fit raises SingularDesign
     by the rule documented there; a replication fails when its panel is
     non-finite or breaks that rule, when its covariance has an eigenvalue
@@ -244,14 +216,13 @@ def bootstrap_irf(
     if dummies is not None:
         drift = drift + np.einsum("ntd,dm->tnm", raw_dummies, fit.dummy_coef)[:, None]
 
-    results = np.empty((n_reps, m, horizon + 1))
-    ok = np.empty(n_reps, dtype=bool)
+    cross = np.empty((n_reps, m * (p + 1), m * (p + 1)))
     # A chunk holds two panels per replication: the state slab, whose first p
-    # periods stay the observed ones, and the centring buffer of the refit.
+    # periods stay the observed ones, and the centring buffer of the moments.
     per_chunk = max(1, min(n_reps, 2 * (CHUNK_BYTES // panel.values.nbytes)))
     slab = np.empty((t, per_chunk, n, m))
     slab[:p] = panel.values[:, :p].transpose(1, 0, 2)[:, None]
-    fixed = (dummies, np.empty((per_chunk, m, t, n)))
+    centred = np.empty((per_chunk, m, t, n))
     for start in range(0, n_reps, per_chunk):
         reps = slice(start, min(start + per_chunk, n_reps))
         states = slab[:, : reps.stop - start]
@@ -262,14 +233,22 @@ def bootstrap_irf(
             np.take(pool, draws, axis=0, out=states[p:, r - start], mode="clip")
         states[p:] += drift
         _var_recursion(states.reshape(t, -1, m), fit.phi)
-        coef, sigma, refit_ok = _refit(states, p, fixed)
-        results[reps], ok[reps] = _responses(coef, sigma, refit_ok, k, horizon)
-    del slab, states, fixed  # the working set is done with; free it before the quantiles
+        with np.errstate(invalid="ignore", over="ignore"):
+            cross[reps] = _within_moments(states, p, dummies, out=centred[: reps.stop - start])[0]
+    del slab, states, centred  # the working set is done with; free it before the solve
 
+    # every replication at once, by the rules of fit_pvar, cholesky_lower and irf
+    coef, sigma, ok = _within_ols(cross, m * p, n * tr)
+    lower, psd, _ = _factor(sigma[ok])
+    impact, unit = _impact(lower, k)
+    psd[psd] = unit
+    ok[ok] = psd
     n_failed = int(n_reps - ok.sum())
     if n_failed > 0.05 * n_reps:
         raise BootstrapUnstable(f"{n_failed}/{n_reps} replications failed to refit")
-    good = results[ok]
+    # coef stacks phi_l.T lag by lag
+    phi = [np.swapaxes(coef[ok, l : l + m], -1, -2) for l in range(0, m * p, m)]
+    good = _propagate(phi, impact, horizon)
     alpha = (1.0 - level) / 2.0
     bands = BootstrapBands(
         level=level,

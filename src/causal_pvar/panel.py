@@ -34,7 +34,10 @@ COND_LIMIT = 1e12
 # per chunk: its working set, each replication's draw and state with the
 # burn-in, is a few times this for any number of replications.  The
 # bootstrap holds two panels per replication, its state slab and centring
-# buffer, and takes twice this, a working set of about 4 x CHUNK_BYTES.
+# buffer, and takes twice this, a working set of about 4 x CHUNK_BYTES; a
+# chunk keeps only each replication's within cross-products, which are
+# solved, factored and propagated once per call, so the chunking does not
+# change the bands.
 CHUNK_BYTES = 512 * 1024
 
 __all__ = [

@@ -39,13 +39,13 @@ def test_bootstrap_unstable_when_refits_fail(monkeypatch):
     import causal_pvar.identify as ident
 
     panel = make_var_panel([[0.3, 0.0], [0.2, 0.3]], 10, 40, seed=1)
-    real_refit = ident._refit
+    real_ols = ident._within_ols
 
-    def flaky(states, p, dummies):
-        coef, sigma, ok = real_refit(states, p, dummies)
+    def flaky(cross, mp, eff):
+        coef, sigma, ok = real_ols(cross, mp, eff)
         return coef, sigma, np.zeros_like(ok)  # every replication fails to refit
 
-    monkeypatch.setattr(ident, "_refit", flaky)
+    monkeypatch.setattr(ident, "_within_ols", flaky)
     with pytest.raises(BootstrapUnstable):
         ident.bootstrap_irf(panel, PVARSpec(1), 0, 3, 100, 0.9, seed=0)
 
