@@ -18,8 +18,10 @@ Writing: panel-shaped grids (``panel.csv``, ``residuals.csv``) go through
 ``write_grid``, which formats rows with one %-template and streams them.
 Result records are flat dicts written as CSV or JSON lines.  Floats are
 written at 17 significant digits everywhere, so artifacts are byte-stable
-and round-trip exactly.  Nested reports (truth, fit, diagnostics) are
-written as key-sorted, indented JSON.  Both JSON forms are strict JSON:
+and round-trip exactly; in records an integral float keeps a ``.0``
+(``1.0``, not ``1``), so that it reads back as a float, not an int.
+Nested reports (truth, fit, diagnostics) are written as key-sorted,
+indented JSON.  Both JSON forms are strict JSON:
 a non-finite float is written as ``null`` (CSV keeps ``nan``/``inf``,
 which round-trip).  Files that cannot be opened, decoded as UTF-8 or
 written raise IoError.
@@ -60,7 +62,8 @@ def fmt_float(x: float) -> str:
 
 def _fmt_value(v, json_lines: bool = False) -> str:
     """Record field text; None is an empty CSV field and JSON null, as is a
-    non-finite float in JSON lines."""
+    non-finite float in JSON lines; an integral float gains ``.0``, so that
+    it reads back as a float."""
     if v is None:
         return "null" if json_lines else ""
     if isinstance(v, (bool, np.bool_)):
@@ -68,7 +71,10 @@ def _fmt_value(v, json_lines: bool = False) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        return "null" if json_lines and not math.isfinite(v) else fmt_float(v)
+        if json_lines and not math.isfinite(v):
+            return "null"
+        text = fmt_float(v)
+        return text + ".0" if text.lstrip("-").isdigit() else text
     return json.dumps(str(v)) if json_lines else str(v)
 
 

@@ -92,6 +92,14 @@ class TestRecords:
         assert read_records(tmp_path / "r.csv") == recs
         assert read_records(tmp_path / "r.jsonl", fmt="json-lines") == recs
 
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_integral_floats_read_back_as_floats(self, tmp_path, fmt):
+        path = tmp_path / RECORD_FILES[fmt].format("r")
+        write_records([{"x": 0.0, "k": 0}], path, fmt=fmt)
+        (back,) = read_records(path, fmt=fmt)
+        assert back == {"x": 0.0, "k": 0}
+        assert type(back["x"]) is float and type(back["k"]) is int
+
     def test_non_finite_floats_are_json_null(self, tmp_path):
         report = {"a": np.nan, "b": [1.5, np.float64(-np.inf)], "c": np.array([np.inf, 2.0])}
         write_json(report, tmp_path / "r.json")
