@@ -3,10 +3,12 @@
 Subcommands cover the full pipeline: simulate a scenario, fit the panel
 VAR, pick a lag order, run diagnostics, compute bootstrap impulse
 responses, run the spillover regression, and drive the theorem
-verifications.  All stochastic commands require a seed (flag or the
-CAUSAL_PVAR_SEED environment variable) and write byte-identical artifacts
-given the same seed.  --threads is accepted (it must be at least 1) but
-changes nothing: every command runs on one thread.
+verifications.  All stochastic commands require a non-negative seed (flag
+or the CAUSAL_PVAR_SEED environment variable) and write byte-identical
+artifacts given the same seed; only they take --seed, and only the
+commands that write result records take --format.  --threads is accepted
+(it must be at least 1) but changes nothing: every command runs on one
+thread.
 
 Defaults live in the library: a ``simulate`` scenario flag left out takes
 the ``ScenarioConfig`` default of the field it sets (``SCENARIO_FLAGS``),
@@ -23,7 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -41,6 +43,7 @@ from .scenarios import (
     quadratic_impact,
     simulate_scenario,
     step_impact,
+    taken_fields,
 )
 from .spillover import estimate_adjusted_impact, oracle_atte_aste
 from .estimands import oracle_estimands
@@ -61,15 +64,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_seed(seed: int | None) -> int:
-    if seed is not None:
-        return seed
-    env = os.environ.get(SEED_ENV)
-    if env is None:
-        raise InvalidInvocation(f"this command is stochastic; pass --seed or set {SEED_ENV}")
-    try:
-        return int(env)
-    except ValueError:
-        raise InvalidInvocation(f"{SEED_ENV}={env!r} is not an integer seed") from None
+    if seed is None:
+        env = os.environ.get(SEED_ENV)
+        if env is None:
+            raise InvalidInvocation(f"this command is stochastic; pass --seed or set {SEED_ENV}")
+        try:
+            seed = int(env)
+        except ValueError:
+            raise InvalidInvocation(f"{SEED_ENV}={env!r} is not an integer seed") from None
+    if seed < 0:
+        raise InvalidInvocation(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def _parse_phi(spec: str):
@@ -141,18 +146,15 @@ def cmd_simulate(args) -> int:
     cpio.ensure_dir(args.output)
     cpio.write_panel_csv(panel, os.path.join(args.output, "panel.csv"))
     report = oracle_estimands(pop)
+    config = taken_fields(cfg)
+    config["impact"] = f"{cfg.impact.kind}:{','.join(map(repr, cfg.impact.params))}"
     truth = {
-        "config": {
-            "regime": cfg.regime, "n_units": cfg.n_units, "n_times": cfg.n_times,
-            "seed": cfg.seed, "impact": f"{cfg.impact.kind}:{cfg.impact.params}",
-            "noise_scale": cfg.noise_scale,
-        },
+        "config": config,
         "estimands": {
             "ate": report.ate, "att": report.att,
             "selection_bias": report.selection_bias,
             "mc_se": report.mc_se,
         },
-        "truth": pop.truth,
     }
     if pop.groups is not None:
         truth["groups"] = {
@@ -216,13 +218,7 @@ def cmd_diagnose(args) -> int:
     probes = {}
     for k in range(panel.n_policies):
         probe = policy_regime_probe(fit.residuals[:, :, k].ravel())
-        probes[panel.variable_names[k]] = {
-            "is_binary": probe.is_binary,
-            "share_zero": probe.share_zero,
-            "skewness": probe.skewness,
-            "excess_kurtosis": probe.excess_kurtosis,
-            "normality_stat": probe.normality_stat,
-        }
+        probes[panel.variable_names[k]] = asdict(probe)
     cpio.ensure_dir(args.output)
     cpio.write_json(
         {
@@ -270,6 +266,9 @@ def cmd_spillover(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.rho is not None and args.theorem not in ("all", "interference"):
+        raise InvalidInvocation(f"--rho applies to the interference check, "
+                                f"which --theorem {args.theorem} does not run")
     cpio.ensure_dir(args.output)
     reports = []
     names = None if args.theorem == "all" else [args.theorem]
@@ -284,14 +283,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="causal-pvar", description="Panel-VAR causal inference toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, stochastic=False):
+    def command(name, func, help, stochastic=False, records=False):
+        """A command writing into --output; a stochastic one takes --seed, and
+        one that writes result records takes --format."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func, stochastic=stochastic)
+        p.add_argument("--output", required=True, help="output directory")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; every command runs on one thread")
+        if stochastic:
+            p.add_argument("--seed", type=int, help=f"RNG seed (falls back to ${SEED_ENV})")
+        if records:
+            p.add_argument("--format", choices=["csv", "json-lines"], default="csv")
         return p
 
-    def panel_command(name, func, help, stochastic=False, lags=True):
+    def panel_command(name, func, help, lags=True, **kinds):
         """A command that reads a panel CSV (and fits it at --lags, if it has them)."""
-        p = command(name, func, help, stochastic)
+        p = command(name, func, help, **kinds)
         p.add_argument("--input", required=True)
         p.add_argument("--policies", type=int, default=None)
         if lags:
@@ -309,40 +317,33 @@ def build_parser() -> argparse.ArgumentParser:
     panel_command("fit", cmd_fit, "within-OLS panel VAR fit")
 
     p = panel_command("lagselect", cmd_lagselect, "information criteria over lag orders",
-                      lags=False)
+                      lags=False, records=True)
     p.add_argument("--pmax", type=int, default=6)
 
     p = panel_command("diagnose", cmd_diagnose, "autocorrelation, stationarity, policy probe")
     p.add_argument("--smax", type=int, default=2)
 
-    p = panel_command("irf", cmd_irf, "impulse response with bootstrap bands", stochastic=True)
+    p = panel_command("irf", cmd_irf, "impulse response with bootstrap bands", stochastic=True,
+                      records=True)
     p.add_argument("--shock", type=int, default=0, help="0-based shocked variable index")
     p.add_argument("--horizon", type=int, default=10)
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--level", type=float, default=0.9)
 
     p = panel_command("spillover", cmd_spillover, "exposure-adjusted impact regression",
-                      stochastic=True)
+                      stochastic=True, records=True)
     p.add_argument("--adjacency", required=True, help="edge-list file unit_a,unit_b")
     p.add_argument("--mode", choices=[TREATED_NEIGHBOR_SHARE, BINARY_ANY_NEIGHBOR],
                    default=TREATED_NEIGHBOR_SHARE)
     p.add_argument("--outcome", type=int, default=1, help="0-based outcome variable index")
     p.add_argument("--reps", type=int, default=200)
 
-    p = command("verify", cmd_verify, "theorem-by-theorem Monte-Carlo checks", stochastic=True)
+    p = command("verify", cmd_verify, "theorem-by-theorem Monte-Carlo checks", stochastic=True,
+                records=True)
     p.add_argument("--theorem", default="all", choices=[*CHECKS, "all"])
     p.add_argument("--reps", type=int, default=200)
     p.add_argument("--rho", type=float,
                    help="spillover strength of the interference check (default: its scenario's)")
-
-    for p in sub.choices.values():
-        p.add_argument("--output", required=True, help="output directory")
-        p.add_argument("--format", choices=["csv", "json-lines"], default="csv")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; every command runs on one thread")
-        p.add_argument("--seed", type=int,
-                       help=f"RNG seed (falls back to ${SEED_ENV})" if p.get_default("stochastic")
-                       else argparse.SUPPRESS)
     return parser
 
 

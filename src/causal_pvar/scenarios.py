@@ -2,11 +2,12 @@
 
 Each regime is one entry of ``SCENARIOS``: its assignment law (common
 dummy, Gaussian, zero-inflated non-negative, unit-by-time dummy, sparse
-dummy with network spillovers), its default dose grid and the config
-fields it records.  The outcome innovation is a structural impact of the
-realized policy innovation plus noise, shifted by the selection,
-anticipation and spillover steps, and the panel runs through the
-autoregressive dynamics.  Potential outcomes are kept in structural form,
+dummy with network spillovers), its default dose grid and the
+regime-specific config fields it reads; ``taken_fields`` is the one rule
+for which fields a regime takes.  The outcome innovation is a structural
+impact of the realized policy innovation plus noise, shifted by the
+selection, anticipation and spillover steps, and the panel runs through
+the autoregressive dynamics.  Potential outcomes are kept in structural form,
 ``po(lam) = scale * g(lam) + base`` with every other shock held in
 ``base``, so any counterfactual dose is evaluated exactly and brute-force
 estimand oracles need no stored grid of outcomes.  The network exposure
@@ -36,6 +37,7 @@ __all__ = [
     "ScenarioConfig",
     "Scenario",
     "SCENARIOS",
+    "taken_fields",
     "build_exposure",
     "ring_adjacency",
     "simulate_var_panel",
@@ -160,7 +162,6 @@ class PotentialOutcomePanel:
     realized_outcomes: np.ndarray
     groups: GroupLabels | None
     exposure: ExposureTruth | None
-    truth: dict
     impact: ImpactFunction
     impact_scale: np.ndarray
     base: np.ndarray
@@ -307,10 +308,10 @@ def _validate_config(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
         raise BadConfig("scenario simulators use one policy and one outcome (m = 2)")
     if config.noise_scale < 0 or config.mu_scale < 0:
         raise BadConfig("scales must be non-negative")
-    reads = SCENARIOS[config.regime].reads
+    taken = taken_fields(config)
     for f in fields(config):
         value = getattr(config, f.name)
-        if f.name in REGIME_FIELDS and f.name not in reads and not np.array_equal(value, f.default):
+        if f.name not in taken and not np.array_equal(value, f.default):
             raise BadConfig(f"regime {config.regime!r} does not take {f.name}")
         if isinstance(value, ImpactFunction):
             value = value.params
@@ -410,39 +411,42 @@ def _dummy_grid(config):
 class Scenario:
     """One regime: ``draw(rng, config, scale_z) -> (w, groups)`` draws the
     policy innovations and rejects bad values of its fields, ``grid(config)``
-    is the default dose grid, ``reads`` names the regime-specific config
-    fields the regime takes, and ``records`` those written to ``truth``; a
-    field of ``VIOLATIONS`` only when non-zero."""
+    is the default dose grid, and ``reads`` names the regime-specific config
+    fields the regime takes (see ``taken_fields``)."""
 
     draw: Callable
     grid: Callable
     reads: tuple[str, ...]
-    records: tuple[str, ...]
 
 
 SCENARIOS = {
     HOMOGENEOUS_DUMMY: Scenario(
-        _common_dummy, _dummy_grid, ("treat_prob", "anticipation"), ("anticipation",)),
+        _common_dummy, _dummy_grid, ("treat_prob", "anticipation")),
     GAUSSIAN_CONTINUOUS: Scenario(
         _gaussian_dose, lambda c: np.linspace(-5.0 * c.policy_sigma, 5.0 * c.policy_sigma, 201),
-        ("policy_sigma", "selection_strength"), ("policy_sigma", "selection_strength")),
+        ("policy_sigma", "selection_strength")),
     NONNEGATIVE_CONTINUOUS: Scenario(
         _nonnegative_dose, lambda c: np.concatenate([[0.0], np.linspace(*c.support, 121)]),
-        ("zero_prob", "support"), ("zero_prob", "support")),
+        ("zero_prob", "support")),
     HETEROGENEOUS_DUMMY: Scenario(
         _block_dummy, _dummy_grid,
-        ("treat_prob", "time_frac", "treat_on_gain", "treat_schedule", "anticipation"),
-        ("anticipation",)),
+        ("treat_prob", "time_frac", "treat_on_gain", "treat_schedule", "anticipation")),
     SPILLOVER_DUMMY: Scenario(
         _sparse_dummy, _dummy_grid,
-        ("treat_prob", "treat_schedule", "spillover_rho", "ring_neighbors"), ("spillover_rho",)),
+        ("treat_prob", "treat_schedule", "spillover_rho", "ring_neighbors")),
 }
 REGIMES = tuple(SCENARIOS)
 # The config fields that only some regimes read.
 REGIME_FIELDS = frozenset(name for s in SCENARIOS.values() for name in s.reads)
 DUMMY_REGIMES = (HOMOGENEOUS_DUMMY, HETEROGENEOUS_DUMMY, SPILLOVER_DUMMY)
-# No-anticipation and exogenous-selection violations, each one step after the draw.
-VIOLATIONS = ("anticipation", "selection_strength")
+
+
+def taken_fields(config: ScenarioConfig) -> dict:
+    """The fields ``config``'s regime takes, with their values: every field
+    outside ``REGIME_FIELDS`` and those its ``SCENARIOS`` entry ``reads``."""
+    reads = SCENARIOS[config.regime].reads
+    return {f.name: getattr(config, f.name) for f in fields(config)
+            if f.name not in REGIME_FIELDS or f.name in reads}
 
 
 @dataclass(frozen=True)
@@ -512,15 +516,6 @@ def _draw(config: ScenarioConfig) -> _Draw:
 
     scenario = SCENARIOS[config.regime]
     w, groups = scenario.draw(rng, config, scale_z)
-    truth = {
-        "regime": config.regime,
-        "impact_kind": g.kind,
-        "impact_params": tuple(g.params),
-        "noise_scale": config.noise_scale,
-        "effect_sd": config.effect_sd,
-    }
-    truth.update((name, getattr(config, name)) for name in scenario.records
-                 if name not in VIOLATIONS or getattr(config, name) != 0.0)
 
     base = config.noise_scale * rng.standard_normal((n, t))
     if config.selection_strength != 0.0:
@@ -528,7 +523,7 @@ def _draw(config: ScenarioConfig) -> _Draw:
     if config.anticipation != 0.0:
         base = base + config.anticipation * np.outer(groups.treated_units, ~groups.treated_times)
     exposure = None
-    if "spillover_rho" in scenario.records:
+    if "spillover_rho" in scenario.reads:
         network = build_exposure(ring_adjacency(n, config.ring_neighbors), w)
         exposure = ExposureTruth(network.adjacency, network.s_values, config.spillover_rho)
         base = base + config.spillover_rho * network.s_values
@@ -546,7 +541,6 @@ def _draw(config: ScenarioConfig) -> _Draw:
         realized_outcomes=realized,
         groups=groups,
         exposure=exposure,
-        truth=truth,
         impact=g,
         impact_scale=scale[:, None],
         base=base,

@@ -1,8 +1,15 @@
+import os
+
 import numpy as np
 import pytest
 
 from causal_pvar.panel import PanelDataset
 from causal_pvar.scenarios import simulate_var_panel
+
+# The CLI and script tests run subprocesses; they import the package from
+# this checkout too, as the test process does through pytest's ``pythonpath``.
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def make_var_panel(phi, n_units, n_times, seed, mu=None, burn=50, n_policies=1,

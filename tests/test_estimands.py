@@ -34,7 +34,6 @@ def make_dummy_pop(w, po0, po1, regime=HETEROGENEOUS_DUMMY):
         realized_outcomes=np.where(w == 1.0, po1, po0),
         groups=None,
         exposure=None,
-        truth={},
         impact=linear_impact(1.0),
         impact_scale=po1 - po0,
         base=po0,

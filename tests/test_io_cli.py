@@ -422,10 +422,11 @@ class TestCli:
         assert read_records(out / name, fmt=fmt)
 
     def test_non_integer_seed_env_exits_2(self, tmp_path):
-        res = run_cli("simulate", "--regime", "homogeneous_dummy", "--units", "10",
-                      "--times", "30", "--output", str(tmp_path / "env"),
-                      env_extra={"CAUSAL_PVAR_SEED": "abc"})
-        self._one_error_line(res, 2)
+        for value in ("abc", "-3"):
+            res = run_cli("simulate", "--regime", "homogeneous_dummy", "--units", "10",
+                          "--times", "30", "--output", str(tmp_path / "env"),
+                          env_extra={"CAUSAL_PVAR_SEED": value})
+            self._one_error_line(res, 2)
 
     def test_verify_single_theorem(self, tmp_path):
         out = tmp_path / "ver"
@@ -552,6 +553,19 @@ class TestCli:
         ("simulate", "--regime", "foo", "--seed", "1", "--output", "o"),
         ("irf", "--input", "panel.csv", "--reps", "abc", "--seed", "1", "--output", "o"),
         (),
+        ("simulate", "--regime", "homogeneous_dummy", "--units", "10", "--times", "20",
+         "--seed", "-1", "--output", "o"),
+        # flags a command ignores: --format off the record writers, --seed off
+        # the deterministic commands, and --rho off a run without interference
+        ("simulate", "--regime", "homogeneous_dummy", "--format", "csv", "--seed", "1",
+         "--output", "o"),
+        ("fit", "--input", "panel.csv", "--format", "csv", "--output", "o"),
+        ("diagnose", "--input", "panel.csv", "--format", "csv", "--output", "o"),
+        ("fit", "--input", "panel.csv", "--seed", "1", "--output", "o"),
+        ("lagselect", "--input", "panel.csv", "--seed", "1", "--output", "o"),
+        ("diagnose", "--input", "panel.csv", "--seed", "1", "--output", "o"),
+        ("verify", "--theorem", "T1", "--rho", "0.3", "--reps", "2", "--seed", "1",
+         "--output", "o"),
     ])
     def test_parser_error_is_one_line_and_exit_2(self, argv):
         self._one_error_line(run_cli(*argv), 2)
@@ -571,6 +585,29 @@ def test_simulate_without_flags_is_the_default_scenario(tmp_path, regime):
     argv = ["simulate", "--regime", regime, "--units", "40", "--times", "80", "--seed", "0"]
     assert cli.main([*argv, "--output", str(tmp_path / "cli")]) == 0
     write_panel_csv(simulate_scenario(ScenarioConfig(regime, 40, 80, 0))[0], tmp_path / "lib.csv")
+    assert (tmp_path / "cli" / "panel.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+
+# One flag each regime reads besides the fields every regime takes.
+REGIME_FLAG = {
+    "homogeneous_dummy": ("--treat-prob", "0.2"),
+    "gaussian_continuous": ("--policy-sigma", "1.5"),
+    "nonnegative_continuous": ("--zero-prob", "0.3"),
+    "heterogeneous_dummy": ("--time-frac", "0.3"),
+    "spillover_dummy": ("--rho", "0.5"),
+}
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_truth_config_rebuilds_the_panel(tmp_path, regime):
+    argv = ["simulate", "--regime", regime, "--units", "20", "--times", "40", "--seed", "3",
+            "--phi", "0.1,0.0;0.3,0.35", "--mu-scale", "0.5", "--impact", "quadratic:1.0,0.4",
+            *REGIME_FLAG[regime], "--output", str(tmp_path / "cli")]
+    assert cli.main(argv) == 0
+    config = json.loads((tmp_path / "cli" / "truth.json").read_text())["config"]
+    assert config["impact"] == "quadratic:1.0,0.4"
+    config["impact"] = cli._parse_impact(config["impact"])
+    write_panel_csv(simulate_scenario(ScenarioConfig(**config))[0], tmp_path / "lib.csv")
     assert (tmp_path / "cli" / "panel.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
 
 

@@ -225,7 +225,7 @@ class TestOracleAtteAste:
             regime=SPILLOVER_DUMMY, assignments=w,
             lambda_grid=np.array([0.0, 1.0]),
             realized_outcomes=beta * w + base,
-            groups=None, exposure=exposure, truth={},
+            groups=None, exposure=exposure,
             impact=linear_impact(1.0), impact_scale=np.full((n, 1), beta), base=base,
         ), s, w
 
@@ -252,7 +252,7 @@ class TestOracleAtteAste:
         exposure = ExposureTruth(adjacency=np.zeros((n, n)), s_values=s, rho=rho_i)
         pop = PotentialOutcomePanel(
             regime=SPILLOVER_DUMMY, assignments=w, lambda_grid=np.array([0.0, 1.0]),
-            realized_outcomes=w + base, groups=None, exposure=exposure, truth={},
+            realized_outcomes=w + base, groups=None, exposure=exposure,
             impact=linear_impact(1.0), impact_scale=np.ones((n, 1)), base=base,
         )
         atte, aste = oracle_atte_aste(pop)
@@ -266,7 +266,7 @@ class TestOracleAtteAste:
             regime=SPILLOVER_DUMMY, assignments=np.zeros_like(pop.assignments),
             lambda_grid=pop.lambda_grid,
             realized_outcomes=pop.realized_outcomes, groups=None,
-            exposure=pop.exposure, truth={},
+            exposure=pop.exposure,
             impact=pop.impact, impact_scale=pop.impact_scale, base=pop.base,
         )
         with pytest.raises(NoTreatedCells):
