@@ -57,7 +57,6 @@ from .scenarios import (
     step_impact,
 )
 from .spillover import (
-    ExposureMap,
     SpilloverFit,
     build_exposure,
     oracle_atte_aste,

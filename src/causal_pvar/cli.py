@@ -6,9 +6,9 @@ responses, run the spillover regression, and drive the theorem
 verifications.  All stochastic commands require a non-negative seed (flag
 or the CAUSAL_PVAR_SEED environment variable) and write byte-identical
 artifacts given the same seed; only they take --seed, and only the
-commands that write result records take --format.  --threads is accepted
-(it must be at least 1) but changes nothing: every command runs on one
-thread.
+commands that write result records take --format.  Only ``irf`` takes
+--threads, which must be at least 1 but changes nothing: the bootstrap
+runs on one thread.
 
 Defaults live in the library: a ``simulate`` scenario flag left out takes
 the ``ScenarioConfig`` default of the field it sets (``SCENARIO_FLAGS``),
@@ -236,6 +236,8 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_irf(args) -> int:
+    if args.threads < 1:
+        raise InvalidInvocation(f"--threads must be at least 1, got {args.threads}")
     panel = _load_panel(args)
     if not 0 <= args.shock < panel.n_vars:
         raise InvalidInvocation(f"--shock {args.shock} outside 0..{panel.n_vars - 1}")
@@ -289,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func, stochastic=stochastic)
         p.add_argument("--output", required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; every command runs on one thread")
         if stochastic:
             p.add_argument("--seed", type=int, help=f"RNG seed (falls back to ${SEED_ENV})")
         if records:
@@ -329,6 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=10)
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--level", type=float, default=0.9)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; the bootstrap runs on one thread")
 
     p = panel_command("spillover", cmd_spillover, "exposure-adjusted impact regression",
                       stochastic=True, records=True)
@@ -351,8 +353,6 @@ def main(argv=None) -> int:
     """Run one command; the single exit for every error it meets."""
     try:
         args = build_parser().parse_args(argv)
-        if args.threads < 1:
-            raise InvalidInvocation(f"--threads must be at least 1, got {args.threads}")
         if args.stochastic:
             args.seed = _resolve_seed(args.seed)
         return args.func(args)

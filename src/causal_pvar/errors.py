@@ -91,7 +91,7 @@ class RegimeMismatch(CausalPvarError):
 
 
 class EmptyTreatedSet(CausalPvarError):
-    """No realized-treated cells; ATT/ACRT undefined."""
+    """No realized-treated cells: ATT, ATTE and ASTE are undefined."""
 
 
 class DegenerateAssignment(CausalPvarError):
@@ -128,10 +128,6 @@ class SelfLoop(CausalPvarError):
 
 class CollinearRegressors(CausalPvarError):
     """Policy residual and exposure are numerically collinear."""
-
-
-class NoTreatedCells(CausalPvarError):
-    """Exposure-adjusted estimands need at least one treated cell."""
 
 
 class IoError(CausalPvarError):

@@ -4,7 +4,8 @@ Everything here is computed by direct averaging/enumeration of the
 simulated potential outcomes, evaluated from their structural form, never
 through the estimation stack, so these values can serve as independent
 references for what the recursive impact coefficient should recover under
-each policy regime.
+each policy regime.  ATE and ATT need no dose grid; the dose-response
+curves (``acr_on_grid``, ``acrt_on_grid``) take the grid a caller passes.
 """
 
 from __future__ import annotations
@@ -36,88 +37,49 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EstimandReport:
-    """Oracle values of the usual estimands on one simulated panel.
+    """Oracle ATE, ATT and selection bias of one simulated panel.
 
-    ``acr_grid`` differentiates the mean potential outcome in the dose;
-    ``acrt_grid`` does the same restricted to cells whose realized dose
-    falls in each grid bin.  ``mc_se`` holds cell-level Monte-Carlo
-    standard errors for the scalar entries.
+    ``mc_se`` holds the cell-level Monte-Carlo standard errors of ``ate``
+    and ``att``; ``selection_bias`` is NaN outside the dummy regimes.
     """
 
-    grid: np.ndarray
     ate: float
     att: float
-    acr_grid: np.ndarray
-    acrt_grid: np.ndarray
     selection_bias: float
     mc_se: dict
 
 
-def _check_grid(pop: PotentialOutcomePanel, grid) -> np.ndarray:
-    if grid is None:
-        return pop.lambda_grid
-    grid = np.asarray(grid, dtype=float)
-    if grid[0] < pop.lambda_grid[0] - 1e-9 or grid[-1] > pop.lambda_grid[-1] + 1e-9:
-        raise GridMismatch("requested grid extends beyond the panel's dose grid")
-    return grid
-
-
-def oracle_estimands(pop: PotentialOutcomePanel, grid=None) -> EstimandReport:
-    """ATE, ATT, dose-response derivatives, and selection bias by enumeration.
-
-    ATE averages po(1) - po(0) over every cell; ATT restricts the same
-    average to realized-treated cells (assignment != 0).  ACR takes
-    central finite differences of the mean potential outcome across the
-    grid (one-sided at the boundary), where the mean is
-    ``mean(scale) * g(lam) + mean(base)``; ACRT bins cells by realized
-    dose and differentiates the bin's own potential-outcome path (see
-    ``acr_on_grid`` and ``acrt_on_grid``).
-    """
-    grid = _check_grid(pop, grid)
-    ate = att = se_ate = se_att = float("nan")
-    treated = _treated(pop)
-    if grid[-1] >= 1.0 - 1e-12 and grid[0] <= 1e-12:
-        effects = pop.po_at(1.0) - pop.po_at(0.0)
-        treated_effects = effects[treated]
-        ate, att = float(effects.mean()), float(treated_effects.mean())
-        se_ate = float(effects.std(ddof=1) / np.sqrt(effects.size))
-        se_att = float(
-            treated_effects.std(ddof=1) / np.sqrt(treated_effects.size)
-            if treated_effects.size > 1
-            else 0.0
-        )
-
-    acr = acr_on_grid(pop, grid)
-    acrt = acrt_on_grid(pop, grid)
-
-    if pop.regime in DUMMY_REGIMES:
-        delta = selection_bias(pop)
-    else:
-        delta = float("nan")
-
-    return EstimandReport(
-        grid=grid,
-        ate=ate,
-        att=att,
-        acr_grid=acr,
-        acrt_grid=acrt,
-        selection_bias=delta,
-        mc_se={"ate": se_ate, "att": se_att},
-    )
-
-
-def _treated(pop: PotentialOutcomePanel) -> np.ndarray:
+def _effects(pop: PotentialOutcomePanel) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's po(1) - po(0), and the realized-treated mask (assignment != 0)."""
     treated = np.abs(pop.assignments) > 1e-12
     if not treated.any():
         raise EmptyTreatedSet("no realized-treated cells")
-    return treated
+    return pop.po_at(1.0) - pop.po_at(0.0), treated
+
+
+def oracle_estimands(pop: PotentialOutcomePanel) -> EstimandReport:
+    """ATE, ATT and selection bias by enumeration.
+
+    ATE averages po(1) - po(0) over every cell and ATT over the
+    realized-treated cells, both from the structural form, whatever the
+    panel's dose grid; ``selection_bias`` is that of the dummy regimes.
+    """
+    effects, treated = _effects(pop)
+    treated_effects = effects[treated]
+    se_att = (treated_effects.std(ddof=1) / np.sqrt(treated_effects.size)
+              if treated_effects.size > 1 else 0.0)
+    return EstimandReport(
+        ate=float(effects.mean()),
+        att=float(treated_effects.mean()),
+        selection_bias=selection_bias(pop) if pop.regime in DUMMY_REGIMES else float("nan"),
+        mc_se={"ate": float(effects.std(ddof=1) / np.sqrt(effects.size)), "att": float(se_att)},
+    )
 
 
 def average_effects(pop: PotentialOutcomePanel) -> tuple[float, float]:
-    """ATE and ATT of ``oracle_estimands``, without its dose-response curves:
-    po(1) - po(0) averaged over every cell and over the realized-treated cells."""
-    effects = pop.po_at(1.0) - pop.po_at(0.0)
-    return float(effects.mean()), float(effects[_treated(pop)].mean())
+    """ATE and ATT of ``oracle_estimands`` alone."""
+    effects, treated = _effects(pop)
+    return float(effects.mean()), float(effects[treated].mean())
 
 
 def acr_on_grid(pop: PotentialOutcomePanel, grid: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AsymmetricAdjacency, BadConfig, SelfLoop
-from .panel import PanelDataset, _var_recursion
+from .panel import PanelDataset, _var_recursion, validate_panel
 
 __all__ = [
     "ImpactFunction",
@@ -31,7 +31,6 @@ __all__ = [
     "quadratic_impact",
     "step_impact",
     "GroupLabels",
-    "ExposureMap",
     "ExposureTruth",
     "PotentialOutcomePanel",
     "ScenarioConfig",
@@ -119,15 +118,6 @@ class GroupLabels:
 
     treated_units: np.ndarray
     treated_times: np.ndarray
-
-
-@dataclass(frozen=True)
-class ExposureMap:
-    """Per-cell exposure to other units' treatments on a fixed network."""
-
-    adjacency: np.ndarray
-    s_values: np.ndarray
-    mode: str
 
 
 @dataclass(frozen=True)
@@ -227,8 +217,8 @@ def ring_adjacency(n_units: int, neighbors_each_side: int) -> np.ndarray:
     return adj
 
 
-def build_exposure(adjacency: np.ndarray, treatment: np.ndarray, mode: str = TREATED_NEIGHBOR_SHARE) -> ExposureMap:
-    """Map other units' treatment paths into a per-cell scalar exposure.
+def build_exposure(adjacency: np.ndarray, treatment: np.ndarray, mode: str = TREATED_NEIGHBOR_SHARE) -> np.ndarray:
+    """Map other units' treatment paths into the (n_units, n_times) exposure.
 
     treated_neighbor_share: number of treated neighbours over number of
     neighbours; binary_any_neighbor: 1 if any neighbour is treated.
@@ -259,7 +249,7 @@ def build_exposure(adjacency: np.ndarray, treatment: np.ndarray, mode: str = TRE
         s = (counts > 0).astype(float)
     else:
         raise BadConfig(f"unknown exposure mode {mode!r}")
-    return ExposureMap(adjacency=adjacency, s_values=s, mode=mode)
+    return s
 
 
 def simulate_var_panel(phi, mu, innovations, n_policies=1, variable_names=None) -> PanelDataset:
@@ -469,12 +459,13 @@ def simulate_scenario(config: ScenarioConfig) -> tuple[PanelDataset, PotentialOu
     anticipation shifts, selection terms, and (in the spillover regime)
     ``rho * S_it``; potential outcomes re-evaluate ``g`` at any dose with
     ``base_it`` held fixed, so realized outcomes equal the potential
-    outcome at the realized assignment exactly.
+    outcome at the realized assignment exactly.  Dynamics that overflow
+    raise NonFinite, through ``validate_panel``.
     """
     phi = _validate_config(config)
     draw = _draw(config)
     values = _propagate(phi, [draw])[-config.n_times:, 0].transpose(1, 0, 2)
-    return PanelDataset(values, 1, _default_names(1, 2)), draw.pop
+    return validate_panel(PanelDataset(values, 1, _default_names(1, 2))), draw.pop
 
 
 def _propagate(phi, draws: list[_Draw]) -> np.ndarray:
@@ -483,7 +474,8 @@ def _propagate(phi, draws: list[_Draw]) -> np.ndarray:
     The pre-sample state is pinned at ``mu``; zero policy innovations and
     ``burn`` drive the burn-in periods, then the draw's assignments and
     realized outcomes the sample periods, all shifted by ``(I - sum phi) mu``
-    as in ``simulate_var_panel``.
+    as in ``simulate_var_panel``.  Overflowing dynamics leave non-finite
+    states without a warning; callers validate the panel they keep.
     """
     p = len(phi)
     n, t = draws[0].pop.base.shape
@@ -498,7 +490,8 @@ def _propagate(phi, draws: list[_Draw]) -> np.ndarray:
         units[p + BURN_IN :, :, 0] = draw.pop.assignments.T
         units[p + BURN_IN :, :, 1] = draw.pop.realized_outcomes.T
         units[p:] += draw.mu @ drift
-    _var_recursion(states.reshape(-1, b * n, 2), phi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _var_recursion(states.reshape(-1, b * n, 2), phi)
     return states
 
 
@@ -524,9 +517,10 @@ def _draw(config: ScenarioConfig) -> _Draw:
         base = base + config.anticipation * np.outer(groups.treated_units, ~groups.treated_times)
     exposure = None
     if "spillover_rho" in scenario.reads:
-        network = build_exposure(ring_adjacency(n, config.ring_neighbors), w)
-        exposure = ExposureTruth(network.adjacency, network.s_values, config.spillover_rho)
-        base = base + config.spillover_rho * network.s_values
+        adjacency = ring_adjacency(n, config.ring_neighbors)
+        s = build_exposure(adjacency, w)
+        exposure = ExposureTruth(adjacency, s, config.spillover_rho)
+        base = base + config.spillover_rho * s
 
     grid = (scenario.grid(config) if config.lambda_grid is None
             else np.asarray(config.lambda_grid, dtype=float))

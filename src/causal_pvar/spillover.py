@@ -20,19 +20,17 @@ from .errors import (
     BadConfig,
     BootstrapUnstable,
     CollinearRegressors,
-    NoTreatedCells,
+    EmptyTreatedSet,
     RegimeMismatch,
 )
 from .scenarios import (
     BINARY_ANY_NEIGHBOR,
     TREATED_NEIGHBOR_SHARE,
-    ExposureMap,
     PotentialOutcomePanel,
     build_exposure,
 )
 
 __all__ = [
-    "ExposureMap",
     "SpilloverFit",
     "build_exposure",
     "spillover_regression",
@@ -164,7 +162,7 @@ def oracle_atte_aste(pop: PotentialOutcomePanel) -> tuple[float, float]:
         raise RegimeMismatch("potential-outcome panel carries no exposure truth")
     treated = pop.assignments == 1.0
     if not treated.any():
-        raise NoTreatedCells("no treated cells")
+        raise EmptyTreatedSet("no treated cells")
     spill = pop.exposure.rho * pop.exposure.s_values
     own = pop.impact_scale * float(pop.impact(1.0) - pop.impact(0.0))
     atte = float((own + spill)[treated].mean())
@@ -191,7 +189,7 @@ def estimate_adjusted_impact(
     policy path on the full (n_units, n_times) grid and ``outcome`` the
     residual column used as the dependent series.
     """
-    s_reg = build_exposure(adjacency, treatment, mode).s_values * (1.0 - treatment)
+    s_reg = build_exposure(adjacency, treatment, mode) * (1.0 - treatment)
     s_reg = s_reg[:, fit.spec.lag_order :]
     s_reg = s_reg - s_reg.mean(axis=1, keepdims=True)
     return spillover_regression(

@@ -23,7 +23,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import AllZeros, BadConfig, GridMismatch, GridTooNarrow
-from .estimands import _check_grid, acr_on_grid, acrt_on_grid
+from .estimands import acr_on_grid, acrt_on_grid
 from .scenarios import PotentialOutcomePanel
 
 __all__ = [
@@ -59,26 +59,12 @@ class ZeroInflatedUniform:
         if not (0.0 <= self.zero_prob < 1.0 and 0.0 < self.low <= self.high):
             raise BadConfig("need 0 <= zero_prob < 1 and 0 < low <= high")
 
-    @property
-    def d_lower(self) -> float:
-        return self.low
-
-    @property
-    def d_upper(self) -> float:
-        return self.high
-
     def mean(self) -> float:
         return (1.0 - self.zero_prob) * (self.low + self.high) / 2.0
 
-    def second_moment(self) -> float:
-        lo, hi = self.low, self.high
-        return (1.0 - self.zero_prob) * (lo * lo + lo * hi + hi * hi) / 3.0
-
     def variance(self) -> float:
-        return self.second_moment() - self.mean() ** 2
-
-    def prob_zero(self) -> float:
-        return self.zero_prob
+        lo, hi = self.low, self.high
+        return (1.0 - self.zero_prob) * (lo * lo + lo * hi + hi * hi) / 3.0 - self.mean() ** 2
 
     def prob_ge(self, lam):
         lam = np.asarray(lam, dtype=float)
@@ -165,10 +151,10 @@ def nonneg_weights(sample=None, law=None, grid=None, n_grid: int = 201) -> Weigh
             (np.mean(pos * (pos - d_lo)) * pos.size - ew * np.sum(pos - d_lo)) / (var * w.size)
         )
     else:
-        d_lo, d_hi = float(law.d_lower), float(law.d_upper)
+        d_lo, d_hi = float(law.low), float(law.high)
         ew = float(law.mean())
         var = float(law.variance())
-        p0 = float(law.prob_zero())
+        p0 = float(law.zero_prob)
         if var <= 0:
             raise BadConfig("policy law has zero variance")
         grid = np.linspace(d_lo, d_hi, n_grid) if grid is None else np.asarray(grid, dtype=float)
@@ -193,10 +179,12 @@ def weighted_estimand(profile: WeightProfile, pop: PotentialOutcomePanel, mode: 
     ``mode`` picks the curve, computed on the panel's dose grid: "acr"
     (unconditional derivative) or "acrt" (derivative conditioned on dose).
     The value is the integral of q * curve over the profile's grid, plus
-    q0 * (mean po(d_L) - mean po(0)) / d_L when q0 is nonzero.
+    q0 * (mean po(d_L) - mean po(0)) / d_L when q0 is nonzero.  A profile
+    grid reaching past the panel's dose grid raises GridMismatch.
     """
-    grid = _check_grid(pop, profile.grid)
-    pop_grid = pop.lambda_grid
+    grid, pop_grid = profile.grid, pop.lambda_grid
+    if grid[0] < pop_grid[0] - 1e-9 or grid[-1] > pop_grid[-1] + 1e-9:
+        raise GridMismatch("weight grid extends beyond the panel's dose grid")
     if mode == "acr":
         curve = acr_on_grid(pop, pop_grid)
     elif mode == "acrt":

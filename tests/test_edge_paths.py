@@ -81,11 +81,10 @@ def test_acr_finite_difference_tolerance_at_grid_step_001():
         impact=quadratic_impact(1.0, 0.4), lambda_grid=grid,
     )
     _, pop = simulate_scenario(cfg)
-    from causal_pvar.estimands import oracle_estimands
+    from causal_pvar.estimands import acr_on_grid
 
-    report = oracle_estimands(pop)
     analytic = 1.0 + 0.8 * grid
-    err = np.abs(report.acr_grid[1:-1] - analytic[1:-1]).max()
+    err = np.abs(acr_on_grid(pop, pop.lambda_grid)[1:-1] - analytic[1:-1]).max()
     assert err < 1e-4
 
 

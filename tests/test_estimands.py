@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from causal_pvar.errors import DegenerateAssignment, EmptyCell
 from causal_pvar.estimands import (
+    acr_on_grid,
     did_four_means,
     dummy_gamma,
     oracle_estimands,
@@ -53,12 +56,11 @@ class TestOracleEstimands:
         cfg = ScenarioConfig(regime=GAUSSIAN_CONTINUOUS, n_units=20, n_times=40,
                              seed=1, impact=quadratic_impact(1.0, 0.4))
         _, pop = simulate_scenario(cfg)
-        report = oracle_estimands(pop)
-        grid = report.grid
+        grid = pop.lambda_grid
         interior = slice(1, -1)
         analytic = 1.0 + 0.8 * grid
         # central differences are exact for quadratics up to rounding
-        np.testing.assert_allclose(report.acr_grid[interior], analytic[interior], atol=1e-4)
+        np.testing.assert_allclose(acr_on_grid(pop, grid)[interior], analytic[interior], atol=1e-4)
 
     def test_structural_acr_matches_brute_force_grid(self):
         # Per-unit scale != 1: the structural mean mean(scale) g + mean(base)
@@ -70,7 +72,18 @@ class TestOracleEstimands:
         assert np.ptp(pop.impact_scale) > 0.5
         cube = pop.impact_scale[:, :, None] * pop.impact(grid) + pop.base[:, :, None]
         brute = np.gradient(cube.mean(axis=(0, 1)), grid)
-        np.testing.assert_allclose(oracle_estimands(pop).acr_grid, brute, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(acr_on_grid(pop, grid), brute, rtol=0, atol=1e-12)
+
+    def test_ate_and_att_do_not_depend_on_the_dose_grid(self):
+        # A grid that leaves out doses 0 and 1 changes nothing: ATE and ATT
+        # come from the structural form.
+        cfg = ScenarioConfig(regime=GAUSSIAN_CONTINUOUS, n_units=10, n_times=20, seed=4,
+                             impact=quadratic_impact(1.0, 0.4), effect_sd=0.5)
+        full = oracle_estimands(simulate_scenario(cfg)[1])
+        narrow = oracle_estimands(simulate_scenario(
+            replace(cfg, lambda_grid=np.linspace(0.2, 0.5, 31)))[1])
+        assert np.isfinite(narrow.ate) and np.isfinite(narrow.att)
+        assert (narrow.ate, narrow.att, narrow.mc_se) == (full.ate, full.att, full.mc_se)
 
     def test_selection_on_gains_att_exceeds_ate(self):
         # Treated cells get an extra +1 effect by construction.

@@ -23,6 +23,7 @@ from causal_pvar.io import (
 )
 from causal_pvar.panel import PanelDataset, PVARSpec, fit_pvar
 from causal_pvar.scenarios import REGIMES, ScenarioConfig, simulate_scenario
+from causal_pvar.verify import CHECKS, RECORD_NAMES
 
 
 RECORD_FILES = {"csv": "{}.csv", "json-lines": "{}.jsonl"}
@@ -351,6 +352,14 @@ class TestCli:
         self._one_error_line(res, 2)
         assert not (tmp_path / "irf").exists()
 
+    def test_overflowing_var_exits_1_without_output(self, tmp_path):
+        res = run_cli("simulate", "--regime", "gaussian_continuous", "--units", "5",
+                      "--times", "50", "--seed", "1", "--phi", "1e200,0;0,1e200",
+                      "--output", str(tmp_path / "sim"))
+        self._one_error_line(res, 1)
+        assert res.stderr.startswith("error: non-finite value at ")
+        assert not (tmp_path / "sim").exists()
+
     def test_input_directory_exits_1(self, tmp_path):
         res = run_cli("fit", "--input", str(tmp_path), "--output", str(tmp_path / "o"))
         self._one_error_line(res, 1)
@@ -566,6 +575,10 @@ class TestCli:
         ("diagnose", "--input", "panel.csv", "--seed", "1", "--output", "o"),
         ("verify", "--theorem", "T1", "--rho", "0.3", "--reps", "2", "--seed", "1",
          "--output", "o"),
+        # --threads off every command but irf
+        ("fit", "--input", "panel.csv", "--threads", "2", "--output", "o"),
+        ("simulate", "--regime", "homogeneous_dummy", "--threads", "1", "--seed", "1",
+         "--output", "o"),
     ])
     def test_parser_error_is_one_line_and_exit_2(self, argv):
         self._one_error_line(run_cli(*argv), 2)
@@ -592,20 +605,23 @@ def test_simulate_without_flags_is_the_default_scenario(tmp_path, regime):
 REGIME_FLAG = {
     "homogeneous_dummy": ("--treat-prob", "0.2"),
     "gaussian_continuous": ("--policy-sigma", "1.5"),
-    "nonnegative_continuous": ("--zero-prob", "0.3"),
+    "nonnegative_continuous": ("--zero-prob", "0.3", "--support-low", "0.5",
+                               "--support-high", "1.5"),
     "heterogeneous_dummy": ("--time-frac", "0.3"),
     "spillover_dummy": ("--rho", "0.5"),
 }
 
 
-@pytest.mark.parametrize("regime", REGIMES)
-def test_truth_config_rebuilds_the_panel(tmp_path, regime):
+@pytest.mark.parametrize("regime, impact",
+                         [(regime, "quadratic:1.0,0.4") for regime in REGIMES]
+                         + [("gaussian_continuous", "step:1.5,0.5")], ids=[*REGIMES, "step"])
+def test_truth_config_rebuilds_the_panel(tmp_path, regime, impact):
     argv = ["simulate", "--regime", regime, "--units", "20", "--times", "40", "--seed", "3",
-            "--phi", "0.1,0.0;0.3,0.35", "--mu-scale", "0.5", "--impact", "quadratic:1.0,0.4",
+            "--phi", "0.1,0.0;0.3,0.35", "--mu-scale", "0.5", "--impact", impact,
             *REGIME_FLAG[regime], "--output", str(tmp_path / "cli")]
     assert cli.main(argv) == 0
     config = json.loads((tmp_path / "cli" / "truth.json").read_text())["config"]
-    assert config["impact"] == "quadratic:1.0,0.4"
+    assert config["impact"] == impact
     config["impact"] = cli._parse_impact(config["impact"])
     write_panel_csv(simulate_scenario(ScenarioConfig(**config))[0], tmp_path / "lib.csv")
     assert (tmp_path / "cli" / "panel.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
@@ -626,6 +642,20 @@ def test_json_artifacts_are_strict_json(tmp_path, regime):
         text = (tmp_path / name).read_text()
         for doc in text.splitlines() if name.endswith(".jsonl") else [text]:
             _strict_json(doc)
+
+
+def test_theorem_suite_reports_every_check(tmp_path, capsys):
+    # At 5 replications a 3-SE check can fail by chance (the interference
+    # pair does at seed 0), so the run must finish with one verdict per check
+    # and exit 0 exactly when every verdict is PASS.
+    code = cli.main(["verify", "--theorem", "all", "--reps", "5", "--seed", "0",
+                     "--output", str(tmp_path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split(":")[0] for ln in lines] == list(CHECKS)
+    assert all(": PASS " in ln or ": FAIL " in ln for ln in lines)
+    assert code == (0 if all(": PASS " in ln for ln in lines) else 1)
+    rows = read_records(tmp_path / "verify.csv")
+    assert [row["theorem"] for row in rows] == [RECORD_NAMES.get(name, name) for name in CHECKS]
 
 
 def _relabel(src, dst, units, times):

@@ -22,6 +22,7 @@ from causal_pvar.scenarios import (
     quadratic_impact,
     ring_adjacency,
     simulate_scenario,
+    step_impact,
 )
 
 
@@ -280,3 +281,12 @@ def test_non_finite_parameter_is_rejected_by_name(regime, name, value):
     cfg = ScenarioConfig(regime=regime, n_units=10, n_times=20, seed=0, **{name: value})
     with pytest.raises(BadConfig, match=f"^{name} must be finite$"):
         simulate_scenario(cfg)
+
+
+@pytest.mark.parametrize("impact", [linear_impact(1.7), quadratic_impact(1.0, 0.4),
+                                    step_impact(1.5, 0.5)])
+def test_impact_derivative_matches_central_differences(impact):
+    # the grid stays 0.05 away from the step's threshold, where g is flat
+    lam, h = np.linspace(-2.05, 1.95, 41), 1e-5
+    central = (impact(lam + h) - impact(lam - h)) / (2 * h)
+    np.testing.assert_allclose(impact.derivative(lam), central, rtol=0, atol=1e-8)

@@ -8,7 +8,7 @@ from causal_pvar.errors import (
     BadConfig,
     BootstrapUnstable,
     CollinearRegressors,
-    NoTreatedCells,
+    EmptyTreatedSet,
     SelfLoop,
 )
 from causal_pvar.scenarios import (
@@ -41,12 +41,12 @@ class TestBuildExposure:
     def test_line_graph_middle_treated(self):
         adj = line_graph(3)
         treatment = np.array([[0.0], [1.0], [0.0]])
-        share = build_exposure(adj, treatment, TREATED_NEIGHBOR_SHARE).s_values
+        share = build_exposure(adj, treatment, TREATED_NEIGHBOR_SHARE)
         np.testing.assert_allclose(share[:, 0], [1.0, 0.0, 1.0])
 
     def test_no_treatment_no_exposure(self):
         adj = ring_adjacency(6, 1)
-        s = build_exposure(adj, np.zeros((6, 4))).s_values
+        s = build_exposure(adj, np.zeros((6, 4)))
         assert np.abs(s).max() == 0.0
 
     def test_star_graph_hub(self):
@@ -54,8 +54,8 @@ class TestBuildExposure:
         adj[0, 1:] = adj[1:, 0] = 1.0  # hub 0 with 4 leaves
         treatment = np.zeros((5, 1))
         treatment[1, 0] = treatment[2, 0] = 1.0
-        share = build_exposure(adj, treatment, TREATED_NEIGHBOR_SHARE).s_values
-        binary = build_exposure(adj, treatment, BINARY_ANY_NEIGHBOR).s_values
+        share = build_exposure(adj, treatment, TREATED_NEIGHBOR_SHARE)
+        binary = build_exposure(adj, treatment, BINARY_ANY_NEIGHBOR)
         assert share[0, 0] == pytest.approx(0.5)
         assert binary[0, 0] == 1.0
 
@@ -63,7 +63,7 @@ class TestBuildExposure:
         adj = np.zeros((3, 3))
         adj[0, 1] = adj[1, 0] = 1.0  # unit 2 isolated
         treatment = np.ones((3, 2))
-        s = build_exposure(adj, treatment).s_values
+        s = build_exposure(adj, treatment)
         assert (s[2] == 0.0).all()
 
     def test_validation(self):
@@ -84,7 +84,7 @@ class TestBuildExposure:
         adj = ring_adjacency(10, 2)
         treatment = (rng.random((10, 15)) < 0.3).astype(float)
         treatment[:, 3] = 0.0
-        s = build_exposure(adj, treatment, mode).s_values
+        s = build_exposure(adj, treatment, mode)
         assert (s >= 0.0).all() and (s <= 1.0).all()
         assert (s[:, 3] == 0.0).all()
 
@@ -269,7 +269,7 @@ class TestOracleAtteAste:
             exposure=pop.exposure,
             impact=pop.impact, impact_scale=pop.impact_scale, base=pop.base,
         )
-        with pytest.raises(NoTreatedCells):
+        with pytest.raises(EmptyTreatedSet):
             oracle_atte_aste(empty)
 
 
