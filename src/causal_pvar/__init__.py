@@ -42,7 +42,6 @@ from .panel import (
     companion,
     fit_pvar,
     panel_from_records,
-    validate_panel,
     within_demean,
 )
 from .scenarios import (

@@ -16,7 +16,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import BadConfig
-from .panel import PanelDataset, PVARFit, PVARSpec, companion, validate_panel
+from .panel import PanelDataset, PVARFit, PVARSpec, companion
 from .panel import _sample_dummies, _within_moments, _within_ols_one
 
 __all__ = [
@@ -103,7 +103,6 @@ def lag_criteria(panel: PanelDataset, pmax: int, spec: PVARSpec | None = None) -
         raise BadConfig("pmax must be >= 1")
     if pmax >= panel.n_times / 3:
         raise BadConfig(f"pmax={pmax} too large for T={panel.n_times} (need pmax < T/3)")
-    validate_panel(panel)
     n, t, m = panel.values.shape
     eff = n * (t - pmax)
     _, dummies = _sample_dummies(panel, spec or PVARSpec(), pmax)

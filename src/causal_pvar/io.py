@@ -16,12 +16,14 @@ looks only at the lines that hold a ``#``.  If the reader rejects a row,
 the rows are scanned again in Python to report the first bad line.
 Writing: panel-shaped grids (``panel.csv``, ``residuals.csv``) go through
 ``write_grid``, which formats rows with one %-template and streams them.
-Result records are flat dicts written as CSV or JSON lines.  Floats are
-written at 17 significant digits everywhere, so artifacts are byte-stable
-and round-trip exactly; in records an integral float keeps a ``.0``
-(``1.0``, not ``1``), so that it reads back as a float, not an int.
-Nested reports (truth, fit, diagnostics) are written as key-sorted,
-indented JSON.  Both JSON forms are strict JSON:
+Result records are flat dicts written as CSV or JSON lines.  Panel grids
+and records write floats at 17 significant digits; in records an integral
+float keeps a ``.0`` (``1.0``, not ``1``), so that it reads back as a
+float, not an int.  Nested reports (``truth.json``, ``fit.json``,
+``diagnostics.json``) are written as key-sorted, indented JSON by
+``json.dump``, whose floats take Python's shortest round-trip form
+(``0.2``, ``4.787232868183451e-18``).  Either way artifacts are byte-stable
+and floats round-trip exactly.  Both JSON forms are strict JSON:
 a non-finite float is written as ``null`` (CSV keeps ``nan``/``inf``,
 which round-trip).  Files that cannot be opened, decoded as UTF-8 or
 written raise IoError.

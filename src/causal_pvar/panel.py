@@ -45,7 +45,6 @@ __all__ = [
     "PVARSpec",
     "PVARFit",
     "panel_from_records",
-    "validate_panel",
     "within_demean",
     "fit_pvar",
     "companion",
@@ -70,6 +69,11 @@ class PanelDataset:
     unit_labels, time_labels : ndarray, optional, shapes (n_units,), (n_times,)
         The sorted unit and time labels of the input records, which the
         written artifacts carry; 1..n_units and 1..n_times by default.
+
+    Building a panel checks it: BadOrdering if the values are not 3-D, m < 2
+    or the labels, names, K or dummies do not fit; NonFinite on a NaN or
+    infinite value, named by unit, time and variable (an all-NaN cell
+    included), or dummy.  An array mutated in place is not checked again.
     """
 
     values: np.ndarray
@@ -83,14 +87,36 @@ class PanelDataset:
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "variable_names", tuple(self.variable_names))
-        if self.exogenous_dummies is not None:
-            object.__setattr__(
-                self, "exogenous_dummies", np.asarray(self.exogenous_dummies, dtype=float)
-            )
-        for name, size in zip(("unit_labels", "time_labels"), vals.shape + (0, 0)):
+        if vals.ndim != 3:
+            raise BadOrdering(f"values must be (unit, time, variable), got ndim={vals.ndim}")
+        for name, size in zip(("unit_labels", "time_labels"), vals.shape):
             labels = getattr(self, name)
             object.__setattr__(self, name, np.arange(1, size + 1) if labels is None
                                else np.asarray(labels))
+        units, times = self.unit_labels, self.time_labels
+        if (len(units), len(times)) != vals.shape[:2]:
+            raise BadOrdering("one unit label per unit and one time label per period")
+        finite = np.isfinite(vals)
+        if not finite.all():
+            bad = np.argwhere(~finite)[0]
+            raise NonFinite(
+                f"non-finite value at (unit={units[bad[0]]}, time={times[bad[1]]}, "
+                f"variable={bad[2] + 1})"
+            )
+        m = vals.shape[2]
+        if m < 2:
+            raise BadOrdering(f"need at least 2 variables, got m={m}")
+        if not 0 <= self.n_policies <= m - 1:
+            raise BadOrdering(f"need K + J = m with J >= 1: K={self.n_policies}, m={m}")
+        if len(self.variable_names) != m:
+            raise BadOrdering(f"{len(self.variable_names)} variable names for {m} variables")
+        if self.exogenous_dummies is not None:
+            dummies = np.asarray(self.exogenous_dummies, dtype=float)
+            object.__setattr__(self, "exogenous_dummies", dummies)
+            if dummies.ndim != 3 or dummies.shape[:2] != vals.shape[:2]:
+                raise BadOrdering("exogenous_dummies must share the (unit, time) grid")
+            if not np.isfinite(dummies).all():
+                raise NonFinite("non-finite exogenous dummy value")
 
     @property
     def n_units(self) -> int:
@@ -160,7 +186,7 @@ def panel_from_records(units, times, values, n_policies, variable_names=None):
     that more than one record fills, then on the first cell that no record
     fills, and on the first missing period when the sorted time labels are
     not equally spaced (a period absent for every unit).  A record present
-    with NaN or infinite values raises NonFinite, through ``validate_panel``.
+    with NaN or infinite values raises NonFinite when the panel is built.
     """
     units = np.asarray(units)
     times = np.asarray(times)
@@ -182,50 +208,8 @@ def panel_from_records(units, times, values, n_policies, variable_names=None):
         raise UnbalancedPanel(unit_ids[0], time_ids[gap.argmax()] + step.min())
     if variable_names is None:
         variable_names = tuple(f"v{k + 1}" for k in range(m))
-    panel = PanelDataset(out, n_policies, variable_names,
-                         unit_labels=unit_ids, time_labels=time_ids)
-    return validate_panel(panel)
-
-
-def validate_panel(raw: PanelDataset) -> PanelDataset:
-    """Check balance, finiteness, and policies-first ordering metadata.
-
-    Returns the dataset unchanged on success.  A dense panel has no missing
-    cell (``panel_from_records`` finds those from its records), so any NaN
-    or infinite entry, an all-NaN cell included, is a NonFinite error
-    naming the panel's unit and time labels and the variable.
-    """
-    vals = raw.values
-    if vals.ndim != 3:
-        raise BadOrdering(f"values must be (unit, time, variable), got ndim={vals.ndim}")
-    units, times = raw.unit_labels, raw.time_labels
-    if (len(units), len(times)) != vals.shape[:2]:
-        raise BadOrdering("one unit label per unit and one time label per period")
-    finite = np.isfinite(vals)
-    if not finite.all():
-        bad = np.argwhere(~finite)[0]
-        raise NonFinite(
-            f"non-finite value at (unit={units[bad[0]]}, time={times[bad[1]]}, "
-            f"variable={bad[2] + 1})"
-        )
-    m = raw.n_vars
-    if m < 2:
-        raise BadOrdering(f"need at least 2 variables, got m={m}")
-    if not 0 <= raw.n_policies <= m - 1:
-        raise BadOrdering(
-            f"need K + J = m with J >= 1: K={raw.n_policies}, m={m}"
-        )
-    if len(raw.variable_names) != m:
-        raise BadOrdering(
-            f"{len(raw.variable_names)} variable names for {m} variables"
-        )
-    if raw.exogenous_dummies is not None:
-        d = raw.exogenous_dummies
-        if d.shape[:2] != vals.shape[:2]:
-            raise BadOrdering("exogenous_dummies must share the (unit, time) grid")
-        if not np.isfinite(d).all():
-            raise NonFinite("non-finite exogenous dummy value")
-    return raw
+    return PanelDataset(out, n_policies, variable_names,
+                        unit_labels=unit_ids, time_labels=time_ids)
 
 
 def _sample_dummies(panel: PanelDataset, spec: PVARSpec, drop: int):
@@ -375,7 +359,6 @@ def fit_pvar(panel: PanelDataset, spec: PVARSpec) -> PVARFit:
     covariance uses the divisor N * (T - p) with no small-sample
     correction.  Raises SingularDesign by the rule documented there.
     """
-    validate_panel(panel)
     p = spec.lag_order
     n, t, m = panel.values.shape
     if p >= t - 1:

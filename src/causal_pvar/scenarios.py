@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AsymmetricAdjacency, BadConfig, SelfLoop
-from .panel import PanelDataset, _var_recursion, validate_panel
+from .panel import PanelDataset, _var_recursion
 
 __all__ = [
     "ImpactFunction",
@@ -65,39 +65,35 @@ BINARY_ANY_NEIGHBOR = "binary_any_neighbor"
 BURN_IN = 50
 
 
+# g and its derivative g' of each impact kind, given the kind's params.
+_IMPACT_KINDS = {
+    "linear": (lambda lam, beta: beta * lam, lambda lam, beta: np.full_like(lam, beta)),
+    "quadratic": (lambda lam, a, b: a * lam + b * lam**2, lambda lam, a, b: a + 2.0 * b * lam),
+    "step": (lambda lam, height, threshold: height * (lam >= threshold).astype(float),
+             lambda lam, height, threshold: np.zeros_like(lam)),
+}
+
+
 @dataclass(frozen=True)
 class ImpactFunction:
     """Structural impact of the policy innovation on the outcome innovation.
 
     kind "linear": beta * lam; "quadratic": a * lam + b * lam**2;
-    "step": height * 1{lam >= threshold}.
+    "step": height * 1{lam >= threshold}.  Any other kind raises BadConfig.
     """
 
     kind: str
     params: tuple[float, ...]
 
+    def __post_init__(self):
+        if self.kind not in _IMPACT_KINDS:
+            raise BadConfig(f"unknown impact kind {self.kind!r}")
+
     def __call__(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        if self.kind == "linear":
-            return self.params[0] * lam
-        if self.kind == "quadratic":
-            a, b = self.params
-            return a * lam + b * lam**2
-        if self.kind == "step":
-            height, threshold = self.params
-            return height * (lam >= threshold).astype(float)
-        raise BadConfig(f"unknown impact kind {self.kind!r}")
+        return _IMPACT_KINDS[self.kind][0](np.asarray(lam, dtype=float), *self.params)
 
     def derivative(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        if self.kind == "linear":
-            return np.full_like(lam, self.params[0])
-        if self.kind == "quadratic":
-            a, b = self.params
-            return a + 2.0 * b * lam
-        if self.kind == "step":
-            return np.zeros_like(lam)
-        raise BadConfig(f"unknown impact kind {self.kind!r}")
+        return _IMPACT_KINDS[self.kind][1](np.asarray(lam, dtype=float), *self.params)
 
 
 def linear_impact(beta: float) -> ImpactFunction:
@@ -253,22 +249,35 @@ def build_exposure(adjacency: np.ndarray, treatment: np.ndarray, mode: str = TRE
 
 
 def simulate_var_panel(phi, mu, innovations, n_policies=1, variable_names=None) -> PanelDataset:
-    """Run innovations through the autoregressive dynamics.
+    """Run (n, t, m) innovations through the autoregressive dynamics.
 
     ``x_t = (I - sum phi_l) mu + sum_l phi_l x_{t-l} + e_t`` with the
     pre-sample state pinned at ``mu``, so adding a constant to ``mu``
-    shifts every observation by exactly that constant.
+    shifts every observation by exactly that constant.  Dynamics that
+    overflow raise NonFinite when the panel is built.
     """
     phi = _as_phi_tuple(phi)
     m, p = phi[0].shape[0], len(phi)
     innovations = np.asarray(innovations, dtype=float)
     n, t = innovations.shape[0], innovations.shape[1]
-    mu = np.asarray(mu, dtype=float).reshape(n, m)
     states = np.empty((p + t, n, m))
-    states[:p] = mu
-    np.add(mu @ (np.eye(m) - sum(phi)).T, innovations.transpose(1, 0, 2), out=states[p:])
-    values = _var_recursion(states, phi)[p:].transpose(1, 0, 2)
+    states[p:] = innovations.transpose(1, 0, 2)
+    _run_pinned(phi, np.asarray(mu, dtype=float).reshape(n, m), states)
+    values = states[p:].transpose(1, 0, 2)
     return PanelDataset(values, n_policies, variable_names or _default_names(n_policies, m))
+
+
+def _run_pinned(phi, mu: np.ndarray, states: np.ndarray) -> None:
+    """Run the VAR dynamics in place over time-major (p + t, ..., m) ``states``
+    whose ``states[p:]`` hold the innovations: pin the p pre-sample states at
+    ``mu``, which broadcasts against one period, shift every innovation by
+    ``(I - sum phi) mu``, and recurse.  Overflow leaves non-finite states
+    without a warning, for the panel built from them to reject."""
+    p, m = len(phi), states.shape[-1]
+    states[:p] = mu
+    states[p:] += mu @ (np.eye(m) - sum(phi)).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        _var_recursion(states.reshape(len(states), -1, m), phi)
 
 
 def _default_names(n_policies: int, m: int) -> tuple[str, ...]:
@@ -460,38 +469,33 @@ def simulate_scenario(config: ScenarioConfig) -> tuple[PanelDataset, PotentialOu
     ``rho * S_it``; potential outcomes re-evaluate ``g`` at any dose with
     ``base_it`` held fixed, so realized outcomes equal the potential
     outcome at the realized assignment exactly.  Dynamics that overflow
-    raise NonFinite, through ``validate_panel``.
+    raise NonFinite when the panel is built.
     """
     phi = _validate_config(config)
     draw = _draw(config)
     values = _propagate(phi, [draw])[-config.n_times:, 0].transpose(1, 0, 2)
-    return validate_panel(PanelDataset(values, 1, _default_names(1, 2))), draw.pop
+    return PanelDataset(values, 1, _default_names(1, 2)), draw.pop
 
 
 def _propagate(phi, draws: list[_Draw]) -> np.ndarray:
     """Time-major (p + BURN_IN + t, b, n, 2) states of b draws of one config.
 
-    The pre-sample state is pinned at ``mu``; zero policy innovations and
-    ``burn`` drive the burn-in periods, then the draw's assignments and
-    realized outcomes the sample periods, all shifted by ``(I - sum phi) mu``
-    as in ``simulate_var_panel``.  Overflowing dynamics leave non-finite
-    states without a warning; callers validate the panel they keep.
+    Zero policy innovations and ``burn`` drive the burn-in periods, then the
+    draw's assignments and realized outcomes the sample periods, run from
+    each draw's ``mu`` by ``_run_pinned``, as in ``simulate_var_panel``.
+    Overflowing dynamics leave non-finite states; the panel built from them
+    raises NonFinite.
     """
     p = len(phi)
     n, t = draws[0].pop.base.shape
-    b = len(draws)
-    states = np.empty((p + BURN_IN + t, b, n, 2))
-    drift = (np.eye(2) - sum(phi)).T
+    states = np.empty((p + BURN_IN + t, len(draws), n, 2))
     for r, draw in enumerate(draws):
-        units = states[:, r]
-        units[:p] = draw.mu
-        units[p : p + BURN_IN, :, 0] = 0.0
-        units[p : p + BURN_IN, :, 1] = draw.burn.T
-        units[p + BURN_IN :, :, 0] = draw.pop.assignments.T
-        units[p + BURN_IN :, :, 1] = draw.pop.realized_outcomes.T
-        units[p:] += draw.mu @ drift
-    with np.errstate(over="ignore", invalid="ignore"):
-        _var_recursion(states.reshape(-1, b * n, 2), phi)
+        units = states[p:, r]
+        units[:BURN_IN, :, 0] = 0.0
+        units[:BURN_IN, :, 1] = draw.burn.T
+        units[BURN_IN:, :, 0] = draw.pop.assignments.T
+        units[BURN_IN:, :, 1] = draw.pop.realized_outcomes.T
+    _run_pinned(phi, np.stack([draw.mu for draw in draws]), states)
     return states
 
 

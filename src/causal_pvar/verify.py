@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import BadConfig, RegimeMismatch, SingularDesign
 from .estimands import average_effects, did_four_means, dummy_gamma, selection_bias
-from .panel import CHUNK_BYTES, PanelDataset, PVARSpec, validate_panel
+from .panel import CHUNK_BYTES, PanelDataset, PVARSpec
 from .panel import _within_moments, _within_ols, _within_resid
 from .scenarios import (
     GAUSSIAN_CONTINUOUS,
@@ -294,7 +294,7 @@ def _fit_chunk(states: np.ndarray, n_times: int) -> list[_RepFit]:
     """Fit the last ``n_times`` periods of a chunk of ``_propagate`` states at once."""
     states = states[-n_times:]
     stacked = states.reshape(n_times, -1, 2).transpose(1, 0, 2)  # every unit of the chunk
-    validate_panel(PanelDataset(stacked, 1, ("policy1", "outcome1")))
+    PanelDataset(stacked, 1, ("policy1", "outcome1"))  # raises NonFinite on overflow
     cross, _, rows, means, _ = _within_moments(states, 1)
     coef, sigma, ok = _within_ols(cross, 2, states.shape[2] * (n_times - 1))
     if not ok.all():

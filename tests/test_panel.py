@@ -16,7 +16,6 @@ from causal_pvar.panel import (
     companion,
     fit_pvar,
     panel_from_records,
-    validate_panel,
     within_demean,
 )
 
@@ -27,13 +26,14 @@ class TestValidatePanel:
     def test_well_formed_accepted(self):
         vals = np.arange(2 * 3 * 2, dtype=float).reshape(2, 3, 2)
         panel = PanelDataset(vals, 1, ("w", "y"))
-        assert validate_panel(panel) is panel
+        np.testing.assert_array_equal(panel.values, vals)
+        assert (panel.n_policies, panel.n_outcomes) == (1, 1)
 
     def test_nan_cell_rejected(self):
         vals = np.ones((2, 3, 2))
         vals[1, 2, 0] = np.nan
-        with pytest.raises(NonFinite):
-            validate_panel(PanelDataset(vals, 1, ("w", "y")))
+        with pytest.raises(NonFinite, match=r"\(unit=2, time=3, variable=1\)"):
+            PanelDataset(vals, 1, ("w", "y"))
 
     def test_missing_record_rejected(self):
         units = [1, 1, 1, 2, 2]
@@ -72,10 +72,30 @@ class TestValidatePanel:
         np.testing.assert_array_equal(default.unit_labels, [1, 2, 3])
         np.testing.assert_array_equal(default.time_labels, [1, 2, 3, 4])
 
-    def test_bad_ordering_metadata(self):
-        vals = np.ones((2, 4, 2))
-        with pytest.raises(BadOrdering):
-            validate_panel(PanelDataset(vals, 2, ("w", "y")))
+    @pytest.mark.parametrize("change, error, match", [
+        pytest.param({"values": np.ones((2, 4))}, BadOrdering, "got ndim=2", id="not-3d"),
+        pytest.param({"unit_labels": [1, 2, 3]}, BadOrdering, "one unit label", id="unit-labels"),
+        pytest.param({"time_labels": [1, 2]}, BadOrdering, "one time label", id="time-labels"),
+        pytest.param({"values": np.ones((2, 4, 1)), "n_policies": 0, "variable_names": ("y",)},
+                     BadOrdering, "at least 2 variables", id="one-variable"),
+        pytest.param({"n_policies": 2}, BadOrdering, "K=2, m=2", id="no-outcome"),
+        pytest.param({"n_policies": -1}, BadOrdering, "K=-1, m=2", id="negative-k"),
+        pytest.param({"variable_names": ("w",)}, BadOrdering, "1 variable names for 2",
+                     id="name-count"),
+        pytest.param({"exogenous_dummies": np.ones((2, 3, 1))}, BadOrdering,
+                     r"share the \(unit, time\) grid", id="dummy-grid"),
+        pytest.param({"exogenous_dummies": np.ones((2, 4))}, BadOrdering,
+                     r"share the \(unit, time\) grid", id="dummy-2d"),
+        pytest.param({"exogenous_dummies": np.full((2, 4, 1), np.nan)}, NonFinite,
+                     "non-finite exogenous dummy", id="non-finite-dummy"),
+        # values are checked for finiteness before the ordering metadata
+        pytest.param({"values": np.full((2, 4, 2), np.inf), "n_policies": 2}, NonFinite,
+                     r"\(unit=1, time=1, variable=1\)", id="non-finite-before-metadata"),
+    ])
+    def test_malformed_panel_is_rejected_when_built(self, change, error, match):
+        fields = {"values": np.ones((2, 4, 2)), "n_policies": 1, "variable_names": ("w", "y")}
+        with pytest.raises(error, match=match):
+            PanelDataset(**{**fields, **change})
 
 
 class TestWithinDemean:

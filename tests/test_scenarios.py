@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causal_pvar.diagnostics import policy_regime_probe
-from causal_pvar.errors import BadConfig
+from causal_pvar.errors import BadConfig, NonFinite
 from causal_pvar.scenarios import (
     GAUSSIAN_CONTINUOUS,
     HETEROGENEOUS_DUMMY,
@@ -16,12 +17,14 @@ from causal_pvar.scenarios import (
     REGIMES,
     SCENARIOS,
     SPILLOVER_DUMMY,
+    ImpactFunction,
     ScenarioConfig,
     _draw,
     linear_impact,
     quadratic_impact,
     ring_adjacency,
     simulate_scenario,
+    simulate_var_panel,
     step_impact,
 )
 
@@ -132,15 +135,55 @@ def test_nonnegative_support_and_zero_mass():
     assert 0.35 < (w == 0.0).mean() < 0.65
 
 
-def test_bad_configs_rejected():
-    with pytest.raises(BadConfig):
-        simulate_scenario(ScenarioConfig(regime="nope", n_units=5, n_times=10, seed=0))
-    with pytest.raises(BadConfig):
-        simulate_scenario(ScenarioConfig(regime=NONNEGATIVE_CONTINUOUS, n_units=5,
-                                         n_times=10, seed=0, support=(0.0, 2.0)))
-    with pytest.raises(BadConfig):
-        simulate_scenario(ScenarioConfig(regime=GAUSSIAN_CONTINUOUS, n_units=5,
-                                         n_times=10, seed=0, policy_sigma=0.0))
+BAD_CONFIGS = [
+    ("nope", "regime", "nope", "unknown regime 'nope'"),
+    (GAUSSIAN_CONTINUOUS, "n_units", 1, "at least 2 units and 4 periods"),
+    (GAUSSIAN_CONTINUOUS, "n_times", 3, "at least 2 units and 4 periods"),
+    (GAUSSIAN_CONTINUOUS, "phi", np.eye(3) * 0.2, r"\(m = 2\)"),
+    (GAUSSIAN_CONTINUOUS, "noise_scale", -1.0, "scales must be non-negative"),
+    (GAUSSIAN_CONTINUOUS, "lambda_grid", np.array([1.0, 0.0]), "strictly increasing"),
+    (GAUSSIAN_CONTINUOUS, "policy_sigma", 0.0, "policy_sigma must be positive"),
+    (NONNEGATIVE_CONTINUOUS, "support", (0.0, 2.0), "0 < support low <= high"),
+    (NONNEGATIVE_CONTINUOUS, "zero_prob", 1.0, r"zero_prob must be in \[0, 1\)"),
+    (HOMOGENEOUS_DUMMY, "treat_prob", 0.0, r"^treat_prob must be in \(0, 1\)"),
+    (HETEROGENEOUS_DUMMY, "treat_prob", 0.0, "treat_prob and time_frac"),
+    (SPILLOVER_DUMMY, "treat_prob", 0.0, r"^treat_prob must be in \(0, 1\)"),
+    (HETEROGENEOUS_DUMMY, "time_frac", 1.0, "treat_prob and time_frac"),
+    (HETEROGENEOUS_DUMMY, "treat_schedule", np.zeros((10, 9)), "treat_schedule shape"),
+    (SPILLOVER_DUMMY, "treat_schedule", np.full((10, 10), 0.5), "treat_schedule must be 0/1"),
+    (SPILLOVER_DUMMY, "ring_neighbors", 5, "neighbors_each_side < n/2"),
+]
+
+
+@pytest.mark.parametrize("regime, name, value, match", BAD_CONFIGS,
+                         ids=[f"{regime}-{name}" for regime, name, *_ in BAD_CONFIGS])
+def test_invalid_config_is_rejected(regime, name, value, match):
+    cfg = replace(ScenarioConfig(regime=regime, n_units=10, n_times=10, seed=0), **{name: value})
+    with pytest.raises(BadConfig, match=match):
+        simulate_scenario(cfg)
+
+
+@pytest.mark.parametrize("treat_prob, treated", [(1e-9, [0]), (1 - 1e-9, range(9))])
+def test_common_dummy_keeps_both_arms(treat_prob, treated):
+    # no period drawn treated: the first is; every period drawn: the last is not
+    cfg = ScenarioConfig(regime=HOMOGENEOUS_DUMMY, n_units=4, n_times=10, seed=0,
+                         treat_prob=treat_prob)
+    _, pop = simulate_scenario(cfg)
+    periods = np.zeros(10)
+    periods[list(treated)] = 1.0
+    np.testing.assert_array_equal(pop.assignments, np.tile(periods, (4, 1)))
+
+
+def test_overflowing_var_panel_raises_non_finite_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match=r"\(unit=1, time=3, variable=1\)"):
+            simulate_var_panel(np.diag([1e200, 1e200]), np.zeros((3, 2)), np.ones((3, 20, 2)))
+
+
+def test_unknown_impact_kind_is_rejected_when_built():
+    with pytest.raises(BadConfig, match="unknown impact kind 'cubic'"):
+        ImpactFunction("cubic", (1.0,))
 
 
 def test_spillover_exposure_truth():

@@ -23,12 +23,6 @@ def _run(monkeypatch, script, args):
     return exc.value.code
 
 
-def test_coverage_study_exits_zero(monkeypatch, capsys):
-    args = ["--runs", "1", "--reps", "100", "--units", "20", "--times", "60"]
-    assert _run(monkeypatch, "coverage_study.py", args) == 0
-    assert "bands contain the true impact" in capsys.readouterr().out
-
-
 def _cli_artifact_names():
     """File names the CLI writes: its ``name.csv``/``name.json`` literals, plus
     ``stem.csv`` and ``stem.jsonl`` for each ``_write_records(..., stem)``."""
