@@ -61,8 +61,8 @@ def oracle_estimands(pop: PotentialOutcomePanel) -> EstimandReport:
     """ATE, ATT and selection bias by enumeration.
 
     ATE averages po(1) - po(0) over every cell and ATT over the
-    realized-treated cells, both from the structural form, whatever the
-    panel's dose grid; ``selection_bias`` is that of the dummy regimes.
+    realized-treated cells, both from the structural form, on no dose
+    grid; ``selection_bias`` is that of the dummy regimes.
     """
     effects, treated = _effects(pop)
     treated_effects = effects[treated]

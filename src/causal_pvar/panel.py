@@ -219,6 +219,9 @@ def _sample_dummies(panel: PanelDataset, spec: PVARSpec, drop: int):
         return None, None
     if panel.exogenous_dummies is None:
         raise BadConfig("spec names dummy_columns but panel has no dummies")
+    d = panel.exogenous_dummies.shape[2]
+    if not all(0 <= col < d for col in spec.dummy_columns):
+        raise BadConfig(f"dummy_columns {spec.dummy_columns} must lie in [0, {d})")
     raw = panel.exogenous_dummies[:, drop:, list(spec.dummy_columns)]
     flat = (raw - raw.mean(axis=1, keepdims=True)).transpose(1, 0, 2)
     return raw, flat.reshape(-1, raw.shape[2])

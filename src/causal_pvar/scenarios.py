@@ -2,9 +2,9 @@
 
 Each regime is one entry of ``SCENARIOS``: its assignment law (common
 dummy, Gaussian, zero-inflated non-negative, unit-by-time dummy, sparse
-dummy with network spillovers), its default dose grid and the
-regime-specific config fields it reads; ``taken_fields`` is the one rule
-for which fields a regime takes.  The outcome innovation is a structural
+dummy with network spillovers) and the regime-specific config fields it
+reads; ``taken_fields`` is the one rule for which fields a regime takes.
+The simulator builds no dose grid.  The outcome innovation is a structural
 impact of the realized policy innovation plus noise, shifted by the
 selection, anticipation and spillover steps, and the panel runs through
 the autoregressive dynamics.  Potential outcomes are kept in structural form,
@@ -65,12 +65,13 @@ BINARY_ANY_NEIGHBOR = "binary_any_neighbor"
 BURN_IN = 50
 
 
-# g and its derivative g' of each impact kind, given the kind's params.
+# g and its derivative g' of each impact kind, given the kind's params, and
+# the number of params it takes.
 _IMPACT_KINDS = {
-    "linear": (lambda lam, beta: beta * lam, lambda lam, beta: np.full_like(lam, beta)),
-    "quadratic": (lambda lam, a, b: a * lam + b * lam**2, lambda lam, a, b: a + 2.0 * b * lam),
+    "linear": (lambda lam, beta: beta * lam, lambda lam, beta: np.full_like(lam, beta), 1),
+    "quadratic": (lambda lam, a, b: a * lam + b * lam**2, lambda lam, a, b: a + 2.0 * b * lam, 2),
     "step": (lambda lam, height, threshold: height * (lam >= threshold).astype(float),
-             lambda lam, height, threshold: np.zeros_like(lam)),
+             lambda lam, height, threshold: np.zeros_like(lam), 2),
 }
 
 
@@ -79,7 +80,8 @@ class ImpactFunction:
     """Structural impact of the policy innovation on the outcome innovation.
 
     kind "linear": beta * lam; "quadratic": a * lam + b * lam**2;
-    "step": height * 1{lam >= threshold}.  Any other kind raises BadConfig.
+    "step": height * 1{lam >= threshold}.  Any other kind, or a number of
+    params other than the kind's, raises BadConfig.
     """
 
     kind: str
@@ -88,6 +90,10 @@ class ImpactFunction:
     def __post_init__(self):
         if self.kind not in _IMPACT_KINDS:
             raise BadConfig(f"unknown impact kind {self.kind!r}")
+        n_params = _IMPACT_KINDS[self.kind][2]
+        if len(self.params) != n_params:
+            raise BadConfig(f"impact kind {self.kind!r} takes {n_params} param(s), "
+                            f"got {len(self.params)}")
 
     def __call__(self, lam):
         return _IMPACT_KINDS[self.kind][0](np.asarray(lam, dtype=float), *self.params)
@@ -138,13 +144,12 @@ class PotentialOutcomePanel:
     The potential outcome of cell (i, t) at dose lam is
     ``impact_scale * impact(lam) + base``.  ``impact_scale`` broadcasts
     against ``base``: the simulator stores one scale per unit, shape
-    (n, 1); a hand-built panel may give one per cell.  ``lambda_grid`` is
-    the dose grid the oracles evaluate on.
+    (n, 1); a hand-built panel may give one per cell.  An oracle evaluates
+    it on whatever dose grid it needs.
     """
 
     regime: str
     assignments: np.ndarray
-    lambda_grid: np.ndarray
     realized_outcomes: np.ndarray
     groups: GroupLabels | None
     exposure: ExposureTruth | None
@@ -161,10 +166,10 @@ class PotentialOutcomePanel:
 class ScenarioConfig:
     """Parameters of one simulated scenario.
 
-    Every regime reads the fields from ``regime`` to ``effect_sd`` and
-    ``lambda_grid``.  The rest are regime-specific: a regime reads those its
-    ``SCENARIOS`` entry names in ``reads``, and any other one set away from
-    its default raises BadConfig, as does a non-finite value in any field.
+    Every regime reads the fields from ``regime`` to ``effect_sd``.  The
+    rest are regime-specific: a regime reads those its ``SCENARIOS`` entry
+    names in ``reads``, and any other one set away from its default raises
+    BadConfig, as does a non-finite value in any field.
     ``anticipation`` shifts treated units' innovations in untreated periods
     (the regimes with groups, ``homogeneous_dummy`` and
     ``heterogeneous_dummy``), and ``selection_strength`` correlates the
@@ -193,7 +198,6 @@ class ScenarioConfig:
     support: tuple[float, float] = (1.0, 2.0)
     spillover_rho: float = 0.0
     ring_neighbors: int = 2
-    lambda_grid: np.ndarray | None = None
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
         return replace(self, seed=int(seed))
@@ -316,10 +320,6 @@ def _validate_config(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
             value = value.params
         if f.name not in ("regime", "seed") and value is not None and not np.isfinite(value).all():
             raise BadConfig(f"{f.name} must be finite")
-    if config.lambda_grid is not None:
-        grid = np.asarray(config.lambda_grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 2 or (np.diff(grid) <= 0).any():
-            raise BadConfig("lambda_grid must be strictly increasing")
     return phi
 
 
@@ -402,37 +402,26 @@ def _sparse_dummy(rng, config, scale_z):
     return w.astype(float), None
 
 
-def _dummy_grid(config):
-    return np.array([0.0, 1.0])
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One regime: ``draw(rng, config, scale_z) -> (w, groups)`` draws the
-    policy innovations and rejects bad values of its fields, ``grid(config)``
-    is the default dose grid, and ``reads`` names the regime-specific config
-    fields the regime takes (see ``taken_fields``)."""
+    policy innovations and rejects bad values of its fields, and ``reads``
+    names the regime-specific config fields the regime takes (see
+    ``taken_fields``)."""
 
     draw: Callable
-    grid: Callable
     reads: tuple[str, ...]
 
 
 SCENARIOS = {
-    HOMOGENEOUS_DUMMY: Scenario(
-        _common_dummy, _dummy_grid, ("treat_prob", "anticipation")),
-    GAUSSIAN_CONTINUOUS: Scenario(
-        _gaussian_dose, lambda c: np.linspace(-5.0 * c.policy_sigma, 5.0 * c.policy_sigma, 201),
-        ("policy_sigma", "selection_strength")),
-    NONNEGATIVE_CONTINUOUS: Scenario(
-        _nonnegative_dose, lambda c: np.concatenate([[0.0], np.linspace(*c.support, 121)]),
-        ("zero_prob", "support")),
+    HOMOGENEOUS_DUMMY: Scenario(_common_dummy, ("treat_prob", "anticipation")),
+    GAUSSIAN_CONTINUOUS: Scenario(_gaussian_dose, ("policy_sigma", "selection_strength")),
+    NONNEGATIVE_CONTINUOUS: Scenario(_nonnegative_dose, ("zero_prob", "support")),
     HETEROGENEOUS_DUMMY: Scenario(
-        _block_dummy, _dummy_grid,
+        _block_dummy,
         ("treat_prob", "time_frac", "treat_on_gain", "treat_schedule", "anticipation")),
     SPILLOVER_DUMMY: Scenario(
-        _sparse_dummy, _dummy_grid,
-        ("treat_prob", "treat_schedule", "spillover_rho", "ring_neighbors")),
+        _sparse_dummy, ("treat_prob", "treat_schedule", "spillover_rho", "ring_neighbors")),
 }
 REGIMES = tuple(SCENARIOS)
 # The config fields that only some regimes read.
@@ -526,8 +515,6 @@ def _draw(config: ScenarioConfig) -> _Draw:
         exposure = ExposureTruth(adjacency, s, config.spillover_rho)
         base = base + config.spillover_rho * s
 
-    grid = (scenario.grid(config) if config.lambda_grid is None
-            else np.asarray(config.lambda_grid, dtype=float))
     realized = scale[:, None] * g(w) + base
 
     burn = config.noise_scale * rng.standard_normal((n, BURN_IN))
@@ -535,7 +522,6 @@ def _draw(config: ScenarioConfig) -> _Draw:
     pop = PotentialOutcomePanel(
         regime=config.regime,
         assignments=w,
-        lambda_grid=grid,
         realized_outcomes=realized,
         groups=groups,
         exposure=exposure,

@@ -173,25 +173,31 @@ def nonneg_weights(sample=None, law=None, grid=None, n_grid: int = 201) -> Weigh
     )
 
 
-def weighted_estimand(profile: WeightProfile, pop: PotentialOutcomePanel, mode: str) -> float:
+def weighted_estimand(profile: WeightProfile, pop: PotentialOutcomePanel, mode: str,
+                      curve_grid) -> float:
     """Compose the dose weights with the oracle ACR or ACRT into one scalar.
 
-    ``mode`` picks the curve, computed on the panel's dose grid: "acr"
-    (unconditional derivative) or "acrt" (derivative conditioned on dose).
-    The value is the integral of q * curve over the profile's grid, plus
+    ``mode`` picks the curve, computed on ``curve_grid``, a finite and
+    strictly increasing dose grid: "acr" (unconditional derivative) or
+    "acrt" (derivative conditioned on dose).  The value is the integral of
+    q * curve over the profile's grid, plus
     q0 * (mean po(d_L) - mean po(0)) / d_L when q0 is nonzero.  A profile
-    grid reaching past the panel's dose grid raises GridMismatch.
+    grid reaching past ``curve_grid`` raises GridMismatch.
     """
-    grid, pop_grid = profile.grid, pop.lambda_grid
-    if grid[0] < pop_grid[0] - 1e-9 or grid[-1] > pop_grid[-1] + 1e-9:
-        raise GridMismatch("weight grid extends beyond the panel's dose grid")
+    curve_grid = np.asarray(curve_grid, dtype=float)
+    if (curve_grid.ndim != 1 or curve_grid.size < 2 or not np.isfinite(curve_grid).all()
+            or not (np.diff(curve_grid) > 0).all()):
+        raise BadConfig("curve_grid must be finite and strictly increasing")
+    grid = profile.grid
+    if grid[0] < curve_grid[0] - 1e-9 or grid[-1] > curve_grid[-1] + 1e-9:
+        raise GridMismatch("weight grid extends beyond the curve grid")
     if mode == "acr":
-        curve = acr_on_grid(pop, pop_grid)
+        curve = acr_on_grid(pop, curve_grid)
     elif mode == "acrt":
-        curve = _fill_nan(acrt_on_grid(pop, pop_grid))
+        curve = _fill_nan(acrt_on_grid(pop, curve_grid))
     else:
         raise BadConfig(f"unknown mode {mode!r}")
-    value = float(np.trapezoid(profile.q * np.interp(grid, pop_grid, curve), grid))
+    value = float(np.trapezoid(profile.q * np.interp(grid, curve_grid, curve), grid))
     if profile.q0 != 0:
         gain = float(pop.po_at(profile.d_lower).mean() - pop.po_at(0.0).mean())
         value += profile.q0 * gain / profile.d_lower

@@ -3,25 +3,37 @@
 import numpy as np
 import pytest
 
+from causal_pvar.diagnostics import lag_criteria
 from causal_pvar.errors import (
+    BadConfig,
     BootstrapUnstable,
     CausalPvarError,
     CollinearRegressors,
+    DegenerateAssignment,
     GridMismatch,
     RegimeMismatch,
     SingularDesign,
 )
+from causal_pvar.estimands import did_four_means, dummy_gamma
 from causal_pvar.panel import PanelDataset, PVARSpec, fit_pvar
 from causal_pvar.scenarios import (
     GAUSSIAN_CONTINUOUS,
     HOMOGENEOUS_DUMMY,
     ScenarioConfig,
+    build_exposure,
     quadratic_impact,
+    ring_adjacency,
     simulate_scenario,
+    simulate_var_panel,
 )
 from causal_pvar.spillover import spillover_regression
 from causal_pvar.verify import default_config, verify_theorem
-from causal_pvar.weights import gaussian_weights, weighted_estimand
+from causal_pvar.weights import (
+    ZeroInflatedUniform,
+    gaussian_weights,
+    nonneg_weights,
+    weighted_estimand,
+)
 
 from conftest import make_var_panel
 
@@ -69,7 +81,7 @@ def test_weighted_estimand_grid_mismatch():
     _, pop = simulate_scenario(cfg)
     wide = gaussian_weights(1.0, np.linspace(-8, 8, 801))
     with pytest.raises(GridMismatch):
-        weighted_estimand(wide, pop, "acr")
+        weighted_estimand(wide, pop, "acr", np.linspace(-5, 5, 201))
 
 
 def test_acr_finite_difference_tolerance_at_grid_step_001():
@@ -78,13 +90,13 @@ def test_acr_finite_difference_tolerance_at_grid_step_001():
     grid = np.arange(-3.0, 3.0 + 1e-12, 0.01)
     cfg = ScenarioConfig(
         regime=GAUSSIAN_CONTINUOUS, n_units=10, n_times=30, seed=3,
-        impact=quadratic_impact(1.0, 0.4), lambda_grid=grid,
+        impact=quadratic_impact(1.0, 0.4),
     )
     _, pop = simulate_scenario(cfg)
     from causal_pvar.estimands import acr_on_grid
 
     analytic = 1.0 + 0.8 * grid
-    err = np.abs(acr_on_grid(pop, pop.lambda_grid)[1:-1] - analytic[1:-1]).max()
+    err = np.abs(acr_on_grid(pop, grid)[1:-1] - analytic[1:-1]).max()
     assert err < 1e-4
 
 
@@ -116,3 +128,59 @@ def test_homogeneous_regime_probe_detects_binary_innovations():
 def test_unknown_theorem_rejected():
     with pytest.raises(CausalPvarError):
         verify_theorem("T42", reps=5)
+
+
+def _short_panel():
+    return make_var_panel([[0.3, 0.0], [0.2, 0.3]], 4, 30, seed=0)
+
+
+REJECTIONS = [
+    pytest.param(lambda: ZeroInflatedUniform(1.0, 1.0, 2.0), BadConfig,
+                 r"need 0 <= zero_prob < 1 and 0 < low <= high", id="zero-inflated-all-zero"),
+    pytest.param(lambda: gaussian_weights(0.0, np.linspace(-5, 5, 11)), BadConfig,
+                 "sigma must be positive", id="gaussian-zero-sigma"),
+    pytest.param(lambda: gaussian_weights(1.0, [1.0, 0.0]), BadConfig,
+                 "grid must be strictly increasing", id="gaussian-decreasing-grid"),
+    pytest.param(lambda: nonneg_weights(), BadConfig,
+                 "pass exactly one of sample= or law=", id="nonneg-no-input"),
+    pytest.param(lambda: nonneg_weights(sample=[-1.0, 1.0]), BadConfig,
+                 "sample must be non-negative and non-empty", id="nonneg-negative-sample"),
+    pytest.param(lambda: nonneg_weights(sample=[1.0, 1.0]), BadConfig,
+                 "policy sample has zero variance", id="nonneg-constant-sample"),
+    pytest.param(lambda: nonneg_weights(law=ZeroInflatedUniform(0.0, 1.5, 1.5)), BadConfig,
+                 "policy law has zero variance", id="nonneg-constant-law"),
+    pytest.param(lambda: build_exposure(np.zeros((2, 3)), np.zeros((2, 4))), BadConfig,
+                 "adjacency must be square", id="exposure-non-square"),
+    pytest.param(lambda: build_exposure([[0.0, 2.0], [2.0, 0.0]], np.zeros((2, 4))), BadConfig,
+                 "adjacency entries must be 0/1", id="exposure-weighted-edge"),
+    pytest.param(lambda: build_exposure(ring_adjacency(5, 1), np.zeros((4, 6))), BadConfig,
+                 r"treatment must be \(n_units, n_times\) aligned", id="exposure-misaligned"),
+    pytest.param(lambda: build_exposure(ring_adjacency(5, 1), np.full((5, 6), 0.5)), BadConfig,
+                 "treatment indicator must be 0/1", id="exposure-fractional-treatment"),
+    pytest.param(lambda: build_exposure(ring_adjacency(5, 1), np.zeros((5, 6)), "nope"),
+                 BadConfig, "unknown exposure mode 'nope'", id="exposure-unknown-mode"),
+    pytest.param(lambda: spillover_regression(np.ones(3), np.ones(4), np.ones(3), n_reps=0),
+                 BadConfig, "series must align", id="spillover-misaligned"),
+    pytest.param(lambda: spillover_regression(np.ones(3), np.ones(3), np.ones(3), n_reps=5),
+                 BadConfig, "bootstrap standard errors need a seed", id="spillover-no-seed"),
+    pytest.param(lambda: dummy_gamma([0.0, 0.5, 1.0], [1.0, 2.0, 3.0]), DegenerateAssignment,
+                 "assignment must be 0/1", id="dummy-gamma-fractional"),
+    pytest.param(lambda: dummy_gamma([1.0, 1.0], [1.0, 2.0]), DegenerateAssignment,
+                 "assignment has no variation", id="dummy-gamma-constant"),
+    pytest.param(lambda: did_four_means(np.zeros((2, 3)), [True, False], [True, False]),
+                 GridMismatch, r"residuals \(2, 3\) do not align with groups \(2, 2\)",
+                 id="did-shape-mismatch"),
+    pytest.param(lambda: lag_criteria(_short_panel(), 0), BadConfig,
+                 "pmax must be >= 1", id="lag-criteria-zero-pmax"),
+    pytest.param(lambda: lag_criteria(_short_panel(), 10), BadConfig,
+                 r"pmax=10 too large for T=30 \(need pmax < T/3\)", id="lag-criteria-long-pmax"),
+    pytest.param(lambda: simulate_var_panel(np.zeros((1, 1, 2, 2)), np.zeros((3, 2)),
+                                            np.ones((3, 5, 2))),
+                 BadConfig, "phi must be an m x m matrix or a stack of them", id="var-panel-4d-phi"),
+]
+
+
+@pytest.mark.parametrize("call, error, match", REJECTIONS)
+def test_bad_input_raises_its_library_error(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,14 +24,14 @@ from causal_pvar.scenarios import (
 
 
 def make_dummy_pop(w, po0, po1, regime=HETEROGENEOUS_DUMMY):
-    """Hand-built potential-outcome panel on the {0, 1} grid."""
+    """Hand-built potential-outcome panel of a 0/1 assignment:
+    po(lam) = po0 + (po1 - po0) * lam."""
     w = np.asarray(w, dtype=float)
     po0 = np.asarray(po0, dtype=float)
     po1 = np.asarray(po1, dtype=float)
     return PotentialOutcomePanel(
         regime=regime,
         assignments=w,
-        lambda_grid=np.array([0.0, 1.0]),
         realized_outcomes=np.where(w == 1.0, po1, po0),
         groups=None,
         exposure=None,
@@ -56,7 +54,7 @@ class TestOracleEstimands:
         cfg = ScenarioConfig(regime=GAUSSIAN_CONTINUOUS, n_units=20, n_times=40,
                              seed=1, impact=quadratic_impact(1.0, 0.4))
         _, pop = simulate_scenario(cfg)
-        grid = pop.lambda_grid
+        grid = np.linspace(-5, 5, 201)
         interior = slice(1, -1)
         analytic = 1.0 + 0.8 * grid
         # central differences are exact for quadratics up to rounding
@@ -68,22 +66,11 @@ class TestOracleEstimands:
         cfg = ScenarioConfig(regime=GAUSSIAN_CONTINUOUS, n_units=12, n_times=30, seed=8,
                              impact=quadratic_impact(1.0, 0.4), effect_sd=0.5)
         _, pop = simulate_scenario(cfg)
-        grid = pop.lambda_grid
+        grid = np.linspace(-5, 5, 201)
         assert np.ptp(pop.impact_scale) > 0.5
         cube = pop.impact_scale[:, :, None] * pop.impact(grid) + pop.base[:, :, None]
         brute = np.gradient(cube.mean(axis=(0, 1)), grid)
         np.testing.assert_allclose(acr_on_grid(pop, grid), brute, rtol=0, atol=1e-12)
-
-    def test_ate_and_att_do_not_depend_on_the_dose_grid(self):
-        # A grid that leaves out doses 0 and 1 changes nothing: ATE and ATT
-        # come from the structural form.
-        cfg = ScenarioConfig(regime=GAUSSIAN_CONTINUOUS, n_units=10, n_times=20, seed=4,
-                             impact=quadratic_impact(1.0, 0.4), effect_sd=0.5)
-        full = oracle_estimands(simulate_scenario(cfg)[1])
-        narrow = oracle_estimands(simulate_scenario(
-            replace(cfg, lambda_grid=np.linspace(0.2, 0.5, 31)))[1])
-        assert np.isfinite(narrow.ate) and np.isfinite(narrow.att)
-        assert (narrow.ate, narrow.att, narrow.mc_se) == (full.ate, full.att, full.mc_se)
 
     def test_selection_on_gains_att_exceeds_ate(self):
         # Treated cells get an extra +1 effect by construction.

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -22,7 +23,7 @@ from causal_pvar.io import (
     write_records,
 )
 from causal_pvar.panel import PanelDataset, PVARSpec, fit_pvar
-from causal_pvar.scenarios import REGIMES, ScenarioConfig, simulate_scenario
+from causal_pvar.scenarios import REGIMES, ScenarioConfig, simulate_scenario, step_impact
 from causal_pvar.verify import CHECKS, RECORD_NAMES
 
 
@@ -387,6 +388,12 @@ class TestCli:
         res = run_cli("spillover", "--input", str(tmp_path / "panel.csv"), "--adjacency",
                       str(path), "--seed", "1", "--output", str(tmp_path / "o"))
         self._one_error_line(res, 1)
+
+    def test_impact_flag_builds_through_the_kind_factories(self):
+        # step's threshold defaults; a surplus param is a usage error (exit 2)
+        assert cli._parse_impact("step:1.5") == step_impact(1.5, 0.5)
+        with pytest.raises(argparse.ArgumentTypeError, match="linear:1,2"):
+            cli._parse_impact("linear:1,2")
 
     @pytest.mark.parametrize("impact", ["linear:abc", "quadratic:1,x"])
     def test_non_numeric_impact_exits_2(self, tmp_path, impact):

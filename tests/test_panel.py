@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causal_pvar.diagnostics import lag_criteria
 from causal_pvar.errors import (
+    BadConfig,
     BadOrdering,
     DegenerateDummy,
     InsufficientObs,
     NonFinite,
     UnbalancedPanel,
 )
+from causal_pvar.identify import bootstrap_irf
 from causal_pvar.panel import (
     PanelDataset,
     PVARSpec,
@@ -126,6 +129,23 @@ class TestWithinDemean:
         panel = PanelDataset(vals, 1, ("w", "y"), exogenous_dummies=dummies)
         with pytest.raises(DegenerateDummy):
             within_demean(panel, PVARSpec(1, dummy_columns=(0,)))
+
+    @pytest.mark.parametrize("entry", [
+        pytest.param(lambda panel, spec: within_demean(panel, spec), id="within_demean"),
+        pytest.param(lambda panel, spec: fit_pvar(panel, spec), id="fit_pvar"),
+        pytest.param(lambda panel, spec: lag_criteria(panel, 2, spec), id="lag_criteria"),
+        pytest.param(lambda panel, spec: bootstrap_irf(panel, spec, 0, 2, 100, 0.9, seed=0),
+                     id="bootstrap_irf"),
+    ])
+    @pytest.mark.parametrize("column", [3, -1])
+    def test_dummy_column_outside_the_panel_is_rejected(self, entry, column):
+        # one dummy: column 3 is past its end, and -1 would silently read it
+        values = np.random.default_rng(0).standard_normal((4, 10, 2))
+        dummies = np.zeros((4, 10, 1))
+        dummies[:, 5:, 0] = 1.0
+        panel = PanelDataset(values, 1, ("w", "y"), exogenous_dummies=dummies)
+        with pytest.raises(BadConfig, match=rf"^dummy_columns \({column},\) must lie in \[0, 1\)$"):
+            entry(panel, PVARSpec(1, dummy_columns=(column,)))
 
     def test_dummy_partialled_out(self):
         rng = np.random.default_rng(1)

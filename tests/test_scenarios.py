@@ -141,7 +141,6 @@ BAD_CONFIGS = [
     (GAUSSIAN_CONTINUOUS, "n_times", 3, "at least 2 units and 4 periods"),
     (GAUSSIAN_CONTINUOUS, "phi", np.eye(3) * 0.2, r"\(m = 2\)"),
     (GAUSSIAN_CONTINUOUS, "noise_scale", -1.0, "scales must be non-negative"),
-    (GAUSSIAN_CONTINUOUS, "lambda_grid", np.array([1.0, 0.0]), "strictly increasing"),
     (GAUSSIAN_CONTINUOUS, "policy_sigma", 0.0, "policy_sigma must be positive"),
     (NONNEGATIVE_CONTINUOUS, "support", (0.0, 2.0), "0 < support low <= high"),
     (NONNEGATIVE_CONTINUOUS, "zero_prob", 1.0, r"zero_prob must be in \[0, 1\)"),
@@ -184,6 +183,14 @@ def test_overflowing_var_panel_raises_non_finite_without_warning():
 def test_unknown_impact_kind_is_rejected_when_built():
     with pytest.raises(BadConfig, match="unknown impact kind 'cubic'"):
         ImpactFunction("cubic", (1.0,))
+
+
+@pytest.mark.parametrize("kind, params, needed", [
+    ("linear", (1.0, 2.0), 1), ("quadratic", (1.0,), 2), ("step", (), 2)])
+def test_impact_param_count_is_checked_when_built(kind, params, needed):
+    with pytest.raises(BadConfig, match=f"^impact kind '{kind}' takes {needed} param\\(s\\), "
+                                        f"got {len(params)}$"):
+        ImpactFunction(kind, params)
 
 
 def test_spillover_exposure_truth():
@@ -318,7 +325,6 @@ def test_each_regime_takes_the_fields_it_reads():
     (HOMOGENEOUS_DUMMY, "anticipation", -np.inf),
     (SPILLOVER_DUMMY, "spillover_rho", np.nan),
     (NONNEGATIVE_CONTINUOUS, "support", (1.0, np.inf)),
-    (HOMOGENEOUS_DUMMY, "lambda_grid", np.array([0.0, np.nan, 1.0])),
 ])
 def test_non_finite_parameter_is_rejected_by_name(regime, name, value):
     cfg = ScenarioConfig(regime=regime, n_units=10, n_times=20, seed=0, **{name: value})

@@ -39,13 +39,16 @@ def _oracle_pairs(name, config, pop, fit, gamma):
     if name == "T3":
         return ((gamma, verify._gaussian_quadrature_oracle(config.policy_sigma, config.impact)),)
     if name in ("T4", "T5"):
-        profile = gaussian_weights(config.policy_sigma, pop.lambda_grid)
-        return ((gamma, weighted_estimand(profile, pop, "acrt" if name == "T4" else "acr")),)
+        sigma = config.policy_sigma
+        grid = np.linspace(-5.0 * sigma, 5.0 * sigma, 201)
+        mode = "acrt" if name == "T4" else "acr"
+        return ((gamma, weighted_estimand(gaussian_weights(sigma, grid), pop, mode, grid)),)
     if name in ("T6", "T7"):
         law = ZeroInflatedUniform(config.zero_prob, *config.support)
         profile = (nonneg_weights(law=law) if name == "T6"
                    else nonneg_weights(sample=pop.assignments))
-        return ((gamma, weighted_estimand(profile, pop, "acrt")),)
+        grid = np.concatenate([[0.0], np.linspace(*config.support, 41)])
+        return ((gamma, weighted_estimand(profile, pop, "acrt", grid)),)
     if name == "T9":
         groups = pop.groups
         return ((gamma, did_four_means(pop.realized_outcomes, groups.treated_units,

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from causal_pvar.errors import AllZeros, GridTooNarrow
+from causal_pvar.errors import AllZeros, BadConfig, GridTooNarrow
 from causal_pvar.scenarios import (
     GAUSSIAN_CONTINUOUS,
     NONNEGATIVE_CONTINUOUS,
@@ -116,35 +116,48 @@ class TestWeightedEstimand:
         cfg = ScenarioConfig(regime=GAUSSIAN_CONTINUOUS, n_units=40, n_times=60,
                              seed=1, impact=linear_impact(1.7))
         _, pop = simulate_scenario(cfg)
-        prof = gaussian_weights(1.0, pop.lambda_grid)
+        grid = np.linspace(-5.0, 5.0, 201)
+        prof = gaussian_weights(1.0, grid)
         # constant derivative: the integral is the slope times one
-        assert weighted_estimand(prof, pop, "acr") == pytest.approx(1.7, abs=1e-5)
+        assert weighted_estimand(prof, pop, "acr", grid) == pytest.approx(1.7, abs=1e-5)
 
     def test_quadratic_matches_fine_quadrature(self):
         cfg = ScenarioConfig(regime=GAUSSIAN_CONTINUOUS, n_units=40, n_times=60,
                              seed=2, impact=quadratic_impact(1.0, 0.4))
         _, pop = simulate_scenario(cfg)
-        prof = gaussian_weights(1.0, pop.lambda_grid)
-        got = weighted_estimand(prof, pop, "acr")
+        grid = np.linspace(-5.0, 5.0, 201)
+        prof = gaussian_weights(1.0, grid)
+        got = weighted_estimand(prof, pop, "acr", grid)
         lam = np.linspace(-9, 9, 40_001)
         oracle = np.trapezoid(stats.norm.pdf(lam) * (1.0 + 0.8 * lam), lam)
         assert got == pytest.approx(oracle, abs=1e-3)
+
+    @pytest.mark.parametrize("curve_grid", [
+        pytest.param(np.array([1.0, 0.0]), id="decreasing"),
+        pytest.param(np.array([0.0, np.nan, 1.0]), id="nan"),
+    ])
+    def test_bad_curve_grid_is_rejected(self, curve_grid):
+        cfg = ScenarioConfig(regime=GAUSSIAN_CONTINUOUS, n_units=10, n_times=20, seed=0)
+        _, pop = simulate_scenario(cfg)
+        prof = gaussian_weights(1.0, np.linspace(-5.0, 5.0, 201))
+        with pytest.raises(BadConfig, match="^curve_grid must be finite and strictly increasing$"):
+            weighted_estimand(prof, pop, "acr", curve_grid)
 
     def test_nonneg_composition_tracks_cov_over_var(self):
         # Under random dosing the composition equals the population
         # regression coefficient cov(W, g(W)) / var(W); check against the
         # analytic value for the uniform mixture.
         diffs = []
+        grid = np.concatenate([[0.0], np.linspace(1, 2, 41)])
         for seed in range(25):
             cfg = ScenarioConfig(regime=NONNEGATIVE_CONTINUOUS, n_units=60, n_times=60,
                                  seed=seed, impact=quadratic_impact(0.5, 0.3),
-                                 zero_prob=0.5, support=(1.0, 2.0),
-                                 lambda_grid=np.concatenate([[0.0], np.linspace(1, 2, 41)]))
+                                 zero_prob=0.5, support=(1.0, 2.0))
             _, pop = simulate_scenario(cfg)
             prof = nonneg_weights(sample=pop.assignments)
             ew, ew2, ew3 = 0.75, 7 / 6, 15 / 8
             var = ew2 - ew**2
             analytic = (0.5 * ew2 + 0.3 * ew3 - ew * (0.5 * ew + 0.3 * ew2)) / var
-            diffs.append(weighted_estimand(prof, pop, "acrt") - analytic)
+            diffs.append(weighted_estimand(prof, pop, "acrt", grid) - analytic)
         se = np.std(diffs, ddof=1) / np.sqrt(len(diffs))
         assert abs(np.mean(diffs)) < 3 * se + 1e-3
