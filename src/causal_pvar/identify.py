@@ -106,6 +106,8 @@ def _impact(lower: np.ndarray, k: int):
 
 def _unit_column(chol: CholeskyFactor, k: int) -> np.ndarray:
     """The unit-shock impact column of shock k; ZeroPolicyVariance without one."""
+    if not 0 <= k < chol.n_vars:
+        raise CausalPvarError(f"need 0 <= k < m, got k={k}, m={chol.n_vars}")
     impact, unit = _impact(chol.lower[None], k)
     if not unit[0]:
         raise ZeroPolicyVariance(f"policy residual {k} has ~zero variance")

@@ -6,21 +6,22 @@ estimand from the potential-outcome oracles on the same simulated data,
 and compares the mean discrepancy against three Monte-Carlo standard
 errors of that mean.  T1 is an exact finite-sample decomposition and is
 checked at 1e-10 instead.  ``CHECKS`` holds every check, the interference
-pair included: its default scenario, its per-replication (estimate,
-oracle) pairs and its test.  ``verify_theorem`` runs any of them into one
-``VerificationReport``, whose fields hold the reported pair and whose
-``details`` hold any further one (T2's selection bias, the naive
-coefficient of the interference check).
+pair included: its default scenario, the function that gives one
+replication's (estimate, oracle) pairs and its test.  ``verify_theorem``
+runs any of them into one ``VerificationReport``, whose fields hold the
+reported pair and whose ``details`` hold any further one (T2's selection
+bias, the naive coefficient of the interference check).
 
 Replications run in chunks of about ``CHUNK_BYTES`` of panel.  Each
-replication draws from its own seed, as ``simulate_scenario`` does, and
-its oracles are computed on its own ground truth; the chunk's panels are
-then propagated through the VAR dynamics by one time-major loop and fitted
-together from the within moments kernel, whose covariance gives the impact
-coefficient ``sigma[1, 0] / sigma[0, 0]`` and whose lag views give the
-interference pair its residuals.  The chunking does not change the
-results.  ``verify_suite`` scores checks that share a scenario (T6 and T7,
-T9 and T10) on one run of its replications.
+replication draws from its own seed, as ``simulate_scenario`` does; the
+chunk's panels are then propagated through the VAR dynamics by one
+time-major loop and fitted together from the within moments kernel, whose
+covariance gives the impact coefficient ``sigma[1, 0] / sigma[0, 0]`` and
+whose lag views give the interference pair its residuals.  Each check then
+scores each replication with one call on its ground truth and its fit.
+The chunking does not change the results.  ``verify_suite`` scores checks
+that share a scenario (T6 and T7, T9 and T10) on one run of its
+replications.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .scenarios import (
     HOMOGENEOUS_DUMMY,
     NONNEGATIVE_CONTINUOUS,
     SPILLOVER_DUMMY,
-    TREATED_NEIGHBOR_SHARE,
     ScenarioConfig,
     linear_impact,
     quadratic_impact,
@@ -123,16 +123,14 @@ class _RepFit:
         return resid.reshape(2, -1, self.means.shape[-1]).transpose(2, 1, 0)
 
 
-def _t1_pairs(config, pop):
+def _t1_pairs(config, pop, fit):
     # Binary contrast = ATE + selection bias, on the true innovations.
-    pair = (dummy_gamma(pop.assignments, pop.realized_outcomes),
-            average_effects(pop)[0] + selection_bias(pop))
-    return lambda fit: (pair,)
+    return ((dummy_gamma(pop.assignments, pop.realized_outcomes),
+             average_effects(pop)[0] + selection_bias(pop)),)
 
 
-def _t2_pairs(config, pop):
-    ate, bias = average_effects(pop)[0], selection_bias(pop)
-    return lambda fit: ((fit.gamma, ate), (bias, 0.0))
+def _t2_pairs(config, pop, fit):
+    return (fit.gamma, average_effects(pop)[0]), (selection_bias(pop), 0.0)
 
 
 @functools.lru_cache(maxsize=16)
@@ -143,21 +141,14 @@ def _gaussian_quadrature_oracle(sigma: float, impact) -> float:
     return float(np.trapezoid(dens * impact.derivative(lam), lam))
 
 
-def _gamma_vs(oracle: float):
-    return lambda fit: ((fit.gamma, oracle),)
+def _t3_pairs(config, pop, fit):
+    return ((fit.gamma, _gaussian_quadrature_oracle(config.policy_sigma, config.impact)),)
 
 
-def _t3_pairs(config, pop):
-    return _gamma_vs(_gaussian_quadrature_oracle(config.policy_sigma, config.impact))
-
-
-def _gaussian_pairs(mode):
-    def pairs(config, pop):
-        sigma = config.policy_sigma
-        grid = np.linspace(-5.0 * sigma, 5.0 * sigma, 201)
-        return _gamma_vs(weighted_estimand(gaussian_weights(sigma, grid), pop, mode, grid))
-
-    return pairs
+def _gaussian_pairs(config, pop, fit, mode):
+    sigma = config.policy_sigma
+    grid = np.linspace(-5.0 * sigma, 5.0 * sigma, 201)
+    return ((fit.gamma, weighted_estimand(gaussian_weights(sigma, grid), pop, mode, grid)),)
 
 
 def _nonneg_grid(config) -> np.ndarray:
@@ -167,36 +158,31 @@ def _nonneg_grid(config) -> np.ndarray:
     return np.concatenate([[0.0], np.linspace(*config.support, 41)])
 
 
-def _t6_pairs(config, pop):
+def _t6_pairs(config, pop, fit):
     profile = nonneg_weights(law=ZeroInflatedUniform(config.zero_prob, *config.support))
-    return _gamma_vs(weighted_estimand(profile, pop, "acrt", _nonneg_grid(config)))
+    return ((fit.gamma, weighted_estimand(profile, pop, "acrt", _nonneg_grid(config))),)
 
 
-def _t7_pairs(config, pop):
+def _t7_pairs(config, pop, fit):
     profile = nonneg_weights(sample=pop.assignments)
-    return _gamma_vs(weighted_estimand(profile, pop, "acrt", _nonneg_grid(config)))
+    return ((fit.gamma, weighted_estimand(profile, pop, "acrt", _nonneg_grid(config))),)
 
 
-def _t9_pairs(config, pop):
+def _t9_pairs(config, pop, fit):
     groups = pop.groups
-    return _gamma_vs(did_four_means(pop.realized_outcomes, groups.treated_units,
-                                    groups.treated_times))
+    return ((fit.gamma, did_four_means(pop.realized_outcomes, groups.treated_units,
+                                       groups.treated_times)),)
 
 
-def _t10_pairs(config, pop):
-    return _gamma_vs(average_effects(pop)[1])
+def _t10_pairs(config, pop, fit):
+    return ((fit.gamma, average_effects(pop)[1]),)
 
 
-def _interference_pairs(config, pop, mode=TREATED_NEIGHBOR_SHARE):
+def _interference_pairs(config, pop, fit):
     # Exposure-adjusted coefficient vs ATTE, naive coefficient vs ATTE - ASTE.
     atte, aste = oracle_atte_aste(pop)
-    adjacency, treatment = pop.exposure.adjacency, pop.assignments
-
-    def score(fit):
-        adjusted = estimate_adjusted_impact(fit, adjacency, treatment, mode)
-        return (adjusted.delta, atte), (fit.gamma, atte - aste)
-
-    return score
+    adjusted = estimate_adjusted_impact(fit, pop.exposure.adjacency, pop.assignments)
+    return (adjusted.delta, atte), (fit.gamma, atte - aste)
 
 
 @dataclass(frozen=True)
@@ -206,10 +192,10 @@ class Check:
     whether every pair must agree to 1e-10 (``exact``) or its mean
     discrepancy must fall within three Monte-Carlo standard errors.
 
-    ``pairs(config, pop, **options)`` computes the oracles on one
-    replication's ground truth and returns a function of the replication's
-    within fit (None for an exact check, which needs none) that gives its
-    pairs: the reported pair first, then one pair per name in ``further``."""
+    ``pairs(config, pop, fit)`` gives one replication's pairs from its
+    scenario, its ground truth and its within fit (None for an exact check,
+    which needs none): the reported pair first, then one pair per name in
+    ``further``.  A variant of a check is its own entry."""
 
     config: ScenarioConfig
     pairs: Callable
@@ -245,11 +231,11 @@ CHECKS = {
     "T4": Check(ScenarioConfig(
         regime=GAUSSIAN_CONTINUOUS, n_units=100, n_times=150, seed=0,
         impact=linear_impact(1.0), policy_sigma=1.0, selection_strength=0.5,
-    ), _gaussian_pairs("acrt")),
+    ), functools.partial(_gaussian_pairs, mode="acrt")),
     "T5": Check(ScenarioConfig(
         regime=GAUSSIAN_CONTINUOUS, n_units=100, n_times=150, seed=0,
         impact=linear_impact(1.0), policy_sigma=1.0,
-    ), _gaussian_pairs("acr")),
+    ), functools.partial(_gaussian_pairs, mode="acr")),
     "T6": Check(_T6_T7, _t6_pairs),
     "T7": Check(_T6_T7, _t7_pairs),
     "T9": Check(_T9_T10, _t9_pairs),
@@ -281,17 +267,6 @@ def _rep_seeds(seed: int, reps: int) -> np.ndarray:
     return rng.integers(0, 2**63 - 1, size=reps)
 
 
-@dataclass(frozen=True)
-class _Pair:
-    """One (estimate, oracle) pair over all replications, and its test."""
-
-    estimates: np.ndarray
-    oracles: np.ndarray
-    discrepancy: float
-    mc_se: float
-    passed: bool
-
-
 def _fit_chunk(states: np.ndarray, n_times: int) -> list[_RepFit]:
     """Fit the last ``n_times`` periods of a chunk of ``_propagate`` states at once."""
     states = states[-n_times:]
@@ -306,24 +281,32 @@ def _fit_chunk(states: np.ndarray, n_times: int) -> list[_RepFit]:
             for g, lag, dep, w, c in zip(gamma, *rows, means, coef)]
 
 
-def _chunk_pairs(checks, config: ScenarioConfig, phi, seeds, options) -> list:
+def _chunk_pairs(checks, config: ScenarioConfig, phi, seeds) -> list:
     """Per replication of one chunk, each of ``checks``' pairs.  Each replication
-    is drawn from its own seed and every check's oracles computed on its ground
-    truth; then the chunk's panels are propagated together through the VAR
-    dynamics and fitted together, once for all the checks."""
+    is drawn from its own seed; the chunk's panels are propagated together
+    through the VAR dynamics and fitted together, once for all the checks
+    (not at all when every check is exact), and each check scores each
+    replication on its ground truth and its fit."""
     draws = [_draw(config.with_seed(s)) for s in seeds]
-    scores = [[check.pairs(config, d.pop, **options) for check in checks] for d in draws]
     fits = [None] * len(draws)
     if not all(check.exact for check in checks):
-        states = _propagate(phi, draws)
-        del draws  # scored: only the panels are needed from here on
-        fits = _fit_chunk(states, config.n_times)
-    return [[score(fit) for score in rep] for rep, fit in zip(scores, fits)]
+        fits = _fit_chunk(_propagate(phi, draws), config.n_times)
+    return [[check.pairs(config, d.pop, fit) for check in checks] for d, fit in zip(draws, fits)]
 
 
-def _run_shared(names, config: ScenarioConfig, reps: int, **options) -> list[list[_Pair]]:
+def _test(diffs: np.ndarray, exact: bool) -> tuple[float, float, bool]:
+    """(discrepancy, mc_se, passed) of one pair's estimate - oracle differences."""
+    if exact:
+        discrepancy = float(np.abs(diffs).max())
+        return discrepancy, 0.0, discrepancy < 1e-10
+    discrepancy = float(abs(diffs.mean()))
+    mc_se = float(diffs.std(ddof=1) / np.sqrt(diffs.size))
+    return discrepancy, mc_se, discrepancy < 3.0 * mc_se
+
+
+def _run_shared(names, config: ScenarioConfig, reps: int) -> list[VerificationReport]:
     """Run the checks ``names`` on the same ``reps`` seeded replications of
-    ``config``, in chunks of about ``CHUNK_BYTES`` of panel: each check's pairs."""
+    ``config``, in chunks of about ``CHUNK_BYTES`` of panel: each check's report."""
     checks = [CHECKS[name] for name in names]
     for name, check in zip(names, checks):
         if config.regime != check.config.regime:
@@ -338,90 +321,68 @@ def _run_shared(names, config: ScenarioConfig, reps: int, **options) -> list[lis
     per_chunk = max(1, CHUNK_BYTES // panel_bytes)
     rows = []
     for start in range(0, reps, per_chunk):
-        rows += _chunk_pairs(checks, config, phi, seeds[start : start + per_chunk], options)
-    runs = [[] for _ in checks]
-    # per check, (reps, pairs, 2) -> per pair: estimates, oracles
-    for check, check_rows, pairs in zip(checks, zip(*rows), runs):
-        for estimates, oracles in np.asarray(check_rows, dtype=float).transpose(1, 2, 0):
-            diffs = estimates - oracles
-            if check.exact:
-                discrepancy, mc_se = float(np.abs(diffs).max()), 0.0
-                passed = discrepancy < 1e-10
-            else:
-                discrepancy = float(abs(diffs.mean()))
-                mc_se = float(diffs.std(ddof=1) / np.sqrt(reps))
-                passed = discrepancy < 3.0 * mc_se
-            pairs.append(_Pair(estimates, oracles, discrepancy, mc_se, bool(passed)))
-    return runs
+        rows += _chunk_pairs(checks, config, phi, seeds[start : start + per_chunk])
+    reports = []
+    for name, check, check_rows in zip(names, checks, zip(*rows)):
+        # (reps, pairs, 2) -> per pair: its estimates and oracles
+        pairs = np.asarray(check_rows, dtype=float).transpose(1, 2, 0)
+        tests = [_test(estimates - oracles, check.exact) for estimates, oracles in pairs]
+        (estimates, oracles), (discrepancy, mc_se, _) = pairs[0], tests[0]
+        if check.exact:
+            details = {"criterion": "max |estimate - oracle| < 1e-10"}
+        else:
+            details = {"estimates_sd": float(estimates.std(ddof=1)),
+                       "oracle_sd": float(oracles.std(ddof=1))}
+        for label, (est, orc), (disc, se, ok) in zip(check.further, pairs[1:], tests[1:]):
+            details.update({f"{label}_mean": float(est.mean()),
+                            f"{label}_oracle_mean": float(orc.mean()),
+                            f"{label}_discrepancy": disc, f"{label}_se": se,
+                            f"{label}_pass": ok})
+        reports.append(VerificationReport(
+            name, reps, float(estimates.mean()), float(oracles.mean()), discrepancy, mc_se,
+            all(ok for *_, ok in tests), details))
+    return reports
 
 
-def _run(name: str, config: ScenarioConfig, reps: int, **options) -> list[_Pair]:
-    """The pairs of check ``name`` alone."""
-    return _run_shared([name], config, reps, **options)[0]
-
-
-def _report(name: str, pairs: list[_Pair], reps: int, options: dict) -> VerificationReport:
-    """The report of check ``name`` from its pairs, run with ``options``."""
-    check = CHECKS[name]
-    main, *further = pairs
-    if check.exact:
-        details = {"criterion": "max |estimate - oracle| < 1e-10"}
-    else:
-        details = {
-            "estimates_sd": float(main.estimates.std(ddof=1)),
-            "oracle_sd": float(main.oracles.std(ddof=1)),
-        }
-    details.update(options)
-    for label, pair in zip(check.further, further):
-        details.update({f"{label}_mean": float(pair.estimates.mean()),
-                        f"{label}_oracle_mean": float(pair.oracles.mean()),
-                        f"{label}_discrepancy": pair.discrepancy,
-                        f"{label}_se": pair.mc_se, f"{label}_pass": pair.passed})
-    return VerificationReport(name, reps, float(main.estimates.mean()), float(main.oracles.mean()),
-                              main.discrepancy, main.mc_se, all(p.passed for p in pairs), details)
-
-
-def verify_theorem(theorem: str, config: ScenarioConfig | None = None, reps: int = 200,
-                   **options) -> VerificationReport:
-    """Run the check ``theorem``, any key of ``CHECKS``, for ``reps`` seeded
-    replications of ``config`` (default: the check's default scenario).
+def verify_theorem(theorem: str, config: ScenarioConfig | None = None,
+                   reps: int = 200) -> VerificationReport:
+    """Run the check ``theorem``, any key of ``CHECKS`` in any case, for
+    ``reps`` seeded replications of ``config`` (default: the check's default
+    scenario).
 
     T2 also requires the mean selection bias to be zero, and "interference"
     the naive coefficient to centre on ATTE - ASTE, within three Monte-Carlo
-    standard errors.  ``options`` go to the check's pairs (interference
-    takes the exposure ``mode``) and are recorded in ``details``.
+    standard errors.
     """
     name = _check_name(theorem)
-    pairs = _run(name, config or CHECKS[name].config, reps, **options)
-    return _report(name, pairs, reps, options)
+    return _run_shared([name], config or CHECKS[name].config, reps)[0]
 
 
-def verify_interference(config: ScenarioConfig, reps: int = 200,
-                        mode: str = TREATED_NEIGHBOR_SHARE) -> VerificationReport:
-    """The "interference" check of ``verify_theorem`` with exposure regressor ``mode``."""
-    return verify_theorem("interference", config, reps, mode=mode)
+def verify_interference(config: ScenarioConfig, reps: int = 200) -> VerificationReport:
+    """The "interference" check of ``verify_theorem``."""
+    return verify_theorem("interference", config, reps)
 
 
 def verify_suite(seed: int, reps: int = 200, names=None, rho: float | None = None):
     """Run checks on their default scenarios at ``seed``, yielding each report.
 
-    ``names`` are keys of ``CHECKS``, in the order to run (default: all of
-    them); ``rho``, if given, replaces the interference scenario's
-    spillover strength.  Checks that share a default scenario (T6 and T7,
-    T9 and T10) are scored on one run of its replications, as
-    ``verify_theorem`` scores each.
+    ``names`` are keys of ``CHECKS`` in any case, in the order to run
+    (default: all of them), and are all resolved before any check runs;
+    ``rho``, if given, replaces the interference scenario's spillover
+    strength.  Checks that share a default scenario (T6 and T7, T9 and T10)
+    are scored on one run of its replications, as ``verify_theorem`` scores
+    each.
     """
-    names = names or tuple(CHECKS)
+    names = [_check_name(name) for name in names or CHECKS]
     shared = {}
     for name in names:
-        config = default_config(name).with_seed(seed)
+        config = CHECKS[name].config.with_seed(seed)
         if name == "interference" and rho is not None:
             config = replace(config, spillover_rho=rho)
-        group = [other for other in names if default_config(other) is default_config(name)]
+        group = [other for other in names if CHECKS[other].config is CHECKS[name].config]
         if len(group) == 1:
             yield verify_theorem(name, config, reps=reps)
             continue
         if name not in shared:
-            for other, pairs in zip(group, _run_shared(group, config, reps)):
-                shared[other] = _report(other, pairs, reps, {})
+            shared.update(zip(group, _run_shared(group, config, reps)))
         yield shared.pop(name)

@@ -88,6 +88,16 @@ class ZeroInflatedUniform:
         return (1.0 - self.zero_prob) * mass
 
 
+def _dose_grid(grid, name: str) -> np.ndarray:
+    """``grid`` as floats; BadConfig unless 1-D with at least 2 points, finite
+    and strictly increasing."""
+    grid = np.asarray(grid, dtype=float)
+    if (grid.ndim != 1 or grid.size < 2 or not np.isfinite(grid).all()
+            or not (np.diff(grid) > 0).all()):
+        raise BadConfig(f"{name} must be finite and strictly increasing")
+    return grid
+
+
 def gaussian_weights(sigma: float, grid) -> WeightProfile:
     """Dose weights for a mean-zero Gaussian policy innovation.
 
@@ -98,9 +108,7 @@ def gaussian_weights(sigma: float, grid) -> WeightProfile:
     """
     if sigma <= 0:
         raise BadConfig("sigma must be positive")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or (np.diff(grid) <= 0).any():
-        raise BadConfig("grid must be strictly increasing")
+    grid = _dose_grid(grid, "grid")
     law = NormalDist(0.0, sigma)
     mass = law.cdf(grid[-1]) - law.cdf(grid[0])
     if mass < 1.0 - 1e-6:
@@ -124,10 +132,13 @@ def nonneg_weights(sample=None, law=None, grid=None, n_grid: int = 201) -> Weigh
     value observed (or the law's lower endpoint).  ``q_integral`` is
     computed from exact moment identities rather than grid quadrature, so
     q_integral + q0 = 1 holds to machine precision.  When the input has
-    no mass at zero, q0 = 0.
+    no mass at zero, q0 = 0.  A ``grid`` passed in must be finite and
+    strictly increasing.
     """
     if (sample is None) == (law is None):
         raise BadConfig("pass exactly one of sample= or law=")
+    if grid is not None:
+        grid = _dose_grid(grid, "grid")
     if sample is not None:
         w = np.asarray(sample, dtype=float).ravel()
         if w.size == 0 or (w < 0).any():
@@ -141,7 +152,7 @@ def nonneg_weights(sample=None, law=None, grid=None, n_grid: int = 201) -> Weigh
         p0 = float(np.mean(w == 0.0))
         if var <= 0:
             raise BadConfig("policy sample has zero variance")
-        grid = np.linspace(d_lo, d_hi, n_grid) if grid is None else np.asarray(grid, dtype=float)
+        grid = np.linspace(d_lo, d_hi, n_grid) if grid is None else grid
         pos_sorted = np.sort(pos)
         suffix = np.concatenate([np.cumsum(pos_sorted[::-1])[::-1], [0.0]])
         idx = np.searchsorted(pos_sorted, grid, side="left")
@@ -157,7 +168,7 @@ def nonneg_weights(sample=None, law=None, grid=None, n_grid: int = 201) -> Weigh
         p0 = float(law.zero_prob)
         if var <= 0:
             raise BadConfig("policy law has zero variance")
-        grid = np.linspace(d_lo, d_hi, n_grid) if grid is None else np.asarray(grid, dtype=float)
+        grid = np.linspace(d_lo, d_hi, n_grid) if grid is None else grid
         prob_ge = law.prob_ge(grid)
         partial_ge = law.partial_mean_ge(grid)
         q_int = float(1.0 - ew * p0 * d_lo / var)
@@ -184,10 +195,7 @@ def weighted_estimand(profile: WeightProfile, pop: PotentialOutcomePanel, mode: 
     q0 * (mean po(d_L) - mean po(0)) / d_L when q0 is nonzero.  A profile
     grid reaching past ``curve_grid`` raises GridMismatch.
     """
-    curve_grid = np.asarray(curve_grid, dtype=float)
-    if (curve_grid.ndim != 1 or curve_grid.size < 2 or not np.isfinite(curve_grid).all()
-            or not (np.diff(curve_grid) > 0).all()):
-        raise BadConfig("curve_grid must be finite and strictly increasing")
+    curve_grid = _dose_grid(curve_grid, "curve_grid")
     grid = profile.grid
     if grid[0] < curve_grid[0] - 1e-9 or grid[-1] > curve_grid[-1] + 1e-9:
         raise GridMismatch("weight grid extends beyond the curve grid")

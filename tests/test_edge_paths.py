@@ -14,6 +14,7 @@ from causal_pvar.errors import (
     RegimeMismatch,
     SingularDesign,
 )
+import causal_pvar.identify as ident
 from causal_pvar.estimands import did_four_means, dummy_gamma
 from causal_pvar.panel import PanelDataset, PVARSpec, fit_pvar
 from causal_pvar.scenarios import (
@@ -48,8 +49,6 @@ def test_singular_design_raises():
 
 
 def test_bootstrap_unstable_when_refits_fail(monkeypatch):
-    import causal_pvar.identify as ident
-
     panel = make_var_panel([[0.3, 0.0], [0.2, 0.3]], 10, 40, seed=1)
     real_ols = ident._within_ols
 
@@ -134,13 +133,29 @@ def _short_panel():
     return make_var_panel([[0.3, 0.0], [0.2, 0.3]], 4, 30, seed=0)
 
 
+def _short_fit():
+    return fit_pvar(_short_panel(), PVARSpec(1))
+
+
+def _short_chol():
+    return ident.cholesky_lower(_short_fit().sigma)
+
+
 REJECTIONS = [
     pytest.param(lambda: ZeroInflatedUniform(1.0, 1.0, 2.0), BadConfig,
                  r"need 0 <= zero_prob < 1 and 0 < low <= high", id="zero-inflated-all-zero"),
     pytest.param(lambda: gaussian_weights(0.0, np.linspace(-5, 5, 11)), BadConfig,
                  "sigma must be positive", id="gaussian-zero-sigma"),
     pytest.param(lambda: gaussian_weights(1.0, [1.0, 0.0]), BadConfig,
-                 "grid must be strictly increasing", id="gaussian-decreasing-grid"),
+                 "grid must be finite and strictly increasing", id="gaussian-decreasing-grid"),
+    pytest.param(lambda: gaussian_weights(1.0, [-6.0, np.nan, 6.0]), BadConfig,
+                 "grid must be finite and strictly increasing", id="gaussian-nan-grid"),
+    pytest.param(lambda: gaussian_weights(1.0, [-np.inf, 0.0, 6.0]), BadConfig,
+                 "grid must be finite and strictly increasing", id="gaussian-inf-grid"),
+    pytest.param(lambda: nonneg_weights(law=ZeroInflatedUniform(0.5, 1.0, 2.0),
+                                        grid=[2.0, 1.5, 1.0]),
+                 BadConfig, "grid must be finite and strictly increasing",
+                 id="nonneg-decreasing-grid"),
     pytest.param(lambda: nonneg_weights(), BadConfig,
                  "pass exactly one of sample= or law=", id="nonneg-no-input"),
     pytest.param(lambda: nonneg_weights(sample=[-1.0, 1.0]), BadConfig,
@@ -177,6 +192,13 @@ REJECTIONS = [
     pytest.param(lambda: simulate_var_panel(np.zeros((1, 1, 2, 2)), np.zeros((3, 2)),
                                             np.ones((3, 5, 2))),
                  BadConfig, "phi must be an m x m matrix or a stack of them", id="var-panel-4d-phi"),
+    pytest.param(lambda: ident.irf(_short_fit(), _short_chol(), -1, 3), CausalPvarError,
+                 r"need 0 <= k < m, got k=-1, m=2", id="irf-negative-shock"),
+    pytest.param(lambda: ident.irf(_short_fit(), _short_chol(), 2, 3), CausalPvarError,
+                 r"need 0 <= k < m, got k=2, m=2", id="irf-shock-past-m"),
+    pytest.param(lambda: ident.bootstrap_irf(_short_panel(), PVARSpec(1), -1, 3, 100, 0.9, seed=0),
+                 CausalPvarError, r"need 0 <= k < m, got k=-1, m=2",
+                 id="bootstrap-irf-negative-shock"),
 ]
 
 

@@ -292,10 +292,3 @@ class TestVerifyInterference:
 
         rep = verify_interference(replace(self.CFG, spillover_rho=0.0, seed=5), reps=60)
         assert abs(rep.details["naive_mean"] - rep.estimate_mean) < 0.02
-
-    def test_misspecified_exposure_reported_not_asserted(self):
-        # binary exposure regressor on a share-exposure DGP: the report
-        # carries the discrepancy; no pass requirement.
-        rep = verify_interference(self.CFG, reps=40, mode=BINARY_ANY_NEIGHBOR)
-        assert np.isfinite(rep.discrepancy)
-        assert rep.details["mode"] == BINARY_ANY_NEIGHBOR

@@ -1,0 +1,55 @@
+"""No module of the package keeps an import it neither uses nor exports.
+
+A module-level import counts as used when its bound name is read anywhere
+in the module or is listed in the module's ``__all__``.  ``__init__.py``
+(which exists to re-export) and ``from __future__`` imports are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "causal_pvar"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name a module-level import binds, with its line."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return bound
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unused_imports(source: str) -> list[str]:
+    """``name (line n)`` for each module-level import neither read nor exported."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    keep = read | _exported(tree)
+    return [f"{name} (line {line})" for name, line in _imported_names(tree).items()
+            if name not in keep]
+
+
+def test_the_rule_flags_an_unused_import_and_spares_used_and_exported_ones():
+    source = ("from __future__ import annotations\n"
+              "import os\nimport numpy as np\nfrom math import pi, tau\n"
+              "__all__ = ['tau']\nx = np.zeros(1)\n")
+    assert unused_imports(source) == ["os (line 2)", "pi (line 4)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_has_no_unused_import(path):
+    assert unused_imports(path.read_text()) == []

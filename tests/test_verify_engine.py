@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import causal_pvar.verify as verify
+from causal_pvar.errors import BadConfig
 from causal_pvar.estimands import did_four_means, dummy_gamma, oracle_estimands
 from causal_pvar.identify import cholesky_lower, impact_gamma
 from causal_pvar.panel import PVARSpec, fit_pvar
@@ -71,13 +72,20 @@ def _reference_pairs(name, config, reps):
 
 
 def _engine_pairs(name, config, reps, per_chunk):
-    """The engine's (pairs, 2, reps) estimates and oracles and its chunk sizes."""
+    """The engine's (pairs, 2, reps) estimates and oracles and its chunk sizes,
+    read from what ``_chunk_pairs`` returns."""
     budget = per_chunk * 16 * config.n_units * config.n_times
+    real, chunks = verify._chunk_pairs, []
+
+    def spy(*args):
+        chunks.append(real(*args))
+        return chunks[-1]
+
     with mock.patch.object(verify, "CHUNK_BYTES", budget), \
-            mock.patch.object(verify, "_chunk_pairs", wraps=verify._chunk_pairs) as spy:
-        pairs = verify._run(name, config, reps)
-    sizes = [len(call.args[3]) for call in spy.call_args_list]
-    return np.array([(p.estimates, p.oracles) for p in pairs]), sizes
+            mock.patch.object(verify, "_chunk_pairs", spy):
+        verify.verify_theorem(name, config, reps)
+    rows = [rep[0] for chunk in chunks for rep in chunk]  # the one check's pairs
+    return np.asarray(rows, dtype=float).transpose(1, 2, 0), [len(c) for c in chunks]
 
 
 @pytest.mark.parametrize("name", list(verify.CHECKS))
@@ -107,6 +115,21 @@ def test_every_check_runs_through_verify_theorem_as_in_the_suite():
     for name in verify.CHECKS:
         config = verify.default_config(name).with_seed(4)
         assert verify.verify_theorem(name, config, reps=3).record() == suite[name]
+
+
+def test_suite_resolves_names_in_any_case():
+    upper = next(verify.verify_suite(0, 3, ["INTERFERENCE"], rho=0.0))
+    lower = next(verify.verify_suite(0, 3, ["interference"], rho=0.0))
+    assert upper.record() == lower.record()  # rho reaches the check in either case
+    shared = [rep.record() for rep in verify.verify_suite(0, 3, ["t6", "t7"])]
+    assert shared == [rep.record() for rep in verify.verify_suite(0, 3, ["T6", "T7"])]
+
+
+def test_suite_rejects_an_unknown_name_before_any_check_runs():
+    with mock.patch.object(verify, "_chunk_pairs") as spy, \
+            pytest.raises(BadConfig, match="unknown theorem 'bogus'"):
+        list(verify.verify_suite(0, 3, ["T6", "bogus"]))
+    spy.assert_not_called()
 
 
 def _unit_major(phi, mu, innovations):
