@@ -25,8 +25,9 @@ float, not an int.  Nested reports (``truth.json``, ``fit.json``,
 (``0.2``, ``4.787232868183451e-18``).  Either way artifacts are byte-stable
 and floats round-trip exactly.  Both JSON forms are strict JSON:
 a non-finite float is written as ``null`` (CSV keeps ``nan``/``inf``,
-which round-trip).  Files that cannot be opened, decoded as UTF-8 or
-written raise IoError.
+which round-trip).  Files are read as UTF-8, past a leading byte-order mark
+such as spreadsheet "CSV UTF-8" exports write.  Files that cannot be
+opened, decoded as UTF-8 or written raise IoError.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def _jsonable(v):
 def read_records(path, fmt: str = "csv") -> list[dict]:
     """Inverse of write_records; numbers parsed back to int/float, empty fields to None."""
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         if fmt == "json-lines":
             for line in fh:
                 if line.strip():
@@ -203,9 +204,10 @@ def load_panel_csv(path, n_policies: int | None = None) -> PanelDataset:
 
 @contextlib.contextmanager
 def _read_text(path):
-    """Open ``path`` as UTF-8 text; filesystem and decoding failures become IoError."""
+    """Open ``path`` as UTF-8 text past any byte-order mark; filesystem and
+    decoding failures become IoError."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             yield fh
     except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc

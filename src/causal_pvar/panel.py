@@ -31,10 +31,12 @@ from .errors import (
 # Largest condition number of a lag Gram matrix scaled to a unit diagonal.
 COND_LIMIT = 1e12
 # Panel bytes per chunk of the Monte-Carlo engine, at least one replication
-# per chunk: its working set, each replication's draw and state with the
-# burn-in, is a few times this for any number of replications.  The
-# bootstrap holds two panels per replication, its state slab and centring
-# buffer, and takes twice this, a working set of about 4 x CHUNK_BYTES; a
+# per chunk.  Each check run allocates one working set, a state slab (with
+# the burn-in) and a centring buffer sized for its largest chunk, and every
+# chunk reuses it, so no chunk faults in fresh pages; with each
+# replication's draw, it is a few times this for any number of
+# replications.  The bootstrap keeps the same working set per call, two
+# panels per replication, and takes twice this, about 4 x CHUNK_BYTES; a
 # chunk keeps only each replication's within cross-products, which are
 # solved, factored and propagated once per call, so the chunking does not
 # change the bands.
@@ -249,11 +251,11 @@ def _within_moments(states: np.ndarray, p: int, dummies: np.ndarray | None = Non
     """Within moments of Z = [lags 1..p, dep] on periods p+1..t of b time-major
     (t, b, n, m) panels, lags never wrapped, without building Z.
 
-    Each unit is centred once, by a copy into ``out`` (b, m, t, n) and a
-    subtraction.  Each lag of Z is then a view of m time-major rows, so an
-    off-diagonal block of Z'Z is a product of views and a diagonal one the
-    Gram matrix of all t periods less that of the at most p edge periods
-    outside the window; both less ``(t - p) sum_units w w'`` over the window
+    Each unit is centred once, by one subtraction into ``out`` (b, m, t, n).
+    Each lag of Z is then a view of m time-major rows, so an off-diagonal
+    block of Z'Z is a product of views and a diagonal one the Gram matrix of
+    all t periods less that of the at most p edge periods outside the
+    window; both less ``(t - p) sum_units w w'`` over the window
     means w, minus the edges' sum over t - p as the centred series sum to zero.
     With per-unit demeaned, time-major dummy rows D, ``Z'D (D'D)^-1 D'Z`` is
     subtracted (Frisch-Waugh).
@@ -268,8 +270,7 @@ def _within_moments(states: np.ndarray, p: int, dummies: np.ndarray | None = Non
         raise InsufficientObs(f"need T - p >= m*p + 2 per unit: T={t}, m={m}, p={p}")
     unit_means = states.sum(axis=0).transpose(0, 2, 1) / t
     centred = np.empty((b, m, t, n)) if out is None else out
-    np.copyto(centred, states.transpose(1, 3, 0, 2))
-    centred -= unit_means[:, :, None]
+    np.subtract(states.transpose(1, 3, 0, 2), unit_means[:, :, None], out=centred)
     lags = (*range(1, p + 1), 0)
     rows = [centred[:, :, p - l : t - l].reshape(b, m, -1) for l in lags]
     # numpy hands x @ x.T to BLAS syrk, which at a few rows and thousands of
@@ -413,14 +414,19 @@ def _var_recursion(states: np.ndarray, phi) -> np.ndarray:
     """
     # C-ordered copies multiply 1.7-2.6x faster than the transposed views; a
     # one-row product keeps the views, which BLAS rounds differently in the
-    # last bit
+    # last bit.  (T, N, m) states of several rows multiply by np.dot, the
+    # same BLAS product without the matmul ufunc's dispatch on every step.
+    # The stacked form keeps np.matmul, which broadcasts (b, m, m) stacks, and
+    # so do one-row systems, with their views, so the products that bands are
+    # propagated by round as they did and bands stay chunk-invariant.
     one_row = states.shape[-2] == 1
     phi_t = [np.swapaxes(f, -1, -2) for f in phi]
     phi_t = phi_t if one_row else [np.ascontiguousarray(f) for f in phi_t]
+    product = np.dot if states.ndim == 3 and not one_row else np.matmul
     rows, step = list(states), np.empty(states.shape[1:])
     for s in range(len(phi_t), len(rows)):
         for l, f in enumerate(phi_t, 1):
-            rows[s] += np.matmul(rows[s - l], f, out=step)
+            rows[s] += product(rows[s - l], f, out=step)
     return states
 
 

@@ -466,8 +466,10 @@ def simulate_scenario(config: ScenarioConfig) -> tuple[PanelDataset, PotentialOu
     return PanelDataset(values, 1, _default_names(1, 2)), draw.pop
 
 
-def _propagate(phi, draws: list[_Draw]) -> np.ndarray:
-    """Time-major (p + BURN_IN + t, b, n, 2) states of b draws of one config.
+def _propagate(phi, draws: list[_Draw], out: np.ndarray | None = None) -> np.ndarray:
+    """Time-major (p + BURN_IN + t, b, n, 2) states of b draws of one config,
+    written over ``out`` if given (a slab sliced only along its b axis, so
+    that its (p + BURN_IN + t, b n, 2) reshape stays a view).
 
     Zero policy innovations and ``burn`` drive the burn-in periods, then the
     draw's assignments and realized outcomes the sample periods, run from
@@ -477,7 +479,7 @@ def _propagate(phi, draws: list[_Draw]) -> np.ndarray:
     """
     p = len(phi)
     n, t = draws[0].pop.base.shape
-    states = np.empty((p + BURN_IN + t, len(draws), n, 2))
+    states = np.empty((p + BURN_IN + t, len(draws), n, 2)) if out is None else out
     for r, draw in enumerate(draws):
         units = states[p:, r]
         units[:BURN_IN, :, 0] = 0.0

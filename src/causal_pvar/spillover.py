@@ -192,8 +192,9 @@ def estimate_adjusted_impact(
     s_reg = build_exposure(adjacency, treatment, mode) * (1.0 - treatment)
     s_reg = s_reg[:, fit.spec.lag_order :]
     s_reg = s_reg - s_reg.mean(axis=1, keepdims=True)
+    resid = fit.residuals
     return spillover_regression(
-        fit.residuals[:, :, 0], fit.residuals[:, :, outcome], s_reg, n_reps=n_reps, seed=seed
+        resid[:, :, 0], resid[:, :, outcome], s_reg, n_reps=n_reps, seed=seed
     )
 
 

@@ -12,16 +12,19 @@ runs any of them into one ``VerificationReport``, whose fields hold the
 reported pair and whose ``details`` hold any further one (T2's selection
 bias, the naive coefficient of the interference check).
 
-Replications run in chunks of about ``CHUNK_BYTES`` of panel.  Each
-replication draws from its own seed, as ``simulate_scenario`` does; the
-chunk's panels are then propagated through the VAR dynamics by one
-time-major loop and fitted together from the within moments kernel, whose
-covariance gives the impact coefficient ``sigma[1, 0] / sigma[0, 0]`` and
-whose lag views give the interference pair its residuals.  Each check then
-scores each replication with one call on its ground truth and its fit.
-The chunking does not change the results.  ``verify_suite`` scores checks
-that share a scenario (T6 and T7, T9 and T10) on one run of its
-replications.
+Replications run in chunks of about ``CHUNK_BYTES`` of panel, through one
+working set per check run: a state slab and a centring buffer sized for the
+largest chunk, which every chunk reuses.  Each replication draws from its
+own seed, as ``simulate_scenario`` does; the chunk's panels are then
+propagated through the VAR dynamics by one time-major loop over the slab,
+centred in the buffer and fitted together by the within moments kernel,
+whose covariance gives the impact coefficient
+``sigma[1, 0] / sigma[0, 0]`` and whose lag views give the interference pair
+its residuals.  Each check then scores each replication with one call on its
+ground truth and its fit, as floats, before the next chunk overwrites the
+working set.  The chunking does not change the results.  ``verify_suite``
+scores checks that share a scenario (T6 and T7, T9 and T10) on one run of
+its replications.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .scenarios import (
     linear_impact,
     quadratic_impact,
 )
-from .scenarios import _draw, _propagate, _validate_config
+from .scenarios import BURN_IN, _draw, _propagate, _validate_config
 from .spillover import estimate_adjusted_impact, oracle_atte_aste
 from .weights import ZeroInflatedUniform, gaussian_weights, nonneg_weights, weighted_estimand
 
@@ -107,7 +110,9 @@ class _RepFit:
     """One replication's VAR(1) within fit, as read by the checks: the
     recursive impact coefficient ``gamma``, and the lag and dep rows, window
     means and slopes from which ``residuals`` are read
-    (``estimate_adjusted_impact`` reads those and ``spec`` of a ``PVARFit``)."""
+    (``estimate_adjusted_impact`` reads those and ``spec`` of a ``PVARFit``).
+    ``rows`` are views into the check run's centring buffer, valid only until
+    its next chunk is fitted."""
 
     gamma: float
     rows: tuple
@@ -267,12 +272,13 @@ def _rep_seeds(seed: int, reps: int) -> np.ndarray:
     return rng.integers(0, 2**63 - 1, size=reps)
 
 
-def _fit_chunk(states: np.ndarray, n_times: int) -> list[_RepFit]:
-    """Fit the last ``n_times`` periods of a chunk of ``_propagate`` states at once."""
+def _fit_chunk(states: np.ndarray, n_times: int, centred: np.ndarray) -> list[_RepFit]:
+    """Fit the last ``n_times`` periods of a chunk of ``_propagate`` states at
+    once, centring them in ``centred`` (b, 2, n_times, n)."""
     states = states[-n_times:]
     stacked = states.reshape(n_times, -1, 2).transpose(1, 0, 2)  # every unit of the chunk
     PanelDataset(stacked, 1, ("policy1", "outcome1"))  # raises NonFinite on overflow
-    cross, _, rows, means, _ = _within_moments(states, 1)
+    cross, _, rows, means, _ = _within_moments(states, 1, out=centred)
     coef, sigma, ok = _within_ols(cross, 2, states.shape[2] * (n_times - 1))
     if not ok.all():
         raise SingularDesign("a replication's lag Gram matrix is singular or ill-conditioned")
@@ -281,17 +287,21 @@ def _fit_chunk(states: np.ndarray, n_times: int) -> list[_RepFit]:
             for g, lag, dep, w, c in zip(gamma, *rows, means, coef)]
 
 
-def _chunk_pairs(checks, config: ScenarioConfig, phi, seeds) -> list:
-    """Per replication of one chunk, each of ``checks``' pairs.  Each replication
-    is drawn from its own seed; the chunk's panels are propagated together
-    through the VAR dynamics and fitted together, once for all the checks
-    (not at all when every check is exact), and each check scores each
-    replication on its ground truth and its fit."""
+def _chunk_pairs(checks, config: ScenarioConfig, phi, seeds, work) -> list:
+    """Per replication of one chunk, each of ``checks``' pairs, as floats.  Each
+    replication is drawn from its own seed; the chunk's panels are propagated
+    together through the VAR dynamics into the state slab of ``work`` and
+    fitted together from its centring buffer, once for all the checks (not at
+    all when every check is exact and ``work`` is None), and each check
+    scores each replication on its ground truth and its fit."""
     draws = [_draw(config.with_seed(s)) for s in seeds]
     fits = [None] * len(draws)
-    if not all(check.exact for check in checks):
-        fits = _fit_chunk(_propagate(phi, draws), config.n_times)
-    return [[check.pairs(config, d.pop, fit) for check in checks] for d, fit in zip(draws, fits)]
+    if work is not None:
+        slab, centred = work
+        states = _propagate(phi, draws, out=slab[:, : len(draws)])
+        fits = _fit_chunk(states, config.n_times, centred[: len(draws)])
+    return [[tuple((float(est), float(orc)) for est, orc in check.pairs(config, d.pop, fit))
+             for check in checks] for d, fit in zip(draws, fits)]
 
 
 def _test(diffs: np.ndarray, exact: bool) -> tuple[float, float, bool]:
@@ -306,7 +316,8 @@ def _test(diffs: np.ndarray, exact: bool) -> tuple[float, float, bool]:
 
 def _run_shared(names, config: ScenarioConfig, reps: int) -> list[VerificationReport]:
     """Run the checks ``names`` on the same ``reps`` seeded replications of
-    ``config``, in chunks of about ``CHUNK_BYTES`` of panel: each check's report."""
+    ``config``, in chunks of about ``CHUNK_BYTES`` of panel, through one
+    working set: each check's report."""
     checks = [CHECKS[name] for name in names]
     for name, check in zip(names, checks):
         if config.regime != check.config.regime:
@@ -317,11 +328,17 @@ def _run_shared(names, config: ScenarioConfig, reps: int) -> list[VerificationRe
         raise BadConfig("need at least 2 replications")
     phi = _validate_config(config)
     seeds = _rep_seeds(config.seed, reps)
-    panel_bytes = config.n_units * config.n_times * 2 * 8
-    per_chunk = max(1, CHUNK_BYTES // panel_bytes)
+    n, t = config.n_units, config.n_times
+    per_chunk = min(reps, max(1, CHUNK_BYTES // (n * t * 2 * 8)))
+    work = None
+    if not all(check.exact for check in checks):
+        # one state slab and centring buffer, sized for the largest chunk and
+        # reused by every chunk, so no chunk faults in fresh pages
+        work = (np.empty((len(phi) + BURN_IN + t, per_chunk, n, 2)),
+                np.empty((per_chunk, 2, t, n)))
     rows = []
     for start in range(0, reps, per_chunk):
-        rows += _chunk_pairs(checks, config, phi, seeds[start : start + per_chunk])
+        rows += _chunk_pairs(checks, config, phi, seeds[start : start + per_chunk], work)
     reports = []
     for name, check, check_rows in zip(names, checks, zip(*rows)):
         # (reps, pairs, 2) -> per pair: its estimates and oracles

@@ -200,6 +200,46 @@ class TestPanelCsv:
         assert adj[0, 2] == 0.0
 
 
+def _with_bom(path):
+    """A copy of ``path`` that starts with a UTF-8 byte-order mark, as Excel's
+    "CSV UTF-8" export writes it."""
+    copy = path.with_name("bom_" + path.name)
+    copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return copy
+
+
+def test_panel_csv_with_a_byte_order_mark_reads_as_without(tmp_path):
+    panel = PanelDataset(np.random.default_rng(6).standard_normal((3, 5, 2)), 1, ("w", "y"))
+    write_panel_csv(panel, tmp_path / "written.csv")
+    # the K annotated last wins, and it is read after seeking back past the header
+    text = (tmp_path / "written.csv").read_text().replace("policies=1", "policies=0")
+    (tmp_path / "panel.csv").write_text(text + "# policies=1\n")
+    plain, bom = (load_panel_csv(path) for path in (tmp_path / "panel.csv",
+                                                    _with_bom(tmp_path / "panel.csv")))
+    np.testing.assert_array_equal(bom.values, plain.values)
+    np.testing.assert_array_equal(bom.unit_labels, plain.unit_labels)
+    np.testing.assert_array_equal(bom.time_labels, plain.time_labels)
+    assert (bom.n_policies, bom.variable_names) == (plain.n_policies, plain.variable_names) \
+        == (1, ("w", "y"))
+    # a rejected row is found by scanning again from past the header
+    (tmp_path / "bad.csv").write_text("# policies=1\nunit,time,w,y\n1,1,0.5,oops\n")
+    with pytest.raises(ParseError) as err:
+        load_panel_csv(_with_bom(tmp_path / "bad.csv"))
+    assert str(err.value) == "line 3: values must be decimal floats"
+
+
+def test_edge_list_and_records_with_a_byte_order_mark_read_as_without(tmp_path):
+    (tmp_path / "edges.csv").write_text("1,2\n2,3\n")
+    plain = load_edge_list(tmp_path / "edges.csv", np.arange(1, 4))
+    bom = load_edge_list(_with_bom(tmp_path / "edges.csv"), np.arange(1, 4))
+    np.testing.assert_array_equal(bom, plain)
+    recs = [{"term": "x", "estimate": 0.5, "se": None}]
+    for fmt in RECORD_FILES:
+        path = tmp_path / RECORD_FILES[fmt].format("r")
+        write_records(recs, path, fmt=fmt)
+        assert read_records(_with_bom(path), fmt=fmt) == read_records(path, fmt=fmt) == recs
+
+
 @pytest.fixture(scope="module")
 def sim_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "sim"

@@ -19,7 +19,7 @@ import causal_pvar.verify as verify
 from causal_pvar.errors import BadConfig
 from causal_pvar.estimands import did_four_means, dummy_gamma, oracle_estimands
 from causal_pvar.identify import cholesky_lower, impact_gamma
-from causal_pvar.panel import PVARSpec, fit_pvar
+from causal_pvar.panel import PVARSpec, _var_recursion, fit_pvar
 from causal_pvar.scenarios import simulate_scenario, simulate_var_panel
 from causal_pvar.spillover import estimate_adjusted_impact, oracle_atte_aste
 from causal_pvar.weights import ZeroInflatedUniform, gaussian_weights, nonneg_weights, weighted_estimand
@@ -71,9 +71,8 @@ def _reference_pairs(name, config, reps):
     return np.asarray(rows, dtype=float).transpose(1, 2, 0)
 
 
-def _engine_pairs(name, config, reps, per_chunk):
-    """The engine's (pairs, 2, reps) estimates and oracles and its chunk sizes,
-    read from what ``_chunk_pairs`` returns."""
+def _engine_chunks(name, config, reps, per_chunk):
+    """What ``_chunk_pairs`` returns for each chunk of ``per_chunk`` replications."""
     budget = per_chunk * 16 * config.n_units * config.n_times
     real, chunks = verify._chunk_pairs, []
 
@@ -84,6 +83,13 @@ def _engine_pairs(name, config, reps, per_chunk):
     with mock.patch.object(verify, "CHUNK_BYTES", budget), \
             mock.patch.object(verify, "_chunk_pairs", spy):
         verify.verify_theorem(name, config, reps)
+    return chunks
+
+
+def _engine_pairs(name, config, reps, per_chunk):
+    """The engine's (pairs, 2, reps) estimates and oracles and its chunk sizes,
+    read from what ``_chunk_pairs`` returns."""
+    chunks = _engine_chunks(name, config, reps, per_chunk)
     rows = [rep[0] for chunk in chunks for rep in chunk]  # the one check's pairs
     return np.asarray(rows, dtype=float).transpose(1, 2, 0), [len(c) for c in chunks]
 
@@ -98,7 +104,7 @@ def test_engine_matches_per_replication_reference(name):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("name", ["T1", "T6", "interference"])
+@pytest.mark.parametrize("name", ["T1", "T2", "T3", "T6", "interference"])
 def test_engine_does_not_depend_on_chunk_size(name):
     config = verify.default_config(name).with_seed(3)
     one, sizes = _engine_pairs(name, config, REPS, per_chunk=1)
@@ -106,6 +112,24 @@ def test_engine_does_not_depend_on_chunk_size(name):
     whole, sizes = _engine_pairs(name, config, REPS, per_chunk=REPS)
     assert sizes == [REPS]
     np.testing.assert_allclose(one, whole, rtol=0, atol=1e-12)
+
+
+# T2's oracles are numpy scalars, which the engine hands back as floats
+@pytest.mark.parametrize("name", ["T2", "T3", "interference"])
+def test_check_run_reuses_one_working_set(name):
+    config = verify.default_config(name).with_seed(2)
+    with mock.patch.object(verify, "_propagate", wraps=verify._propagate) as propagate, \
+            mock.patch.object(verify, "_within_moments", wraps=verify._within_moments) as moments:
+        chunks = _engine_chunks(name, config, REPS, per_chunk=2)
+    assert [len(chunk) for chunk in chunks] == [2, 2, 1]
+    for kernel in (propagate, moments):
+        outs = [call.kwargs.get("out") for call in kernel.call_args_list]
+        assert len(outs) == len(chunks) and outs[0] is not None
+        assert all(np.shares_memory(out, outs[0]) for out in outs)
+    # nothing that aliases the working set outlives its chunk
+    values = [v for chunk in chunks for rep in chunk for pairs in rep
+              for pair in pairs for v in pair]
+    assert values and all(type(v) is float for v in values)
 
 
 def test_every_check_runs_through_verify_theorem_as_in_the_suite():
@@ -161,6 +185,20 @@ def test_propagation_kernel_matches_unit_major_loop(seed, p, m, n, t):
         np.testing.assert_array_equal(got, want)
     else:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), p=st.integers(1, 3), m=st.integers(2, 3),
+       rows=st.integers(1, 700), t=st.integers(1, 30))
+def test_var_recursion_matches_a_matmul_loop(seed, p, m, rows, t):
+    rng = np.random.default_rng(seed)
+    phi = [rng.uniform(-0.6, 0.6, (m, m)) / p for _ in range(p)]
+    states = rng.standard_normal((p + t, rows, m))
+    want = states.copy()
+    for s in range(p, p + t):
+        for l in range(1, p + 1):
+            want[s] += want[s - l] @ phi[l - 1].T
+    np.testing.assert_array_equal(_var_recursion(states, phi), want)
 
 
 def test_propagation_kernel_covers_a_one_unit_panel():
