@@ -149,9 +149,8 @@ def residual_autocorr(fit: PVARFit, smax: int) -> AutocorrDiagnostic:
         sd_lag = np.sqrt((lag**2).mean(axis=0))
         cross = cur.T @ lag / cur.shape[0]
         denom = np.outer(sd_cur, sd_lag)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            corr = np.where(denom > 1e-150, cross / np.where(denom == 0, 1.0, denom), 0.0)
-        tensor[:, :, s - 1] = corr
+        tensor[:, :, s - 1] = np.divide(cross, denom, out=np.zeros_like(cross),
+                                        where=denom > 1e-150)
     n_tests = m * m * smax
     z = NormalDist().inv_cdf(1.0 - 0.05 / (2 * n_tests))
     bound = z / np.sqrt(fit.effective_obs)

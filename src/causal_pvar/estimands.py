@@ -125,28 +125,21 @@ def acrt_on_grid(pop: PotentialOutcomePanel, grid: np.ndarray) -> np.ndarray:
 
 
 def selection_bias(pop: PotentialOutcomePanel) -> float:
-    """Covariance wedge between the binary contrast and the ATE.
+    """Selection wedge between the binary contrast and the ATE.
 
-    cov(po(1), treated) / mean(treated) - cov(po(0), untreated) /
-    mean(untreated), with population-style (divisor n) sample covariances,
-    so the decomposition ``contrast = ATE + bias`` holds exactly on any
-    finite dummy panel.
+    (mean po(1) | treated - mean po(1)) - (mean po(0) | control - mean po(0)),
+    which equals cov(po(1), treated) / mean(treated) - cov(po(0), untreated)
+    / mean(untreated) with population-style (divisor n) covariances, so the
+    decomposition ``contrast = ATE + bias`` holds exactly on any finite
+    dummy panel.
     """
     if pop.regime not in DUMMY_REGIMES:
         raise RegimeMismatch(f"selection bias needs a dummy regime, got {pop.regime!r}")
-    w = pop.assignments.ravel()
-    ind = w == 1.0
-    if ind.all() or not ind.any():
+    treated = pop.assignments == 1.0
+    if treated.all() or not treated.any():
         raise DegenerateAssignment("assignment has no variation across cells")
-    po1 = pop.po_at(1.0).ravel()
-    po0 = pop.po_at(0.0).ravel()
-
-    def _cov(a, b):
-        return float(np.mean((a - a.mean()) * (b - b.mean())))
-
-    return _cov(po1, ind.astype(float)) / ind.mean() - _cov(
-        po0, (~ind).astype(float)
-    ) / (~ind).mean()
+    po1, po0 = pop.po_at(1.0), pop.po_at(0.0)
+    return float((po1[treated].mean() - po1.mean()) - (po0[~treated].mean() - po0.mean()))
 
 
 def did_four_means(outcome_residuals, treated_units, treated_times) -> float:

@@ -174,10 +174,6 @@ class PVARFit:
     def n_vars(self) -> int:
         return self.sigma.shape[0]
 
-    @property
-    def n_units(self) -> int:
-        return self.residuals.shape[0]
-
 
 def panel_from_records(units, times, values, n_policies, variable_names=None):
     """Assemble a PanelDataset from long-format records.

@@ -2,17 +2,19 @@
 
 Each regime is one entry of ``SCENARIOS``: its assignment law (common
 dummy, Gaussian, zero-inflated non-negative, unit-by-time dummy, sparse
-dummy with network spillovers) and the regime-specific config fields it
-reads; ``taken_fields`` is the one rule for which fields a regime takes.
-The simulator builds no dose grid.  The outcome innovation is a structural
-impact of the realized policy innovation plus noise, shifted by the
-selection, anticipation and spillover steps, and the panel runs through
-the autoregressive dynamics.  Potential outcomes are kept in structural form,
+dummy with network spillovers), whose draw returns the assignment alone,
+and the regime-specific config fields it reads; ``taken_fields`` is the
+one rule for which fields a regime takes.  The simulator builds no dose
+grid.  The outcome innovation is a structural impact of the realized
+policy innovation plus noise, shifted by the selection, anticipation and
+spillover steps, and the panel runs through the autoregressive dynamics.
+The ground truth keeps potential outcomes in structural form only,
 ``po(lam) = scale * g(lam) + base`` with every other shock held in
-``base``, so any counterfactual dose is evaluated exactly and brute-force
-estimand oracles need no stored grid of outcomes.  The network exposure
-(``build_exposure``) lives here too, so the simulator and the estimators
-share one definition.
+``base``, so any counterfactual dose is evaluated exactly, brute-force
+estimand oracles need no stored grid of outcomes, and the realized
+outcomes and treated groups are read from it and the assignment.  The
+network exposure (``build_exposure``) lives here too, so the simulator
+and the estimators share one definition.
 """
 
 from __future__ import annotations
@@ -139,7 +141,7 @@ class ExposureTruth:
 
 @dataclass(frozen=True)
 class PotentialOutcomePanel:
-    """Simulator ground truth: assignments, structural potential outcomes, groups.
+    """Simulator ground truth: the assignment and the structural potential outcomes.
 
     The potential outcome of cell (i, t) at dose lam is
     ``impact_scale * impact(lam) + base``.  ``impact_scale`` broadcasts
@@ -150,8 +152,6 @@ class PotentialOutcomePanel:
 
     regime: str
     assignments: np.ndarray
-    realized_outcomes: np.ndarray
-    groups: GroupLabels | None
     exposure: ExposureTruth | None
     impact: ImpactFunction
     impact_scale: np.ndarray
@@ -160,6 +160,19 @@ class PotentialOutcomePanel:
     def po_at(self, lam: float) -> np.ndarray:
         """Potential outcomes of every cell at one counterfactual dose (exact)."""
         return self.impact_scale * float(self.impact(lam)) + self.base
+
+    @property
+    def realized_outcomes(self) -> np.ndarray:
+        """Each cell's potential outcome at its own assignment."""
+        return self.impact_scale * self.impact(self.assignments) + self.base
+
+    @property
+    def groups(self) -> GroupLabels | None:
+        """The assignment's treated units and periods in the regimes with
+        groups (``homogeneous_dummy``, ``heterogeneous_dummy``), else None."""
+        if self.regime not in _GROUPED_REGIMES:
+            return None
+        return GroupLabels(self.assignments.any(axis=1), self.assignments.any(axis=0))
 
 
 @dataclass(frozen=True)
@@ -352,14 +365,13 @@ def _common_dummy(rng, config, scale_z):
     if not 0.0 < config.treat_prob < 1.0:
         raise BadConfig("treat_prob must be in (0, 1)")
     d = _both_arms(rng.random(config.n_times) < config.treat_prob)
-    n = config.n_units
-    return np.tile(d.astype(float), (n, 1)), GroupLabels(np.ones(n, dtype=bool), d)
+    return np.tile(d.astype(float), (config.n_units, 1))
 
 
 def _gaussian_dose(rng, config, scale_z):
     if config.policy_sigma <= 0:
         raise BadConfig("policy_sigma must be positive")
-    return config.policy_sigma * rng.standard_normal((config.n_units, config.n_times)), None
+    return config.policy_sigma * rng.standard_normal((config.n_units, config.n_times))
 
 
 def _nonnegative_dose(rng, config, scale_z):
@@ -371,21 +383,20 @@ def _nonnegative_dose(rng, config, scale_z):
         raise BadConfig("zero_prob must be in [0, 1)")
     shape = (config.n_units, config.n_times)
     is_zero = rng.random(shape) < config.zero_prob
-    return np.where(is_zero, 0.0, low + (high - low) * rng.random(shape)), None
+    return np.where(is_zero, 0.0, low + (high - low) * rng.random(shape))
 
 
 def _block_dummy(rng, config, scale_z):
     """Treated units in treated periods, a product of unit and period draws
     (unit probabilities tilted by ``treat_on_gain``), or ``treat_schedule``."""
     if config.treat_schedule is not None:
-        w = _schedule(config)
-        return w, GroupLabels(w.any(axis=1), w.any(axis=0))
+        return _schedule(config)
     if not 0.0 < config.treat_prob < 1.0 or not 0.0 < config.time_frac < 1.0:
         raise BadConfig("treat_prob and time_frac must be in (0, 1)")
     prob = np.clip(config.treat_prob + config.treat_on_gain * scale_z, 0.02, 0.98)
     units = _both_arms(rng.random(config.n_units) < prob, np.argmax(prob), np.argmin(prob))
     times = _both_arms(rng.random(config.n_times) < config.time_frac)
-    return np.outer(units, times).astype(float), GroupLabels(units, times)
+    return np.outer(units, times).astype(float)
 
 
 def _sparse_dummy(rng, config, scale_z):
@@ -395,17 +406,17 @@ def _sparse_dummy(rng, config, scale_z):
     variation from pure controls and would absorb the treated cells' own
     exposure instead of netting it out."""
     if config.treat_schedule is not None:
-        return _schedule(config), None
+        return _schedule(config)
     if not 0.0 < config.treat_prob < 1.0:
         raise BadConfig("treat_prob must be in (0, 1)")
     w = _both_arms(rng.random((config.n_units, config.n_times)) < config.treat_prob)
-    return w.astype(float), None
+    return w.astype(float)
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One regime: ``draw(rng, config, scale_z) -> (w, groups)`` draws the
-    policy innovations and rejects bad values of its fields, and ``reads``
+    """One regime: ``draw(rng, config, scale_z) -> w`` draws the policy
+    innovations and rejects bad values of its fields, and ``reads``
     names the regime-specific config fields the regime takes (see
     ``taken_fields``)."""
 
@@ -427,6 +438,8 @@ REGIMES = tuple(SCENARIOS)
 # The config fields that only some regimes read.
 REGIME_FIELDS = frozenset(name for s in SCENARIOS.values() for name in s.reads)
 DUMMY_REGIMES = (HOMOGENEOUS_DUMMY, HETEROGENEOUS_DUMMY, SPILLOVER_DUMMY)
+# The regimes with ``groups``: those that read ``anticipation``.
+_GROUPED_REGIMES = frozenset(r for r, s in SCENARIOS.items() if "anticipation" in s.reads)
 
 
 def taken_fields(config: ScenarioConfig) -> dict:
@@ -496,20 +509,19 @@ def _draw(config: ScenarioConfig) -> _Draw:
     noise.  ``config`` has passed ``_validate_config``."""
     rng = np.random.default_rng(config.seed)
     n, t = config.n_units, config.n_times
-    g = config.impact
 
     mu = config.mu_scale * rng.standard_normal((n, 2))
     scale_z = rng.standard_normal(n)
     scale = 1.0 + config.effect_sd * scale_z
 
     scenario = SCENARIOS[config.regime]
-    w, groups = scenario.draw(rng, config, scale_z)
+    w = scenario.draw(rng, config, scale_z)
 
     base = config.noise_scale * rng.standard_normal((n, t))
     if config.selection_strength != 0.0:
         base = base + config.selection_strength * w
     if config.anticipation != 0.0:
-        base = base + config.anticipation * np.outer(groups.treated_units, ~groups.treated_times)
+        base = base + config.anticipation * np.outer(w.any(axis=1), ~w.any(axis=0))
     exposure = None
     if "spillover_rho" in scenario.reads:
         adjacency = ring_adjacency(n, config.ring_neighbors)
@@ -517,17 +529,13 @@ def _draw(config: ScenarioConfig) -> _Draw:
         exposure = ExposureTruth(adjacency, s, config.spillover_rho)
         base = base + config.spillover_rho * s
 
-    realized = scale[:, None] * g(w) + base
-
     burn = config.noise_scale * rng.standard_normal((n, BURN_IN))
 
     pop = PotentialOutcomePanel(
         regime=config.regime,
         assignments=w,
-        realized_outcomes=realized,
-        groups=groups,
         exposure=exposure,
-        impact=g,
+        impact=config.impact,
         impact_scale=scale[:, None],
         base=base,
     )

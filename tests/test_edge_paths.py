@@ -1,22 +1,33 @@
 """Error paths and contract corners not covered by the main module tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from causal_pvar.diagnostics import lag_criteria
+from causal_pvar.diagnostics import PolicyProbe, lag_criteria, policy_regime_probe
 from causal_pvar.errors import (
     BadConfig,
+    BadOrdering,
     BootstrapUnstable,
     CausalPvarError,
     CollinearRegressors,
     DegenerateAssignment,
+    DegenerateDummy,
+    EmptyTreatedSet,
     GridMismatch,
     RegimeMismatch,
     SingularDesign,
 )
 import causal_pvar.identify as ident
-from causal_pvar.estimands import did_four_means, dummy_gamma
-from causal_pvar.panel import PanelDataset, PVARSpec, fit_pvar
+from causal_pvar.estimands import (
+    acrt_on_grid,
+    average_effects,
+    did_four_means,
+    dummy_gamma,
+    selection_bias,
+)
+from causal_pvar.panel import PanelDataset, PVARSpec, fit_pvar, panel_from_records
 from causal_pvar.scenarios import (
     GAUSSIAN_CONTINUOUS,
     HOMOGENEOUS_DUMMY,
@@ -27,7 +38,7 @@ from causal_pvar.scenarios import (
     simulate_scenario,
     simulate_var_panel,
 )
-from causal_pvar.spillover import spillover_regression
+from causal_pvar.spillover import oracle_atte_aste, spillover_regression
 from causal_pvar.verify import default_config, verify_theorem
 from causal_pvar.weights import (
     ZeroInflatedUniform,
@@ -141,6 +152,27 @@ def _short_chol():
     return ident.cholesky_lower(_short_fit().sigma)
 
 
+def _gaussian_pop():
+    return simulate_scenario(ScenarioConfig(GAUSSIAN_CONTINUOUS, 4, 30, seed=0))[1]
+
+
+def _off_grid_pop():
+    """A Gaussian panel whose every dose lies far above DOSE_GRID."""
+    pop = _gaussian_pop()
+    return replace(pop, assignments=pop.assignments + 50.0)
+
+
+DOSE_GRID = np.linspace(-5.0, 5.0, 201)
+
+
+def _collinear_dummy_panel():
+    """The short panel with two identical, time-varying exogenous dummies."""
+    panel = _short_panel()
+    dummies = np.zeros((*panel.values.shape[:2], 2))
+    dummies[:, 10:20] = 1.0
+    return PanelDataset(panel.values, 1, panel.variable_names, exogenous_dummies=dummies)
+
+
 REJECTIONS = [
     pytest.param(lambda: ZeroInflatedUniform(1.0, 1.0, 2.0), BadConfig,
                  r"need 0 <= zero_prob < 1 and 0 < low <= high", id="zero-inflated-all-zero"),
@@ -199,6 +231,45 @@ REJECTIONS = [
     pytest.param(lambda: ident.bootstrap_irf(_short_panel(), PVARSpec(1), -1, 3, 100, 0.9, seed=0),
                  CausalPvarError, r"need 0 <= k < m, got k=-1, m=2",
                  id="bootstrap-irf-negative-shock"),
+    pytest.param(lambda: selection_bias(_gaussian_pop()), RegimeMismatch,
+                 "selection bias needs a dummy regime, got 'gaussian_continuous'",
+                 id="selection-bias-continuous-regime"),
+    pytest.param(lambda: average_effects(replace(_gaussian_pop(),
+                                                 assignments=np.zeros((4, 30)))),
+                 EmptyTreatedSet, "no realized-treated cells", id="effects-nothing-treated"),
+    pytest.param(lambda: weighted_estimand(gaussian_weights(1.0, DOSE_GRID), _gaussian_pop(),
+                                           "acrx", DOSE_GRID),
+                 BadConfig, "unknown mode 'acrx'", id="weighted-estimand-unknown-mode"),
+    pytest.param(lambda: weighted_estimand(gaussian_weights(1.0, DOSE_GRID), _off_grid_pop(),
+                                           "acrt", DOSE_GRID),
+                 GridMismatch, "no realized doses on the grid", id="weighted-estimand-off-grid"),
+    pytest.param(lambda: ident.irf_from_impact(_short_fit(), np.ones(3), 3), CausalPvarError,
+                 "impact must be a finite vector of length m", id="irf-from-impact-length"),
+    pytest.param(lambda: ident.irf_from_impact(_short_fit(), [1.0, np.nan], 3), CausalPvarError,
+                 "impact must be a finite vector of length m", id="irf-from-impact-nan"),
+    pytest.param(lambda: ident.bootstrap_irf(_short_panel(), PVARSpec(1), 0, 3, 100, 1.0, seed=0),
+                 CausalPvarError, r"level must be in \(0, 1\)", id="bootstrap-irf-level-one"),
+    pytest.param(lambda: PVARSpec(0), BadConfig, "lag_order must be >= 1, got 0",
+                 id="spec-zero-lags"),
+    pytest.param(lambda: panel_from_records([1, 2], [1], np.zeros((2, 2)), 1), BadOrdering,
+                 "records must align", id="records-misaligned"),
+    pytest.param(lambda: fit_pvar(_short_panel(), PVARSpec(1, dummy_columns=(0,))), BadConfig,
+                 "spec names dummy_columns but panel has no dummies", id="fit-dummies-absent"),
+    pytest.param(lambda: fit_pvar(_collinear_dummy_panel(), PVARSpec(1, dummy_columns=(0, 1))),
+                 DegenerateDummy, "dummy columns are mutually collinear after demeaning",
+                 id="fit-collinear-dummies"),
+    pytest.param(lambda: fit_pvar(_short_panel(), PVARSpec(29)), BadConfig,
+                 "lag_order=29 too large for T=30", id="fit-lags-past-panel"),
+    pytest.param(lambda: oracle_atte_aste(_gaussian_pop()), RegimeMismatch,
+                 "potential-outcome panel carries no exposure truth", id="atte-no-exposure"),
+    pytest.param(lambda: verify_theorem("T2", reps=1), BadConfig,
+                 "need at least 2 replications", id="verify-one-rep"),
+    # One of the two 4 x 8 block-timed replications has a singular lag Gram
+    # matrix, and the engine refuses the whole check.
+    pytest.param(lambda: verify_theorem("T9", replace(default_config("T9"), n_units=4,
+                                                      n_times=8, seed=1), reps=2),
+                 SingularDesign, "a replication's lag Gram matrix is singular",
+                 id="verify-singular-replication"),
 ]
 
 
@@ -206,3 +277,11 @@ REJECTIONS = [
 def test_bad_input_raises_its_library_error(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def test_acrt_is_nan_on_a_grid_no_dose_reaches():
+    assert np.isnan(acrt_on_grid(_off_grid_pop(), DOSE_GRID)).all()
+
+
+def test_regime_probe_of_a_constant_series_is_binary_with_zero_moments():
+    assert policy_regime_probe(np.full(40, 2.0)) == PolicyProbe(True, 0.0, 0.0, 0.0, 0.0)

@@ -32,8 +32,6 @@ def make_dummy_pop(w, po0, po1, regime=HETEROGENEOUS_DUMMY):
     return PotentialOutcomePanel(
         regime=regime,
         assignments=w,
-        realized_outcomes=np.where(w == 1.0, po1, po0),
-        groups=None,
         exposure=None,
         impact=linear_impact(1.0),
         impact_scale=po1 - po0,

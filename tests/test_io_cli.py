@@ -1,8 +1,9 @@
 import argparse
+import io
 import json
-import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 
 import numpy as np
@@ -31,14 +32,19 @@ RECORD_FILES = {"csv": "{}.csv", "json-lines": "{}.jsonl"}
 
 
 def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("CAUSAL_PVAR_SEED", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "causal_pvar", *args],
-        capture_output=True, text=True, env=env,
-    )
+    """Run ``cli.main`` in this process, as ``python -m causal_pvar *args``
+    would run, with ``CAUSAL_PVAR_SEED`` unset unless ``env_extra`` sets it;
+    return its exit code and captured output as a finished subprocess."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
+        mp.delenv("CAUSAL_PVAR_SEED", raising=False)
+        for name, value in (env_extra or {}).items():
+            mp.setenv(name, value)
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 def _strict_json(text):
@@ -270,6 +276,17 @@ def test_cli_import_loads_no_scipy():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_module_entry_point_exits_0_1_and_2(tmp_path):
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "causal_pvar", *args],
+                              capture_output=True, text=True).returncode
+
+    assert run("simulate", "--regime", "homogeneous_dummy", "--units", "10", "--times", "20",
+               "--seed", "1", "--output", str(tmp_path / "sim")) == 0
+    assert run("fit", "--input", str(tmp_path / "nope.csv"), "--output", str(tmp_path / "o")) == 1
+    assert run() == 2
 
 
 class TestCli:

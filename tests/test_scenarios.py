@@ -257,13 +257,52 @@ def _pinned_config(name):
                           impact=quadratic_impact(1.0, 0.4), effect_sd=0.3, spillover_rho=0.5)
 
 
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()[:16]
+
+
 @pytest.mark.parametrize("name", [*REGIMES, "treat_schedule"])
 def test_draw_stream_is_pinned(name):
     draw = _draw(_pinned_config(name))
     arrays = (draw.mu, draw.burn, draw.pop.assignments, draw.pop.realized_outcomes)
-    got = tuple(hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()[:16]
-                for a in arrays)
-    assert got == DRAW_DIGESTS[name]
+    assert tuple(_digest(a) for a in arrays) == DRAW_DIGESTS[name]
+
+
+# Digests, as in DRAW_DIGESTS, of the treated units and periods of ``groups``
+# (None where a regime has none) and of the realized outcomes at seeds 0 and 1
+# of ``_derived_config``, recorded when the simulator stored both: deriving
+# them from the assignment must not move a byte.
+DERIVED_DIGESTS = {
+    (HOMOGENEOUS_DUMMY, 0): (("cf966f1001f07510", "6bb6fd6bac75a3c9"), "bafe147969c9062f"),
+    (HOMOGENEOUS_DUMMY, 1): (("cf966f1001f07510", "431a45c8e0fe412d"), "87a5bbafb569e218"),
+    (GAUSSIAN_CONTINUOUS, 0): (None, "aa5fa490464dcc23"),
+    (GAUSSIAN_CONTINUOUS, 1): (None, "d9af38f32fd4d219"),
+    (NONNEGATIVE_CONTINUOUS, 0): (None, "e50773d0de1f4e16"),
+    (NONNEGATIVE_CONTINUOUS, 1): (None, "c4e0a4efdb5c5a90"),
+    (HETEROGENEOUS_DUMMY, 0): (("0137f4671bbc845e", "f86de4b5672a9112"), "afa027bef3f469f5"),
+    (HETEROGENEOUS_DUMMY, 1): (("61de2fdace7de45c", "3752006198c8f192"), "c10392ffe2cfe8dd"),
+    (SPILLOVER_DUMMY, 0): (None, "b9752aa409ec12a0"),
+    (SPILLOVER_DUMMY, 1): (None, "b0119b3dfc1c1117"),
+}
+
+
+def _derived_config(regime, seed):
+    extra = {"anticipation": 0.4, "spillover_rho": 0.5, "treat_on_gain": 0.5}
+    return ScenarioConfig(regime=regime, n_units=12, n_times=20, seed=seed,
+                          impact=quadratic_impact(1.0, 0.4), effect_sd=0.3,
+                          **{k: v for k, v in extra.items() if k in SCENARIOS[regime].reads})
+
+
+@pytest.mark.parametrize("regime, seed", list(DERIVED_DIGESTS))
+def test_draw_gives_the_assignment_and_the_truth_derives_the_rest(regime, seed):
+    cfg = _derived_config(regime, seed)
+    rng = np.random.default_rng(seed)
+    assert isinstance(SCENARIOS[regime].draw(rng, cfg, np.zeros(cfg.n_units)), np.ndarray)
+    _, pop = simulate_scenario(cfg)
+    groups = pop.groups
+    got = (None if groups is None else (_digest(groups.treated_units), _digest(groups.treated_times)),
+           _digest(pop.realized_outcomes))
+    assert got == DERIVED_DIGESTS[regime, seed]
 
 
 @pytest.mark.parametrize("regime, flag", [

@@ -222,9 +222,7 @@ class TestOracleAtteAste:
         base = rng.standard_normal((n, t)) + rho * s  # po(0) at the realized exposure
         exposure = ExposureTruth(adjacency=np.zeros((n, n)), s_values=s, rho=rho)
         return PotentialOutcomePanel(
-            regime=SPILLOVER_DUMMY, assignments=w,
-            realized_outcomes=beta * w + base,
-            groups=None, exposure=exposure,
+            regime=SPILLOVER_DUMMY, assignments=w, exposure=exposure,
             impact=linear_impact(1.0), impact_scale=np.full((n, 1), beta), base=base,
         ), s, w
 
@@ -250,8 +248,7 @@ class TestOracleAtteAste:
         base = rng.standard_normal((n, t)) + rho_i * s
         exposure = ExposureTruth(adjacency=np.zeros((n, n)), s_values=s, rho=rho_i)
         pop = PotentialOutcomePanel(
-            regime=SPILLOVER_DUMMY, assignments=w,
-            realized_outcomes=w + base, groups=None, exposure=exposure,
+            regime=SPILLOVER_DUMMY, assignments=w, exposure=exposure,
             impact=linear_impact(1.0), impact_scale=np.ones((n, 1)), base=base,
         )
         atte, aste = oracle_atte_aste(pop)
@@ -263,7 +260,6 @@ class TestOracleAtteAste:
         pop, _, _ = self._pop_with_exposure(1.0, 0.2)
         empty = PotentialOutcomePanel(
             regime=SPILLOVER_DUMMY, assignments=np.zeros_like(pop.assignments),
-            realized_outcomes=pop.realized_outcomes, groups=None,
             exposure=pop.exposure,
             impact=pop.impact, impact_scale=pop.impact_scale, base=pop.base,
         )
