@@ -16,8 +16,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import BadConfig
-from .panel import PanelDataset, PVARFit, PVARSpec, companion
-from .panel import _sample_dummies, _within_moments, _within_ols_one
+from .panel import PanelDataset, PVARFit, _within_moments, _within_ols_one, companion
 
 __all__ = [
     "LagSelectionTable",
@@ -84,7 +83,7 @@ class PolicyProbe:
     normality_stat: float
 
 
-def lag_criteria(panel: PanelDataset, pmax: int, spec: PVARSpec | None = None) -> LagSelectionTable:
+def lag_criteria(panel: PanelDataset, pmax: int) -> LagSelectionTable:
     """Fit p = 1..pmax on the common sample and score each with three criteria.
 
     The within cross-product of the pmax lags is built once and order p is
@@ -105,8 +104,7 @@ def lag_criteria(panel: PanelDataset, pmax: int, spec: PVARSpec | None = None) -
         raise BadConfig(f"pmax={pmax} too large for T={panel.n_times} (need pmax < T/3)")
     n, t, m = panel.values.shape
     eff = n * (t - pmax)
-    _, dummies = _sample_dummies(panel, spec or PVARSpec(), pmax)
-    cross = _within_moments(panel.values.transpose(1, 0, 2)[:, None], pmax, dummies)[0]
+    cross = _within_moments(panel.values.transpose(1, 0, 2)[:, None], pmax)[0]
     rows = {c: np.empty(pmax) for c in CRITERIA}
     for p in range(1, pmax + 1):
         keep = np.r_[: m * p, m * pmax : m * pmax + m]  # lags 1..p and dep

@@ -41,19 +41,15 @@ class ParseError(CausalPvarError):
 
 # --- estimation -------------------------------------------------------------
 
-class DegenerateDummy(CausalPvarError):
-    """An exogenous dummy is collinear with the unit means."""
-
-
 class SingularDesign(CausalPvarError):
     """The within lag regressors are numerically collinear.
 
     The one rule of every within-OLS fit (``fit_pvar``, ``lag_criteria``,
     each bootstrap replication): with G the Gram matrix of the per-unit
-    demeaned, dummy-partialled lags and S = diag(G)^-1/2, a non-finite
-    cross-product, a zero diagonal in G, or a condition number of the
-    unit-diagonal S G S above ``panel.COND_LIMIT`` (1e12) rejects the
-    design, whatever units the data are in.  A point fit raises this
+    demeaned lags and S = diag(G)^-1/2, a non-finite cross-product, a zero
+    diagonal in G, or a condition number of the unit-diagonal S G S above
+    ``panel.COND_LIMIT`` (1e12) rejects the design, whatever units the data
+    are in.  A point fit raises this
     error; a rejected bootstrap replication counts as failed.
     """
 

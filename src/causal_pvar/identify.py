@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import BootstrapUnstable, CausalPvarError, NotPSD, ZeroPolicyVariance
 from .panel import CHUNK_BYTES, PanelDataset, PVARFit, PVARSpec, fit_pvar
-from .panel import _sample_dummies, _var_recursion, _within_moments, _within_ols
+from .panel import _var_recursion, _within_moments, _within_ols
 
 __all__ = [
     "CholeskyFactor",
@@ -213,10 +213,6 @@ def bootstrap_irf(
     p = spec.lag_order
     tr = t - p
     pool = fit.residuals.reshape(n * tr, m)
-    drift = fit.intercepts
-    raw_dummies, dummies = _sample_dummies(panel, spec, p)
-    if dummies is not None:
-        drift = drift + np.einsum("ntd,dm->tnm", raw_dummies, fit.dummy_coef)[:, None]
 
     cross = np.empty((n_reps, m * (p + 1), m * (p + 1)))
     # A chunk holds two panels per replication: the state slab, whose first p
@@ -233,10 +229,10 @@ def bootstrap_irf(
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
             draws = rng.integers(0, n * tr, size=n * tr).reshape(n, tr).T
             np.take(pool, draws, axis=0, out=states[p:, r - start], mode="clip")
-        states[p:] += drift
+        states[p:] += fit.intercepts
         _var_recursion(states.reshape(t, -1, m), fit.phi)
         with np.errstate(invalid="ignore", over="ignore"):
-            cross[reps] = _within_moments(states, p, dummies, out=centred[: reps.stop - start])[0]
+            cross[reps] = _within_moments(states, p, out=centred[: reps.stop - start])[0]
     del slab, states, centred  # the working set is done with; free it before the solve
 
     # every replication at once, by the rules of fit_pvar, cholesky_lower and irf

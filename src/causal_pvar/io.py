@@ -81,8 +81,17 @@ def _fmt_value(v, json_lines: bool = False) -> str:
     return json.dumps(str(v)) if json_lines else str(v)
 
 
+def _check_format(fmt: str) -> None:
+    if fmt not in ("csv", "json-lines"):
+        raise BadConfig(f"unknown format {fmt!r}")
+
+
 def write_records(records, path, fmt: str = "csv", fieldnames=None) -> None:
-    """Write flat result records as CSV or JSON lines (UTF-8, LF endings)."""
+    """Write flat result records as CSV or JSON lines (UTF-8, LF endings).
+
+    An unknown ``fmt`` raises BadConfig before ``path`` is opened.
+    """
+    _check_format(fmt)
     records = list(records)
     if fieldnames is None:
         if not records and fmt == "csv":
@@ -94,15 +103,13 @@ def write_records(records, path, fmt: str = "csv", fieldnames=None) -> None:
                 fh.write(",".join(fieldnames) + "\n")
                 for rec in records:
                     fh.write(",".join(_fmt_value(rec[k]) for k in fieldnames) + "\n")
-            elif fmt == "json-lines":
+            else:
                 for rec in records:
                     body = ", ".join(
                         f"{json.dumps(k)}: {_fmt_value(rec[k], json_lines=True)}"
                         for k in fieldnames
                     )
                     fh.write("{" + body + "}\n")
-            else:
-                raise BadConfig(f"unknown format {fmt!r}")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -139,6 +146,7 @@ def _jsonable(v):
 
 def read_records(path, fmt: str = "csv") -> list[dict]:
     """Inverse of write_records; numbers parsed back to int/float, empty fields to None."""
+    _check_format(fmt)
     out = []
     with open(path, encoding="utf-8-sig") as fh:
         if fmt == "json-lines":

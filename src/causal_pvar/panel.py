@@ -3,13 +3,12 @@
 The data model is a balanced (unit, time, variable) array with the policy
 series stored first and the outcome series after them, and the sorted
 unit and time labels of the records it was built from.  Estimation removes
-unit effects (and optional exogenous dummies) by residualizing, regresses
-each variable on its own and the others' lags pooled across units, and
-returns slope matrices, unit effects, residuals, and the residual
-covariance matrix.  The lag design is never built: one moments kernel
-centres each unit once and reads every block of the within cross-product,
-and the residuals, from lag-shifted views of that copy, for one panel or a
-chunk of them.
+unit effects by demeaning each unit's series, regresses each variable on
+its own and the others' lags pooled across units, and returns slope
+matrices, unit effects, residuals, and the residual covariance matrix.
+The lag design is never built: one moments kernel centres each unit once
+and reads every block of the within cross-product, and the residuals, from
+lag-shifted views of that copy, for one panel or a chunk of them.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import numpy as np
 from .errors import (
     BadConfig,
     BadOrdering,
-    DegenerateDummy,
     InsufficientObs,
     NonFinite,
     SingularDesign,
@@ -65,23 +63,19 @@ class PanelDataset:
         Number of policy variables K; the remaining m - K are outcomes.
     variable_names : tuple of str
         One label per variable, policies first.
-    exogenous_dummies : ndarray, optional, shape (n_units, n_times, d)
-        0/1 controls (e.g. a pandemic-period dummy) partialled out
-        alongside the unit effects.
     unit_labels, time_labels : ndarray, optional, shapes (n_units,), (n_times,)
         The sorted unit and time labels of the input records, which the
         written artifacts carry; 1..n_units and 1..n_times by default.
 
     Building a panel checks it: BadOrdering if the values are not 3-D, m < 2
-    or the labels, names, K or dummies do not fit; NonFinite on a NaN or
-    infinite value, named by unit, time and variable (an all-NaN cell
-    included), or dummy.  An array mutated in place is not checked again.
+    or the labels, names or K do not fit; NonFinite on a NaN or infinite
+    value, named by unit, time and variable (an all-NaN cell included).  An
+    array mutated in place is not checked again.
     """
 
     values: np.ndarray
     n_policies: int
     variable_names: tuple[str, ...]
-    exogenous_dummies: np.ndarray | None = None
     unit_labels: np.ndarray | None = None
     time_labels: np.ndarray | None = None
 
@@ -112,13 +106,6 @@ class PanelDataset:
             raise BadOrdering(f"need K + J = m with J >= 1: K={self.n_policies}, m={m}")
         if len(self.variable_names) != m:
             raise BadOrdering(f"{len(self.variable_names)} variable names for {m} variables")
-        if self.exogenous_dummies is not None:
-            dummies = np.asarray(self.exogenous_dummies, dtype=float)
-            object.__setattr__(self, "exogenous_dummies", dummies)
-            if dummies.ndim != 3 or dummies.shape[:2] != vals.shape[:2]:
-                raise BadOrdering("exogenous_dummies must share the (unit, time) grid")
-            if not np.isfinite(dummies).all():
-                raise NonFinite("non-finite exogenous dummy value")
 
     @property
     def n_units(self) -> int:
@@ -139,15 +126,13 @@ class PanelDataset:
 
 @dataclass(frozen=True)
 class PVARSpec:
-    """Estimation specification: lag order and exogenous dummy controls."""
+    """Estimation specification: the lag order."""
 
     lag_order: int = 1
-    dummy_columns: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.lag_order < 1:
             raise BadConfig(f"lag_order must be >= 1, got {self.lag_order}")
-        object.__setattr__(self, "dummy_columns", tuple(self.dummy_columns))
 
 
 @dataclass(frozen=True)
@@ -156,9 +141,7 @@ class PVARFit:
 
     ``phi`` holds one m x m slope matrix per lag (row = equation).
     ``residuals`` covers t = p+1..T, so its time axis is shorter than the
-    input panel by ``spec.lag_order`` periods.  ``dummy_coef`` holds the
-    coefficients of the spec's dummies in the joint regression on [lags,
-    dummies].
+    input panel by ``spec.lag_order`` periods.
     """
 
     phi: tuple[np.ndarray, ...]
@@ -168,7 +151,6 @@ class PVARFit:
     spec: PVARSpec
     effective_obs: int
     intercepts: np.ndarray = field(repr=False, default=None)
-    dummy_coef: np.ndarray | None = field(repr=False, default=None)
 
     @property
     def n_vars(self) -> int:
@@ -210,40 +192,12 @@ def panel_from_records(units, times, values, n_policies, variable_names=None):
                         unit_labels=unit_ids, time_labels=time_ids)
 
 
-def _sample_dummies(panel: PanelDataset, spec: PVARSpec, drop: int):
-    """The spec's raw (n, T - drop, d) dummy block on periods drop+1..T and its
-    per-unit demeaned ((T - drop) * n, d) rows, time-major; (None, None) without."""
-    if not spec.dummy_columns:
-        return None, None
-    if panel.exogenous_dummies is None:
-        raise BadConfig("spec names dummy_columns but panel has no dummies")
-    d = panel.exogenous_dummies.shape[2]
-    if not all(0 <= col < d for col in spec.dummy_columns):
-        raise BadConfig(f"dummy_columns {spec.dummy_columns} must lie in [0, {d})")
-    raw = panel.exogenous_dummies[:, drop:, list(spec.dummy_columns)]
-    flat = (raw - raw.mean(axis=1, keepdims=True)).transpose(1, 0, 2)
-    return raw, flat.reshape(-1, raw.shape[2])
+def within_demean(panel: PanelDataset) -> PanelDataset:
+    """Remove unit effects: each (unit, variable) series has mean zero afterwards."""
+    return replace(panel, values=panel.values - panel.values.mean(axis=1, keepdims=True))
 
 
-def within_demean(panel: PanelDataset, spec: PVARSpec | None = None) -> PanelDataset:
-    """Remove unit effects (and optional dummy effects) from every series.
-
-    Each (unit, variable) series has mean zero afterwards.  When the spec
-    names dummy columns, the dummies are partialled out jointly with the
-    unit means (Frisch-Waugh: both the series and the dummies are demeaned
-    per unit first, then the dummy projection is removed).
-    """
-    spec = spec or PVARSpec()
-    _, dummies = _sample_dummies(panel, spec, 0)
-    _, proj, (vals,), _, _ = _within_moments(panel.values.transpose(1, 0, 2)[:, None], 0, dummies)
-    if proj is not None:
-        vals = vals - proj[0].T @ dummies.T
-    vals = vals[0].reshape(panel.n_vars, panel.n_times, panel.n_units).transpose(2, 1, 0)
-    return replace(panel, values=vals)
-
-
-def _within_moments(states: np.ndarray, p: int, dummies: np.ndarray | None = None,
-                    out: np.ndarray | None = None):
+def _within_moments(states: np.ndarray, p: int, out: np.ndarray | None = None):
     """Within moments of Z = [lags 1..p, dep] on periods p+1..t of b time-major
     (t, b, n, m) panels, lags never wrapped, without building Z.
 
@@ -253,16 +207,14 @@ def _within_moments(states: np.ndarray, p: int, dummies: np.ndarray | None = Non
     all t periods less that of the at most p edge periods outside the
     window; both less ``(t - p) sum_units w w'`` over the window
     means w, minus the edges' sum over t - p as the centred series sum to zero.
-    With per-unit demeaned, time-major dummy rows D, ``Z'D (D'D)^-1 D'Z`` is
-    subtracted (Frisch-Waugh).
 
-    Returns ``(cross, proj, rows, means, unit_means)``: the (b, q, q) Z'Z; the
-    (b, d, q) ``(D'D)^-1 D'Z`` or None; the (b, m, (t - p) n) views of lags
-    1..p and dep; the (b, q, n) window means; and the (b, m, n) unit means.
+    Returns ``(cross, rows, means, unit_means)``: the (b, q, q) Z'Z; the
+    (b, m, (t - p) n) views of lags 1..p and dep; the (b, q, n) window means;
+    and the (b, m, n) unit means.
     A non-finite panel yields a non-finite Z'Z.
     """
     t, b, n, m = states.shape
-    if p and t - p < m * p + 2:
+    if t - p < m * p + 2:
         raise InsufficientObs(f"need T - p >= m*p + 2 per unit: T={t}, m={m}, p={p}")
     unit_means = states.sum(axis=0).transpose(0, 2, 1) / t
     centred = np.empty((b, m, t, n)) if out is None else out
@@ -286,17 +238,7 @@ def _within_moments(states: np.ndarray, p: int, dummies: np.ndarray | None = Non
             cross[:, at, j * m : (j + 1) * m] = cross[:, j * m : (j + 1) * m, at].transpose(0, 2, 1)
     means /= -(t - p)
     cross -= (t - p) * (means @ means.transpose(0, 2, 1))
-    proj = None
-    if dummies is not None:
-        gram = dummies.T @ dummies
-        if np.abs(gram).max() < 1e-12:
-            raise DegenerateDummy("dummy columns are collinear with the unit means")
-        if np.linalg.cond(gram) > 1e12:
-            raise DegenerateDummy("dummy columns are mutually collinear after demeaning")
-        dz = np.concatenate([r @ dummies for r in rows], axis=1).transpose(0, 2, 1)
-        proj = np.linalg.solve(gram, dz)
-        cross -= dz.transpose(0, 2, 1) @ proj
-    return cross, proj, rows, means, unit_means
+    return cross, rows, means, unit_means
 
 
 def _within_resid(rows, means: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -314,10 +256,10 @@ def _within_resid(rows, means: np.ndarray, beta: np.ndarray) -> np.ndarray:
 def _within_ols(cross: np.ndarray, mp: int, eff: int):
     """Within-OLS slopes and residual covariance from (b, mp + m, mp + m) cross-products.
 
-    ``cross`` is Z'Z of Z = [lags, dep], within-demeaned and with any dummy
-    projection removed.  From the lag Gram G, the cross term C and the
-    dependent block DD: ``coef = G^-1 C`` (rows stacked lag by lag) and
-    ``sigma = (DD - C' coef) / eff``, solved on G scaled to a unit diagonal.
+    ``cross`` is Z'Z of Z = [lags, dep], within-demeaned.  From the lag Gram
+    G, the cross term C and the dependent block DD: ``coef = G^-1 C`` (rows
+    stacked lag by lag) and ``sigma = (DD - C' coef) / eff``, solved on G
+    scaled to a unit diagonal.
 
     Returns ``(coef, sigma, ok)`` over the leading axis; ``ok`` is False, and
     that design's coef and sigma are NaN, where the rule documented on
@@ -355,30 +297,22 @@ def fit_pvar(panel: PanelDataset, spec: PVARSpec) -> PVARFit:
 
     Lags are built within unit only; the first ``lag_order`` periods per
     unit are dropped, never wrapped.  Slopes come from pooled OLS of the
-    demeaned series on their demeaned lags and dummies; the residual
-    covariance uses the divisor N * (T - p) with no small-sample
-    correction.  Raises SingularDesign by the rule documented there.
+    demeaned series on their demeaned lags; the residual covariance uses
+    the divisor N * (T - p) with no small-sample correction.  Raises SingularDesign by the rule documented there.
     """
     p = spec.lag_order
     n, t, m = panel.values.shape
     if p >= t - 1:
         raise BadConfig(f"lag_order={p} too large for T={t}")
     mp, eff = m * p, n * (t - p)
-    raw_dummies, dummies = _sample_dummies(panel, spec, p)
-    cross, proj, rows, means, unit_means = _within_moments(
-        panel.values.transpose(1, 0, 2)[:, None], p, dummies)
+    cross, rows, means, unit_means = _within_moments(panel.values.transpose(1, 0, 2)[:, None], p)
     coef, _ = _within_ols_one(cross[0], mp, eff)
 
-    # Z [-coef; I] = dep - lags coef: on the rows, the window means and the
-    # dummy projection it gives the joint regression's residuals, intercepts and dummy_coef
+    # Z [-coef; I] = dep - lags coef: on the rows and the window means it
+    # gives the regression's residuals and intercepts
     beta = np.vstack([-coef, np.eye(m)])
     resid = _within_resid([r[0] for r in rows], means[0], beta).T
     intercepts = (means[0] + np.tile(unit_means[0], (p + 1, 1))).T @ beta
-    dummy_coef = None
-    if proj is not None:
-        dummy_coef = proj[0] @ beta
-        resid -= dummies @ dummy_coef
-        intercepts -= raw_dummies.mean(axis=1) @ dummy_coef
     sigma = resid.T @ resid / eff
     phi = tuple(coef[(l * m) : (l + 1) * m, :].T.copy() for l in range(p))
     phi_sum = np.eye(m) - sum(phi)
@@ -394,7 +328,6 @@ def fit_pvar(panel: PanelDataset, spec: PVARSpec) -> PVARFit:
         spec=spec,
         effective_obs=eff,
         intercepts=intercepts,
-        dummy_coef=dummy_coef,
     )
 
 

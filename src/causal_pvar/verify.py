@@ -278,7 +278,7 @@ def _fit_chunk(states: np.ndarray, n_times: int, centred: np.ndarray) -> list[_R
     states = states[-n_times:]
     stacked = states.reshape(n_times, -1, 2).transpose(1, 0, 2)  # every unit of the chunk
     PanelDataset(stacked, 1, ("policy1", "outcome1"))  # raises NonFinite on overflow
-    cross, _, rows, means, _ = _within_moments(states, 1, out=centred)
+    cross, rows, means, _ = _within_moments(states, 1, out=centred)
     coef, sigma, ok = _within_ols(cross, 2, states.shape[2] * (n_times - 1))
     if not ok.all():
         raise SingularDesign("a replication's lag Gram matrix is singular or ill-conditioned")
@@ -384,13 +384,14 @@ def verify_suite(seed: int, reps: int = 200, names=None, rho: float | None = Non
     """Run checks on their default scenarios at ``seed``, yielding each report.
 
     ``names`` are keys of ``CHECKS`` in any case, in the order to run
-    (default: all of them), and are all resolved before any check runs;
+    (default: all of them; an empty selection runs none), and are all
+    resolved before any check runs;
     ``rho``, if given, replaces the interference scenario's spillover
     strength.  Checks that share a default scenario (T6 and T7, T9 and T10)
     are scored on one run of its replications, as ``verify_theorem`` scores
     each.
     """
-    names = [_check_name(name) for name in names or CHECKS]
+    names = [_check_name(name) for name in (CHECKS if names is None else names)]
     shared = {}
     for name in names:
         config = CHECKS[name].config.with_seed(seed)

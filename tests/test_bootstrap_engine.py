@@ -28,10 +28,6 @@ def _reference_bands(panel, spec, k, horizon, n_reps, level, seed, skip=frozense
     p = spec.lag_order
     tr = t - p
     pool = fit.residuals.reshape(n * tr, m)
-    dummy_part = np.zeros_like(panel.values)
-    if fit.dummy_coef is not None:
-        dmat = panel.exogenous_dummies[:, :, list(spec.dummy_columns)]
-        dummy_part = np.einsum("ntd,dm->ntm", dmat, fit.dummy_coef)
     responses, n_failed = [], 0
     for r, child in enumerate(np.random.SeedSequence(seed).spawn(n_reps)):
         idx = np.random.default_rng(child).integers(0, n * tr, size=n * tr)
@@ -43,8 +39,8 @@ def _reference_bands(panel, spec, k, horizon, n_reps, level, seed, skip=frozense
             x = fit.intercepts + shocks[:, s - p, :]
             for l in range(1, p + 1):
                 x = x + out[:, s - l, :] @ fit.phi[l - 1].T
-            out[:, s, :] = x + dummy_part[:, s, :]
-        sim = PanelDataset(out, panel.n_policies, panel.variable_names, panel.exogenous_dummies)
+            out[:, s, :] = x
+        sim = PanelDataset(out, panel.n_policies, panel.variable_names)
         try:
             refit = fit_pvar(sim, spec)
             rep = irf(refit, cholesky_lower(refit.sigma), k, horizon)
@@ -57,25 +53,16 @@ def _reference_bands(panel, spec, k, horizon, n_reps, level, seed, skip=frozense
     return np.quantile(good, alpha, axis=0), np.quantile(good, 1.0 - alpha, axis=0), n_failed
 
 
-def _case(seed, lag_order, n_units, n_times, dummy):
-    """A stable 2-variable VAR(1) panel and its spec, optionally with one period dummy."""
+def _case(seed, lag_order, n_units, n_times):
+    """A stable 2-variable VAR(1) panel and its spec."""
     rng = np.random.default_rng(seed)
     phi = [[rng.uniform(-0.4, 0.4), 0.0], [rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)]]
-    panel = make_var_panel(phi, n_units, n_times, seed=seed)
-    if not dummy:
-        return panel, PVARSpec(lag_order)
-    dummies = np.zeros((n_units, n_times, 1))
-    start = int(rng.integers(5, n_times // 2))
-    dummies[:, start : start + n_times // 4, 0] = 1.0
-    shifted = panel.values + dummies * np.array([0.8, -1.5])
-    panel = PanelDataset(shifted, 1, panel.variable_names, exogenous_dummies=dummies)
-    return panel, PVARSpec(lag_order, dummy_columns=(0,))
+    return make_var_panel(phi, n_units, n_times, seed=seed), PVARSpec(lag_order)
 
 
 cases = dict(
     seed=st.integers(0, 10_000),
     lag_order=st.sampled_from([1, 2]),
-    dummy=st.booleans(),
     # From 2 units: with one unit, a one-replication chunk regenerates through a
     # single-row matmul, which BLAS may round differently in the last bit.
     n_units=st.integers(2, 8),
@@ -85,8 +72,8 @@ cases = dict(
 
 @settings(max_examples=20, deadline=None)
 @given(**cases)
-def test_bands_do_not_depend_on_chunk_size(seed, lag_order, dummy, n_units, n_times):
-    panel, spec = _case(seed, lag_order, n_units, n_times, dummy)
+def test_bands_do_not_depend_on_chunk_size(seed, lag_order, n_units, n_times):
+    panel, spec = _case(seed, lag_order, n_units, n_times)
     bands = []
     # one replication per chunk; six, so that 100 end in a partial chunk of four; all in one
     for chunk_bytes in (1, 3 * panel.values.nbytes, 10**12):
@@ -100,8 +87,8 @@ def test_bands_do_not_depend_on_chunk_size(seed, lag_order, dummy, n_units, n_ti
 
 @settings(max_examples=20, deadline=None)
 @given(**cases)
-def test_bands_match_per_replication_reference(seed, lag_order, dummy, n_units, n_times):
-    panel, spec = _case(seed, lag_order, n_units, n_times, dummy)
+def test_bands_match_per_replication_reference(seed, lag_order, n_units, n_times):
+    panel, spec = _case(seed, lag_order, n_units, n_times)
     _, bands = bootstrap_irf(panel, spec, 0, 5, 100, 0.9, seed=seed)
     lower, upper, n_failed = _reference_bands(panel, spec, 0, 5, 100, 0.9, seed)
     assert bands.n_failed == n_failed == 0

@@ -13,7 +13,6 @@ from causal_pvar.errors import (
     CausalPvarError,
     CollinearRegressors,
     DegenerateAssignment,
-    DegenerateDummy,
     EmptyTreatedSet,
     GridMismatch,
     RegimeMismatch,
@@ -110,21 +109,6 @@ def test_acr_finite_difference_tolerance_at_grid_step_001():
     assert err < 1e-4
 
 
-def test_fit_with_exogenous_dummy_absorbs_period_shift():
-    # A pandemic-style dummy shifting both series is partialled out; the
-    # slopes stay near the truth instead of soaking up the level break.
-    phi = np.array([[0.3, 0.0], [0.2, 0.35]])
-    panel = make_var_panel(phi, 60, 200, seed=4)
-    dummy = np.zeros((60, 200, 1))
-    dummy[:, 80:120, 0] = 1.0
-    shifted = panel.values + dummy * np.array([2.0, -3.0])
-    with_dummy = PanelDataset(shifted, 1, panel.variable_names, exogenous_dummies=dummy)
-    fit = fit_pvar(with_dummy, PVARSpec(1, dummy_columns=(0,)))
-    assert np.abs(fit.phi[0] - phi).max() < 0.05
-    naive = fit_pvar(PanelDataset(shifted, 1, panel.variable_names), PVARSpec(1))
-    assert np.abs(naive.phi[0] - phi).max() > np.abs(fit.phi[0] - phi).max()
-
-
 def test_homogeneous_regime_probe_detects_binary_innovations():
     cfg = ScenarioConfig(regime=HOMOGENEOUS_DUMMY, n_units=15, n_times=60, seed=6)
     _, pop = simulate_scenario(cfg)
@@ -163,14 +147,6 @@ def _off_grid_pop():
 
 
 DOSE_GRID = np.linspace(-5.0, 5.0, 201)
-
-
-def _collinear_dummy_panel():
-    """The short panel with two identical, time-varying exogenous dummies."""
-    panel = _short_panel()
-    dummies = np.zeros((*panel.values.shape[:2], 2))
-    dummies[:, 10:20] = 1.0
-    return PanelDataset(panel.values, 1, panel.variable_names, exogenous_dummies=dummies)
 
 
 REJECTIONS = [
@@ -253,11 +229,6 @@ REJECTIONS = [
                  id="spec-zero-lags"),
     pytest.param(lambda: panel_from_records([1, 2], [1], np.zeros((2, 2)), 1), BadOrdering,
                  "records must align", id="records-misaligned"),
-    pytest.param(lambda: fit_pvar(_short_panel(), PVARSpec(1, dummy_columns=(0,))), BadConfig,
-                 "spec names dummy_columns but panel has no dummies", id="fit-dummies-absent"),
-    pytest.param(lambda: fit_pvar(_collinear_dummy_panel(), PVARSpec(1, dummy_columns=(0, 1))),
-                 DegenerateDummy, "dummy columns are mutually collinear after demeaning",
-                 id="fit-collinear-dummies"),
     pytest.param(lambda: fit_pvar(_short_panel(), PVARSpec(29)), BadConfig,
                  "lag_order=29 too large for T=30", id="fit-lags-past-panel"),
     pytest.param(lambda: oracle_atte_aste(_gaussian_pop()), RegimeMismatch,

@@ -108,6 +108,19 @@ class TestRecords:
         assert back == {"x": 0.0, "k": 0}
         assert type(back["x"]) is float and type(back["k"]) is int
 
+    def test_unknown_format_leaves_the_destination_alone(self, tmp_path):
+        path = tmp_path / "r.xml"
+        path.write_text("precious\n")
+        with pytest.raises(BadConfig, match="^unknown format 'xml'$"):
+            write_records([{"a": 1}], path, fmt="xml")
+        assert path.read_text() == "precious\n"
+
+    def test_unknown_format_is_not_read_as_csv(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_records([{"a": 1}], path)
+        with pytest.raises(BadConfig, match="^unknown format 'xml'$"):
+            read_records(path, fmt="xml")
+
     def test_non_finite_floats_are_json_null(self, tmp_path):
         report = {"a": np.nan, "b": [1.5, np.float64(-np.inf)], "c": np.array([np.inf, 2.0])}
         write_json(report, tmp_path / "r.json")

@@ -2,8 +2,8 @@
 
 ``_design`` builds Z = [lags 1..p, dep] the long way: every lag copied into
 its own columns and each unit demeaned over the sample window.  The kernel
-never builds Z; its cross-products, dummy projection and residuals must
-match those of the explicit Z.
+never builds Z; its cross-products and residuals must match those of the
+explicit Z.
 """
 
 import tracemalloc
@@ -38,15 +38,6 @@ def _states(seed, p, m, b, n, t, slope, log_mean):
     return (x[30:] + means).reshape(t, b, n, m)
 
 
-def _dummy_rows(seed, p, n, t):
-    """One period dummy on part of the sample, demeaned per unit, time-major rows."""
-    rng = np.random.default_rng(seed + 1)
-    start = int(rng.integers(p, t - 2))
-    raw = np.zeros((t - p, n, 1))
-    raw[start - p : start - p + int(rng.integers(1, t - start))] = 1.0
-    return (raw - raw.mean(axis=0)).reshape(-1, 1)
-
-
 def _agree(got, want, scale):
     """|got - want| within 1e-12 of ``scale``, elementwise."""
     err = np.max(np.abs(got - want) / scale)
@@ -56,20 +47,13 @@ def _agree(got, want, scale):
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 10_000), p=st.integers(1, 3), m=st.integers(2, 3),
        b=st.integers(1, 4), n=st.integers(1, 6), extra=st.integers(0, 30),
-       slope=st.sampled_from([0.0, 0.5, 0.98]), log_mean=st.floats(0.0, 3.0),
-       dummy=st.booleans())
-def test_moments_match_the_explicit_design(seed, p, m, b, n, extra, slope, log_mean, dummy):
+       slope=st.sampled_from([0.0, 0.5, 0.98]), log_mean=st.floats(0.0, 3.0))
+def test_moments_match_the_explicit_design(seed, p, m, b, n, extra, slope, log_mean):
     t = m * p + 2 + p + extra
     states = _states(seed, p, m, b, n, t, slope, log_mean)
-    dummies = _dummy_rows(seed, p, n, t) if dummy else None
-    cross, got_proj, rows, means, _ = _within_moments(states, p, dummies)
+    cross, rows, means, _ = _within_moments(states, p)
     z = _design(states, p)
     want = z.transpose(0, 2, 1) @ z
-    if dummy:
-        dz = dummies.T @ z
-        proj = np.linalg.solve(dummies.T @ dummies, dz)
-        _agree(got_proj, proj, np.abs(proj).max())
-        want = want - dz.transpose(0, 2, 1) @ proj
     # each entry against the Cauchy-Schwarz scale of its row and column
     diag = np.sqrt(np.diagonal(want, axis1=1, axis2=2))
     _agree(cross, want, diag[:, :, None] * diag[:, None, :])

@@ -3,16 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causal_pvar.diagnostics import lag_criteria
 from causal_pvar.errors import (
-    BadConfig,
     BadOrdering,
-    DegenerateDummy,
     InsufficientObs,
     NonFinite,
     UnbalancedPanel,
 )
-from causal_pvar.identify import bootstrap_irf
 from causal_pvar.panel import (
     PanelDataset,
     PVARSpec,
@@ -85,12 +81,6 @@ class TestValidatePanel:
         pytest.param({"n_policies": -1}, BadOrdering, "K=-1, m=2", id="negative-k"),
         pytest.param({"variable_names": ("w",)}, BadOrdering, "1 variable names for 2",
                      id="name-count"),
-        pytest.param({"exogenous_dummies": np.ones((2, 3, 1))}, BadOrdering,
-                     r"share the \(unit, time\) grid", id="dummy-grid"),
-        pytest.param({"exogenous_dummies": np.ones((2, 4))}, BadOrdering,
-                     r"share the \(unit, time\) grid", id="dummy-2d"),
-        pytest.param({"exogenous_dummies": np.full((2, 4, 1), np.nan)}, NonFinite,
-                     "non-finite exogenous dummy", id="non-finite-dummy"),
         # values are checked for finiteness before the ordering metadata
         pytest.param({"values": np.full((2, 4, 2), np.inf), "n_policies": 2}, NonFinite,
                      r"\(unit=1, time=1, variable=1\)", id="non-finite-before-metadata"),
@@ -122,43 +112,6 @@ class TestWithinDemean:
         a = within_demean(with_mu).values
         b = within_demean(without).values
         np.testing.assert_allclose(a, b, atol=1e-12)
-
-    def test_degenerate_dummy(self):
-        vals = np.random.default_rng(0).standard_normal((4, 10, 2))
-        dummies = np.ones((4, 10, 1))  # constant per unit: collinear with means
-        panel = PanelDataset(vals, 1, ("w", "y"), exogenous_dummies=dummies)
-        with pytest.raises(DegenerateDummy):
-            within_demean(panel, PVARSpec(1, dummy_columns=(0,)))
-
-    @pytest.mark.parametrize("entry", [
-        pytest.param(lambda panel, spec: within_demean(panel, spec), id="within_demean"),
-        pytest.param(lambda panel, spec: fit_pvar(panel, spec), id="fit_pvar"),
-        pytest.param(lambda panel, spec: lag_criteria(panel, 2, spec), id="lag_criteria"),
-        pytest.param(lambda panel, spec: bootstrap_irf(panel, spec, 0, 2, 100, 0.9, seed=0),
-                     id="bootstrap_irf"),
-    ])
-    @pytest.mark.parametrize("column", [3, -1])
-    def test_dummy_column_outside_the_panel_is_rejected(self, entry, column):
-        # one dummy: column 3 is past its end, and -1 would silently read it
-        values = np.random.default_rng(0).standard_normal((4, 10, 2))
-        dummies = np.zeros((4, 10, 1))
-        dummies[:, 5:, 0] = 1.0
-        panel = PanelDataset(values, 1, ("w", "y"), exogenous_dummies=dummies)
-        with pytest.raises(BadConfig, match=rf"^dummy_columns \({column},\) must lie in \[0, 1\)$"):
-            entry(panel, PVARSpec(1, dummy_columns=(column,)))
-
-    def test_dummy_partialled_out(self):
-        rng = np.random.default_rng(1)
-        n, t = 8, 60
-        dummy = np.zeros((n, t, 1))
-        dummy[:, 20:30, 0] = 1.0
-        base = rng.standard_normal((n, t, 2))
-        shifted = base + 4.0 * dummy  # both variables load on the dummy
-        panel = PanelDataset(shifted, 1, ("w", "y"), exogenous_dummies=dummy)
-        out = within_demean(panel, PVARSpec(1, dummy_columns=(0,)))
-        flat_d = (dummy - dummy.mean(axis=1, keepdims=True)).reshape(-1)
-        for v in range(2):
-            assert abs(flat_d @ out.values[:, :, v].reshape(-1)) < 1e-8
 
 
 class TestFitPvar:

@@ -1,8 +1,13 @@
-"""No module of the package keeps an import it neither uses nor exports.
+"""No module of the package keeps an import or a private definition that nothing reads.
 
 A module-level import counts as used when its bound name is read anywhere
 in the module or is listed in the module's ``__all__``.  ``__init__.py``
 (which exists to re-export) and ``from __future__`` imports are exempt.
+
+A module-level private function or class (``_name``, not a dunder) counts
+as used when its name is read, as a name or an attribute, in some module
+of the package; an import alone does not count, as the rule above rejects
+an import that nothing reads.
 """
 
 import ast
@@ -53,3 +58,38 @@ def test_the_rule_flags_an_unused_import_and_spares_used_and_exported_ones():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_defs(sources: dict[str, str]) -> list[str]:
+    """``module.name (line n)`` for each module-level private function or class
+    of ``sources`` (module name to source) that no module reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{module}.{node.name} (line {node.lineno})"
+            for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")
+            and node.name not in read]
+
+
+def test_the_rule_flags_an_unread_private_def_and_spares_read_ones():
+    sources = {
+        "a": ("def _left_behind(x):\n    return x\n"
+              "def _called():\n    pass\n"
+              "class _Base:\n    pass\n"
+              "def __getattr__(name):\n    pass\n"
+              "def public():\n    return _called()\n"),
+        "b": "from .a import _Base, _left_behind\nimport a\nclass C(_Base):\n    x = a._called\n",
+    }
+    assert unread_private_defs(sources) == ["a._left_behind (line 1)"]
+
+
+def test_package_has_no_unread_private_def():
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert unread_private_defs(sources) == []

@@ -156,6 +156,12 @@ def test_suite_rejects_an_unknown_name_before_any_check_runs():
     spy.assert_not_called()
 
 
+def test_an_empty_selection_runs_no_check():
+    with mock.patch.object(verify, "_chunk_pairs") as spy:
+        assert list(verify.verify_suite(0, 3, [])) == []
+    spy.assert_not_called()
+
+
 def _unit_major(phi, mu, innovations):
     """The VAR recursion one unit-major slice at a time, as it was before the kernel."""
     p, m = len(phi), phi[0].shape[0]
