@@ -25,11 +25,23 @@ ground truth and its fit, as floats, before the next chunk overwrites the
 working set.  The chunking does not change the results.  ``verify_suite``
 scores checks that share a scenario (T6 and T7, T9 and T10) on one run of
 its replications.
+
+``verify_suite`` runs its groups (T1, T2, T3, T4, T5, T6+T7, T9+T10 and
+interference) on a pool of forked worker processes, one per usable CPU
+(``os.sched_getaffinity``) and at most one per group.  Where that is one
+worker, another thread runs (fork copies only the calling thread) or the
+platform cannot fork, it runs the same groups in this process.  Each group
+is seeded on its own and scored as in this process, so the reports, and
+``verify.csv``'s bytes, are the same for any worker count.  A worker's
+memory is its own: the calling process's peak RSS no longer includes it.
+A worker runs a group whole, as sending it blocks of chunks was slower.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -158,8 +170,9 @@ def _gaussian_pairs(config, pop, fit, mode):
 
 def _nonneg_grid(config) -> np.ndarray:
     # Coarse dose grid: the conditional-mean bins carry outcome noise into
-    # the ACRT gradient, and a quadratic impact has no binning bias, so
-    # fewer bins just means a quieter oracle.
+    # the ACRT gradient, so fewer bins mean a quieter oracle.  The bins do
+    # bias it, by O(h) even for a quadratic impact: -0.0044 at these 41
+    # points on a noise-free T6 panel (ROADMAP item 13).
     return np.concatenate([[0.0], np.linspace(*config.support, 41)])
 
 
@@ -278,8 +291,10 @@ def _fit_chunk(states: np.ndarray, n_times: int, centred: np.ndarray) -> list[_R
     states = states[-n_times:]
     stacked = states.reshape(n_times, -1, 2).transpose(1, 0, 2)  # every unit of the chunk
     PanelDataset(stacked, 1, ("policy1", "outcome1"))  # raises NonFinite on overflow
-    cross, rows, means, _ = _within_moments(states, 1, out=centred)
-    coef, sigma, ok = _within_ols(cross, 2, states.shape[2] * (n_times - 1))
+    # an overflowing cross-product is rejected below as a singular design
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross, rows, means, _ = _within_moments(states, 1, out=centred)
+        coef, sigma, ok = _within_ols(cross, 2, states.shape[2] * (n_times - 1))
     if not ok.all():
         raise SingularDesign("a replication's lag Gram matrix is singular or ill-conditioned")
     gamma = sigma[:, 1, 0] / sigma[:, 0, 0]
@@ -380,27 +395,82 @@ def verify_interference(config: ScenarioConfig, reps: int = 200) -> Verification
     return verify_theorem("interference", config, reps)
 
 
+def _suite_group(names, seed: int, reps: int, rho: float | None) -> list[VerificationReport]:
+    """The reports of ``names``, checks that share a default scenario, on one
+    run of its replications at ``seed``; ``rho``, if given, replaces the
+    interference scenario's spillover strength."""
+    config = CHECKS[names[0]].config.with_seed(seed)
+    if names[0] == "interference" and rho is not None:
+        config = replace(config, spillover_rho=rho)
+    return _run_shared(names, config, reps)
+
+
+def _exit_with_parent() -> None:
+    """Pool initializer: end this worker once its parent process has ended,
+    even by a signal.  Without it the worker would wait for ever on a call
+    queue whose write end it holds open itself."""
+    from multiprocessing import connection, parent_process
+
+    sentinel = parent_process().sentinel
+
+    def watch():
+        connection.wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _worker_pool(n_groups: int):
+    """A pool of forked workers, one per usable CPU and at most one per group,
+    or None where that is one worker, another thread runs or the platform
+    cannot fork."""
+    # fork copies only the calling thread, so a lock that another thread
+    # holds would stay held in every worker: a threaded caller runs in-process
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return None
+    workers = min(n_groups, len(os.sched_getaffinity(0)))
+    if workers < 2:
+        return None
+    # imported here, as the CLI's other commands never need them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    # a fork pool starts every worker before its manager thread
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_exit_with_parent)
+
+
 def verify_suite(seed: int, reps: int = 200, names=None, rho: float | None = None):
     """Run checks on their default scenarios at ``seed``, yielding each report.
 
-    ``names`` are keys of ``CHECKS`` in any case, in the order to run
+    ``names`` are keys of ``CHECKS`` in any case, in the order to yield
     (default: all of them; an empty selection runs none), and are all
     resolved before any check runs;
     ``rho``, if given, replaces the interference scenario's spillover
     strength.  Checks that share a default scenario (T6 and T7, T9 and T10)
-    are scored on one run of its replications, as ``verify_theorem`` scores
-    each.
+    form one group, scored on one run of its replications as
+    ``verify_theorem`` scores each.  The groups run in forked worker
+    processes, one per usable CPU and at most one per group, or in this
+    process where that is one; each group is seeded on its own, so the
+    reports do not depend on the worker count.  Each report is yielded once
+    its group is done, and a group's error is raised in its turn.
     """
     names = [_check_name(name) for name in (CHECKS if names is None else names)]
-    shared = {}
-    for name in names:
-        config = CHECKS[name].config.with_seed(seed)
-        if name == "interference" and rho is not None:
-            config = replace(config, spillover_rho=rho)
-        group = [other for other in names if CHECKS[other].config is CHECKS[name].config]
-        if len(group) == 1:
-            yield verify_theorem(name, config, reps=reps)
-            continue
-        if name not in shared:
-            shared.update(zip(group, _run_shared(group, config, reps)))
-        yield shared.pop(name)
+    groups = {}  # checks that share a default scenario object, in name order
+    for name in dict.fromkeys(names):
+        groups.setdefault(id(CHECKS[name].config), []).append(name)
+    run = functools.partial(_suite_group, seed=seed, reps=reps, rho=rho)
+    pool = _worker_pool(len(groups))
+    try:
+        finished = zip(groups.values(), (pool.map if pool else map)(run, groups.values()))
+        done = {}
+        for name in names:
+            while name not in done:
+                group, reports = next(finished)
+                done.update(zip(group, reports))
+            yield done[name]
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)

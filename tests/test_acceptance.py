@@ -10,7 +10,6 @@ import sys
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from causal_pvar.diagnostics import lag_criteria, residual_autocorr
 from causal_pvar.estimands import did_four_means, dummy_gamma

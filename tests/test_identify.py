@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causal_pvar.errors import BootstrapUnstable, CausalPvarError, NotPSD, ZeroPolicyVariance
+from causal_pvar.errors import CausalPvarError, NotPSD, ZeroPolicyVariance
 from causal_pvar.identify import (
     _propagate,
     bootstrap_irf,

@@ -18,7 +18,6 @@ from causal_pvar.scenarios import (
     ScenarioConfig,
     linear_impact,
     ring_adjacency,
-    simulate_scenario,
 )
 from causal_pvar.spillover import (
     BINARY_ANY_NEIGHBOR,

@@ -1,4 +1,5 @@
-"""No module of the package keeps an import or a private definition that nothing reads.
+"""No module of the package or its tests keeps an import, and no module of the
+package a private definition, that nothing reads.
 
 A module-level import counts as used when its bound name is read anywhere
 in the module or is listed in the module's ``__all__``.  ``__init__.py``
@@ -17,6 +18,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "causal_pvar"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -57,6 +59,11 @@ def test_the_rule_flags_an_unused_import_and_spares_used_and_exported_ones():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.name)
+def test_test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
 

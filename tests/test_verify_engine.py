@@ -8,6 +8,7 @@ replication's estimates and oracles to 1e-12 for any chunking.
 ``_unit_major`` is the unit-major VAR loop the propagation kernel replaced.
 """
 
+import os
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import causal_pvar.verify as verify
-from causal_pvar.errors import BadConfig
+from causal_pvar.errors import BadConfig, SingularDesign
 from causal_pvar.estimands import did_four_means, dummy_gamma, oracle_estimands
 from causal_pvar.identify import cholesky_lower, impact_gamma
 from causal_pvar.panel import PVARSpec, _var_recursion, fit_pvar
@@ -149,17 +150,30 @@ def test_suite_resolves_names_in_any_case():
     assert shared == [rep.record() for rep in verify.verify_suite(0, 3, ["T6", "T7"])]
 
 
+def test_overflowing_replications_raise_singular_design_without_warnings():
+    # an overflowing cross-product is a singular design, as in bootstrap_irf;
+    # the error::RuntimeWarning filter turns any numpy warning into a failure
+    with pytest.raises(SingularDesign, match="lag Gram matrix is singular"):
+        list(verify.verify_suite(0, 3, ["interference"], rho=1e200))
+
+
+# A worker's checks never reach a spy in this process, so these also assert
+# that no worker is forked.
 def test_suite_rejects_an_unknown_name_before_any_check_runs():
     with mock.patch.object(verify, "_chunk_pairs") as spy, \
+            mock.patch("os.fork", wraps=os.fork) as fork, \
             pytest.raises(BadConfig, match="unknown theorem 'bogus'"):
         list(verify.verify_suite(0, 3, ["T6", "bogus"]))
     spy.assert_not_called()
+    fork.assert_not_called()
 
 
 def test_an_empty_selection_runs_no_check():
-    with mock.patch.object(verify, "_chunk_pairs") as spy:
+    with mock.patch.object(verify, "_chunk_pairs") as spy, \
+            mock.patch("os.fork", wraps=os.fork) as fork:
         assert list(verify.verify_suite(0, 3, [])) == []
     spy.assert_not_called()
+    fork.assert_not_called()
 
 
 def _unit_major(phi, mu, innovations):
