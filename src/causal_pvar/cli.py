@@ -12,7 +12,8 @@ runs on one thread.
 
 Defaults live in the library: a ``simulate`` scenario flag left out takes
 the ``ScenarioConfig`` default of the field it sets (``SCENARIO_FLAGS``),
-and ``verify --rho`` defaults to the interference check's own scenario.
+and ``verify`` runs each check on its own default scenario, taking no
+scenario option.
 JSON artifacts write non-finite numbers as ``null``.
 
 Exit codes: 0 success, 1 expected errors (bad data, estimation failures),
@@ -268,13 +269,10 @@ def cmd_spillover(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.rho is not None and args.theorem not in ("all", "interference"):
-        raise InvalidInvocation(f"--rho applies to the interference check, "
-                                f"which --theorem {args.theorem} does not run")
     cpio.ensure_dir(args.output)
     reports = []
     names = None if args.theorem == "all" else [args.theorem]
-    for rep in verify_suite(args.seed, args.reps, names, rho=args.rho):
+    for rep in verify_suite(args.seed, args.reps, names):
         print(rep.summary_line())
         reports.append(rep)
     _write_records([r.record() for r in reports], args, "verify")
@@ -344,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
                 records=True)
     p.add_argument("--theorem", default="all", choices=[*CHECKS, "all"])
     p.add_argument("--reps", type=int, default=200)
-    p.add_argument("--rho", type=float,
-                   help="spillover strength of the interference check (default: its scenario's)")
     return parser
 
 

@@ -88,7 +88,8 @@ def lag_criteria(panel: PanelDataset, pmax: int) -> LagSelectionTable:
 
     The within cross-product of the pmax lags is built once and order p is
     solved from its leading m p lags, so every fit shares the sample
-    t > pmax and the rule of SingularDesign.  Each fit is scored by
+    t > pmax and the rule of SingularDesign; InsufficientObs is raised
+    unless T - pmax >= m pmax + 2.  Each fit is scored by
     ln det(Sigma_p) plus a penalty in the number of slope parameters m^2 p:
 
     - bic_like: (m^2 p / eff) * ln(eff)
@@ -100,8 +101,6 @@ def lag_criteria(panel: PanelDataset, pmax: int) -> LagSelectionTable:
     """
     if pmax < 1:
         raise BadConfig("pmax must be >= 1")
-    if pmax >= panel.n_times / 3:
-        raise BadConfig(f"pmax={pmax} too large for T={panel.n_times} (need pmax < T/3)")
     n, t, m = panel.values.shape
     eff = n * (t - pmax)
     cross = _within_moments(panel.values.transpose(1, 0, 2)[:, None], pmax)[0]
@@ -169,8 +168,9 @@ def stationarity(fit: PVARFit) -> StationarityDiagnostic:
 def policy_regime_probe(series: np.ndarray) -> PolicyProbe:
     """Probe the distribution of a policy residual series.
 
-    Reports whether the demeaned series takes at most two distinct values,
-    the share of exact zeros, sample skewness and excess kurtosis, and the
+    Reports whether the demeaned series takes at most two distinct values
+    (to 1e-10 of its own root mean square, so in any units), the share of
+    exact zeros, sample skewness and excess kurtosis, and the
     skewness/kurtosis normality statistic n * (skew^2/6 + exkurt^2/24),
     asymptotically chi-squared with 2 degrees of freedom under normality.
     """
@@ -179,11 +179,11 @@ def policy_regime_probe(series: np.ndarray) -> PolicyProbe:
     if n < 30:
         raise BadConfig(f"need >= 30 observations, got {n}")
     centered = x - x.mean()
-    is_binary = np.unique(np.round(centered, 10)).size <= 2
     share_zero = float(np.mean(x == 0.0))
     m2 = float(np.mean(centered**2))
     if m2 < 1e-300:
         return PolicyProbe(True, share_zero, 0.0, 0.0, 0.0)
+    is_binary = np.unique(np.round(centered / np.sqrt(m2), 10)).size <= 2
     skew = float(np.mean(centered**3) / m2**1.5)
     exkurt = float(np.mean(centered**4) / m2**2 - 3.0)
     stat = n * (skew**2 / 6.0 + exkurt**2 / 24.0)

@@ -298,12 +298,12 @@ def fit_pvar(panel: PanelDataset, spec: PVARSpec) -> PVARFit:
     Lags are built within unit only; the first ``lag_order`` periods per
     unit are dropped, never wrapped.  Slopes come from pooled OLS of the
     demeaned series on their demeaned lags; the residual covariance uses
-    the divisor N * (T - p) with no small-sample correction.  Raises SingularDesign by the rule documented there.
+    the divisor N * (T - p) with no small-sample correction.  Raises
+    SingularDesign by the rule documented there, and InsufficientObs unless
+    T - p >= m p + 2.
     """
     p = spec.lag_order
     n, t, m = panel.values.shape
-    if p >= t - 1:
-        raise BadConfig(f"lag_order={p} too large for T={t}")
     mp, eff = m * p, n * (t - p)
     cross, rows, means, unit_means = _within_moments(panel.values.transpose(1, 0, 2)[:, None], p)
     coef, _ = _within_ols_one(cross[0], mp, eff)

@@ -60,6 +60,15 @@ class SpilloverFit:
     n_dropped: int = 0
 
 
+def _drop_drift(x: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``x`` less its mean, if that mean exceeds 1e-8 of the root mean square
+    of ``x``, and whether it did: a threshold in the series' own units."""
+    mean = x.mean()
+    if abs(mean) > 1e-8 * np.sqrt(np.mean(x * x)):
+        return x - mean, True
+    return x, False
+
+
 def spillover_regression(
     policy_residuals,
     outcome_residuals,
@@ -69,9 +78,9 @@ def spillover_regression(
 ) -> SpilloverFit:
     """No-intercept least squares of outcome residuals on (policy, exposure).
 
-    Residual inputs are expected mean-zero; any drift above 1e-8 in the
-    policy or outcome series is subtracted and flagged.  The exposure
-    regressor is used as given.  Standard errors come from an i.i.d. cell
+    Residual inputs are expected mean-zero; a policy or outcome mean above
+    1e-8 of that series' root mean square is subtracted and flagged.  The
+    exposure regressor is used as given.  Standard errors come from an i.i.d. cell
     bootstrap with ``n_reps`` replications (skipped when n_reps = 0); draws
     that cannot be fitted are dropped and counted, and BootstrapUnstable is
     raised when fewer than two remain.
@@ -81,13 +90,8 @@ def spillover_regression(
     s = np.asarray(exposure, dtype=float).ravel()
     if not (w.size == y.size == s.size):
         raise BadConfig("policy, outcome, and exposure series must align")
-    drift = False
-    if abs(w.mean()) > 1e-8:
-        w = w - w.mean()
-        drift = True
-    if abs(y.mean()) > 1e-8:
-        y = y - y.mean()
-        drift = True
+    (w, w_drift), (y, y_drift) = _drop_drift(w), _drop_drift(y)
+    drift = w_drift or y_drift
 
     if n_reps < 0:
         raise BadConfig(f"n_reps must be non-negative, got {n_reps}")

@@ -9,8 +9,10 @@ checked at 1e-10 instead.  ``CHECKS`` holds every check, the interference
 pair included: its default scenario, the function that gives one
 replication's (estimate, oracle) pairs and its test.  ``verify_theorem``
 runs any of them into one ``VerificationReport``, whose fields hold the
-reported pair and whose ``details`` hold any further one (T2's selection
-bias, the naive coefficient of the interference check).
+reported pair and whose ``further`` holds a report of its own for each
+further pair (T2's selection bias, the naive coefficient of the
+interference check).  A check runs on the scenario it is given; a variant,
+such as another spillover strength, is another config or ``CHECKS`` entry.
 
 Replications run in chunks of about ``CHUNK_BYTES`` of panel, through one
 working set per check run: a state slab and a centring buffer sized for the
@@ -42,7 +44,7 @@ from __future__ import annotations
 import functools
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -77,9 +79,8 @@ __all__ = [
 @dataclass(frozen=True)
 class VerificationReport:
     """Aggregate of one Monte-Carlo check: its reported (estimate, oracle)
-    pair, and in ``details`` each further pair as ``<name>_mean``,
-    ``_oracle_mean``, ``_discrepancy``, ``_se`` and ``_pass``.  ``passed``
-    requires every pair to pass."""
+    pair, and in ``further`` a report of its own for each further pair, by
+    name.  ``passed`` requires every pair to pass."""
 
     theorem: str
     n_reps: int
@@ -88,7 +89,7 @@ class VerificationReport:
     discrepancy: float
     mc_se: float
     passed: bool
-    details: dict
+    further: dict = field(default_factory=dict)
 
     def summary_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -97,11 +98,9 @@ class VerificationReport:
             f"{self.discrepancy:.6g} vs 3*SE = {3 * self.mc_se:.6g} "
             f"({self.n_reps} reps)"
         )
-        for key in self.details:
-            if key.endswith("_discrepancy"):
-                name = key[: -len("_discrepancy")]
-                line += (f"; {name} |mean - oracle| = {self.details[key]:.6g} "
-                         f"vs 3*SE = {3 * self.details[name + '_se']:.6g}")
+        for name, rep in self.further.items():
+            line += (f"; {name} |mean - oracle| = {rep.discrepancy:.6g} "
+                     f"vs 3*SE = {3 * rep.mc_se:.6g}")
         return line
 
     def record(self) -> dict:
@@ -319,14 +318,19 @@ def _chunk_pairs(checks, config: ScenarioConfig, phi, seeds, work) -> list:
              for check in checks] for d, fit in zip(draws, fits)]
 
 
-def _test(diffs: np.ndarray, exact: bool) -> tuple[float, float, bool]:
-    """(discrepancy, mc_se, passed) of one pair's estimate - oracle differences."""
+def _pair(name: str, reps: int, estimates: np.ndarray, oracles: np.ndarray,
+          exact: bool) -> VerificationReport:
+    """The report of one pair from its per-replication estimates and oracles."""
+    diffs = estimates - oracles
     if exact:
-        discrepancy = float(np.abs(diffs).max())
-        return discrepancy, 0.0, discrepancy < 1e-10
-    discrepancy = float(abs(diffs.mean()))
-    mc_se = float(diffs.std(ddof=1) / np.sqrt(diffs.size))
-    return discrepancy, mc_se, discrepancy < 3.0 * mc_se
+        discrepancy, mc_se = float(np.abs(diffs).max()), 0.0
+        passed = discrepancy < 1e-10
+    else:
+        discrepancy = float(abs(diffs.mean()))
+        mc_se = float(diffs.std(ddof=1) / np.sqrt(diffs.size))
+        passed = discrepancy < 3.0 * mc_se
+    return VerificationReport(name, reps, float(estimates.mean()), float(oracles.mean()),
+                              discrepancy, mc_se, passed)
 
 
 def _run_shared(names, config: ScenarioConfig, reps: int) -> list[VerificationReport]:
@@ -358,21 +362,10 @@ def _run_shared(names, config: ScenarioConfig, reps: int) -> list[VerificationRe
     for name, check, check_rows in zip(names, checks, zip(*rows)):
         # (reps, pairs, 2) -> per pair: its estimates and oracles
         pairs = np.asarray(check_rows, dtype=float).transpose(1, 2, 0)
-        tests = [_test(estimates - oracles, check.exact) for estimates, oracles in pairs]
-        (estimates, oracles), (discrepancy, mc_se, _) = pairs[0], tests[0]
-        if check.exact:
-            details = {"criterion": "max |estimate - oracle| < 1e-10"}
-        else:
-            details = {"estimates_sd": float(estimates.std(ddof=1)),
-                       "oracle_sd": float(oracles.std(ddof=1))}
-        for label, (est, orc), (disc, se, ok) in zip(check.further, pairs[1:], tests[1:]):
-            details.update({f"{label}_mean": float(est.mean()),
-                            f"{label}_oracle_mean": float(orc.mean()),
-                            f"{label}_discrepancy": disc, f"{label}_se": se,
-                            f"{label}_pass": ok})
-        reports.append(VerificationReport(
-            name, reps, float(estimates.mean()), float(oracles.mean()), discrepancy, mc_se,
-            all(ok for *_, ok in tests), details))
+        reported, *further = [_pair(label, reps, estimates, oracles, check.exact)
+                              for label, (estimates, oracles) in zip((name, *check.further), pairs)]
+        reports.append(replace(reported, passed=all(r.passed for r in (reported, *further)),
+                               further={r.theorem: r for r in further}))
     return reports
 
 
@@ -393,16 +386,6 @@ def verify_theorem(theorem: str, config: ScenarioConfig | None = None,
 def verify_interference(config: ScenarioConfig, reps: int = 200) -> VerificationReport:
     """The "interference" check of ``verify_theorem``."""
     return verify_theorem("interference", config, reps)
-
-
-def _suite_group(names, seed: int, reps: int, rho: float | None) -> list[VerificationReport]:
-    """The reports of ``names``, checks that share a default scenario, on one
-    run of its replications at ``seed``; ``rho``, if given, replaces the
-    interference scenario's spillover strength."""
-    config = CHECKS[names[0]].config.with_seed(seed)
-    if names[0] == "interference" and rho is not None:
-        config = replace(config, spillover_rho=rho)
-    return _run_shared(names, config, reps)
 
 
 def _exit_with_parent() -> None:
@@ -442,29 +425,29 @@ def _worker_pool(n_groups: int):
                                initializer=_exit_with_parent)
 
 
-def verify_suite(seed: int, reps: int = 200, names=None, rho: float | None = None):
+def verify_suite(seed: int, reps: int = 200, names=None):
     """Run checks on their default scenarios at ``seed``, yielding each report.
 
     ``names`` are keys of ``CHECKS`` in any case, in the order to yield
     (default: all of them; an empty selection runs none), and are all
-    resolved before any check runs;
-    ``rho``, if given, replaces the interference scenario's spillover
-    strength.  Checks that share a default scenario (T6 and T7, T9 and T10)
-    form one group, scored on one run of its replications as
-    ``verify_theorem`` scores each.  The groups run in forked worker
-    processes, one per usable CPU and at most one per group, or in this
-    process where that is one; each group is seeded on its own, so the
-    reports do not depend on the worker count.  Each report is yielded once
-    its group is done, and a group's error is raised in its turn.
+    resolved before any check runs.  Checks that share a default scenario
+    (T6 and T7, T9 and T10) form one group, scored on one run of its
+    replications as ``verify_theorem`` scores each.  The groups run in
+    forked worker processes, one per usable CPU and at most one per group,
+    or in this process where that is one; each group is seeded on its own,
+    so the reports do not depend on the worker count.  Each report is
+    yielded once its group is done, and a group's error is raised in its
+    turn.
     """
     names = [_check_name(name) for name in (CHECKS if names is None else names)]
     groups = {}  # checks that share a default scenario object, in name order
     for name in dict.fromkeys(names):
         groups.setdefault(id(CHECKS[name].config), []).append(name)
-    run = functools.partial(_suite_group, seed=seed, reps=reps, rho=rho)
+    configs = [CHECKS[group[0]].config.with_seed(seed) for group in groups.values()]
     pool = _worker_pool(len(groups))
     try:
-        finished = zip(groups.values(), (pool.map if pool else map)(run, groups.values()))
+        finished = zip(groups.values(), (pool.map if pool else map)(
+            _run_shared, groups.values(), configs, [reps] * len(configs)))
         done = {}
         for name in names:
             while name not in done:

@@ -1,8 +1,10 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import causal_pvar.verify as verify
 from causal_pvar.panel import PanelDataset
 from causal_pvar.scenarios import simulate_var_panel
 
@@ -28,3 +30,12 @@ def make_var_panel(phi, n_units, n_times, seed, mu=None, burn=50, n_policies=1,
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def overflowing_interference(monkeypatch):
+    """The interference check at a spillover strength whose dynamics overflow;
+    forked verify workers inherit the patched ``CHECKS``."""
+    check = verify.CHECKS["interference"]
+    monkeypatch.setitem(verify.CHECKS, "interference",
+                        replace(check, config=replace(check.config, spillover_rho=1e200)))

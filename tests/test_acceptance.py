@@ -90,8 +90,8 @@ def test_criterion_2_randomized_dummy_recovers_ate():
     rep = verify_theorem("T2", reps=200)
     detail = (
         f"|mean gamma - ATE| = {rep.discrepancy:.5f} vs 3*SE = {3 * rep.mc_se:.5f}; "
-        f"|mean selection bias| = {abs(rep.details['selection_bias_mean']):.5f} vs "
-        f"3*SE = {3 * rep.details['selection_bias_se']:.5f} (N=200, T=200, 200 seeds)"
+        f"|mean selection bias| = {abs(rep.further['selection_bias'].estimate_mean):.5f} vs "
+        f"3*SE = {3 * rep.further['selection_bias'].mc_se:.5f} (N=200, T=200, 200 seeds)"
     )
     report("2", rep.passed, detail)
 
@@ -159,11 +159,12 @@ def test_criterion_6_interference():
         impact=linear_impact(1.0), treat_prob=0.15, spillover_rho=0.5,
     )
     rep = verify_interference(cfg, reps=200)
-    naive_bias_vs_atte = rep.details["naive_mean"] - rep.oracle_mean
-    aste_mean = rep.oracle_mean - rep.details["naive_oracle_mean"]
+    naive = rep.further["naive"]
+    naive_bias_vs_atte = naive.estimate_mean - rep.oracle_mean
+    aste_mean = rep.oracle_mean - naive.oracle_mean
     detail = (
-        f"naive vs (ATTE - ASTE): {rep.details['naive_discrepancy']:.5f} vs 3*SE = "
-        f"{3 * rep.details['naive_se']:.5f}; adjusted vs ATTE: {rep.discrepancy:.5f} vs "
+        f"naive vs (ATTE - ASTE): {naive.discrepancy:.5f} vs 3*SE = "
+        f"{3 * naive.mc_se:.5f}; adjusted vs ATTE: {rep.discrepancy:.5f} vs "
         f"3*SE = {3 * rep.mc_se:.5f}; naive bias {naive_bias_vs_atte:+.4f} "
         f"~ -ASTE = {-aste_mean:+.4f} (200 seeds)"
     )

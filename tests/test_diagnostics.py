@@ -193,6 +193,13 @@ class TestPolicyProbe:
         probe = policy_regime_probe(x - x.mean())
         assert probe.is_binary
 
+    @pytest.mark.parametrize("scale", [1e-11, 1.0, 1e11])
+    def test_binary_verdict_does_not_depend_on_units(self, scale):
+        rng = np.random.default_rng(0)
+        assert not policy_regime_probe(scale * rng.standard_normal(500)).is_binary
+        assert policy_regime_probe(scale * (rng.random(500) < 0.3)).is_binary
+        assert policy_regime_probe(np.full(500, 0.3 * scale)).is_binary
+
     def test_share_zero(self):
         x = np.concatenate([np.zeros(250), np.abs(np.random.default_rng(1).standard_normal(250))])
         probe = policy_regime_probe(x)

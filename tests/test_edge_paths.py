@@ -15,6 +15,7 @@ from causal_pvar.errors import (
     DegenerateAssignment,
     EmptyTreatedSet,
     GridMismatch,
+    InsufficientObs,
     RegimeMismatch,
     SingularDesign,
 )
@@ -195,8 +196,8 @@ REJECTIONS = [
                  id="did-shape-mismatch"),
     pytest.param(lambda: lag_criteria(_short_panel(), 0), BadConfig,
                  "pmax must be >= 1", id="lag-criteria-zero-pmax"),
-    pytest.param(lambda: lag_criteria(_short_panel(), 10), BadConfig,
-                 r"pmax=10 too large for T=30 \(need pmax < T/3\)", id="lag-criteria-long-pmax"),
+    pytest.param(lambda: lag_criteria(_short_panel(), 10), InsufficientObs,
+                 r"need T - p >= m\*p \+ 2 per unit: T=30, m=2, p=10", id="lag-criteria-long-pmax"),
     pytest.param(lambda: simulate_var_panel(np.zeros((1, 1, 2, 2)), np.zeros((3, 2)),
                                             np.ones((3, 5, 2))),
                  BadConfig, "phi must be an m x m matrix or a stack of them", id="var-panel-4d-phi"),
@@ -229,8 +230,8 @@ REJECTIONS = [
                  id="spec-zero-lags"),
     pytest.param(lambda: panel_from_records([1, 2], [1], np.zeros((2, 2)), 1), BadOrdering,
                  "records must align", id="records-misaligned"),
-    pytest.param(lambda: fit_pvar(_short_panel(), PVARSpec(29)), BadConfig,
-                 "lag_order=29 too large for T=30", id="fit-lags-past-panel"),
+    pytest.param(lambda: fit_pvar(_short_panel(), PVARSpec(29)), InsufficientObs,
+                 r"need T - p >= m\*p \+ 2 per unit: T=30, m=2, p=29", id="fit-lags-past-panel"),
     pytest.param(lambda: oracle_atte_aste(_gaussian_pop()), RegimeMismatch,
                  "potential-outcome panel carries no exposure truth", id="atte-no-exposure"),
     pytest.param(lambda: verify_theorem("T2", reps=1), BadConfig,

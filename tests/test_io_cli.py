@@ -620,12 +620,6 @@ class TestCli:
         assert res.stderr.strip() == f"error: {name} must be finite"
         assert not (tmp_path / "o" / "panel.csv").exists()
 
-    def test_verify_rejects_a_non_finite_rho(self, tmp_path):
-        res = run_cli("verify", "--theorem", "interference", "--rho", "nan", "--reps", "3",
-                      "--seed", "1", "--output", str(tmp_path / "ver"))
-        self._one_error_line(res, 1)
-        assert res.stderr.strip() == "error: spillover_rho must be finite"
-
     def test_spillover_rejects_a_policy_that_is_not_0_1(self, tmp_path):
         panel = PanelDataset(np.random.default_rng(5).standard_normal((4, 10, 2)), 1, ("w", "y"))
         write_panel_csv(panel, tmp_path / "panel.csv")
@@ -642,7 +636,7 @@ class TestCli:
         ("simulate", "--regime", "homogeneous_dummy", "--units", "10", "--times", "20",
          "--seed", "-1", "--output", "o"),
         # flags a command ignores: --format off the record writers, --seed off
-        # the deterministic commands, and --rho off a run without interference
+        # the deterministic commands, and --rho off verify, which takes no scenario option
         ("simulate", "--regime", "homogeneous_dummy", "--format", "csv", "--seed", "1",
          "--output", "o"),
         ("fit", "--input", "panel.csv", "--format", "csv", "--output", "o"),
@@ -667,7 +661,6 @@ def test_scenario_flags_set_config_fields_and_default_to_none():
     parser = cli.build_parser()
     args = parser.parse_args(["simulate", "--regime", REGIMES[0], "--output", "o"])
     assert all(getattr(args, flag[2:].replace("-", "_")) is None for flag in cli.SCENARIO_FLAGS)
-    assert parser.parse_args(["verify", "--output", "o"]).rho is None
 
 
 @pytest.mark.parametrize("regime", REGIMES)

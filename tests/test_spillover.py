@@ -151,6 +151,30 @@ class TestSpilloverRegression:
         with pytest.raises(CollinearRegressors):
             spillover_regression(w, y - y.mean(), 3.0 * w, n_reps=0)
 
+    @staticmethod
+    def _drift_series(y_shift):
+        """Centred w, exposure s, and y centred then shifted by ``y_shift`` SDs."""
+        rng = np.random.default_rng(6)
+        w = rng.standard_normal(3000)
+        w -= w.mean()
+        y = 0.5 * w + rng.standard_normal(3000)
+        y -= y.mean()
+        return w, y + y_shift * y.std(), rng.random(3000)
+
+    def test_centred_series_are_not_flagged_in_large_units(self):
+        w, y, s = self._drift_series(0.0)
+        assert not spillover_regression(w, y, s, n_reps=0).drift_adjusted
+        assert not spillover_regression(1e10 * w, 1e10 * y, s, n_reps=0).drift_adjusted
+
+    def test_drift_is_flagged_and_removed_in_small_units(self):
+        w, y, s = self._drift_series(0.5)
+        base = spillover_regression(w, y, s, n_reps=0)
+        small = spillover_regression(1e-10 * w, 1e-10 * y, s, n_reps=0)
+        assert base.drift_adjusted and small.drift_adjusted
+        # demeaned in both units, so the coefficients carry the units back
+        np.testing.assert_allclose([small.delta, small.rho * 1e10], [base.delta, base.rho],
+                                   rtol=1e-8)
+
     def test_negative_reps_rejected(self):
         w, y, s = self._centered()
         with pytest.raises(BadConfig):
@@ -276,14 +300,13 @@ class TestVerifyInterference:
         rep = verify_interference(self.CFG, reps=80)
         assert rep.passed  # the naive and the adjusted pair
         # naive bias vs ATTE approximately -ASTE
-        naive_bias_vs_atte = rep.details["naive_mean"] - rep.oracle_mean
-        aste_mean = rep.oracle_mean - rep.details["naive_oracle_mean"]
-        assert naive_bias_vs_atte == pytest.approx(
-            -aste_mean, abs=3 * rep.details["naive_se"] + 0.01
-        )
+        naive = rep.further["naive"]
+        naive_bias_vs_atte = naive.estimate_mean - rep.oracle_mean
+        aste_mean = rep.oracle_mean - naive.oracle_mean
+        assert naive_bias_vs_atte == pytest.approx(-aste_mean, abs=3 * naive.mc_se + 0.01)
 
     def test_zero_rho_limit(self):
         from dataclasses import replace
 
         rep = verify_interference(replace(self.CFG, spillover_rho=0.0, seed=5), reps=60)
-        assert abs(rep.details["naive_mean"] - rep.estimate_mean) < 0.02
+        assert abs(rep.further["naive"].estimate_mean - rep.estimate_mean) < 0.02

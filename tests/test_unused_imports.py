@@ -1,5 +1,5 @@
-"""No module of the package or its tests keeps an import, and no module of the
-package a private definition, that nothing reads.
+"""No module of the package, its tests or its scripts keeps an import, and no
+module of the package a private definition, that nothing reads.
 
 A module-level import counts as used when its bound name is read anywhere
 in the module or is listed in the module's ``__all__``.  ``__init__.py``
@@ -19,6 +19,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "causal_pvar"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -64,6 +65,11 @@ def test_module_has_no_unused_import(path):
 
 @pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.name)
 def test_test_module_has_no_unused_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_script_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
 

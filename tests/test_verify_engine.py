@@ -9,6 +9,7 @@ replication's estimates and oracles to 1e-12 for any chunking.
 """
 
 import os
+import re
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import causal_pvar.cli as cli
 import causal_pvar.verify as verify
 from causal_pvar.errors import BadConfig, SingularDesign
 from causal_pvar.estimands import did_four_means, dummy_gamma, oracle_estimands
@@ -142,19 +144,33 @@ def test_every_check_runs_through_verify_theorem_as_in_the_suite():
         assert verify.verify_theorem(name, config, reps=3).record() == suite[name]
 
 
+def test_summary_line_adds_one_clause_per_further_pair(tmp_path, capsys):
+    code = cli.main(["verify", "--theorem", "all", "--reps", "5", "--seed", "0",
+                     "--output", str(tmp_path)])
+    lines = dict(line.split(":", 1) for line in capsys.readouterr().out.splitlines())
+    assert code in (0, 1)
+    assert list(lines) == list(verify.CHECKS)
+    head = r" (PASS|FAIL)  \|mean gamma_hat - oracle\| = \S+ vs 3\*SE = \S+ \(5 reps\)"
+    clause = r"; {} \|mean - oracle\| = \S+ vs 3\*SE = \S+"
+    further = {"T2": clause.format("selection_bias"), "interference": clause.format("naive")}
+    for name, line in lines.items():
+        assert re.fullmatch(head + further.get(name, ""), line), line
+
+
 def test_suite_resolves_names_in_any_case():
-    upper = next(verify.verify_suite(0, 3, ["INTERFERENCE"], rho=0.0))
-    lower = next(verify.verify_suite(0, 3, ["interference"], rho=0.0))
-    assert upper.record() == lower.record()  # rho reaches the check in either case
+    upper = next(verify.verify_suite(0, 3, ["INTERFERENCE"]))
+    lower = next(verify.verify_suite(0, 3, ["interference"]))
+    assert upper.record() == lower.record()
     shared = [rep.record() for rep in verify.verify_suite(0, 3, ["t6", "t7"])]
     assert shared == [rep.record() for rep in verify.verify_suite(0, 3, ["T6", "T7"])]
 
 
-def test_overflowing_replications_raise_singular_design_without_warnings():
+def test_overflowing_replications_raise_singular_design_without_warnings(
+        overflowing_interference):
     # an overflowing cross-product is a singular design, as in bootstrap_irf;
     # the error::RuntimeWarning filter turns any numpy warning into a failure
     with pytest.raises(SingularDesign, match="lag Gram matrix is singular"):
-        list(verify.verify_suite(0, 3, ["interference"], rho=1e200))
+        list(verify.verify_suite(0, 3, ["interference"]))
 
 
 # A worker's checks never reach a spy in this process, so these also assert

@@ -17,6 +17,7 @@ from unittest import mock
 
 import pytest
 
+import causal_pvar.cli as cli
 import causal_pvar.verify as verify
 from causal_pvar.errors import SingularDesign
 
@@ -55,10 +56,9 @@ def test_suite_records_equal_each_group_run_in_process():
     assert multiprocessing.active_children() == []
 
 
-def test_a_worker_error_is_raised_as_the_in_process_run_raises_it():
-    serial, serial_error = _until_error(verify.verify_suite(0, 3, ["interference"], rho=1e200))
-    pooled, pooled_error = _until_error(
-        verify.verify_suite(0, 3, ["T1", "interference"], rho=1e200))
+def test_a_worker_error_is_raised_as_the_in_process_run_raises_it(overflowing_interference):
+    serial, serial_error = _until_error(verify.verify_suite(0, 3, ["interference"]))
+    pooled, pooled_error = _until_error(verify.verify_suite(0, 3, ["T1", "interference"]))
     assert serial == []
     assert [rec["theorem"] for rec in pooled] == ["T1"]
     assert type(pooled_error) is type(serial_error)
@@ -131,11 +131,14 @@ def test_reports_follow_the_name_order_across_groups():
     assert got == [shared["T7"], t1, shared["T6"], shared["T7"]]
 
 
-def test_overflowing_interference_prints_only_the_error_line(tmp_path):
-    res = _run("verify", "--theorem", "interference", "--reps", "3", "--seed", "0",
-               "--rho", "1e200", "--output", str(tmp_path))
-    assert res.returncode == 1, res.stderr
-    assert res.stderr == "error: a replication's lag Gram matrix is singular or ill-conditioned\n"
+def test_overflowing_interference_prints_only_the_error_line(tmp_path, capsys,
+                                                            overflowing_interference):
+    # one group runs in this process, so a numpy warning fails under error::RuntimeWarning
+    code = cli.main(["verify", "--theorem", "interference", "--reps", "3", "--seed", "0",
+                     "--output", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err == "error: a replication's lag Gram matrix is singular or ill-conditioned\n"
 
 
 @pytest.mark.skipif(CPUS < 2, reason="needs two usable CPUs")
