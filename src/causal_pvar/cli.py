@@ -46,7 +46,7 @@ from .scenarios import (
     step_impact,
     taken_fields,
 )
-from .spillover import estimate_adjusted_impact, oracle_atte_aste
+from .spillover import build_exposure, estimate_adjusted_impact, oracle_atte_aste
 from .estimands import oracle_estimands
 from .verify import CHECKS, verify_suite
 
@@ -254,12 +254,14 @@ def cmd_irf(args) -> int:
 
 def cmd_spillover(args) -> int:
     panel = _load_panel(args)
-    if not 1 <= args.outcome < panel.n_vars:
-        raise InvalidInvocation(f"--outcome {args.outcome} outside 1..{panel.n_vars - 1}")
+    outcome = panel.n_policies if args.outcome is None else args.outcome
+    if not panel.n_policies <= outcome < panel.n_vars:
+        raise InvalidInvocation(f"--outcome {outcome} outside {panel.n_policies}..{panel.n_vars - 1}")
     adjacency = cpio.load_edge_list(args.adjacency, panel.unit_labels)
+    treatment = panel.values[:, :, 0]
     reg = estimate_adjusted_impact(
-        fit_pvar(panel, PVARSpec(args.lags)), adjacency, panel.values[:, :, 0],
-        mode=args.mode, outcome=args.outcome, n_reps=args.reps, seed=args.seed,
+        fit_pvar(panel, PVARSpec(args.lags)), build_exposure(adjacency, treatment, args.mode),
+        treatment, outcome=outcome, n_reps=args.reps, seed=args.seed,
     )
     cpio.ensure_dir(args.output)
     records = [{"term": panel.variable_names[0], "estimate": reg.delta, "se": reg.se_delta},
@@ -335,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adjacency", required=True, help="edge-list file unit_a,unit_b")
     p.add_argument("--mode", choices=[TREATED_NEIGHBOR_SHARE, BINARY_ANY_NEIGHBOR],
                    default=TREATED_NEIGHBOR_SHARE)
-    p.add_argument("--outcome", type=int, default=1, help="0-based outcome variable index")
+    p.add_argument("--outcome", type=int,
+                   help="0-based outcome variable index (omitted: the first outcome column)")
     p.add_argument("--reps", type=int, default=200)
 
     p = command("verify", cmd_verify, "theorem-by-theorem Monte-Carlo checks", stochastic=True,

@@ -47,9 +47,6 @@ class LagSelectionTable:
     hq_like: np.ndarray
     chosen: dict
 
-    def column(self, criterion: str) -> np.ndarray:
-        return getattr(self, criterion)
-
 
 @dataclass(frozen=True)
 class AutocorrDiagnostic:
@@ -173,6 +170,7 @@ def policy_regime_probe(series: np.ndarray) -> PolicyProbe:
     exact zeros, sample skewness and excess kurtosis, and the
     skewness/kurtosis normality statistic n * (skew^2/6 + exkurt^2/24),
     asymptotically chi-squared with 2 degrees of freedom under normality.
+    A constant series is binary with zero moments.
     """
     x = np.asarray(series, dtype=float).ravel()
     n = x.size
@@ -181,7 +179,7 @@ def policy_regime_probe(series: np.ndarray) -> PolicyProbe:
     centered = x - x.mean()
     share_zero = float(np.mean(x == 0.0))
     m2 = float(np.mean(centered**2))
-    if m2 < 1e-300:
+    if np.ptp(x) == 0 or m2 < 1e-300:
         return PolicyProbe(True, share_zero, 0.0, 0.0, 0.0)
     is_binary = np.unique(np.round(centered / np.sqrt(m2), 10)).size <= 2
     skew = float(np.mean(centered**3) / m2**1.5)

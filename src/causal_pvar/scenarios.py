@@ -128,13 +128,12 @@ class GroupLabels:
 class ExposureTruth:
     """Ground-truth network exposure of the spillover regime.
 
-    The network (``adjacency``), each cell's exposure ``s_values`` and the
-    spillover effect ``rho``, which broadcasts against ``s_values``: a
-    cell's ``base`` holds ``rho * s``, so its potential outcome with own
-    dose lam at exposure s' is ``po_at(lam) + rho * (s' - s)``.
+    Each cell's exposure ``s_values`` and the spillover effect ``rho``,
+    which broadcasts against ``s_values``: a cell's ``base`` holds
+    ``rho * s``, so its potential outcome with own dose lam at exposure s'
+    is ``po_at(lam) + rho * (s' - s)``.
     """
 
-    adjacency: np.ndarray
     s_values: np.ndarray
     rho: float | np.ndarray
 
@@ -204,7 +203,6 @@ class ScenarioConfig:
     time_frac: float = 0.4
     treat_on_gain: float = 0.0
     anticipation: float = 0.0
-    treat_schedule: np.ndarray | None = None
     policy_sigma: float = 1.0
     selection_strength: float = 0.0
     zero_prob: float = 0.5
@@ -331,7 +329,7 @@ def _validate_config(config: ScenarioConfig) -> tuple[np.ndarray, ...]:
             raise BadConfig(f"regime {config.regime!r} does not take {f.name}")
         if isinstance(value, ImpactFunction):
             value = value.params
-        if f.name not in ("regime", "seed") and value is not None and not np.isfinite(value).all():
+        if f.name not in ("regime", "seed") and not np.isfinite(value).all():
             raise BadConfig(f"{f.name} must be finite")
     return phi
 
@@ -345,19 +343,6 @@ def _both_arms(treated: np.ndarray, on=0, off=-1) -> np.ndarray:
     if flat.all():
         flat[off] = False
     return treated
-
-
-def _schedule(config: ScenarioConfig) -> np.ndarray:
-    """The fixed 0/1 calendar ``treat_schedule``, with a control unit in every
-    treated period, as the assumption structure requires."""
-    w = np.asarray(config.treat_schedule, dtype=float)
-    if w.shape != (config.n_units, config.n_times):
-        raise BadConfig("treat_schedule shape must be (n_units, n_times)")
-    if not np.isin(w, (0.0, 1.0)).all():
-        raise BadConfig("treat_schedule must be 0/1")
-    if (w.all(axis=0) & w.any(axis=0)).any():
-        raise BadConfig("every treated period needs at least one control unit")
-    return w
 
 
 def _common_dummy(rng, config, scale_z):
@@ -388,9 +373,7 @@ def _nonnegative_dose(rng, config, scale_z):
 
 def _block_dummy(rng, config, scale_z):
     """Treated units in treated periods, a product of unit and period draws
-    (unit probabilities tilted by ``treat_on_gain``), or ``treat_schedule``."""
-    if config.treat_schedule is not None:
-        return _schedule(config)
+    (unit probabilities tilted by ``treat_on_gain``)."""
     if not 0.0 < config.treat_prob < 1.0 or not 0.0 < config.time_frac < 1.0:
         raise BadConfig("treat_prob and time_frac must be in (0, 1)")
     prob = np.clip(config.treat_prob + config.treat_on_gain * scale_z, 0.02, 0.98)
@@ -400,13 +383,11 @@ def _block_dummy(rng, config, scale_z):
 
 
 def _sparse_dummy(rng, config, scale_z):
-    """Sparse, independently timed treatment (or ``treat_schedule``), so every
-    unit re-enters the control pool and own timing is independent of
-    neighbour exposure.  With grouped timing the within estimator draws no
-    variation from pure controls and would absorb the treated cells' own
-    exposure instead of netting it out."""
-    if config.treat_schedule is not None:
-        return _schedule(config)
+    """Sparse, independently timed treatment, so every unit re-enters the
+    control pool and own timing is independent of neighbour exposure.  With
+    grouped timing the within estimator draws no variation from pure
+    controls and would absorb the treated cells' own exposure instead of
+    netting it out."""
     if not 0.0 < config.treat_prob < 1.0:
         raise BadConfig("treat_prob must be in (0, 1)")
     w = _both_arms(rng.random((config.n_units, config.n_times)) < config.treat_prob)
@@ -430,9 +411,9 @@ SCENARIOS = {
     NONNEGATIVE_CONTINUOUS: Scenario(_nonnegative_dose, ("zero_prob", "support")),
     HETEROGENEOUS_DUMMY: Scenario(
         _block_dummy,
-        ("treat_prob", "time_frac", "treat_on_gain", "treat_schedule", "anticipation")),
+        ("treat_prob", "time_frac", "treat_on_gain", "anticipation")),
     SPILLOVER_DUMMY: Scenario(
-        _sparse_dummy, ("treat_prob", "treat_schedule", "spillover_rho", "ring_neighbors")),
+        _sparse_dummy, ("treat_prob", "spillover_rho", "ring_neighbors")),
 }
 REGIMES = tuple(SCENARIOS)
 # The config fields that only some regimes read.
@@ -524,9 +505,8 @@ def _draw(config: ScenarioConfig) -> _Draw:
         base = base + config.anticipation * np.outer(w.any(axis=1), ~w.any(axis=0))
     exposure = None
     if "spillover_rho" in scenario.reads:
-        adjacency = ring_adjacency(n, config.ring_neighbors)
-        s = build_exposure(adjacency, w)
-        exposure = ExposureTruth(adjacency, s, config.spillover_rho)
+        s = build_exposure(ring_adjacency(n, config.ring_neighbors), w)
+        exposure = ExposureTruth(s, config.spillover_rho)
         base = base + config.spillover_rho * s
 
     burn = config.noise_scale * rng.standard_normal((n, BURN_IN))

@@ -176,25 +176,29 @@ def oracle_atte_aste(pop: PotentialOutcomePanel) -> tuple[float, float]:
 
 def estimate_adjusted_impact(
     fit,
-    adjacency,
+    exposure,
     treatment,
-    mode: str = TREATED_NEIGHBOR_SHARE,
     outcome: int = 1,
     n_reps: int = 0,
     seed: int | None = None,
 ) -> SpilloverFit:
     """Regress a fitted panel's outcome residual on its policy residual and exposure.
 
-    The exposure regressor is the network exposure zeroed out on treated
-    cells, trimmed to the fit's sample and within-demeaned per unit like
-    the residuals it sits next to; the treated cells' own exposure is
-    deliberately left inside the policy coefficient, which therefore
-    targets the total effect on the treated.  ``treatment`` is the 0/1
-    policy path on the full (n_units, n_times) grid and ``outcome`` the
-    residual column used as the dependent series.
+    ``exposure`` is the (n_units, n_times) array of ``build_exposure`` and
+    ``treatment`` the 0/1 policy path on the same grid (else BadConfig);
+    ``outcome`` is the residual column used as the dependent series.  The
+    regressor is the exposure zeroed out on treated cells, trimmed to the
+    fit's sample and within-demeaned per unit like the residuals it sits
+    next to; the treated cells' own exposure is deliberately left inside
+    the policy coefficient, which therefore targets the total effect on
+    the treated.
     """
-    s_reg = build_exposure(adjacency, treatment, mode) * (1.0 - treatment)
-    s_reg = s_reg[:, fit.spec.lag_order :]
+    treatment = np.asarray(treatment, dtype=float)
+    if treatment.ndim != 2 or np.shape(exposure) != treatment.shape:
+        raise BadConfig("exposure and treatment must share one (n_units, n_times) grid")
+    if not np.isin(treatment, (0.0, 1.0)).all():
+        raise BadConfig("treatment indicator must be 0/1")
+    s_reg = (exposure * (1.0 - treatment))[:, fit.spec.lag_order :]
     s_reg = s_reg - s_reg.mean(axis=1, keepdims=True)
     resid = fit.residuals
     return spillover_regression(

@@ -198,7 +198,7 @@ def _t10_pairs(config, pop, fit):
 def _interference_pairs(config, pop, fit):
     # Exposure-adjusted coefficient vs ATTE, naive coefficient vs ATTE - ASTE.
     atte, aste = oracle_atte_aste(pop)
-    adjusted = estimate_adjusted_impact(fit, pop.exposure.adjacency, pop.assignments)
+    adjusted = estimate_adjusted_impact(fit, pop.exposure.s_values, pop.assignments)
     return (adjusted.delta, atte), (fit.gamma, atte - aste)
 
 

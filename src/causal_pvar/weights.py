@@ -34,6 +34,9 @@ __all__ = [
     "weighted_estimand",
 ]
 
+# Points of the non-negative dose grid, evenly spaced over [d_L, d_U].
+_NONNEG_POINTS = 201
+
 
 @dataclass(frozen=True)
 class WeightProfile:
@@ -41,7 +44,6 @@ class WeightProfile:
 
     grid: np.ndarray
     d_lower: float
-    d_upper: float
     q: np.ndarray
     q_integral: float
     q0: float
@@ -118,27 +120,24 @@ def gaussian_weights(sigma: float, grid) -> WeightProfile:
     return WeightProfile(
         grid=grid,
         d_lower=float(grid[0]),
-        d_upper=float(grid[-1]),
         q=q,
         q_integral=float(np.trapezoid(q, grid)),
         q0=0.0,
     )
 
 
-def nonneg_weights(sample=None, law=None, grid=None, n_grid: int = 201) -> WeightProfile:
+def nonneg_weights(sample=None, law=None) -> WeightProfile:
     """Dose weights for a non-negative policy, from a sample or a law.
 
-    The positive support is [d_L, d_U] with d_L the smallest positive
-    value observed (or the law's lower endpoint).  ``q_integral`` is
-    computed from exact moment identities rather than grid quadrature, so
-    q_integral + q0 = 1 holds to machine precision.  When the input has
-    no mass at zero, q0 = 0.  A ``grid`` passed in must be finite and
-    strictly increasing.
+    The positive support is [d_L, d_U], the smallest and largest positive
+    values observed (or the law's endpoints), and the weights are taken at
+    201 evenly spaced points over it.  ``q_integral`` is computed from
+    exact moment identities rather than grid quadrature, so
+    q_integral + q0 = 1 holds to machine precision.  When the input has no
+    mass at zero, q0 = 0.
     """
     if (sample is None) == (law is None):
         raise BadConfig("pass exactly one of sample= or law=")
-    if grid is not None:
-        grid = _dose_grid(grid, "grid")
     if sample is not None:
         w = np.asarray(sample, dtype=float).ravel()
         if w.size == 0 or (w < 0).any():
@@ -152,7 +151,7 @@ def nonneg_weights(sample=None, law=None, grid=None, n_grid: int = 201) -> Weigh
         p0 = float(np.mean(w == 0.0))
         if var <= 0:
             raise BadConfig("policy sample has zero variance")
-        grid = np.linspace(d_lo, d_hi, n_grid) if grid is None else grid
+        grid = np.linspace(d_lo, d_hi, _NONNEG_POINTS)
         pos_sorted = np.sort(pos)
         suffix = np.concatenate([np.cumsum(pos_sorted[::-1])[::-1], [0.0]])
         idx = np.searchsorted(pos_sorted, grid, side="left")
@@ -168,7 +167,7 @@ def nonneg_weights(sample=None, law=None, grid=None, n_grid: int = 201) -> Weigh
         p0 = float(law.zero_prob)
         if var <= 0:
             raise BadConfig("policy law has zero variance")
-        grid = np.linspace(d_lo, d_hi, n_grid) if grid is None else grid
+        grid = np.linspace(d_lo, d_hi, _NONNEG_POINTS)
         prob_ge = law.prob_ge(grid)
         partial_ge = law.partial_mean_ge(grid)
         q_int = float(1.0 - ew * p0 * d_lo / var)
@@ -177,7 +176,6 @@ def nonneg_weights(sample=None, law=None, grid=None, n_grid: int = 201) -> Weigh
     return WeightProfile(
         grid=grid,
         d_lower=d_lo,
-        d_upper=d_hi,
         q=(partial_ge - ew * prob_ge) / var,
         q_integral=q_int,
         q0=float(q0),

@@ -45,7 +45,7 @@ class TestLagCriteria:
         table = lag_criteria(make_var2_panel(40, 200, 3), 6)
         assert list(table.lags) == [1, 2, 3, 4, 5, 6]
         for crit in ("bic_like", "aic_like", "hq_like"):
-            col = table.column(crit)
+            col = getattr(table, crit)
             assert col.shape == (6,)
             assert table.chosen[crit] == int(np.argmin(col)) + 1
 
@@ -63,7 +63,7 @@ class TestLagCriteria:
 
     def test_tie_break_toward_smaller_p(self):
         table = lag_criteria(make_var2_panel(30, 150, 5), 3)
-        col = table.column("bic_like").copy()
+        col = table.bic_like.copy()
         col[2] = col[table.chosen["bic_like"] - 1]  # forge a tie
         assert int(np.argmin(col)) + 1 <= 3
 
@@ -199,6 +199,13 @@ class TestPolicyProbe:
         assert not policy_regime_probe(scale * rng.standard_normal(500)).is_binary
         assert policy_regime_probe(scale * (rng.random(500) < 0.3)).is_binary
         assert policy_regime_probe(np.full(500, 0.3 * scale)).is_binary
+
+    @pytest.mark.parametrize("value", [0.1, 0.3, 1 / 3, 7.7, 1e5 + 0.1])
+    def test_constant_series_has_zero_moments(self, value):
+        # the mean of a constant can miss it by rounding; the moments must not see that
+        probe = policy_regime_probe(np.full(500, value))
+        assert probe.is_binary
+        assert (probe.skewness, probe.excess_kurtosis, probe.normality_stat) == (0.0, 0.0, 0.0)
 
     def test_share_zero(self):
         x = np.concatenate([np.zeros(250), np.abs(np.random.default_rng(1).standard_normal(250))])

@@ -161,10 +161,6 @@ REJECTIONS = [
                  "grid must be finite and strictly increasing", id="gaussian-nan-grid"),
     pytest.param(lambda: gaussian_weights(1.0, [-np.inf, 0.0, 6.0]), BadConfig,
                  "grid must be finite and strictly increasing", id="gaussian-inf-grid"),
-    pytest.param(lambda: nonneg_weights(law=ZeroInflatedUniform(0.5, 1.0, 2.0),
-                                        grid=[2.0, 1.5, 1.0]),
-                 BadConfig, "grid must be finite and strictly increasing",
-                 id="nonneg-decreasing-grid"),
     pytest.param(lambda: nonneg_weights(), BadConfig,
                  "pass exactly one of sample= or law=", id="nonneg-no-input"),
     pytest.param(lambda: nonneg_weights(sample=[-1.0, 1.0]), BadConfig,

@@ -25,6 +25,7 @@ from causal_pvar.io import (
 )
 from causal_pvar.panel import PanelDataset, PVARSpec, fit_pvar
 from causal_pvar.scenarios import REGIMES, ScenarioConfig, simulate_scenario, step_impact
+from causal_pvar.spillover import build_exposure, estimate_adjusted_impact
 from causal_pvar.verify import CHECKS, RECORD_NAMES
 
 
@@ -415,6 +416,41 @@ class TestCli:
                       "--adjacency", str(edges), "--outcome", outcome, "--reps", "10",
                       "--seed", "1", "--output", str(tmp_path / "spill"))
         self._one_error_line(res, 2)
+
+    @pytest.fixture
+    def two_policy_dir(self, tmp_path):
+        """A ``# policies=2`` panel (policy1 0/1, policy2 Gaussian, outcome1)
+        and a chain edge list over its 20 units."""
+        rng = np.random.default_rng(3)
+        w = (rng.random((20, 40)) < 0.3).astype(float)
+        values = np.stack([w, rng.standard_normal((20, 40)),
+                           w + rng.standard_normal((20, 40))], axis=2)
+        panel = PanelDataset(values, 2, ("policy1", "policy2", "outcome1"))
+        write_panel_csv(panel, tmp_path / "panel.csv")
+        (tmp_path / "edges.csv").write_text("".join(f"{i + 1},{i + 2}\n" for i in range(19)))
+        return tmp_path, panel
+
+    def test_spillover_default_outcome_is_the_first_outcome_column(self, two_policy_dir):
+        home, panel = two_policy_dir
+        res = run_cli("spillover", "--input", str(home / "panel.csv"), "--adjacency",
+                      str(home / "edges.csv"), "--reps", "20", "--seed", "6",
+                      "--output", str(home / "spill"))
+        assert res.returncode == 0, res.stderr
+        w = panel.values[:, :, 0]
+        adjacency = load_edge_list(home / "edges.csv", panel.unit_labels)
+        want = estimate_adjusted_impact(fit_pvar(panel, PVARSpec(1)), build_exposure(adjacency, w),
+                                        w, outcome=2, n_reps=20, seed=6)
+        recs = read_records(home / "spill" / "spillover.csv")
+        assert [(r["estimate"], r["se"]) for r in recs] == [(want.delta, want.se_delta),
+                                                           (want.rho, want.se_rho)]
+
+    def test_spillover_outcome_naming_a_policy_exits_2(self, two_policy_dir):
+        home, _ = two_policy_dir
+        res = run_cli("spillover", "--input", str(home / "panel.csv"), "--adjacency",
+                      str(home / "edges.csv"), "--outcome", "1", "--reps", "10",
+                      "--seed", "1", "--output", str(home / "spill"))
+        self._one_error_line(res, 2)
+        assert not (home / "spill").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exits_2(self, sim_dir, tmp_path, threads):

@@ -1,12 +1,13 @@
 import hashlib
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causal_pvar.cli import SCENARIO_FLAGS
 from causal_pvar.diagnostics import policy_regime_probe
 from causal_pvar.errors import BadConfig, NonFinite
 from causal_pvar.scenarios import (
@@ -27,6 +28,7 @@ from causal_pvar.scenarios import (
     simulate_var_panel,
     step_impact,
 )
+from causal_pvar.verify import CHECKS
 
 
 def test_homogeneous_dummy_noiseless_effect_is_exact():
@@ -107,25 +109,6 @@ def test_heterogeneous_dummy_has_contemporaneous_controls():
         np.testing.assert_array_equal(w, outer.astype(float))
 
 
-def test_sparse_schedule_reproducible():
-    # Alternating two-group schedule: sparse treatment with units
-    # re-entering the control pool.
-    schedule = np.array([[0, 1, 0, 1], [1, 0, 1, 0]], dtype=float).repeat(3, axis=0)
-    cfg = ScenarioConfig(regime=HETEROGENEOUS_DUMMY, n_units=6, n_times=4, seed=3,
-                         treat_schedule=schedule)
-    _, pop = simulate_scenario(cfg)
-    np.testing.assert_array_equal(pop.assignments, schedule)
-
-
-def test_schedule_without_controls_rejected():
-    schedule = np.ones((3, 4))
-    schedule[:, 0] = 0.0
-    cfg = ScenarioConfig(regime=HETEROGENEOUS_DUMMY, n_units=3, n_times=4, seed=0,
-                         treat_schedule=schedule)
-    with pytest.raises(BadConfig):
-        simulate_scenario(cfg)
-
-
 def test_nonnegative_support_and_zero_mass():
     cfg = ScenarioConfig(regime=NONNEGATIVE_CONTINUOUS, n_units=30, n_times=60,
                          seed=4, zero_prob=0.5, support=(1.0, 2.0))
@@ -148,8 +131,6 @@ BAD_CONFIGS = [
     (HETEROGENEOUS_DUMMY, "treat_prob", 0.0, "treat_prob and time_frac"),
     (SPILLOVER_DUMMY, "treat_prob", 0.0, r"^treat_prob must be in \(0, 1\)"),
     (HETEROGENEOUS_DUMMY, "time_frac", 1.0, "treat_prob and time_frac"),
-    (HETEROGENEOUS_DUMMY, "treat_schedule", np.zeros((10, 9)), "treat_schedule shape"),
-    (SPILLOVER_DUMMY, "treat_schedule", np.full((10, 10), 0.5), "treat_schedule must be 0/1"),
     (SPILLOVER_DUMMY, "ring_neighbors", 5, "neighbors_each_side < n/2"),
 ]
 
@@ -243,16 +224,10 @@ DRAW_DIGESTS = {
                           "def5269167a7cc36"),
     SPILLOVER_DUMMY: ("0109e58c26417499", "ed6f248833a856bc", "0f7d2cbb243fb9cd",
                       "b9752aa409ec12a0"),
-    "treat_schedule": ("6f988cd5cad13389", "085ecefd80b10184", "35bd44cc53e0930e",
-                       "bce89cd39111b8cd"),
 }
 
 
 def _pinned_config(name):
-    if name == "treat_schedule":
-        schedule = np.array([[0, 1, 0, 1, 1], [1, 0, 1, 0, 0]], dtype=float).repeat(3, axis=0)
-        return ScenarioConfig(regime=HETEROGENEOUS_DUMMY, n_units=6, n_times=5, seed=0,
-                              effect_sd=0.3, treat_schedule=schedule)
     return ScenarioConfig(regime=name, n_units=12, n_times=20, seed=0,
                           impact=quadratic_impact(1.0, 0.4), effect_sd=0.3, spillover_rho=0.5)
 
@@ -261,7 +236,7 @@ def _digest(a):
     return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("name", [*REGIMES, "treat_schedule"])
+@pytest.mark.parametrize("name", REGIMES)
 def test_draw_stream_is_pinned(name):
     draw = _draw(_pinned_config(name))
     arrays = (draw.mu, draw.burn, draw.pop.assignments, draw.pop.realized_outcomes)
@@ -330,7 +305,6 @@ def test_violation_flag_the_regime_ignores_is_rejected(regime, flag):
     (GAUSSIAN_CONTINUOUS, "treat_prob", 0.5),
     (NONNEGATIVE_CONTINUOUS, "treat_on_gain", 0.4),
     (HETEROGENEOUS_DUMMY, "support", (0.5, 3.0)),
-    (NONNEGATIVE_CONTINUOUS, "treat_schedule", np.eye(10, 20)),
 ])
 def test_field_the_regime_does_not_read_is_rejected(regime, name, value):
     cfg = ScenarioConfig(regime=regime, n_units=10, n_times=20, seed=0, **{name: value})
@@ -338,12 +312,21 @@ def test_field_the_regime_does_not_read_is_rejected(regime, name, value):
         simulate_scenario(cfg)
 
 
+def test_every_scenario_option_is_set_by_a_flag_or_a_check():
+    # A field no ``simulate`` flag and no check sets away from its default is
+    # an option nothing outside the tests can use.
+    used = {"regime", "n_units", "n_times", "seed"}
+    used |= {name for name, _ in SCENARIO_FLAGS.values()}
+    used |= {f.name for check in CHECKS.values() for f in fields(check.config)
+             if not np.array_equal(getattr(check.config, f.name), f.default)}
+    orphans = [f.name for f in fields(ScenarioConfig) if f.name not in used]
+    assert orphans == []
+
+
 def test_each_regime_takes_the_fields_it_reads():
     # Each field a regime reads, set away from its default, still simulates.
-    schedule = np.zeros((10, 20))
-    schedule[::2, 1::3] = 1.0
     values = {"treat_prob": 0.4, "time_frac": 0.5, "treat_on_gain": 0.3,
-              "treat_schedule": schedule, "anticipation": 0.2, "policy_sigma": 2.0,
+              "anticipation": 0.2, "policy_sigma": 2.0,
               "selection_strength": 0.3, "zero_prob": 0.2, "support": (0.5, 1.5),
               "spillover_rho": 0.4, "ring_neighbors": 3}
     for regime in REGIMES:

@@ -243,7 +243,7 @@ class TestOracleAtteAste:
         w = (rng.random((n, t)) < 0.3).astype(float)
         s = np.where(rng.random((n, t)) < 0.8, mean_exposure, 0.0)
         base = rng.standard_normal((n, t)) + rho * s  # po(0) at the realized exposure
-        exposure = ExposureTruth(adjacency=np.zeros((n, n)), s_values=s, rho=rho)
+        exposure = ExposureTruth(s_values=s, rho=rho)
         return PotentialOutcomePanel(
             regime=SPILLOVER_DUMMY, assignments=w, exposure=exposure,
             impact=linear_impact(1.0), impact_scale=np.full((n, 1), beta), base=base,
@@ -269,7 +269,7 @@ class TestOracleAtteAste:
         s = rng.random((n, t))
         rho_i = rng.uniform(0.0, 1.0, size=(n, 1))
         base = rng.standard_normal((n, t)) + rho_i * s
-        exposure = ExposureTruth(adjacency=np.zeros((n, n)), s_values=s, rho=rho_i)
+        exposure = ExposureTruth(s_values=s, rho=rho_i)
         pop = PotentialOutcomePanel(
             regime=SPILLOVER_DUMMY, assignments=w, exposure=exposure,
             impact=linear_impact(1.0), impact_scale=np.ones((n, 1)), base=base,

@@ -23,8 +23,8 @@ from causal_pvar.errors import BadConfig, SingularDesign
 from causal_pvar.estimands import did_four_means, dummy_gamma, oracle_estimands
 from causal_pvar.identify import cholesky_lower, impact_gamma
 from causal_pvar.panel import PVARSpec, _var_recursion, fit_pvar
-from causal_pvar.scenarios import simulate_scenario, simulate_var_panel
-from causal_pvar.spillover import estimate_adjusted_impact, oracle_atte_aste
+from causal_pvar.scenarios import ring_adjacency, simulate_scenario, simulate_var_panel
+from causal_pvar.spillover import build_exposure, estimate_adjusted_impact, oracle_atte_aste
 from causal_pvar.weights import ZeroInflatedUniform, gaussian_weights, nonneg_weights, weighted_estimand
 
 REPS = 5
@@ -57,7 +57,10 @@ def _oracle_pairs(name, config, pop, fit, gamma):
         groups = pop.groups
         return ((gamma, did_four_means(pop.realized_outcomes, groups.treated_units,
                                        groups.treated_times)),)
-    adjusted = estimate_adjusted_impact(fit, pop.exposure.adjacency, pop.assignments)
+    # the exposure built afresh from the network, not read from the truth
+    adjacency = ring_adjacency(config.n_units, config.ring_neighbors)
+    adjusted = estimate_adjusted_impact(fit, build_exposure(adjacency, pop.assignments),
+                                        pop.assignments)
     atte, aste = oracle_atte_aste(pop)
     return (adjusted.delta, atte), (gamma, atte - aste)
 

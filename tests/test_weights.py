@@ -78,8 +78,8 @@ class TestNonnegWeights:
         rng = np.random.default_rng(0)
         n = 1_000_000
         w = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(1.0, 2.0, size=n))
-        prof = nonneg_weights(sample=w, n_grid=101)
-        law_prof = nonneg_weights(law=ZeroInflatedUniform(0.5, 1.0, 2.0), grid=prof.grid)
+        prof = nonneg_weights(sample=w)
+        law_prof = nonneg_weights(law=ZeroInflatedUniform(0.5, 1.0, 2.0))
         assert prof.q0 == pytest.approx(law_prof.q0, abs=1e-2)
         np.testing.assert_allclose(prof.q, law_prof.q, atol=1e-2)
         assert prof.q_integral + prof.q0 == pytest.approx(1.0, abs=1e-10)
