@@ -33,7 +33,6 @@ from .identify import (
     cholesky_lower,
     impact_gamma,
     irf,
-    irf_from_impact,
 )
 from .panel import (
     PanelDataset,
@@ -42,7 +41,6 @@ from .panel import (
     companion,
     fit_pvar,
     panel_from_records,
-    within_demean,
 )
 from .scenarios import (
     ImpactFunction,
@@ -60,11 +58,10 @@ from .spillover import (
     build_exposure,
     oracle_atte_aste,
     spillover_regression,
+    verify_interference,
 )
 from .verify import (
     VerificationReport,
-    default_config,
-    verify_interference,
     verify_suite,
     verify_theorem,
 )

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import io as cpio
 from .diagnostics import lag_criteria, policy_regime_probe, residual_autocorr, stationarity
-from .errors import CausalPvarError
+from .errors import BadConfig, CausalPvarError
 from .identify import bootstrap_irf
 from .panel import PVARSpec, fit_pvar
 from .scenarios import (
@@ -254,6 +254,8 @@ def cmd_irf(args) -> int:
 
 def cmd_spillover(args) -> int:
     panel = _load_panel(args)
+    if panel.n_policies == 0:
+        raise BadConfig("spillover needs a policy column, got K = 0")
     outcome = panel.n_policies if args.outcome is None else args.outcome
     if not panel.n_policies <= outcome < panel.n_vars:
         raise InvalidInvocation(f"--outcome {outcome} outside {panel.n_policies}..{panel.n_vars - 1}")

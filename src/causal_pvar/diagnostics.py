@@ -127,7 +127,8 @@ def residual_autocorr(fit: PVARFit, smax: int) -> AutocorrDiagnostic:
 
     Needs 1 <= smax < T - p, the length of each unit's residual series, so
     that every lag has a pair of periods to correlate.  Zero-variance series
-    define correlations as 0 rather than NaN.
+    define correlations as 0 rather than NaN; any other series is
+    correlated, in any units.
     """
     res = fit.residuals
     n, tr, m = res.shape
@@ -144,7 +145,7 @@ def residual_autocorr(fit: PVARFit, smax: int) -> AutocorrDiagnostic:
         cross = cur.T @ lag / cur.shape[0]
         denom = np.outer(sd_cur, sd_lag)
         tensor[:, :, s - 1] = np.divide(cross, denom, out=np.zeros_like(cross),
-                                        where=denom > 1e-150)
+                                        where=denom > 0)
     n_tests = m * m * smax
     z = NormalDist().inv_cdf(1.0 - 0.05 / (2 * n_tests))
     bound = z / np.sqrt(fit.effective_obs)

@@ -61,7 +61,7 @@ class InsufficientObs(CausalPvarError):
 # --- identification ---------------------------------------------------------
 
 class NotPSD(CausalPvarError):
-    """Covariance matrix has an eigenvalue below -1e-8."""
+    """Covariance matrix, scaled to a unit diagonal, has an eigenvalue below -1e-8."""
 
 
 class ZeroPolicyVariance(CausalPvarError):

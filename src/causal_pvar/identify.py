@@ -40,13 +40,14 @@ __all__ = [
     "cholesky_lower",
     "impact_gamma",
     "irf",
-    "irf_from_impact",
     "bootstrap_irf",
 ]
 
 # Factor policy, shared by the point estimate and every bootstrap replication.
-PSD_FLOOR = -1e-8  # a covariance eigenvalue below this is not PSD
-RIDGE = 1e-10  # eigenvalues below this are lifted to it before factoring
+# PSD_FLOOR and RIDGE apply to the covariance scaled to a unit diagonal, so
+# they do not depend on the data's units; UNIT_FLOOR is absolute, in them.
+PSD_FLOOR = -1e-8  # a scaled covariance eigenvalue below this is not PSD
+RIDGE = 1e-10  # scaled eigenvalues below this are lifted to it before factoring
 UNIT_FLOOR = 1e-12  # |lower[k, k]| below this leaves shock k without variance
 
 
@@ -80,15 +81,23 @@ class BootstrapBands:
 def _factor(sigma: np.ndarray):
     """Batched factor rule of ``cholesky_lower`` over (b, m, m) covariances.
 
-    Returns ``(lower, psd, eigmin)``: the (b', m, m) factors of the b'
-    covariances with no eigenvalue below ``PSD_FLOOR``, their (b,) mask and
-    every covariance's smallest eigenvalue.
+    Each covariance is judged scaled to a unit diagonal, as the lag Gram
+    matrix is for ``SingularDesign`` (a zero variance keeps unit scale), and
+    factored unscaled, lifted first by ``(RIDGE - eigmin) * |diag|`` when its
+    smallest scaled eigenvalue ``eigmin`` is below ``RIDGE``.  Returns
+    ``(lower, psd, eigmin)``: the (b', m, m) factors of the b' covariances
+    with no scaled eigenvalue below ``PSD_FLOOR``, their (b,) mask and every
+    covariance's ``eigmin``.
     """
     sigma = (sigma + sigma.transpose(0, 2, 1)) / 2.0
-    eigmin = np.linalg.eigvalsh(sigma).min(axis=1)
+    var = np.abs(np.diagonal(sigma, axis1=1, axis2=2))
+    var = np.where(var > 0, var, 1.0)
+    scale = 1.0 / np.sqrt(var)
+    eigmin = np.linalg.eigvalsh(sigma * scale[:, :, None] * scale[:, None, :]).min(axis=1)
     psd = eigmin >= PSD_FLOOR
-    sigma, low = sigma[psd], eigmin[psd] < RIDGE
-    sigma[low] += (RIDGE - eigmin[psd][low])[:, None, None] * np.eye(sigma.shape[1])
+    sigma, var, low = sigma[psd], var[psd], eigmin[psd] < RIDGE
+    lift = (RIDGE - eigmin[psd][low])[:, None] * var[low]
+    sigma[low] += lift[:, :, None] * np.eye(sigma.shape[1])
     return np.linalg.cholesky(sigma), psd, eigmin
 
 
@@ -128,13 +137,16 @@ def _propagate(phi, impact: np.ndarray, horizon: int) -> np.ndarray:
 def cholesky_lower(sigma: np.ndarray) -> CholeskyFactor:
     """Lower-triangular factorization of a symmetric PSD matrix.
 
-    Eigenvalues in (-1e-8, ``RIDGE``) are lifted to ``RIDGE`` so that
-    numerically semidefinite inputs still factor; anything below -1e-8
-    raises NotPSD.
+    The decisions are taken on the matrix scaled to a unit diagonal, so they
+    do not depend on the variables' units: scaled eigenvalues in
+    (-1e-8, ``RIDGE``) are lifted to ``RIDGE`` so that numerically
+    semidefinite inputs still factor, and a scaled eigenvalue below -1e-8
+    raises NotPSD.  The factor is of the unscaled matrix (lifted, if it was).
     """
     lower, psd, eigmin = _factor(np.asarray(sigma, dtype=float)[None])
     if not psd[0]:
-        raise NotPSD(f"minimum eigenvalue {eigmin[0]:.3e} below -1e-8")
+        raise NotPSD(f"minimum eigenvalue {eigmin[0]:.3e} of the matrix scaled to a unit "
+                     f"diagonal is below -1e-8")
     return CholeskyFactor(lower[0])
 
 
@@ -162,19 +174,6 @@ def irf(fit: PVARFit, chol: CholeskyFactor, k: int, horizon: int) -> np.ndarray:
     return _propagate(fit.phi, _unit_column(chol, k)[None], horizon)[0]
 
 
-def irf_from_impact(fit: PVARFit, impact: np.ndarray, horizon: int) -> np.ndarray:
-    """Propagate a caller-supplied impact vector (e.g. a plug-in (1, delta)).
-
-    Used when the impact column is identified outside the recursive scheme,
-    as with the spillover-adjusted estimate; only the supplied column is
-    needed, the remaining rotation stays unidentified.
-    """
-    impact = np.asarray(impact, dtype=float)
-    if impact.shape != (fit.n_vars,) or not np.isfinite(impact).all():
-        raise CausalPvarError("impact must be a finite vector of length m")
-    return _propagate(fit.phi, impact[None], horizon)[0]
-
-
 def bootstrap_irf(
     panel: PanelDataset,
     spec: PVARSpec,
@@ -197,8 +196,9 @@ def bootstrap_irf(
     depend on the chunking (on a one-unit panel, up to last-bit
     rounding of a single-row matmul).  The point fit raises SingularDesign
     by the rule documented there; a replication fails when its panel is
-    non-finite or breaks that rule, when its covariance has an eigenvalue
-    below -1e-8, or when its policy factor is below 1e-12.
+    non-finite or breaks that rule, when its covariance, scaled to a unit
+    diagonal, has an eigenvalue below -1e-8, or when its policy factor is
+    below 1e-12.
     Failures are counted in ``n_failed`` and more than 5% raises
     BootstrapUnstable.
     """

@@ -86,17 +86,18 @@ def _check_format(fmt: str) -> None:
         raise BadConfig(f"unknown format {fmt!r}")
 
 
-def write_records(records, path, fmt: str = "csv", fieldnames=None) -> None:
+def write_records(records, path, fmt: str = "csv") -> None:
     """Write flat result records as CSV or JSON lines (UTF-8, LF endings).
 
-    An unknown ``fmt`` raises BadConfig before ``path`` is opened.
+    The first record's keys name the fields.  An unknown ``fmt``, or an
+    empty record set as CSV, which has no header, raises BadConfig before
+    ``path`` is opened.
     """
     _check_format(fmt)
     records = list(records)
-    if fieldnames is None:
-        if not records and fmt == "csv":
-            raise BadConfig("empty record set needs explicit fieldnames for the header")
-        fieldnames = list(records[0].keys()) if records else []
+    if not records and fmt == "csv":
+        raise BadConfig("empty record set has no CSV header")
+    fieldnames = list(records[0].keys()) if records else []
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             if fmt == "csv":

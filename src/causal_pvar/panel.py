@@ -13,7 +13,7 @@ lag-shifted views of that copy, for one panel or a chunk of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "PVARSpec",
     "PVARFit",
     "panel_from_records",
-    "within_demean",
     "fit_pvar",
     "companion",
 ]
@@ -192,11 +191,6 @@ def panel_from_records(units, times, values, n_policies, variable_names=None):
                         unit_labels=unit_ids, time_labels=time_ids)
 
 
-def within_demean(panel: PanelDataset) -> PanelDataset:
-    """Remove unit effects: each (unit, variable) series has mean zero afterwards."""
-    return replace(panel, values=panel.values - panel.values.mean(axis=1, keepdims=True))
-
-
 def _within_moments(states: np.ndarray, p: int, out: np.ndarray | None = None):
     """Within moments of Z = [lags 1..p, dep] on periods p+1..t of b time-major
     (t, b, n, m) panels, lags never wrapped, without building Z.
@@ -341,17 +335,16 @@ def _var_recursion(states: np.ndarray, phi) -> np.ndarray:
     states are b separate systems and each ``phi[l]`` is one (m, m) slope
     matrix shared by all of them or a (b, m, m) stack, one per system.
     """
-    # C-ordered copies multiply 1.7-2.6x faster than the transposed views; a
-    # one-row product keeps the views, which BLAS rounds differently in the
-    # last bit.  (T, N, m) states of several rows multiply by np.dot, the
-    # same BLAS product without the matmul ufunc's dispatch on every step.
-    # The stacked form keeps np.matmul, which broadcasts (b, m, m) stacks, and
-    # so do one-row systems, with their views, so the products that bands are
-    # propagated by round as they did and bands stay chunk-invariant.
-    one_row = states.shape[-2] == 1
-    phi_t = [np.swapaxes(f, -1, -2) for f in phi]
-    phi_t = phi_t if one_row else [np.ascontiguousarray(f) for f in phi_t]
-    product = np.dot if states.ndim == 3 and not one_row else np.matmul
+    # States of several rows, always (T, N, m) with shared slopes, multiply
+    # C-ordered copies of the slopes by np.dot: 1.7-2.6x faster than the
+    # transposed views, without matmul's dispatch on every step.  One-row
+    # states, the stacked form included, keep np.matmul on the views: it
+    # broadcasts (b, m, m) stacks, and its last-bit rounding keeps the bands
+    # as they were and chunk-invariant.
+    if states.shape[-2] == 1:
+        phi_t, product = [np.swapaxes(f, -1, -2) for f in phi], np.matmul
+    else:
+        phi_t, product = [np.ascontiguousarray(f.T) for f in phi], np.dot
     rows, step = list(states), np.empty(states.shape[1:])
     for s in range(len(phi_t), len(rows)):
         for l, f in enumerate(phi_t, 1):

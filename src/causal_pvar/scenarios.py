@@ -263,7 +263,7 @@ def build_exposure(adjacency: np.ndarray, treatment: np.ndarray, mode: str = TRE
     return s
 
 
-def simulate_var_panel(phi, mu, innovations, n_policies=1, variable_names=None) -> PanelDataset:
+def simulate_var_panel(phi, mu, innovations, n_policies=1) -> PanelDataset:
     """Run (n, t, m) innovations through the autoregressive dynamics.
 
     ``x_t = (I - sum phi_l) mu + sum_l phi_l x_{t-l} + e_t`` with the
@@ -279,7 +279,7 @@ def simulate_var_panel(phi, mu, innovations, n_policies=1, variable_names=None) 
     states[p:] = innovations.transpose(1, 0, 2)
     _run_pinned(phi, np.asarray(mu, dtype=float).reshape(n, m), states)
     values = states[p:].transpose(1, 0, 2)
-    return PanelDataset(values, n_policies, variable_names or _default_names(n_policies, m))
+    return PanelDataset(values, n_policies, _default_names(n_policies, m))
 
 
 def _run_pinned(phi, mu: np.ndarray, states: np.ndarray) -> None:

@@ -21,12 +21,14 @@ from .errors import (
     BootstrapUnstable,
     CollinearRegressors,
     EmptyTreatedSet,
+    NonFinite,
     RegimeMismatch,
 )
 from .scenarios import (
     BINARY_ANY_NEIGHBOR,
     TREATED_NEIGHBOR_SHARE,
     PotentialOutcomePanel,
+    ScenarioConfig,
     build_exposure,
 )
 
@@ -36,6 +38,7 @@ __all__ = [
     "spillover_regression",
     "estimate_adjusted_impact",
     "oracle_atte_aste",
+    "verify_interference",
     "TREATED_NEIGHBOR_SHARE",
     "BINARY_ANY_NEIGHBOR",
 ]
@@ -78,9 +81,11 @@ def spillover_regression(
 ) -> SpilloverFit:
     """No-intercept least squares of outcome residuals on (policy, exposure).
 
-    Residual inputs are expected mean-zero; a policy or outcome mean above
-    1e-8 of that series' root mean square is subtracted and flagged.  The
-    exposure regressor is used as given.  Standard errors come from an i.i.d. cell
+    The three series must align (else BadConfig) and be finite (else
+    NonFinite, naming the series).  Residual inputs are expected mean-zero;
+    a policy or outcome mean above 1e-8 of that series' root mean square is
+    subtracted and flagged.  The exposure regressor is used as given.
+    Standard errors come from an i.i.d. cell
     bootstrap with ``n_reps`` replications (skipped when n_reps = 0); draws
     that cannot be fitted are dropped and counted, and BootstrapUnstable is
     raised when fewer than two remain.
@@ -90,6 +95,9 @@ def spillover_regression(
     s = np.asarray(exposure, dtype=float).ravel()
     if not (w.size == y.size == s.size):
         raise BadConfig("policy, outcome, and exposure series must align")
+    for name, x in (("policy residual", w), ("outcome residual", y), ("exposure", s)):
+        if not np.isfinite(x).all():
+            raise NonFinite(f"{name} has a non-finite value")
     (w, w_drift), (y, y_drift) = _drop_drift(w), _drop_drift(y)
     drift = w_drift or y_drift
 
@@ -186,7 +194,8 @@ def estimate_adjusted_impact(
 
     ``exposure`` is the (n_units, n_times) array of ``build_exposure`` and
     ``treatment`` the 0/1 policy path on the same grid (else BadConfig);
-    ``outcome`` is the residual column used as the dependent series.  The
+    ``outcome`` is the residual column used as the dependent series, one
+    after the policy column 0 (``1 <= outcome < m``, else BadConfig).  The
     regressor is the exposure zeroed out on treated cells, trimmed to the
     fit's sample and within-demeaned per unit like the residuals it sits
     next to; the treated cells' own exposure is deliberately left inside
@@ -198,21 +207,18 @@ def estimate_adjusted_impact(
         raise BadConfig("exposure and treatment must share one (n_units, n_times) grid")
     if not np.isin(treatment, (0.0, 1.0)).all():
         raise BadConfig("treatment indicator must be 0/1")
+    resid = fit.residuals
+    if not 1 <= outcome < resid.shape[2]:
+        raise BadConfig(f"need 1 <= outcome < m, got outcome={outcome}, m={resid.shape[2]}")
     s_reg = (exposure * (1.0 - treatment))[:, fit.spec.lag_order :]
     s_reg = s_reg - s_reg.mean(axis=1, keepdims=True)
-    resid = fit.residuals
     return spillover_regression(
         resid[:, :, 0], resid[:, :, outcome], s_reg, n_reps=n_reps, seed=seed
     )
 
 
-def __getattr__(name):
-    # verify_interference lives in causal_pvar.verify, which imports this
-    # module.  perfbench/spans.py traces it as spillover.verify_interference,
-    # so the name resolves here too, looked up on first use so that this
-    # module does not import verify at load time.
-    if name == "verify_interference":
-        from .verify import verify_interference
+def verify_interference(config: ScenarioConfig, reps: int = 200):
+    """The "interference" check of ``verify.verify_theorem`` on ``config``."""
+    from .verify import verify_theorem  # verify imports this module
 
-        return verify_interference
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return verify_theorem("interference", config, reps)

@@ -64,13 +64,12 @@ from .scenarios import (
     quadratic_impact,
 )
 from .scenarios import BURN_IN, _draw, _propagate, _validate_config
-from .spillover import estimate_adjusted_impact, oracle_atte_aste
+from .spillover import estimate_adjusted_impact, oracle_atte_aste, verify_interference
 from .weights import ZeroInflatedUniform, gaussian_weights, nonneg_weights, weighted_estimand
 
 __all__ = [
     "CHECKS",
     "VerificationReport",
-    "default_config",
     "verify_interference",
     "verify_suite",
     "verify_theorem",
@@ -274,11 +273,6 @@ def _check_name(name: str) -> str:
     raise BadConfig(f"unknown theorem {name!r}; choose from {tuple(CHECKS)}")
 
 
-def default_config(name: str) -> ScenarioConfig:
-    """The default scenario of a check: a theorem name or "interference"."""
-    return CHECKS[_check_name(name)].config
-
-
 def _rep_seeds(seed: int, reps: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return rng.integers(0, 2**63 - 1, size=reps)
@@ -381,11 +375,6 @@ def verify_theorem(theorem: str, config: ScenarioConfig | None = None,
     """
     name = _check_name(theorem)
     return _run_shared([name], config or CHECKS[name].config, reps)[0]
-
-
-def verify_interference(config: ScenarioConfig, reps: int = 200) -> VerificationReport:
-    """The "interference" check of ``verify_theorem``."""
-    return verify_theorem("interference", config, reps)
 
 
 def _exit_with_parent() -> None:

@@ -43,7 +43,6 @@ class WeightProfile:
     """Weights over the dose grid plus the scalar extensive-margin weight."""
 
     grid: np.ndarray
-    d_lower: float
     q: np.ndarray
     q_integral: float
     q0: float
@@ -119,7 +118,6 @@ def gaussian_weights(sigma: float, grid) -> WeightProfile:
     q = np.exp(-z * z / 2) / math.sqrt(2 * math.pi) / sigma
     return WeightProfile(
         grid=grid,
-        d_lower=float(grid[0]),
         q=q,
         q_integral=float(np.trapezoid(q, grid)),
         q0=0.0,
@@ -175,7 +173,6 @@ def nonneg_weights(sample=None, law=None) -> WeightProfile:
     q0 = ew * p0 * d_lo / var
     return WeightProfile(
         grid=grid,
-        d_lower=d_lo,
         q=(partial_ge - ew * prob_ge) / var,
         q_integral=q_int,
         q0=float(q0),
@@ -205,8 +202,9 @@ def weighted_estimand(profile: WeightProfile, pop: PotentialOutcomePanel, mode: 
         raise BadConfig(f"unknown mode {mode!r}")
     value = float(np.trapezoid(profile.q * np.interp(grid, curve_grid, curve), grid))
     if profile.q0 != 0:
-        gain = float(pop.po_at(profile.d_lower).mean() - pop.po_at(0.0).mean())
-        value += profile.q0 * gain / profile.d_lower
+        d_lower = float(grid[0])
+        gain = float(pop.po_at(d_lower).mean() - pop.po_at(0.0).mean())
+        value += profile.q0 * gain / d_lower
     return value
 
 

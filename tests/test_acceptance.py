@@ -23,7 +23,7 @@ from causal_pvar.scenarios import (
     simulate_scenario,
     simulate_var_panel,
 )
-from causal_pvar.verify import default_config, verify_interference, verify_theorem
+from causal_pvar.verify import CHECKS, verify_interference, verify_theorem
 from causal_pvar.weights import ZeroInflatedUniform, gaussian_weights, nonneg_weights
 
 
@@ -144,7 +144,7 @@ def test_criterion_5_att_and_anticipation_control():
            f"|mean gamma - ATT| = {rep.discrepancy:.5f} vs 3*SE = {3 * rep.mc_se:.5f} "
            f"(200 seeds)")
 
-    violated = verify_theorem("T10", replace(default_config("T10"), anticipation=0.5),
+    violated = verify_theorem("T10", replace(CHECKS["T10"].config, anticipation=0.5),
                               reps=200)
     report("5b", not violated.passed,
            f"anticipation-injected design fails the same check as required: "

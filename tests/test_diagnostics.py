@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,12 @@ from causal_pvar.diagnostics import (
 )
 from causal_pvar.errors import BadConfig
 from causal_pvar.panel import PanelDataset, PVARFit, PVARSpec, fit_pvar
-from causal_pvar.scenarios import simulate_var_panel
+from causal_pvar.scenarios import (
+    GAUSSIAN_CONTINUOUS,
+    ScenarioConfig,
+    simulate_scenario,
+    simulate_var_panel,
+)
 
 from conftest import make_var_panel
 
@@ -104,6 +111,15 @@ class TestResidualAutocorr:
         diag = residual_autocorr(fit, 2)
         assert np.abs(diag.tensor).max() == 0.0
         assert not diag.violated
+
+    @pytest.mark.parametrize("scale", [1e-78, 1e-70, 1e70])
+    def test_correlations_do_not_depend_on_the_data_units(self, scale):
+        panel, _ = simulate_scenario(ScenarioConfig(GAUSSIAN_CONTINUOUS, 60, 100, 3))
+        want = residual_autocorr(fit_pvar(panel, PVARSpec(1)), 3)
+        got = residual_autocorr(fit_pvar(replace(panel, values=panel.values * scale),
+                                         PVARSpec(1)), 3)
+        np.testing.assert_allclose(got.tensor, want.tensor, rtol=0, atol=1e-12)
+        assert got.violated == want.violated
 
     def test_smax_must_leave_a_pair_of_periods(self):
         # 20 residual periods per unit: lag 19 pairs the last period with the

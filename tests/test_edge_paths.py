@@ -39,7 +39,7 @@ from causal_pvar.scenarios import (
     simulate_var_panel,
 )
 from causal_pvar.spillover import oracle_atte_aste, spillover_regression
-from causal_pvar.verify import default_config, verify_theorem
+from causal_pvar.verify import CHECKS, verify_theorem
 from causal_pvar.weights import (
     ZeroInflatedUniform,
     gaussian_weights,
@@ -73,7 +73,7 @@ def test_bootstrap_unstable_when_refits_fail(monkeypatch):
 
 
 def test_verify_regime_mismatch():
-    cfg = default_config("T2")
+    cfg = CHECKS["T2"].config
     with pytest.raises(RegimeMismatch):
         verify_theorem("T5", cfg, reps=5)
 
@@ -216,10 +216,6 @@ REJECTIONS = [
     pytest.param(lambda: weighted_estimand(gaussian_weights(1.0, DOSE_GRID), _off_grid_pop(),
                                            "acrt", DOSE_GRID),
                  GridMismatch, "no realized doses on the grid", id="weighted-estimand-off-grid"),
-    pytest.param(lambda: ident.irf_from_impact(_short_fit(), np.ones(3), 3), CausalPvarError,
-                 "impact must be a finite vector of length m", id="irf-from-impact-length"),
-    pytest.param(lambda: ident.irf_from_impact(_short_fit(), [1.0, np.nan], 3), CausalPvarError,
-                 "impact must be a finite vector of length m", id="irf-from-impact-nan"),
     pytest.param(lambda: ident.bootstrap_irf(_short_panel(), PVARSpec(1), 0, 3, 100, 1.0, seed=0),
                  CausalPvarError, r"level must be in \(0, 1\)", id="bootstrap-irf-level-one"),
     pytest.param(lambda: PVARSpec(0), BadConfig, "lag_order must be >= 1, got 0",
@@ -234,7 +230,7 @@ REJECTIONS = [
                  "need at least 2 replications", id="verify-one-rep"),
     # One of the two 4 x 8 block-timed replications has a singular lag Gram
     # matrix, and the engine refuses the whole check.
-    pytest.param(lambda: verify_theorem("T9", replace(default_config("T9"), n_units=4,
+    pytest.param(lambda: verify_theorem("T9", replace(CHECKS["T9"].config, n_units=4,
                                                       n_times=8, seed=1), reps=2),
                  SingularDesign, "a replication's lag Gram matrix is singular",
                  id="verify-singular-replication"),

@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,10 +13,14 @@ from causal_pvar.identify import (
     cholesky_lower,
     impact_gamma,
     irf,
-    irf_from_impact,
 )
 from causal_pvar.panel import PVARSpec, fit_pvar
-from causal_pvar.scenarios import simulate_var_panel
+from causal_pvar.scenarios import (
+    GAUSSIAN_CONTINUOUS,
+    ScenarioConfig,
+    simulate_scenario,
+    simulate_var_panel,
+)
 
 from conftest import make_var_panel
 
@@ -132,6 +139,12 @@ class TestIrf:
         diff = (path.values - base.values)[0].T
         np.testing.assert_allclose(out, diff, atol=1e-10)
 
+    def test_negative_horizon_rejected(self):
+        panel = make_var_panel([[0.4, 0.1], [0.2, 0.3]], 20, 80, seed=7)
+        fit = fit_pvar(panel, PVARSpec(2))
+        with pytest.raises(CausalPvarError, match="horizon"):
+            irf(fit, cholesky_lower(fit.sigma), 0, -1)
+
     def test_unit_shock_normalization_invariant(self):
         panel = make_var_panel([[0.4, 0.1], [0.2, 0.3]], 20, 80, seed=3)
         fit = fit_pvar(panel, PVARSpec(1))
@@ -170,40 +183,25 @@ def test_propagation_matches_companion_powers(seed, p, m, b, stacked):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
-class TestIrfFromImpact:
-    def test_consistency_with_irf(self):
-        panel = make_var_panel([[0.4, 0.1], [0.2, 0.3]], 20, 80, seed=7)
+@pytest.fixture(scope="module")
+def gaussian_panel():
+    return simulate_scenario(ScenarioConfig(GAUSSIAN_CONTINUOUS, 60, 100, 3))[0]
+
+
+@pytest.mark.parametrize("scales", itertools.product([1e-8, 1e-5, 1e5, 1e8], repeat=2),
+                         ids=lambda c: "x".join(f"{v:g}" for v in c))
+def test_impact_and_irf_follow_the_data_units(gaussian_panel, scales):
+    # variable j in units c_j: the response of v to a unit shock k scales by c_v / c_k
+    def identify(panel):
         fit = fit_pvar(panel, PVARSpec(1))
         chol = cholesky_lower(fit.sigma)
-        impact = chol.lower[:, 0] / chol.lower[0, 0]
-        a = irf(fit, chol, 0, 10)
-        b = irf_from_impact(fit, impact, 10)
-        np.testing.assert_allclose(a, b, atol=1e-14)
+        return impact_gamma(chol, 0, 1), irf(fit, chol, 0, 6)
 
-    def test_negative_horizon_rejected(self):
-        panel = make_var_panel([[0.4, 0.1], [0.2, 0.3]], 20, 80, seed=7)
-        fit = fit_pvar(panel, PVARSpec(2))
-        with pytest.raises(CausalPvarError, match="horizon"):
-            irf_from_impact(fit, np.array([1.0, 0.5]), -1)
-        with pytest.raises(CausalPvarError, match="horizon"):
-            irf(fit, cholesky_lower(fit.sigma), 0, -1)
-
-    def test_zero_impact(self):
-        panel = make_var_panel([[0.4, 0.1], [0.2, 0.3]], 20, 80, seed=7)
-        fit = fit_pvar(panel, PVARSpec(1))
-        out = irf_from_impact(fit, np.zeros(2), 5)
-        assert np.abs(out).max() == 0.0
-
-    def test_plug_in_impact_matches_simulation(self):
-        panel = make_var_panel([[0.4, 0.1], [0.2, 0.3]], 20, 120, seed=9)
-        fit = fit_pvar(panel, PVARSpec(1))
-        impact = np.array([1.0, -0.7])
-        out = irf_from_impact(fit, impact, 8)
-        shocks = np.zeros((1, 9, 2))
-        shocks[0, 0] = impact
-        path = simulate_var_panel(fit.phi[0], np.zeros((1, 2)), shocks)
-        base = simulate_var_panel(fit.phi[0], np.zeros((1, 2)), np.zeros_like(shocks))
-        np.testing.assert_allclose(out, (path.values - base.values)[0].T, atol=1e-8)
+    c = np.array(scales)
+    gamma, response = identify(gaussian_panel)
+    got_gamma, got_response = identify(replace(gaussian_panel, values=gaussian_panel.values * c))
+    assert got_gamma == pytest.approx(gamma * c[1] / c[0], rel=1e-8)
+    np.testing.assert_allclose(got_response, response * (c / c[0])[:, None], rtol=1e-8)
 
 
 class TestBootstrapIrf:

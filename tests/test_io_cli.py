@@ -72,10 +72,11 @@ class TestRecords:
         first = path.read_text().splitlines()[0]
         assert first == "variable,horizon,point,lower,upper"
 
-    def test_empty_records_header_only(self, tmp_path):
+    def test_empty_csv_records_raise_and_create_no_file(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_records([], path, fieldnames=["a", "b"])
-        assert path.read_text() == "a,b\n"
+        with pytest.raises(BadConfig, match="empty record set has no CSV header"):
+            write_records([], path)
+        assert not path.exists()
 
     def test_json_lines_round_trip(self, tmp_path):
         recs = [{"name": "x", "value": 0.1 + 0.7, "count": 3, "flag": True}]
@@ -451,6 +452,14 @@ class TestCli:
                       "--seed", "1", "--output", str(home / "spill"))
         self._one_error_line(res, 2)
         assert not (home / "spill").exists()
+
+    def test_spillover_on_a_panel_without_a_policy_exits_1(self, spill_dir, tmp_path):
+        res = run_cli("spillover", "--input", str(spill_dir / "panel.csv"), "--policies", "0",
+                      "--adjacency", str(spill_dir / "edges.csv"), "--reps", "0",
+                      "--seed", "1", "--output", str(tmp_path / "spill"))
+        self._one_error_line(res, 1)
+        assert res.stderr.strip() == "error: spillover needs a policy column, got K = 0"
+        assert not (tmp_path / "spill").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exits_2(self, sim_dir, tmp_path, threads):

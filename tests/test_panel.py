@@ -15,7 +15,6 @@ from causal_pvar.panel import (
     companion,
     fit_pvar,
     panel_from_records,
-    within_demean,
 )
 
 from conftest import make_var_panel
@@ -89,29 +88,6 @@ class TestValidatePanel:
         fields = {"values": np.ones((2, 4, 2)), "n_policies": 1, "variable_names": ("w", "y")}
         with pytest.raises(error, match=match):
             PanelDataset(**{**fields, **change})
-
-
-class TestWithinDemean:
-    def test_constant_series_zeroed(self):
-        vals = np.full((3, 5, 2), 7.0)
-        vals[1] = -2.5
-        out = within_demean(PanelDataset(vals, 1, ("w", "y")))
-        assert np.abs(out.values).max() == 0.0
-
-    def test_simple_arithmetic(self):
-        vals = np.zeros((1, 3, 2))
-        vals[0, :, 0] = [1.0, 2.0, 3.0]
-        out = within_demean(PanelDataset(vals, 1, ("w", "y")))
-        np.testing.assert_allclose(out.values[0, :, 0], [-1.0, 0.0, 1.0])
-
-    def test_unit_effects_removed_exactly(self):
-        # Same shocks with and without unit effects: demeaned panels agree.
-        mu = np.tile([5.0, -3.0], (6, 1))
-        with_mu = make_var_panel([[0.4, 0.1], [0.2, 0.3]], 6, 40, seed=5, mu=mu)
-        without = make_var_panel([[0.4, 0.1], [0.2, 0.3]], 6, 40, seed=5)
-        a = within_demean(with_mu).values
-        b = within_demean(without).values
-        np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 class TestFitPvar:

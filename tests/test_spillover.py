@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,10 @@ from causal_pvar.errors import (
     BootstrapUnstable,
     CollinearRegressors,
     EmptyTreatedSet,
+    NonFinite,
     SelfLoop,
 )
+from causal_pvar.panel import PanelDataset, PVARSpec, fit_pvar
 from causal_pvar.scenarios import (
     SPILLOVER_DUMMY,
     ExposureTruth,
@@ -23,6 +27,7 @@ from causal_pvar.spillover import (
     BINARY_ANY_NEIGHBOR,
     TREATED_NEIGHBOR_SHARE,
     build_exposure,
+    estimate_adjusted_impact,
     oracle_atte_aste,
     spillover_regression,
 )
@@ -175,6 +180,17 @@ class TestSpilloverRegression:
         np.testing.assert_allclose([small.delta, small.rho * 1e10], [base.delta, base.rho],
                                    rtol=1e-8)
 
+    @pytest.mark.parametrize("series, at, value", [
+        ("exposure", 2, np.nan), ("policy residual", 0, np.inf), ("outcome residual", 1, -np.inf),
+    ])
+    def test_non_finite_input_is_named_without_a_warning(self, series, at, value):
+        inputs = list(self._drift_series(0.0))
+        inputs[at][7] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match=f"^{series} has a non-finite value"):
+                spillover_regression(*inputs, n_reps=0)
+
     def test_negative_reps_rejected(self):
         w, y, s = self._centered()
         with pytest.raises(BadConfig):
@@ -234,6 +250,16 @@ class TestSpilloverRegression:
         self._fail_draws(monkeypatch, set(range(kept, 40)))
         with pytest.raises(BootstrapUnstable):
             spillover_regression(w, y, s, n_reps=40, seed=5)
+
+
+@pytest.mark.parametrize("outcome", [0, 2, -1])
+def test_adjusted_impact_outcome_must_be_a_column_after_the_policy(outcome):
+    rng = np.random.default_rng(8)
+    w = (rng.random((20, 40)) < 0.3).astype(float)
+    values = np.stack([w, w + rng.standard_normal((20, 40))], axis=2)
+    fit = fit_pvar(PanelDataset(values, 1, ("w", "y")), PVARSpec(1))
+    with pytest.raises(BadConfig, match=rf"need 1 <= outcome < m, got outcome={outcome}, m=2"):
+        estimate_adjusted_impact(fit, build_exposure(ring_adjacency(20, 1), w), w, outcome=outcome)
 
 
 class TestOracleAtteAste:

@@ -9,9 +9,18 @@ A module-level private function or class (``_name``, not a dunder) counts
 as used when its name is read, as a name or an attribute, in some module
 of the package; an import alone does not count, as the rule above rejects
 an import that nothing reads.
+
+A module-level public function counts as used when it is read, by the same
+rule, in a module of the package (its own included, as the CLI's ``cmd_*``
+handlers are) or in a script, when the benchmark traces it (``TRACED`` in
+``perfbench/spans.py``, read without changing it), or when it is one of
+``ENTRY_POINTS``.  ``__init__.py`` re-exports every public name, so a read
+there does not count: a function only the tests call is a second way to
+do what the commands do.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -20,6 +29,12 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "causal_pvar"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+# Public functions that nothing in the package calls, kept as entry points.
+ENTRY_POINTS = {
+    "identify.impact_gamma": "the paper's impact coefficient, read off a factor",
+    "io.read_records": "the reader of the record format write_records writes",
+}
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -73,17 +88,22 @@ def test_script_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
 
+def _reads(tree: ast.Module) -> set[str]:
+    """Every name a module loads, as a name or an attribute."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
 def unread_private_defs(sources: dict[str, str]) -> list[str]:
     """``module.name (line n)`` for each module-level private function or class
     of ``sources`` (module name to source) that no module reads."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    read = set().union(*map(_reads, trees.values()))
     return [f"{module}.{node.name} (line {node.lineno})"
             for module, tree in trees.items() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
@@ -106,3 +126,46 @@ def test_the_rule_flags_an_unread_private_def_and_spares_read_ones():
 def test_package_has_no_unread_private_def():
     sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
     assert unread_private_defs(sources) == []
+
+
+def uncalled_public_functions(sources: dict[str, str], scripts: list[str],
+                              kept: set[str]) -> list[str]:
+    """``module.name (line n)`` for each module-level public function of
+    ``sources`` (module name to source, ``__init__`` left out) that neither a
+    module of ``sources`` nor one of ``scripts`` reads and ``kept`` does not
+    name as ``module.name``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set().union(*map(_reads, trees.values()),
+                       *(_reads(ast.parse(source)) for source in scripts))
+    return [f"{module}.{node.name} (line {node.lineno})"
+            for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_") and node.name not in read
+            and f"{module}.{node.name}" not in kept]
+
+
+def test_the_rule_flags_an_uncalled_public_function_and_spares_called_kept_ones():
+    sources = {
+        "a": ("def helper(x):\n    return x\n"
+              "def used_here():\n    pass\n"
+              "def traced():\n    pass\n"
+              "def cmd_run():\n    pass\n"
+              "HANDLERS = [cmd_run]\n"
+              "def public():\n    return used_here()\n"),
+        "b": "from .a import helper, public\nimport a\ny = a.public\n",
+    }
+    assert uncalled_public_functions(sources, ["from a import traced\n"], {"a.traced"}) == [
+        "a.helper (line 1)"]
+
+
+def _traced() -> set[str]:
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return {f"{module}.{name}" for module, names in spans.TRACED.items() for name in names}
+
+
+def test_every_public_function_has_a_caller():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    scripts = [path.read_text() for path in SCRIPTS]
+    assert uncalled_public_functions(sources, scripts, _traced() | set(ENTRY_POINTS)) == []

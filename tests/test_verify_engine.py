@@ -102,7 +102,7 @@ def _engine_pairs(name, config, reps, per_chunk):
 
 @pytest.mark.parametrize("name", list(verify.CHECKS))
 def test_engine_matches_per_replication_reference(name):
-    config = verify.default_config(name).with_seed(11)
+    config = verify.CHECKS[name].config.with_seed(11)
     got, sizes = _engine_pairs(name, config, REPS, per_chunk=2)
     assert sizes == [2, 2, 1]  # several chunks and a partial last one
     want = _reference_pairs(name, config, REPS)
@@ -112,7 +112,7 @@ def test_engine_matches_per_replication_reference(name):
 
 @pytest.mark.parametrize("name", ["T1", "T2", "T3", "T6", "interference"])
 def test_engine_does_not_depend_on_chunk_size(name):
-    config = verify.default_config(name).with_seed(3)
+    config = verify.CHECKS[name].config.with_seed(3)
     one, sizes = _engine_pairs(name, config, REPS, per_chunk=1)
     assert sizes == [1] * REPS
     whole, sizes = _engine_pairs(name, config, REPS, per_chunk=REPS)
@@ -123,7 +123,7 @@ def test_engine_does_not_depend_on_chunk_size(name):
 # T2's oracles are numpy scalars, which the engine hands back as floats
 @pytest.mark.parametrize("name", ["T2", "T3", "interference"])
 def test_check_run_reuses_one_working_set(name):
-    config = verify.default_config(name).with_seed(2)
+    config = verify.CHECKS[name].config.with_seed(2)
     with mock.patch.object(verify, "_propagate", wraps=verify._propagate) as propagate, \
             mock.patch.object(verify, "_within_moments", wraps=verify._within_moments) as moments:
         chunks = _engine_chunks(name, config, REPS, per_chunk=2)
@@ -143,7 +143,7 @@ def test_every_check_runs_through_verify_theorem_as_in_the_suite():
     assert list(suite) == list(verify.CHECKS)
     assert suite["interference"]["theorem"] == "T11_T12_interference"
     for name in verify.CHECKS:
-        config = verify.default_config(name).with_seed(4)
+        config = verify.CHECKS[name].config.with_seed(4)
         assert verify.verify_theorem(name, config, reps=3).record() == suite[name]
 
 

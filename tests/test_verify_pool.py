@@ -49,7 +49,7 @@ def test_suite_records_equal_each_group_run_in_process():
         suite = [rep.record() for rep in verify.verify_suite(4, reps=3)]
     # one worker per usable CPU, at most one per group; none on one CPU
     assert fork.call_count == (min(CPUS, len(GROUPS)) if CPUS > 1 else 0)
-    config = {group[0]: verify.default_config(group[0]).with_seed(4) for group in GROUPS}
+    config = {group[0]: verify.CHECKS[group[0]].config.with_seed(4) for group in GROUPS}
     serial = [rep.record() for group in GROUPS
               for rep in verify._run_shared(group, config[group[0]], 3)]
     assert suite == serial
@@ -126,8 +126,8 @@ def test_reports_follow_the_name_order_across_groups():
     names = ["T7", "T1", "T6", "T7"]
     got = [rep.record() for rep in verify.verify_suite(4, 3, names)]
     shared = {rep.theorem: rep.record()
-              for rep in verify._run_shared(["T6", "T7"], verify.default_config("T6").with_seed(4), 3)}
-    t1 = verify._run_shared(["T1"], verify.default_config("T1").with_seed(4), 3)[0].record()
+              for rep in verify._run_shared(["T6", "T7"], verify.CHECKS["T6"].config.with_seed(4), 3)}
+    t1 = verify._run_shared(["T1"], verify.CHECKS["T1"].config.with_seed(4), 3)[0].record()
     assert got == [shared["T7"], t1, shared["T6"], shared["T7"]]
 
 
