@@ -7,8 +7,9 @@ verifications.  All stochastic commands require a non-negative seed (flag
 or the CAUSAL_PVAR_SEED environment variable) and write byte-identical
 artifacts given the same seed; only they take --seed, and only the
 commands that write result records take --format.  Only ``irf`` takes
---threads, which must be at least 1 but changes nothing: the bootstrap
-runs on one thread.
+--threads, which must be at least 1 and sets nothing: the bootstrap's
+chunks, and ``spillover``'s and ``verify``'s work, are shared among one
+process per usable CPU, and the artifacts' bytes do not depend on how many.
 
 Defaults live in the library: a ``simulate`` scenario flag left out takes
 the ``ScenarioConfig`` default of the field it sets (``SCENARIO_FLAGS``),
@@ -332,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--level", type=float, default=0.9)
     p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; the bootstrap runs on one thread")
+                   help="accepted for compatibility; sets nothing, as the bootstrap "
+                        "uses one process per usable CPU")
 
     p = panel_command("spillover", cmd_spillover, "exposure-adjusted impact regression",
                       stochastic=True, records=True)

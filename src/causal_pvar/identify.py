@@ -13,10 +13,14 @@ Each replication's resampled residuals are gathered straight into one
 state slab, which holds a chunk of replications (twice ``CHUNK_BYTES`` of
 panel), regenerated there by the VAR recursion that ``simulate_var_panel``
 runs, one loop over time, and reduced to the within cross-products that
-``fit_pvar`` reads.  Once every chunk is done, one ``_within_ols`` call
-solves all replications and one pass of the batched helpers that
-``cholesky_lower`` and ``irf`` apply, with a leading axis of one, to the
-point estimate factors and propagates them.
+``fit_pvar`` reads.  The chunks, fixed from replication 0, run in shares
+of whole chunks (``workers.in_shares``): one share in this process and one
+on each further forked worker where the fork rule of ``workers.processes``
+allows, each through its own slab.  Once every share is back, joined in
+replication order, one ``_within_ols`` call solves all replications and
+one pass of the batched helpers that ``cholesky_lower`` and ``irf`` apply,
+with a leading axis of one, to the point estimate factors and propagates
+them, so the bands do not depend on the number of processes.
 
 Ordering caveat (documented, not asserted): permuting two policy columns
 leaves the residual covariance matrix unchanged but changes the factor,
@@ -33,6 +37,7 @@ import numpy as np
 from .errors import BootstrapUnstable, CausalPvarError, NotPSD, ZeroPolicyVariance
 from .panel import CHUNK_BYTES, PanelDataset, PVARFit, PVARSpec, fit_pvar
 from .panel import _var_recursion, _within_moments, _within_ols
+from .workers import in_shares
 
 __all__ = [
     "CholeskyFactor",
@@ -84,21 +89,28 @@ def _factor(sigma: np.ndarray):
     Each covariance is judged scaled to a unit diagonal, as the lag Gram
     matrix is for ``SingularDesign`` (a zero variance keeps unit scale), and
     factored unscaled, lifted first by ``(RIDGE - eigmin) * |diag|`` when its
-    smallest scaled eigenvalue ``eigmin`` is below ``RIDGE``.  Returns
+    smallest scaled eigenvalue ``eigmin`` is below ``RIDGE``.  A variable of
+    zero variance keeps a zero factor row, so that as a shock it fails the
+    ``UNIT_FLOOR`` test of ``_impact``.  Returns
     ``(lower, psd, eigmin)``: the (b', m, m) factors of the b' covariances
     with no scaled eigenvalue below ``PSD_FLOOR``, their (b,) mask and every
     covariance's ``eigmin``.
     """
     sigma = (sigma + sigma.transpose(0, 2, 1)) / 2.0
     var = np.abs(np.diagonal(sigma, axis1=1, axis2=2))
-    var = np.where(var > 0, var, 1.0)
+    zero = var == 0
+    var = np.where(zero, 1.0, var)
     scale = 1.0 / np.sqrt(var)
     eigmin = np.linalg.eigvalsh(sigma * scale[:, :, None] * scale[:, None, :]).min(axis=1)
     psd = eigmin >= PSD_FLOOR
     sigma, var, low = sigma[psd], var[psd], eigmin[psd] < RIDGE
     lift = (RIDGE - eigmin[psd][low])[:, None] * var[low]
     sigma[low] += lift[:, :, None] * np.eye(sigma.shape[1])
-    return np.linalg.cholesky(sigma), psd, eigmin
+    lower = np.linalg.cholesky(sigma)
+    # the lift gives a zero variance a factor of about sqrt(RIDGE); its row is zero
+    at, var_at = np.nonzero(zero[psd])
+    lower[at, var_at, var_at] = 0.0
+    return lower, psd, eigmin
 
 
 def _impact(lower: np.ndarray, k: int):
@@ -189,18 +201,22 @@ def bootstrap_irf(
     replacement, panels regenerated from the fitted dynamics, refitted, and
     the impulse response recomputed.  Replication r draws from its own RNG
     stream, child r of ``SeedSequence(seed)``.  Replications are regenerated
-    in chunks of about twice ``CHUNK_BYTES`` of panel, in one state slab and
-    one centring buffer allocated per call, each chunk by one loop over time
-    and reduced to its within cross-products; all replications are then
-    solved, factored and propagated once per call, so the bands do not
-    depend on the chunking (on a one-unit panel, up to last-bit
-    rounding of a single-row matmul).  The point fit raises SingularDesign
-    by the rule documented there; a replication fails when its panel is
-    non-finite or breaks that rule, when its covariance, scaled to a unit
-    diagonal, has an eigenvalue below -1e-8, or when its policy factor is
-    below 1e-12.
-    Failures are counted in ``n_failed`` and more than 5% raises
-    BootstrapUnstable.
+    in chunks of about twice ``CHUNK_BYTES`` of panel, each chunk by one loop
+    over time and reduced to its within cross-products.  The chunks run in
+    shares, one in this process and one on each further forked worker (one
+    process per usable CPU, by the rule of ``workers.processes``), each
+    share through one state slab and one centring buffer of its own; all
+    replications are then solved, factored and propagated once per call
+    in this process, so the bands do not depend on the number of processes,
+    nor on the chunking (on a one-unit panel, up to last-bit rounding of a
+    single-row matmul; the chunks are fixed, so its bands are too).  The
+    point fit raises ZeroPolicyVariance when shock k's factor
+    ``|lower[k, k]|`` is below 1e-12, a zero variance included, and
+    SingularDesign by the rule documented there; a replication fails when
+    its panel is non-finite or breaks that rule, when its covariance, scaled
+    to a unit diagonal, has an eigenvalue below -1e-8, or when its policy
+    factor is below 1e-12 (a zero variance included).  Failures are counted
+    in ``n_failed`` and more than 5% raises BootstrapUnstable.
     """
     if n_reps < 100:
         raise CausalPvarError("need at least 100 bootstrap replications")
@@ -214,26 +230,35 @@ def bootstrap_irf(
     tr = t - p
     pool = fit.residuals.reshape(n * tr, m)
 
-    cross = np.empty((n_reps, m * (p + 1), m * (p + 1)))
     # A chunk holds two panels per replication: the state slab, whose first p
     # periods stay the observed ones, and the centring buffer of the moments.
     per_chunk = max(1, min(n_reps, 2 * (CHUNK_BYTES // panel.values.nbytes)))
-    slab = np.empty((t, per_chunk, n, m))
-    slab[:p] = panel.values[:, :p].transpose(1, 0, 2)[:, None]
-    centred = np.empty((per_chunk, m, t, n))
-    for start in range(0, n_reps, per_chunk):
-        reps = slice(start, min(start + per_chunk, n_reps))
-        states = slab[:, : reps.stop - start]
-        for r in range(reps.start, reps.stop):
-            # child r of SeedSequence(seed); its draws index the pool unit-major
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
-            draws = rng.integers(0, n * tr, size=n * tr).reshape(n, tr).T
-            np.take(pool, draws, axis=0, out=states[p:, r - start], mode="clip")
-        states[p:] += fit.intercepts
-        _var_recursion(states.reshape(t, -1, m), fit.phi)
-        with np.errstate(invalid="ignore", over="ignore"):
-            cross[reps] = _within_moments(states, p, out=centred[: reps.stop - start])[0]
-    del slab, states, centred  # the working set is done with; free it before the solve
+
+    def share(first: int, stop: int) -> np.ndarray:
+        """The within cross-products of the replications in chunks
+        first..stop - 1, through one working set of this process."""
+        reps = range(first * per_chunk, min(stop * per_chunk, n_reps))
+        cross = np.empty((len(reps), m * (p + 1), m * (p + 1)))
+        size = min(per_chunk, len(reps))
+        slab = np.empty((t, size, n, m))
+        slab[:p] = panel.values[:, :p].transpose(1, 0, 2)[:, None]
+        centred = np.empty((size, m, t, n))
+        for start in range(reps.start, reps.stop, per_chunk):
+            chunk = range(start, min(start + per_chunk, reps.stop))
+            states = slab[:, : len(chunk)]
+            for i, r in enumerate(chunk):
+                # child r of SeedSequence(seed); its draws index the pool unit-major
+                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+                draws = rng.integers(0, n * tr, size=n * tr).reshape(n, tr).T
+                np.take(pool, draws, axis=0, out=states[p:, i], mode="clip")
+            states[p:] += fit.intercepts
+            _var_recursion(states.reshape(t, -1, m), fit.phi)
+            with np.errstate(invalid="ignore", over="ignore"):
+                cross[start - reps.start : chunk.stop - reps.start] = _within_moments(
+                    states, p, out=centred[: len(chunk)])[0]
+        return cross
+
+    cross = in_shares(share, -(-n_reps // per_chunk))
 
     # every replication at once, by the rules of fit_pvar, cholesky_lower and irf
     coef, sigma, ok = _within_ols(cross, m * p, n * tr)

@@ -33,11 +33,13 @@ COND_LIMIT = 1e12
 # the burn-in) and a centring buffer sized for its largest chunk, and every
 # chunk reuses it, so no chunk faults in fresh pages; with each
 # replication's draw, it is a few times this for any number of
-# replications.  The bootstrap keeps the same working set per call, two
-# panels per replication, and takes twice this, about 4 x CHUNK_BYTES; a
-# chunk keeps only each replication's within cross-products, which are
-# solved, factored and propagated once per call, so the chunking does not
-# change the bands.
+# replications.  The bootstrap keeps the same working set per call and per
+# process (its chunks are shared among forked workers), two panels per
+# replication, and takes twice this, about 4 x CHUNK_BYTES in each process;
+# a chunk keeps only each replication's within cross-products, which are
+# solved, factored and propagated once per call, so neither the chunking
+# nor the number of processes changes the bands.  A verify check run's
+# working set is likewise that of the one process it runs in.
 CHUNK_BYTES = 512 * 1024
 
 __all__ = [

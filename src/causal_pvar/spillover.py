@@ -24,6 +24,7 @@ from .errors import (
     NonFinite,
     RegimeMismatch,
 )
+from .panel import CHUNK_BYTES
 from .scenarios import (
     BINARY_ANY_NEIGHBOR,
     TREATED_NEIGHBOR_SHARE,
@@ -31,6 +32,7 @@ from .scenarios import (
     ScenarioConfig,
     build_exposure,
 )
+from .workers import in_shares
 
 __all__ = [
     "SpilloverFit",
@@ -84,11 +86,17 @@ def spillover_regression(
     The three series must align (else BadConfig) and be finite (else
     NonFinite, naming the series).  Residual inputs are expected mean-zero;
     a policy or outcome mean above 1e-8 of that series' root mean square is
-    subtracted and flagged.  The exposure regressor is used as given.
-    Standard errors come from an i.i.d. cell
-    bootstrap with ``n_reps`` replications (skipped when n_reps = 0); draws
-    that cannot be fitted are dropped and counted, and BootstrapUnstable is
-    raised when fewer than two remain.
+    subtracted and flagged.  The exposure regressor is used as given; only
+    an all-zero exposure is degenerate (dropped, rho 0, flagged), so rho
+    carries the exposure's units at any scale.  Standard errors come from an
+    i.i.d. cell bootstrap with ``n_reps`` replications (skipped when
+    n_reps = 0), draw r from child r of ``SeedSequence(seed)``; draws that
+    cannot be fitted are dropped and counted, and BootstrapUnstable is
+    raised when fewer than two remain.  The draws run in chunks of about
+    ``CHUNK_BYTES`` of resampled indices, shared among this process and
+    forked workers as ``bootstrap_irf``'s chunks are, and are joined in draw
+    order before the one batched solve, so the standard errors do not
+    depend on the number of processes.
     """
     w = np.asarray(policy_residuals, dtype=float).ravel()
     y = np.asarray(outcome_residuals, dtype=float).ravel()
@@ -105,14 +113,24 @@ def spillover_regression(
         raise BadConfig(f"n_reps must be non-negative, got {n_reps}")
     if n_reps > 0 and seed is None:
         raise BadConfig("bootstrap standard errors need a seed")
-    degenerate = float(s @ s) / s.size < 1e-20
-    # row 0 fits the point estimate, row r the cells that draw r resampled
+    degenerate = not s.any()
     prods = np.stack([w * w, w * s, s * s, w * y, s * y])
-    sums = np.empty((n_reps + 1, 5))
-    sums[0] = prods.sum(axis=1)
-    for r, child in enumerate(np.random.SeedSequence(seed).spawn(n_reps), 1):
-        idx = np.random.default_rng(child).integers(0, w.size, size=w.size)
-        sums[r] = prods @ np.bincount(idx, minlength=w.size)
+    # draws per chunk: about CHUNK_BYTES of resampled indices
+    per_chunk = max(1, CHUNK_BYTES // (8 * w.size))
+
+    def share(first: int, stop: int) -> np.ndarray:
+        """The sums of the cells that each draw of chunks first..stop - 1 resampled."""
+        draws = range(first * per_chunk, min(stop * per_chunk, n_reps))
+        sums = np.empty((len(draws), 5))
+        for i, r in enumerate(draws):
+            # child r of SeedSequence(seed)
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+            idx = rng.integers(0, w.size, size=w.size)
+            sums[i] = prods @ np.bincount(idx, minlength=w.size)
+        return sums
+
+    # row 0 fits the point estimate, row r the cells that draw r - 1 resampled
+    sums = np.concatenate([prods.sum(axis=1)[None], in_shares(share, -(-n_reps // per_chunk))])
     coef, ok = _two_regressor_ols(sums, degenerate)
     if not ok[0]:
         why = "has zero variance" if degenerate else "and exposure are collinear"

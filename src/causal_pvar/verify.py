@@ -32,7 +32,11 @@ its replications.
 interference) on a pool of forked worker processes, one per usable CPU
 (``os.sched_getaffinity``) and at most one per group.  Where that is one
 worker, another thread runs (fork copies only the calling thread) or the
-platform cannot fork, it runs the same groups in this process.  Each group
+platform cannot fork, it runs the same groups in this process: the fork
+rule of ``workers.processes``, which the bootstraps of ``irf`` and
+``spillover`` follow too.  A worker's watch thread counts as another
+thread, so a check that bootstraps inside a worker does so in-process
+rather than forking workers of its own.  Each group
 is seeded on its own and scored as in this process, so the reports, and
 ``verify.csv``'s bytes, are the same for any worker count.  A worker's
 memory is its own: the calling process's peak RSS no longer includes it.
@@ -42,8 +46,6 @@ A worker runs a group whole, as sending it blocks of chunks was slower.
 from __future__ import annotations
 
 import functools
-import os
-import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -66,6 +68,7 @@ from .scenarios import (
 from .scenarios import BURN_IN, _draw, _propagate, _validate_config
 from .spillover import estimate_adjusted_impact, oracle_atte_aste, verify_interference
 from .weights import ZeroInflatedUniform, gaussian_weights, nonneg_weights, weighted_estimand
+from .workers import worker_pool
 
 __all__ = [
     "CHECKS",
@@ -377,43 +380,6 @@ def verify_theorem(theorem: str, config: ScenarioConfig | None = None,
     return _run_shared([name], config or CHECKS[name].config, reps)[0]
 
 
-def _exit_with_parent() -> None:
-    """Pool initializer: end this worker once its parent process has ended,
-    even by a signal.  Without it the worker would wait for ever on a call
-    queue whose write end it holds open itself."""
-    from multiprocessing import connection, parent_process
-
-    sentinel = parent_process().sentinel
-
-    def watch():
-        connection.wait([sentinel])
-        os._exit(1)
-
-    threading.Thread(target=watch, daemon=True).start()
-
-
-def _worker_pool(n_groups: int):
-    """A pool of forked workers, one per usable CPU and at most one per group,
-    or None where that is one worker, another thread runs or the platform
-    cannot fork."""
-    # fork copies only the calling thread, so a lock that another thread
-    # holds would stay held in every worker: a threaded caller runs in-process
-    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
-        return None
-    workers = min(n_groups, len(os.sched_getaffinity(0)))
-    if workers < 2:
-        return None
-    # imported here, as the CLI's other commands never need them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    # a fork pool starts every worker before its manager thread
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_exit_with_parent)
-
-
 def verify_suite(seed: int, reps: int = 200, names=None):
     """Run checks on their default scenarios at ``seed``, yielding each report.
 
@@ -433,7 +399,7 @@ def verify_suite(seed: int, reps: int = 200, names=None):
     for name in dict.fromkeys(names):
         groups.setdefault(id(CHECKS[name].config), []).append(name)
     configs = [CHECKS[group[0]].config.with_seed(seed) for group in groups.values()]
-    pool = _worker_pool(len(groups))
+    pool = worker_pool(len(groups))
     try:
         finished = zip(groups.values(), (pool.map if pool else map)(
             _run_shared, groups.values(), configs, [reps] * len(configs)))

@@ -3,9 +3,12 @@
 ``_reference_bands`` is the one-replication-at-a-time bootstrap: regenerate
 the panel from the fitted dynamics, refit it with ``fit_pvar``, factor with
 ``cholesky_lower`` and propagate with ``irf``.  The engine must reproduce
-its bands to 1e-10 and give the same bands for any chunking.
+its bands to 1e-10 and give the same bands for any chunking, and for any
+number of processes its chunks are shared among.
 """
 
+import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -18,7 +21,7 @@ from causal_pvar.errors import CausalPvarError
 from causal_pvar.identify import bootstrap_irf, cholesky_lower, irf
 from causal_pvar.panel import PanelDataset, PVARSpec, fit_pvar
 
-from conftest import make_var_panel
+from conftest import assert_no_worker_left, fork_rule, make_var_panel, two_cpus
 
 
 def _reference_bands(panel, spec, k, horizon, n_reps, level, seed, skip=frozenset()):
@@ -109,7 +112,11 @@ def test_failed_replications_are_counted_and_left_out(monkeypatch):
         return coef, sigma, ok
 
     monkeypatch.setattr(ident, "_within_ols", flaky)
-    _, bands = bootstrap_irf(panel, PVARSpec(1), 0, 4, 100, 0.9, seed=3)
+    # ten replications a chunk, shared by two processes
+    monkeypatch.setattr(ident, "CHUNK_BYTES", 5 * panel.values.nbytes)
+    with fork_rule(2) as pids:
+        _, bands = bootstrap_irf(panel, PVARSpec(1), 0, 4, 100, 0.9, seed=3)
+    assert len(pids) == 1
     assert calls == [100]  # one solve of every replication's cross-products
     assert bands.n_reps == 100 and bands.n_failed == 3
     lower, upper, n_failed = _reference_bands(panel, PVARSpec(1), 0, 4, 100, 0.9, 3,
@@ -119,6 +126,73 @@ def test_failed_replications_are_counted_and_left_out(monkeypatch):
     np.testing.assert_allclose(bands.upper, upper, rtol=0, atol=1e-10)
     all_lower, all_upper, _ = _reference_bands(panel, PVARSpec(1), 0, 4, 100, 0.9, 3)
     assert not (np.allclose(all_lower, lower) and np.allclose(all_upper, upper))
+
+
+def test_a_zero_policy_variance_fails_its_replication(monkeypatch):
+    # A refit whose policy residual has exactly zero variance has no impact
+    # coefficient, as one of variance 1e-30 has none.
+    panel = make_var_panel([[0.3, 0.0], [0.25, 0.3]], 12, 50, seed=8)
+    zeroed = [10, 60]
+    real_ols = ident._within_ols
+
+    def zero_variance(cross, mp, eff):
+        coef, sigma, ok = real_ols(cross, mp, eff)
+        sigma[zeroed, 0, :] = sigma[zeroed, :, 0] = 0.0
+        return coef, sigma, ok
+
+    monkeypatch.setattr(ident, "_within_ols", zero_variance)
+    _, bands = bootstrap_irf(panel, PVARSpec(1), 0, 4, 100, 0.9, seed=3)
+    assert bands.n_failed == 2
+    lower, upper, _ = _reference_bands(panel, PVARSpec(1), 0, 4, 100, 0.9, 3,
+                                       skip=frozenset(zeroed))
+    np.testing.assert_allclose(bands.lower, lower, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(bands.upper, upper, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n_units, lag_order", [(1, 1), (1, 2), (5, 1), (5, 2)])
+def test_bands_equal_in_shares_and_in_process(n_units, lag_order):
+    # six replications a chunk, so that 100 end in a partial chunk of four;
+    # three processes take 5, 6 and 6 of the 17 chunks
+    panel, spec = _case(7, lag_order, n_units, 40)
+    runs = {}
+    with mock.patch.object(ident, "CHUNK_BYTES", 3 * panel.values.nbytes):
+        for count in (1, 3):
+            with fork_rule(count) as pids:
+                runs[count] = bootstrap_irf(panel, spec, 0, 5, 100, 0.9, seed=7)
+            assert len(pids) == count - 1
+            assert_no_worker_left(pids)
+    (point, bands), (shared_point, shared) = runs[1], runs[3]
+    np.testing.assert_array_equal(point, shared_point)
+    np.testing.assert_array_equal(bands.lower, shared.lower)
+    np.testing.assert_array_equal(bands.upper, shared.upper)
+    assert bands.n_failed == shared.n_failed
+
+
+def test_a_threaded_caller_bootstraps_in_process():
+    panel, spec = _case(3, 1, 4, 40)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        with mock.patch.object(ident, "CHUNK_BYTES", 1), two_cpus(), \
+                mock.patch("os.fork", wraps=os.fork) as fork:
+            _, threaded = bootstrap_irf(panel, spec, 0, 5, 100, 0.9, seed=3)
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    fork.assert_not_called()
+    with mock.patch.object(ident, "CHUNK_BYTES", 1):
+        _, alone = bootstrap_irf(panel, spec, 0, 5, 100, 0.9, seed=3)
+    np.testing.assert_array_equal(threaded.lower, alone.lower)
+    np.testing.assert_array_equal(threaded.upper, alone.upper)
+
+
+def test_a_one_chunk_bootstrap_does_not_fork():
+    panel, spec = _case(3, 1, 4, 40)  # 100 replications fit in one chunk
+    with two_cpus(), mock.patch("os.fork", wraps=os.fork) as fork:
+        bootstrap_irf(panel, spec, 0, 5, 100, 0.9, seed=3)
+    fork.assert_not_called()
 
 
 @pytest.mark.parametrize("lag_order", [1, 2])

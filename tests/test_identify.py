@@ -84,6 +84,15 @@ class TestImpactGamma:
         with pytest.raises(ZeroPolicyVariance):
             impact_gamma(chol, 0, 1)
 
+    @pytest.mark.parametrize("variance", [0.0, 1e-30])
+    def test_zero_or_tiny_policy_variance_has_no_impact(self, variance):
+        chol = cholesky_lower(np.array([[variance, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ZeroPolicyVariance):
+            impact_gamma(chol, 0, 1)
+        fit = fit_pvar(make_var_panel(np.zeros((2, 2)), 5, 30, seed=0), PVARSpec(1))
+        with pytest.raises(ZeroPolicyVariance):
+            irf(fit, chol, 0, 3)
+
     def test_ordering_requirement(self):
         chol = cholesky_lower(np.eye(2))
         with pytest.raises(Exception):

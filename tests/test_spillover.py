@@ -1,4 +1,7 @@
+import os
+import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +35,8 @@ from causal_pvar.spillover import (
     spillover_regression,
 )
 from causal_pvar.verify import verify_interference
+
+from conftest import assert_no_worker_left, fork_rule, two_cpus
 
 
 def line_graph(n):
@@ -250,6 +255,55 @@ class TestSpilloverRegression:
         self._fail_draws(monkeypatch, set(range(kept, 40)))
         with pytest.raises(BootstrapUnstable):
             spillover_regression(w, y, s, n_reps=40, seed=5)
+
+    @pytest.mark.parametrize("c", [1e-11, 1e5])
+    def test_exposure_units_carry_into_rho(self, c):
+        # only an all-zero exposure is degenerate, so rho(c s) = rho(s) / c
+        w, y, s = self._centered()
+        base = spillover_regression(w, y, s, n_reps=0)
+        fit = spillover_regression(w, y, c * s, n_reps=0)
+        assert not base.degenerate_exposure and not fit.degenerate_exposure
+        assert fit.rho == pytest.approx(base.rho / c, rel=1e-10)
+        assert fit.delta == pytest.approx(base.delta, rel=1e-10)
+
+    # The draws run in shares of whole chunks, on forked workers where the
+    # fork rule allows; the standard errors do not depend on the split.
+
+    def test_ses_equal_in_shares_and_in_process(self):
+        w, y, s = self._centered()
+        fits = {}
+        # seven draws a chunk, so that 100 end in a partial chunk of two;
+        # three processes take 5 of the 15 chunks each
+        with mock.patch("causal_pvar.spillover.CHUNK_BYTES", 7 * 8 * w.size):
+            for count in (1, 3):
+                with fork_rule(count) as pids:
+                    fits[count] = spillover_regression(w, y, s, n_reps=100, seed=5)
+                assert len(pids) == count - 1
+                assert_no_worker_left(pids)
+        assert fits[1] == fits[3]
+        assert fits[1].n_dropped == 0 and fits[1].se_rho > 0
+
+    def test_a_threaded_caller_draws_in_process(self):
+        w, y, s = self._centered()
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            with mock.patch("causal_pvar.spillover.CHUNK_BYTES", 1), two_cpus(), \
+                    mock.patch("os.fork", wraps=os.fork) as fork:
+                threaded = spillover_regression(w, y, s, n_reps=50, seed=5)
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        fork.assert_not_called()
+        assert threaded == spillover_regression(w, y, s, n_reps=50, seed=5)
+
+    def test_one_chunk_of_draws_does_not_fork(self):
+        w, y, s = self._centered()  # 1,500 cells: 43 draws a chunk
+        with two_cpus(), mock.patch("os.fork", wraps=os.fork) as fork:
+            spillover_regression(w, y, s, n_reps=40, seed=5)
+        fork.assert_not_called()
 
 
 @pytest.mark.parametrize("outcome", [0, 2, -1])

@@ -21,18 +21,9 @@ import causal_pvar.cli as cli
 import causal_pvar.verify as verify
 from causal_pvar.errors import SingularDesign
 
+from conftest import CPUS, run_cli
+
 GROUPS = [["T1"], ["T2"], ["T3"], ["T4"], ["T5"], ["T6", "T7"], ["T9", "T10"], ["interference"]]
-CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _run(*args, cpus=None):
-    """``python -m causal_pvar *args`` in a fresh interpreter, pinned to the
-    first ``cpus`` usable CPUs when given."""
-    def pin():
-        os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:cpus])
-
-    return subprocess.run([sys.executable, "-m", "causal_pvar", *args], capture_output=True,
-                          text=True, preexec_fn=pin if cpus else None, timeout=300)
 
 
 def _until_error(reports):
@@ -146,8 +137,8 @@ def test_verify_csv_bytes_do_not_depend_on_the_cpu_count(tmp_path):
     outputs = {}
     for cpus in (1, None):
         out = tmp_path / f"cpus-{cpus}"
-        res = _run("verify", "--theorem", "all", "--reps", "5", "--seed", "1",
-                   "--output", str(out), cpus=cpus)
+        res = run_cli("verify", "--theorem", "all", "--reps", "5", "--seed", "1",
+                      "--output", str(out), cpus=cpus)
         assert res.returncode in (0, 1), res.stderr
         outputs[cpus] = (res.stdout, (out / "verify.csv").read_bytes())
     assert outputs[1] == outputs[None]
