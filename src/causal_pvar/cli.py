@@ -8,8 +8,9 @@ or the CAUSAL_PVAR_SEED environment variable) and write byte-identical
 artifacts given the same seed; only they take --seed, and only the
 commands that write result records take --format.  Only ``irf`` takes
 --threads, which must be at least 1 and sets nothing: the bootstrap's
-chunks, and ``spillover``'s and ``verify``'s work, are shared among one
-process per usable CPU, and the artifacts' bytes do not depend on how many.
+chunks, and ``spillover``'s and ``verify``'s work, are shared among forked
+workers, one per usable CPU, and the artifacts' bytes do not depend on how
+many.  ``verify`` prints its summary lines once the whole suite has run.
 
 Defaults live in the library: a ``simulate`` scenario flag left out takes
 the ``ScenarioConfig`` default of the field it sets (``SCENARIO_FLAGS``),
@@ -275,11 +276,10 @@ def cmd_spillover(args) -> int:
 
 def cmd_verify(args) -> int:
     cpio.ensure_dir(args.output)
-    reports = []
     names = None if args.theorem == "all" else [args.theorem]
-    for rep in verify_suite(args.seed, args.reps, names):
+    reports = verify_suite(args.seed, args.reps, names)
+    for rep in reports:
         print(rep.summary_line())
-        reports.append(rep)
     _write_records([r.record() for r in reports], args, "verify")
     return 0 if all(r.passed for r in reports) else 1
 

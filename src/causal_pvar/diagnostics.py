@@ -171,17 +171,20 @@ def policy_regime_probe(series: np.ndarray) -> PolicyProbe:
     exact zeros, sample skewness and excess kurtosis, and the
     skewness/kurtosis normality statistic n * (skew^2/6 + exkurt^2/24),
     asymptotically chi-squared with 2 degrees of freedom under normality.
-    A constant series is binary with zero moments.
+    A constant series is binary with zero moments.  The moments are taken
+    of the demeaned series scaled by a power of two, which is exact, so
+    that its powers neither underflow nor overflow at any scale.
     """
     x = np.asarray(series, dtype=float).ravel()
     n = x.size
     if n < 30:
         raise BadConfig(f"need >= 30 observations, got {n}")
-    centered = x - x.mean()
     share_zero = float(np.mean(x == 0.0))
-    m2 = float(np.mean(centered**2))
-    if np.ptp(x) == 0 or m2 < 1e-300:
+    if np.ptp(x) == 0:
         return PolicyProbe(True, share_zero, 0.0, 0.0, 0.0)
+    centered = x - x.mean()
+    centered = np.ldexp(centered, -np.frexp(np.abs(centered).max())[1])
+    m2 = float(np.mean(centered**2))
     is_binary = np.unique(np.round(centered / np.sqrt(m2), 10)).size <= 2
     skew = float(np.mean(centered**3) / m2**1.5)
     exkurt = float(np.mean(centered**4) / m2**2 - 3.0)

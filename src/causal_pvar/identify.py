@@ -14,10 +14,10 @@ state slab, which holds a chunk of replications (twice ``CHUNK_BYTES`` of
 panel), regenerated there by the VAR recursion that ``simulate_var_panel``
 runs, one loop over time, and reduced to the within cross-products that
 ``fit_pvar`` reads.  The chunks, fixed from replication 0, run in shares
-of whole chunks (``workers.in_shares``): one share in this process and one
-on each further forked worker where the fork rule of ``workers.processes``
-allows, each through its own slab.  Once every share is back, joined in
-replication order, one ``_within_ols`` call solves all replications and
+of whole chunks (``workers.in_shares``), one on each forked worker where
+the fork rule of ``workers.processes`` allows, each through its own slab.
+Once every share is back, joined in replication order, one
+``_within_ols`` call solves all replications and
 one pass of the batched helpers that ``cholesky_lower`` and ``irf`` apply,
 with a leading axis of one, to the point estimate factors and propagates
 them, so the bands do not depend on the number of processes.
@@ -203,9 +203,9 @@ def bootstrap_irf(
     stream, child r of ``SeedSequence(seed)``.  Replications are regenerated
     in chunks of about twice ``CHUNK_BYTES`` of panel, each chunk by one loop
     over time and reduced to its within cross-products.  The chunks run in
-    shares, one in this process and one on each further forked worker (one
-    process per usable CPU, by the rule of ``workers.processes``), each
-    share through one state slab and one centring buffer of its own; all
+    shares, one on each forked worker (one per usable CPU, by the rule of
+    ``workers.processes``) or one in this process, each share through one
+    state slab and one centring buffer of its own; all
     replications are then solved, factored and propagated once per call
     in this process, so the bands do not depend on the number of processes,
     nor on the chunking (on a one-unit panel, up to last-bit rounding of a
@@ -258,7 +258,7 @@ def bootstrap_irf(
                     states, p, out=centred[: len(chunk)])[0]
         return cross
 
-    cross = in_shares(share, -(-n_reps // per_chunk))
+    cross = np.concatenate(in_shares(share, -(-n_reps // per_chunk)))
 
     # every replication at once, by the rules of fit_pvar, cholesky_lower and irf
     coef, sigma, ok = _within_ols(cross, m * p, n * tr)

@@ -93,8 +93,8 @@ def spillover_regression(
     n_reps = 0), draw r from child r of ``SeedSequence(seed)``; draws that
     cannot be fitted are dropped and counted, and BootstrapUnstable is
     raised when fewer than two remain.  The draws run in chunks of about
-    ``CHUNK_BYTES`` of resampled indices, shared among this process and
-    forked workers as ``bootstrap_irf``'s chunks are, and are joined in draw
+    ``CHUNK_BYTES`` of resampled indices, shared among forked workers as
+    ``bootstrap_irf``'s chunks are, and are joined in draw
     order before the one batched solve, so the standard errors do not
     depend on the number of processes.
     """
@@ -130,7 +130,7 @@ def spillover_regression(
         return sums
 
     # row 0 fits the point estimate, row r the cells that draw r - 1 resampled
-    sums = np.concatenate([prods.sum(axis=1)[None], in_shares(share, -(-n_reps // per_chunk))])
+    sums = np.concatenate([prods.sum(axis=1)[None], *in_shares(share, -(-n_reps // per_chunk))])
     coef, ok = _two_regressor_ols(sums, degenerate)
     if not ok[0]:
         why = "has zero variance" if degenerate else "and exposure are collinear"

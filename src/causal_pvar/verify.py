@@ -29,18 +29,18 @@ scores checks that share a scenario (T6 and T7, T9 and T10) on one run of
 its replications.
 
 ``verify_suite`` runs its groups (T1, T2, T3, T4, T5, T6+T7, T9+T10 and
-interference) on a pool of forked worker processes, one per usable CPU
-(``os.sched_getaffinity``) and at most one per group.  Where that is one
-worker, another thread runs (fork copies only the calling thread) or the
-platform cannot fork, it runs the same groups in this process: the fork
-rule of ``workers.processes``, which the bootstraps of ``irf`` and
-``spillover`` follow too.  A worker's watch thread counts as another
-thread, so a check that bootstraps inside a worker does so in-process
-rather than forking workers of its own.  Each group
-is seeded on its own and scored as in this process, so the reports, and
-``verify.csv``'s bytes, are the same for any worker count.  A worker's
-memory is its own: the calling process's peak RSS no longer includes it.
-A worker runs a group whole, as sending it blocks of chunks was slower.
+interference) in shares of whole groups (``workers.in_shares``), one on each
+forked worker, one per usable CPU (``os.sched_getaffinity``) and at most one
+per group.  Where that is one worker, another thread runs (fork copies only
+the calling thread) or the platform cannot fork, it runs the same groups in
+this process: the fork rule of ``workers.processes``, which the bootstraps
+of ``irf`` and ``spillover`` follow too.  A worker's watch thread counts as
+another thread, so a check that bootstraps inside a worker does so
+in-process rather than forking workers of its own.  Each group is seeded on
+its own and scored as in this process, so the reports, and ``verify.csv``'s
+bytes, are the same for any worker count.  A worker's memory is its own:
+the calling process's peak RSS does not include it.  A worker runs its
+groups whole, as sending it blocks of chunks was slower.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from .scenarios import (
 from .scenarios import BURN_IN, _draw, _propagate, _validate_config
 from .spillover import estimate_adjusted_impact, oracle_atte_aste, verify_interference
 from .weights import ZeroInflatedUniform, gaussian_weights, nonneg_weights, weighted_estimand
-from .workers import worker_pool
+from .workers import in_shares
 
 __all__ = [
     "CHECKS",
@@ -380,35 +380,34 @@ def verify_theorem(theorem: str, config: ScenarioConfig | None = None,
     return _run_shared([name], config or CHECKS[name].config, reps)[0]
 
 
-def verify_suite(seed: int, reps: int = 200, names=None):
-    """Run checks on their default scenarios at ``seed``, yielding each report.
+def verify_suite(seed: int, reps: int = 200, names=None) -> list[VerificationReport]:
+    """Run checks on their default scenarios at ``seed``: their reports.
 
-    ``names`` are keys of ``CHECKS`` in any case, in the order to yield
+    ``names`` are keys of ``CHECKS`` in any case, in the order to report
     (default: all of them; an empty selection runs none), and are all
     resolved before any check runs.  Checks that share a default scenario
     (T6 and T7, T9 and T10) form one group, scored on one run of its
     replications as ``verify_theorem`` scores each.  The groups run in
-    forked worker processes, one per usable CPU and at most one per group,
-    or in this process where that is one; each group is seeded on its own,
-    so the reports do not depend on the worker count.  Each report is
-    yielded once its group is done, and a group's error is raised in its
-    turn.
+    shares on forked worker processes, one per usable CPU and at most one
+    per group, or in this process where that is one; each group is seeded
+    on its own, so the reports do not depend on the worker count.  Where
+    groups fail, the error of the first of them, in group order, is raised.
     """
     names = [_check_name(name) for name in (CHECKS if names is None else names)]
     groups = {}  # checks that share a default scenario object, in name order
     for name in dict.fromkeys(names):
         groups.setdefault(id(CHECKS[name].config), []).append(name)
-    configs = [CHECKS[group[0]].config.with_seed(seed) for group in groups.values()]
-    pool = worker_pool(len(groups))
-    try:
-        finished = zip(groups.values(), (pool.map if pool else map)(
-            _run_shared, groups.values(), configs, [reps] * len(configs)))
+    groups = list(groups.values())
+
+    def share(first: int, stop: int) -> dict[str, VerificationReport]:
+        """The reports of groups first..stop - 1, by name."""
         done = {}
-        for name in names:
-            while name not in done:
-                group, reports = next(finished)
-                done.update(zip(group, reports))
-            yield done[name]
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        for group in groups[first:stop]:
+            config = CHECKS[group[0]].config.with_seed(seed)
+            done.update(zip(group, _run_shared(group, config, reps)))
+        return done
+
+    done = {}
+    for reports in in_shares(share, len(groups)):
+        done.update(reports)
+    return [done[name] for name in names]

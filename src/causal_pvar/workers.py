@@ -1,21 +1,18 @@
 """Forked worker processes, and the one rule for when work may use them.
 
 Work that splits into independent tasks (``verify``'s scenario groups, the
-chunks of a bootstrap) may run on forked workers, one process per usable
-CPU (``os.sched_getaffinity``) and at most one per task.  It runs in this
-process instead where that is one process, where another thread runs
-(fork copies only the calling thread, so a lock another thread holds would
-stay held in every worker; a verify worker's own watch thread counts, so a
-worker forks no workers), or where the platform cannot fork.
+chunks of a bootstrap) runs in shares of whole tasks (``in_shares``), one
+forked worker per usable CPU (``os.sched_getaffinity``) and at most one per
+task, while this process only collects.  It runs in this process instead
+where that is one process, where another thread runs (fork copies only the
+calling thread, so a lock another thread holds would stay held in every
+worker; a worker's own watch thread counts, so a worker forks no workers),
+or where the platform cannot fork.
 
-``worker_pool`` is the process pool ``verify`` hands its groups to;
-``multiprocessing`` is imported only then, as other commands never need
-it.  ``in_shares`` runs a bootstrap's chunks in shares: this process
-computes one while each worker, a bare ``os.fork``, computes another and
-sends its rows back through a pipe before it ends.  A share is one task
-per worker, so it needs no pool: a bare fork takes about half a one-worker
-pool's round trip and imports nothing, which counts against bootstraps
-of a tenth of a second.
+A worker is a bare ``os.fork``: it imports nothing, sends its share's
+result through a pipe and ends.  It ends with its parent too, even one
+killed by a signal: the parent alone holds the write end of an "alive"
+pipe, and a watch thread in the worker leaves on that pipe's end of file.
 """
 
 from __future__ import annotations
@@ -24,56 +21,33 @@ import os
 import pickle
 import threading
 
-import numpy as np
-
 
 def processes(n_tasks: int) -> int:
-    """How many processes, this one included, may share ``n_tasks`` tasks:
-    one per usable CPU and at most one per task, or 1 by the rule above."""
+    """How many processes may share ``n_tasks`` tasks: one per usable CPU
+    and at most one per task, or 1 (this one) by the rule above."""
     if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
             or threading.active_count() > 1):
         return 1
     return max(1, min(n_tasks, len(os.sched_getaffinity(0))))
 
 
-def _exit_with_parent() -> None:
-    """Pool initializer: end this worker once its parent process has ended,
-    even by a signal.  Without it the worker would wait for ever on a call
-    queue whose write end it holds open itself."""
-    from multiprocessing import connection, parent_process
-
-    sentinel = parent_process().sentinel
-
-    def watch():
-        connection.wait([sentinel])
-        os._exit(1)
-
-    threading.Thread(target=watch, daemon=True).start()
-
-
-def worker_pool(n_tasks: int):
-    """A pool of forked workers for ``n_tasks`` tasks, one per process that
-    ``processes`` allows, each ending with its parent; None where that is one."""
-    workers = processes(n_tasks)
-    if workers < 2:
-        return None
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # a fork pool starts every worker before its manager thread
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_exit_with_parent)
-
-
-def _fork_share(share, first: int, stop: int):
+def _fork_share(share, first: int, stop: int, alive: tuple[int, int]):
     """Fork a worker that sends ``share(first, stop)``, or the error it
-    raises, through a pipe and ends; its pid and the pipe's read end."""
+    raises, through a pipe and ends, or ends once the read end of ``alive``
+    sees end of file; its pid and the pipe's read end."""
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
             os.close(read)
+            os.close(alive[1])  # so that only the parent holds the pipe open
+
+            def watch():
+                os.read(alive[0], 1)  # returns at end of file: nothing is written
+                os._exit(1)
+
+            threading.Thread(target=watch, daemon=True).start()
             with os.fdopen(write, "wb") as fh:
                 try:
                     sent = (share(first, stop), None)
@@ -87,23 +61,27 @@ def _fork_share(share, first: int, stop: int):
     return pid, os.fdopen(read, "rb")
 
 
-def in_shares(share, n_chunks: int) -> np.ndarray:
-    """``share(first, stop)``'s rows for chunks ``first..stop - 1``, over all
-    ``n_chunks`` chunks, concatenated in chunk order.
+def in_shares(share, n_tasks: int) -> list:
+    """``share(first, stop)``'s results for tasks ``first..stop - 1``, over
+    all ``n_tasks`` tasks, as a list in task order.
 
-    The chunks are split into ``processes(n_chunks)`` runs of whole chunks:
-    this process computes the first run while a forked worker computes each
-    of the others, so each chunk's rows do not depend on the split.  With
-    one process, ``share(0, n_chunks)`` runs here.  Every worker has ended
-    when this returns or raises.
+    The tasks are split into ``processes(n_tasks)`` runs of whole tasks, and
+    where that is more than one, a forked worker computes each run while
+    this process collects them in turn, so each task's result does not
+    depend on the split.  With one process, ``share(0, n_tasks)`` runs here.
+    The first run's error, in task order, is raised here, and every worker
+    has ended when this returns or raises.
     """
-    count = processes(n_chunks)
+    count = processes(n_tasks)
     if count == 1:
-        return share(0, n_chunks)
-    bounds = [i * n_chunks // count for i in range(count + 1)]
-    workers = [_fork_share(share, first, stop) for first, stop in zip(bounds[1:-1], bounds[2:])]
+        return [share(0, n_tasks)]
+    bounds = [i * n_tasks // count for i in range(count + 1)]
+    alive = os.pipe()
+    workers = []
     try:
-        rows = [share(bounds[0], bounds[1])]
+        for first, stop in zip(bounds, bounds[1:]):
+            workers.append(_fork_share(share, first, stop, alive))
+        results = []
         for pid, fh in workers:
             try:
                 got, error = pickle.load(fh)
@@ -111,9 +89,11 @@ def in_shares(share, n_chunks: int) -> np.ndarray:
                 raise RuntimeError(f"worker {pid} ended without sending its share") from None
             if error is not None:
                 raise error
-            rows.append(got)
+            results.append(got)
+        return results
     finally:
+        os.close(alive[1])  # a worker still running, after an error, ends
+        os.close(alive[0])
         for pid, fh in workers:
             fh.close()
             os.waitpid(pid, 0)
-    return np.concatenate(rows)

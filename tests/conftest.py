@@ -1,8 +1,9 @@
 import contextlib
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from unittest import mock
 
@@ -45,9 +46,8 @@ def make_var_panel(phi, n_units, n_times, seed, mu=None, burn=50, n_policies=1,
 
 
 @contextlib.contextmanager
-def fork_rule(count):
-    """Let work of n chunks run in ``min(n, count)`` processes whatever the
-    host (1: in this process), and list the pids of the workers it forks."""
+def traced_forks():
+    """List the pids of the workers forked within."""
     pids, real_fork = [], os.fork
 
     def fork():
@@ -56,9 +56,58 @@ def fork_rule(count):
             pids.append(pid)
         return pid
 
-    with mock.patch.object(workers, "processes", lambda n_tasks: max(1, min(n_tasks, count))), \
-            mock.patch("os.fork", fork):
+    with mock.patch("os.fork", fork):
         yield pids
+
+
+@contextlib.contextmanager
+def fork_rule(count):
+    """Let work of n tasks run in ``min(n, count)`` forked workers whatever
+    the host (1: in this process), and list the pids of the workers forked."""
+    with mock.patch.object(workers, "processes", lambda n_tasks: max(1, min(n_tasks, count))), \
+            traced_forks() as pids:
+        yield pids
+
+
+# prints the pid of each worker the script forks, as it forks it
+_PRINT_FORKS = """import os
+_fork = os.fork
+
+def _printed_fork():
+    pid = _fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+os.fork = _printed_fork
+"""
+
+
+def _running(pid):
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def workers_left_after_kill(code, count, seconds):
+    """Run ``code`` in a fresh interpreter and SIGKILL it once it has forked
+    ``count`` workers: those still running ``seconds`` later, then killed."""
+    with subprocess.Popen([sys.executable, "-c", _PRINT_FORKS + code],
+                          stdout=subprocess.PIPE, text=True) as parent:
+        try:
+            pids = [int(parent.stdout.readline()) for _ in range(count)]
+        finally:
+            parent.kill()
+    deadline = time.monotonic() + seconds
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    left = [pid for pid in pids if _running(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    return left
 
 
 def two_cpus():
@@ -68,7 +117,6 @@ def two_cpus():
 
 def assert_no_worker_left(pids):
     """Every worker in ``pids`` has ended and been reaped."""
-    assert multiprocessing.active_children() == []
     for pid in pids:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)

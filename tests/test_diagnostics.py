@@ -216,6 +216,15 @@ class TestPolicyProbe:
         assert policy_regime_probe(scale * (rng.random(500) < 0.3)).is_binary
         assert policy_regime_probe(np.full(500, 0.3 * scale)).is_binary
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-151, 1e80, 1e160])
+    def test_probe_does_not_depend_on_units(self, scale):
+        # the moments' powers of the scaled series would underflow or overflow
+        x = np.random.default_rng(0).standard_normal(500)
+        probe, scaled = policy_regime_probe(x), policy_regime_probe(scale * x)
+        assert (scaled.is_binary, scaled.share_zero) == (probe.is_binary, probe.share_zero)
+        for name in ("skewness", "excess_kurtosis", "normality_stat"):
+            assert getattr(scaled, name) == pytest.approx(getattr(probe, name), rel=1e-12)
+
     @pytest.mark.parametrize("value", [0.1, 0.3, 1 / 3, 7.7, 1e5 + 0.1])
     def test_constant_series_has_zero_moments(self, value):
         # the mean of a constant can miss it by rounding; the moments must not see that

@@ -161,8 +161,8 @@ def test_summary_line_adds_one_clause_per_further_pair(tmp_path, capsys):
 
 
 def test_suite_resolves_names_in_any_case():
-    upper = next(verify.verify_suite(0, 3, ["INTERFERENCE"]))
-    lower = next(verify.verify_suite(0, 3, ["interference"]))
+    upper = verify.verify_suite(0, 3, ["INTERFERENCE"])[0]
+    lower = verify.verify_suite(0, 3, ["interference"])[0]
     assert upper.record() == lower.record()
     shared = [rep.record() for rep in verify.verify_suite(0, 3, ["t6", "t7"])]
     assert shared == [rep.record() for rep in verify.verify_suite(0, 3, ["T6", "T7"])]
@@ -173,7 +173,7 @@ def test_overflowing_replications_raise_singular_design_without_warnings(
     # an overflowing cross-product is a singular design, as in bootstrap_irf;
     # the error::RuntimeWarning filter turns any numpy warning into a failure
     with pytest.raises(SingularDesign, match="lag Gram matrix is singular"):
-        list(verify.verify_suite(0, 3, ["interference"]))
+        verify.verify_suite(0, 3, ["interference"])
 
 
 # A worker's checks never reach a spy in this process, so these also assert
@@ -182,7 +182,7 @@ def test_suite_rejects_an_unknown_name_before_any_check_runs():
     with mock.patch.object(verify, "_chunk_pairs") as spy, \
             mock.patch("os.fork", wraps=os.fork) as fork, \
             pytest.raises(BadConfig, match="unknown theorem 'bogus'"):
-        list(verify.verify_suite(0, 3, ["T6", "bogus"]))
+        verify.verify_suite(0, 3, ["T6", "bogus"])
     spy.assert_not_called()
     fork.assert_not_called()
 
@@ -190,7 +190,7 @@ def test_suite_rejects_an_unknown_name_before_any_check_runs():
 def test_an_empty_selection_runs_no_check():
     with mock.patch.object(verify, "_chunk_pairs") as spy, \
             mock.patch("os.fork", wraps=os.fork) as fork:
-        assert list(verify.verify_suite(0, 3, [])) == []
+        assert verify.verify_suite(0, 3, []) == []
     spy.assert_not_called()
     fork.assert_not_called()
 

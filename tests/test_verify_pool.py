@@ -2,103 +2,79 @@
 
 Each group (T1, T2, T3, T4, T5, T6+T7, T9+T10, interference) is seeded on
 its own, so the reports, and ``verify.csv``'s bytes, do not depend on the
-worker count; a worker's error reaches the caller as the in-process run
-raises it, and no worker outlives a run, nor its parent process.
+worker count; the first failing group's error reaches the caller as the
+in-process run raises it, and no worker outlives a run, nor its parent
+process.
 """
 
-import multiprocessing
 import os
-import signal
 import subprocess
 import sys
 import threading
-import time
+from dataclasses import replace
 from unittest import mock
 
 import pytest
 
 import causal_pvar.cli as cli
 import causal_pvar.verify as verify
-from causal_pvar.errors import SingularDesign
+from causal_pvar.errors import BadConfig, SingularDesign
 
-from conftest import CPUS, run_cli
+from conftest import CPUS, assert_no_worker_left, fork_rule, run_cli, traced_forks
+from conftest import workers_left_after_kill
 
 GROUPS = [["T1"], ["T2"], ["T3"], ["T4"], ["T5"], ["T6", "T7"], ["T9", "T10"], ["interference"]]
 
 
-def _until_error(reports):
-    """The reports yielded before ``reports`` raises SingularDesign, and that error."""
-    got = []
-    with pytest.raises(SingularDesign) as err:
-        for rep in reports:
-            got.append(rep.record())
-    return got, err.value
-
-
 def test_suite_records_equal_each_group_run_in_process():
-    with mock.patch("os.fork", wraps=os.fork) as fork:
+    with traced_forks() as pids:
         suite = [rep.record() for rep in verify.verify_suite(4, reps=3)]
     # one worker per usable CPU, at most one per group; none on one CPU
-    assert fork.call_count == (min(CPUS, len(GROUPS)) if CPUS > 1 else 0)
+    assert len(pids) == (min(CPUS, len(GROUPS)) if CPUS > 1 else 0)
+    assert_no_worker_left(pids)
     config = {group[0]: verify.CHECKS[group[0]].config.with_seed(4) for group in GROUPS}
     serial = [rep.record() for group in GROUPS
               for rep in verify._run_shared(group, config[group[0]], 3)]
     assert suite == serial
-    assert multiprocessing.active_children() == []
+
+
+def _error(names):
+    """The SingularDesign that ``verify_suite(0, 3, names)`` raises."""
+    with traced_forks() as pids, pytest.raises(SingularDesign) as err:
+        verify.verify_suite(0, 3, names)
+    assert_no_worker_left(pids)
+    return err.value
 
 
 def test_a_worker_error_is_raised_as_the_in_process_run_raises_it(overflowing_interference):
-    serial, serial_error = _until_error(verify.verify_suite(0, 3, ["interference"]))
-    pooled, pooled_error = _until_error(verify.verify_suite(0, 3, ["T1", "interference"]))
-    assert serial == []
-    assert [rec["theorem"] for rec in pooled] == ["T1"]
-    assert type(pooled_error) is type(serial_error)
-    assert str(pooled_error) == str(serial_error)
-    assert multiprocessing.active_children() == []
+    serial, forked = _error(["interference"]), _error(["T1", "interference"])
+    assert type(forked) is type(serial)
+    assert str(forked) == str(serial)
 
 
-def test_closing_a_half_consumed_suite_leaves_no_worker():
-    reports = verify.verify_suite(4, reps=3)
-    assert next(reports).theorem == "T1"
-    reports.close()
-    assert multiprocessing.active_children() == []
-
-
-def _running(pid):
-    """Whether process ``pid`` exists and is not a zombie."""
-    try:
-        with open(f"/proc/{pid}/stat") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except FileNotFoundError:
-        return False
+@pytest.mark.parametrize("count", [1, 2, 8])
+def test_the_first_failing_group_in_name_order_raises(count, monkeypatch,
+                                                      overflowing_interference):
+    # T1 on a one-unit scenario fails with BadConfig, interference with SingularDesign
+    check = verify.CHECKS["T1"]
+    monkeypatch.setitem(verify.CHECKS, "T1", replace(check, config=replace(check.config, n_units=1)))
+    for names, error in ((["T1", "T2", "interference"], BadConfig),
+                         (["interference", "T2", "T1"], SingularDesign)):
+        with fork_rule(count) as pids, pytest.raises(error):
+            verify.verify_suite(0, 3, names)
+        assert len(pids) == (min(count, 3) if count > 1 else 0)
+        assert_no_worker_left(pids)
 
 
 @pytest.mark.skipif(CPUS < 2 or not os.path.isdir("/proc/self"),
                     reason="needs two usable CPUs and /proc")
 def test_workers_end_when_their_parent_is_killed():
-    code = ("import multiprocessing, causal_pvar.verify as verify\n"
-            "reports = verify.verify_suite(0, 1000)\n"
-            "next(reports)\n"
-            "print(*[p.pid for p in multiprocessing.active_children()], flush=True)\n"
-            "list(reports)\n")
-    parent = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True)
-    try:
-        workers = [int(pid) for pid in parent.stdout.readline().split()]
-    finally:
-        parent.kill()
-        parent.wait(timeout=30)
-    assert len(workers) == min(CPUS, len(GROUPS))
-    deadline = time.monotonic() + 10
-    while any(map(_running, workers)) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    left = [pid for pid in workers if _running(pid)]
-    for pid in left:
-        os.kill(pid, signal.SIGKILL)
-    assert left == []
+    code = "import causal_pvar.verify as verify\nverify.verify_suite(0, 1000)\n"
+    assert workers_left_after_kill(code, min(CPUS, len(GROUPS)), 10) == []
 
 
 def test_a_threaded_caller_runs_the_groups_in_process():
-    # fork copies only the calling thread, so no pool is forked beside another
+    # fork copies only the calling thread, so no worker is forked beside another
     stop = threading.Event()
     other = threading.Thread(target=stop.wait)
     other.start()
@@ -145,7 +121,9 @@ def test_verify_csv_bytes_do_not_depend_on_the_cpu_count(tmp_path):
 
 
 def test_cli_import_loads_no_process_pool():
-    code = ("import sys, causal_pvar.cli; "
+    # nor does a suite that forks its workers, where the host has two CPUs
+    code = ("import sys, causal_pvar.cli, causal_pvar.verify as verify; "
+            "assert len(verify.verify_suite(0, 3)) == len(verify.CHECKS); "
             "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr

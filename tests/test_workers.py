@@ -1,13 +1,14 @@
-"""The one fork rule, and work run in shares of whole chunks.
+"""The one fork rule, and work run in shares of whole tasks.
 
 ``workers.processes`` decides how many processes may share a piece of work
-(``verify``'s groups, a bootstrap's chunks); ``workers.in_shares`` runs one
-share here and each other on a forked worker.  A command's bytes must not
-depend on the CPUs it may use.
+(``verify``'s groups, a bootstrap's chunks); ``workers.in_shares`` runs each
+share on a forked worker where that is more than one, and a worker ends
+with its parent.  A command's bytes must not depend on the CPUs it may use.
 """
 
 import os
 import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 import causal_pvar.workers as workers
 
 from conftest import CPUS, assert_no_worker_left, fork_rule, run_cli
+from conftest import workers_left_after_kill
 
 
 def test_one_process_per_cpu_and_at_most_one_per_task():
@@ -49,12 +51,14 @@ def _rows(first, stop):
 @pytest.mark.parametrize("count", [1, 2, 3])
 def test_shares_come_back_in_chunk_order(count):
     with fork_rule(count) as pids:
-        rows = workers.in_shares(_rows, 7)
-    assert len(pids) == count - 1
+        shares = workers.in_shares(_rows, 7)
+    assert len(pids) == (count if count > 1 else 0)
     assert_no_worker_left(pids)
+    assert len(shares) == count
+    rows = np.concatenate(shares)
     np.testing.assert_array_equal(rows[:, 0], np.repeat(np.arange(7), 2))
-    # this process made the first share and each worker one of the others
-    assert list(dict.fromkeys(rows[:, 1])) == [os.getpid(), *pids]
+    # each worker made one share, or this process made the one share
+    assert list(dict.fromkeys(rows[:, 1])) == (pids or [os.getpid()])
 
 
 def test_a_worker_error_is_raised_here():
@@ -66,6 +70,42 @@ def test_a_worker_error_is_raised_here():
     with fork_rule(2) as pids, pytest.raises(ValueError, match="^chunk 2 is bad$"):
         workers.in_shares(share, 4)
     assert_no_worker_left(pids)
+
+
+@pytest.mark.parametrize("count", [1, 2, 4])
+def test_the_first_error_in_task_order_is_raised(count):
+    def share(first, stop):
+        time.sleep(0.1 * (4 - first))  # the last share fails first
+        raise ValueError(f"chunk {first} is bad")
+
+    with fork_rule(count) as pids, pytest.raises(ValueError, match="^chunk 0 is bad$"):
+        workers.in_shares(share, 4)
+    assert_no_worker_left(pids)
+
+
+def test_an_error_ends_the_workers_still_running():
+    def share(first, stop):
+        if first == 0:
+            raise ValueError("chunk 0 is bad")
+        time.sleep(60)
+
+    start = time.monotonic()
+    with fork_rule(2) as pids, pytest.raises(ValueError, match="^chunk 0 is bad$"):
+        workers.in_shares(share, 2)
+    assert time.monotonic() - start < 10
+    assert_no_worker_left(pids)
+
+
+@pytest.mark.skipif(CPUS < 2 or not os.path.isdir("/proc/self"),
+                    reason="needs two usable CPUs and /proc")
+def test_bootstrap_workers_end_when_their_parent_is_killed():
+    # 40,000 replications take each worker seconds; it must end within 2 s
+    code = ("from causal_pvar.identify import bootstrap_irf\n"
+            "from causal_pvar.panel import PVARSpec\n"
+            "from causal_pvar.scenarios import ScenarioConfig, simulate_scenario\n"
+            "panel, _ = simulate_scenario(ScenarioConfig('gaussian_continuous', 60, 150, 0))\n"
+            "bootstrap_irf(panel, PVARSpec(1), 0, 10, 40000, 0.9, seed=0)\n")
+    assert workers_left_after_kill(code, CPUS, 2) == []
 
 
 @pytest.mark.skipif(CPUS < 2, reason="needs two usable CPUs")
