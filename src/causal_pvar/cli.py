@@ -8,9 +8,9 @@ or the CAUSAL_PVAR_SEED environment variable) and write byte-identical
 artifacts given the same seed; only they take --seed, and only the
 commands that write result records take --format.  Only ``irf`` takes
 --threads, which must be at least 1 and sets nothing: the bootstrap's
-chunks, and ``spillover``'s and ``verify``'s work, are shared among forked
-workers, one per usable CPU, and the artifacts' bytes do not depend on how
-many.  ``verify`` prints its summary lines once the whole suite has run.
+chunks, ``spillover``'s and ``verify``'s work, and the reading and writing
+of panel CSVs over about 1 MB, are shared among forked workers, one per
+usable CPU, and the artifacts' bytes do not depend on how many.  ``verify`` prints its summary lines once the whole suite has run.
 
 Defaults live in the library: a ``simulate`` scenario flag left out takes
 the ``ScenarioConfig`` default of the field it sets (``SCENARIO_FLAGS``),
@@ -26,6 +26,7 @@ Exit codes: 0 success, 1 expected errors (bad data, estimation failures),
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import asdict, replace
@@ -284,7 +285,10 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; each parse makes a
+    fresh namespace, so no option carries over from one call to the next."""
     parser = _Parser(prog="causal-pvar", description="Panel-VAR causal inference toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 

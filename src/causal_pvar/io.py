@@ -10,12 +10,20 @@ comment sets K, the last one winning.  Numbers follow Python's
 and non-ASCII digits, and labels fit in int64.  A (unit, time) cell given
 twice is an error, as is one left out.
 
-Reading: the lines up to the header are read one by one; every data row
-is then parsed by one call of numpy's C text reader, and a second pass
-looks only at the lines that hold a ``#``.  If the reader rejects a row,
-the rows are scanned again in Python to report the first bad line.
+Reading: the lines up to the header are read one by one, as bytes.  The
+body after it is split into blocks of whole lines, about 1 MB each, that
+forked workers parse (``workers.in_shares``); a body under one block is
+parsed in this process.  Each block is read from the file by the process
+that parses it: one call of numpy's C text reader parses every data row,
+and then only the lines that hold a ``#`` are looked at.  If the reader
+rejects a row, the block's lines are scanned again in Python for the
+first bad one.  This process numbers the blocks' lines in file order, so
+the first bad line of the file is reported, and the last K annotated
+wins, whatever the split.
 Writing: panel-shaped grids (``panel.csv``, ``residuals.csv``) go through
-``write_grid``, which formats rows with one %-template and streams them.
+``write_grid``, which formats blocks of rows with one %-template on forked
+workers and writes their bytes in order once every block is back; a grid
+under one block is formatted in this process.
 Result records are flat dicts written as CSV or JSON lines.  Panel grids
 and records write floats at 17 significant digits; in records an integral
 float keeps a ``.0`` (``1.0``, not ``1``), so that it reads back as a
@@ -32,14 +40,18 @@ opened, decoded as UTF-8 or written raise IoError.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
+import itertools
 import json
 import math
 import os
+import re
 import warnings
 
 import numpy as np
 
+from . import workers
 from .errors import BadConfig, IoError, ParseError
 from .panel import PanelDataset, panel_from_records
 
@@ -55,7 +67,10 @@ __all__ = [
 ]
 
 
-_BLOCK_ROWS = 8192  # grid rows formatted per writelines call
+_READ_BLOCK = 1 << 20  # body bytes per read task, rounded up to a line end
+_BLOCK_ROWS = 16384  # grid rows per write task
+_PIECE_ROWS = 1024  # rows of a write task formatted at once, so little text is held as str
+_LONE_CR = re.compile(rb"(?<=\r)(?!\n)")  # the end of a line that ends in a lone CR
 
 
 def fmt_float(x: float) -> str:
@@ -190,17 +205,34 @@ def load_panel_csv(path, n_policies: int | None = None) -> PanelDataset:
     ``n_policies``.  Row order does not matter: sorting by (unit, time)
     is canonical, and the panel keeps the sorted labels.  A (unit, time)
     cell given twice raises UnbalancedPanel naming it as repeated.
+
+    The body after the header is parsed in blocks of whole lines, about
+    ``_READ_BLOCK`` bytes each, shared among forked workers
+    (``workers.in_shares``); a body under one block is parsed here.  The
+    first bad line of the file is reported whatever the split.
     """
-    with _read_text(path) as fh:
-        header, lineno, annotated_k = _read_header(fh)
-        ncols = len(header)
-        body = fh.tell()
-        rows = _read_rows(fh, lineno, ncols, body)
-        fh.seek(body)
-        for at, line in _lines_with_hash(fh, lineno):
-            if not line.startswith("#"):
-                raise ParseError(_row_error(line, ncols), at)
-            annotated_k = _annotation(line, at, annotated_k)
+    with _reading(path), open(path, "rb") as fh:
+        header, lineno, annotated_k, body = _read_header(fh)
+        bounds = _block_bounds(fh, body)
+    ncols = len(header)
+
+    def share(first, stop):
+        return [_parse_block(path, bounds[i], bounds[i + 1], ncols) for i in range(first, stop)]
+
+    parts, rejected = [], None
+    blocks = itertools.chain.from_iterable(workers.in_shares(share, len(bounds) - 1))
+    for rows, n_lines, k, problem in blocks:
+        if problem is not None:
+            at, message = problem
+            if at is not None:  # the first bad line of the file
+                raise ParseError(message, lineno + at)
+            rejected = rejected or ParseError(message)
+        annotated_k = annotated_k if k is None else k
+        parts.append(rows)
+        lineno += n_lines
+    if rejected:  # a row numpy's reader rejects and no line check finds
+        raise rejected
+    rows = np.concatenate(parts)
     if not rows.size:
         raise ParseError("file has no data rows", 2)
     k = n_policies if n_policies is not None else annotated_k
@@ -212,67 +244,107 @@ def load_panel_csv(path, n_policies: int | None = None) -> PanelDataset:
 
 
 @contextlib.contextmanager
-def _read_text(path):
-    """Open ``path`` as UTF-8 text past any byte-order mark; filesystem and
-    decoding failures become IoError."""
+def _reading(path):
+    """Filesystem and decoding failures within, as IoError naming ``path``."""
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            yield fh
+        yield
     except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
 
-def _annotation(line: str, lineno: int, k):
-    """K after the comment ``line``: its ``policies=K`` value, else ``k`` unchanged."""
+_MALFORMED = "malformed policies annotation"
+
+
+def _annotation(line: str, k):
+    """K after the comment ``line``: its ``policies=K`` value, else ``k``
+    unchanged; ValueError if that value is not an integer."""
     body = line[1:].strip()
-    if not body.startswith("policies="):
-        return k
-    try:
-        return int(body.split("=", 1)[1])
-    except ValueError:
-        raise ParseError("malformed policies annotation", lineno)
+    return int(body.split("=", 1)[1]) if body.startswith("policies=") else k
 
 
 def _read_header(fh):
-    """Read through the header line: (its fields, its line number, K annotated so far)."""
-    k = None
-    for lineno, raw in enumerate(iter(fh.readline, ""), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            k = _annotation(line, lineno, k)
-            continue
-        header = [h.strip() for h in line.split(",")]
-        if header[:2] != ["unit", "time"] or len(header) < 4:
-            raise ParseError("header must be unit,time,<var1>,...,<varm> with m >= 2", lineno)
-        return header, lineno, k
+    """Read the binary file ``fh`` through the header line: (its fields, its
+    line number, K annotated so far, the byte offset of the next line).
+
+    Lines end as in text mode (``\\n``, ``\\r\\n`` or a lone ``\\r``), and a
+    leading byte-order mark is skipped.
+    """
+    k, lineno, end = None, 0, 0
+    for raw in iter(fh.readline, b""):
+        if end == 0 and raw.startswith(codecs.BOM_UTF8):
+            raw, end = raw[len(codecs.BOM_UTF8):], len(codecs.BOM_UTF8)
+        for piece in filter(None, _LONE_CR.split(raw)):
+            end += len(piece)
+            lineno += 1
+            line = piece.decode("utf-8").strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                try:
+                    k = _annotation(line, k)
+                except ValueError:
+                    raise ParseError(_MALFORMED, lineno) from None
+                continue
+            header = [h.strip() for h in line.split(",")]
+            if header[:2] != ["unit", "time"] or len(header) < 4:
+                raise ParseError("header must be unit,time,<var1>,...,<varm> with m >= 2", lineno)
+            return header, lineno, k, end
     raise ParseError("file has no header", 1)
 
 
-def _read_rows(fh, lineno: int, ncols: int, body):
-    """Every data row after the header, parsed by numpy's C reader.
+def _block_bounds(fh, body: int) -> list[int]:
+    """Byte offsets that split the binary file ``fh``, from ``body`` to its
+    end, into the fewest blocks of at most ``_READ_BLOCK`` bytes, of about
+    equal size, each then moved on to the next line start."""
+    size = os.fstat(fh.fileno()).st_size
+    n_blocks = max(1, -(-(size - body) // _READ_BLOCK))
+    bounds = [body]
+    for i in range(1, n_blocks):
+        fh.seek(body + i * (size - body) // n_blocks - 1)
+        fh.readline()  # through the end of the line that holds that byte
+        bounds.append(fh.tell())
+    return bounds + [size]
+
+
+def _parse_block(path, start: int, stop: int, ncols: int):
+    """Parse the body lines in bytes ``start..stop - 1`` of ``path``, which
+    start and end on line bounds.
 
     Lines are stripped first, so blank and comment lines are skipped
-    whatever their indentation.  If the reader rejects a row, the lines
-    are scanned again from ``body`` (the position after the header) and
-    the first one that is not a data row raises ParseError.
+    whatever their indentation; every data row is parsed by one call of
+    numpy's C reader, and then only the lines that hold a ``#`` are looked
+    at.  If the reader rejects a row, every line is looked at.  Returns
+    (the rows, the block's line count, the K it annotates last or None, the
+    problem), where the problem is None or (the first bad line's number
+    within the block, from 1, and why it is bad); a row the reader rejects
+    but no line check finds has line number None.
     """
+    with _reading(path), open(path, "rb") as fh:
+        fh.seek(start)
+        text = fh.read(stop - start).decode("utf-8")
+    if "\r" in text:  # line ends as text mode reads them
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
     dtype = [("unit", "i8"), ("time", "i8"), ("values", "f8", (ncols - 2,))]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            return np.loadtxt(map(str.strip, fh), dtype=dtype, delimiter=",",
+            rows = np.loadtxt(map(str.strip, lines), dtype=dtype, delimiter=",",
                               comments="#", ndmin=1)
+        looked_at, rejected = _lines_with_hash(text), None
     except ValueError as exc:
-        fh.seek(body)
-        for at, raw in enumerate(fh, start=lineno + 1):
-            line = raw.strip()
-            if line.startswith("#"):
-                _annotation(line, at, None)
-            elif line and (problem := _row_error(line, ncols)):
-                raise ParseError(problem, at)
-        raise ParseError(f"data rows rejected: {exc}") from exc
+        rows, rejected = None, (None, f"data rows rejected: {exc}")
+        looked_at = enumerate(map(str.strip, lines), start=1)
+    k = None
+    for at, line in looked_at:
+        if line.startswith("#"):
+            try:
+                k = _annotation(line, k)
+            except ValueError:
+                return None, 0, None, (at, _MALFORMED)
+        elif line and (problem := _row_error(line, ncols)):
+            return None, 0, None, (at, problem)
+    return rows, text.count("\n"), k, rejected
 
 
 def _row_error(line: str, ncols: int):
@@ -303,22 +375,19 @@ def _is_number(tok: str, kind) -> bool:
     return kind is float or -(2**63) <= value < 2**63
 
 
-def _lines_with_hash(fh, lineno: int):
-    """(line number, stripped text) of each line after line ``lineno`` that holds a '#'.
+def _lines_with_hash(text: str):
+    """(line number from 1, stripped text) of each line of ``text`` that holds a '#'.
 
-    Reads in blocks and looks only at the lines around each '#', so no
-    Python code runs per line without one.
+    Looks only at the lines around each '#', so no Python code runs per
+    line without one.
     """
-    while block := fh.read(1 << 20):
-        block += fh.readline()
-        pos = 0
-        while (hit := block.find("#", pos)) >= 0:
-            start = block.rfind("\n", 0, hit) + 1
-            end = block.find("\n", hit) + 1 or len(block)
-            lineno += block.count("\n", pos, start) + 1
-            yield lineno, block[start:end].strip()
-            pos = end
-        lineno += block.count("\n", pos)
+    lineno, pos = 0, 0
+    while (hit := text.find("#", pos)) >= 0:
+        start = text.rfind("\n", 0, hit) + 1
+        end = text.find("\n", hit) + 1 or len(text)
+        lineno += text.count("\n", pos, start) + 1
+        yield lineno, text[start:end].strip()
+        pos = end
 
 
 def write_grid(values, path, variable_names, unit_labels, time_labels, preamble: str = "") -> None:
@@ -326,21 +395,33 @@ def write_grid(values, path, variable_names, unit_labels, time_labels, preamble:
 
     Units are labelled by the n integer ``unit_labels`` and times by the t
     ``time_labels``; ``preamble`` goes before the header.  Rows are
-    formatted with one %-template in blocks of ``_BLOCK_ROWS`` and streamed
-    to the file; ``'%.17g' % x`` is ``fmt_float(x)``.
+    formatted with one %-template (``'%.17g' % x`` is ``fmt_float(x)``) in
+    blocks of ``_BLOCK_ROWS``, shared among forked workers
+    (``workers.in_shares``); a grid under one block is formatted here.
+    ``path`` is opened only once every block's bytes are back, so an error
+    in formatting leaves it as it was.
     """
     n, t, m = values.shape
     row = "%d,%d" + ",%.17g" * m + "\n"
     flat = values.reshape(n * t, m)
     units = np.repeat(unit_labels, t)
     times = np.tile(time_labels, n)
+
+    def share(first, stop):
+        end = min(stop * _BLOCK_ROWS, n * t)
+        pieces = []
+        for a in range(first * _BLOCK_ROWS, end, _PIECE_ROWS):
+            b = min(a + _PIECE_ROWS, end)
+            cells = zip(units[a:b].tolist(), times[a:b].tolist(), *flat[a:b].T.tolist())
+            pieces.append("".join(map(row.__mod__, cells)).encode())
+        return pieces
+
+    shares = workers.in_shares(share, max(1, -(-n * t // _BLOCK_ROWS)))
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(preamble + "unit,time," + ",".join(variable_names) + "\n")
-            for a in range(0, n * t, _BLOCK_ROWS):
-                b = a + _BLOCK_ROWS
-                cells = zip(units[a:b].tolist(), times[a:b].tolist(), *flat[a:b].T.tolist())
-                fh.writelines(map(row.__mod__, cells))
+        with open(path, "wb") as fh:
+            fh.write((preamble + "unit,time," + ",".join(variable_names) + "\n").encode())
+            for pieces in shares:
+                fh.writelines(pieces)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -359,7 +440,7 @@ def load_edge_list(path, unit_labels) -> np.ndarray:
     """
     position = {int(label): i for i, label in enumerate(unit_labels)}
     adj = np.zeros((len(position), len(position)))
-    with _read_text(path) as fh:
+    with _reading(path), open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -1,9 +1,11 @@
 """Forked worker processes, and the one rule for when work may use them.
 
 Work that splits into independent tasks (``verify``'s scenario groups, the
-chunks of a bootstrap) runs in shares of whole tasks (``in_shares``), one
-forked worker per usable CPU (``os.sched_getaffinity``) and at most one per
-task, while this process only collects.  It runs in this process instead
+chunks of a bootstrap, the blocks of lines ``io.load_panel_csv`` parses and
+of rows ``io.write_grid`` formats) runs in shares of whole tasks
+(``in_shares``), one forked worker per usable CPU
+(``os.sched_getaffinity``) and at most one per task, while this process
+only collects.  It runs in this process instead
 where that is one process, where another thread runs (fork copies only the
 calling thread, so a lock another thread holds would stay held in every
 worker; a worker's own watch thread counts, so a worker forks no workers),

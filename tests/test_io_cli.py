@@ -708,6 +708,25 @@ def test_scenario_flags_set_config_fields_and_default_to_none():
     assert all(getattr(args, flag[2:].replace("-", "_")) is None for flag in cli.SCENARIO_FLAGS)
 
 
+def test_main_calls_share_one_parser_and_no_options(tmp_path, monkeypatch):
+    parsers = []
+    parse_args = cli._Parser.parse_args
+
+    def recorded(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", recorded)
+    argv = ["simulate", "--regime", REGIMES[0], "--units", "5", "--times", "20",
+            "--output", str(tmp_path)]
+    assert run_cli(*argv, "--seed", "0").returncode == 0
+    # the first call's --seed does not carry over into the second's namespace
+    res = run_cli(*argv)
+    assert (res.returncode, res.stderr) == (
+        2, "error: this command is stochastic; pass --seed or set CAUSAL_PVAR_SEED\n")
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+
 @pytest.mark.parametrize("regime", REGIMES)
 def test_simulate_without_flags_is_the_default_scenario(tmp_path, regime):
     argv = ["simulate", "--regime", regime, "--units", "40", "--times", "80", "--seed", "0"]

@@ -1,7 +1,7 @@
 """The one fork rule, and work run in shares of whole tasks.
 
 ``workers.processes`` decides how many processes may share a piece of work
-(``verify``'s groups, a bootstrap's chunks); ``workers.in_shares`` runs each
+(``verify``'s groups, a bootstrap's chunks, a panel CSV's blocks); ``workers.in_shares`` runs each
 share on a forked worker where that is more than one, and a worker ends
 with its parent.  A command's bytes must not depend on the CPUs it may use.
 """
